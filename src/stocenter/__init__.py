@@ -40,4 +40,4 @@ from .partition import (MembershipVerdict, WeightedImage,
                         build_weighted_image, holant_value, image_cost,
                         membership_check, subset_probability)
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"

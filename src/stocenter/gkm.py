@@ -5,74 +5,86 @@ k-point center set F is sum_i w_i * max_{s in S_i} d(s, F).  The module
 provides sensitivity estimates, importance-sampling coresets, exhaustive
 candidate-coreset enumeration, numerical solvers, and the end-to-end
 stochastic k-center pipeline built on the partition module.
+
+Packed layout.  A ``WeightedCollection`` is packed once, at construction,
+into an ``objective.PackedSets``: all points in one (total, d) array, the
+start offset of each set, one weight per set and an explicit d.  A cost
+evaluation is one ``shape_distances`` call on the packed points and one
+``np.maximum.reduceat`` for the per-set maxima; the first-occurrence
+argmax per set (the farthest point, for subgradients and reassignment)
+comes from the same reduction.  No cost or farthest-point evaluation
+loops over the sets in Python.
+
+Sequential sums.  Weighted sums over sets are taken left to right with
+``np.add.accumulate``, never ``w @ m`` or the pairwise ``np.sum``, so the
+packed cost equals the per-set loop sum(w_i * max_i) bit for bit and
+seeded outputs do not move.  Maxima and minima are exact in any order.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from itertools import combinations, product
+from dataclasses import dataclass, field
+from itertools import combinations, islice, product
 
 import numpy as np
 from scipy.optimize import minimize
 
 from .errors import EnumerationGuardExceeded, ZeroCostCandidate
 from .model import CenterSet, ExistentialInstance, Instance
-from .objective import expected_objective_exact, shape_distances
+from .objective import PackedSets, expected_objective_exact, shape_distances
 from .partition import WeightedImage, build_weighted_image
 
 MAX_CANDIDATE_STREAM = 10 ** 7
 MAX_DISCRETE_SUBSETS = 10 ** 5
+# k-subsets scored per batch in the discrete pass, so its memory beyond the
+# (points x unique points) distance table is (points + sets) x DISCRETE_CHUNK
+# floats, whatever the number of subsets.
+DISCRETE_CHUNK = 256
 
 
 @dataclass(frozen=True)
 class WeightedCollection:
-    sets: tuple  # tuple of (n_i, d) arrays; empty sets allowed (cost 0)
+    """Weighted point sets; empty sets are allowed and cost 0.
+
+    ``d`` is inferred from the sets (an empty ``(0, d)`` array counts)
+    unless given.  After construction ``sets`` are read-only views into
+    ``packed.points``.
+    """
+
+    sets: tuple  # of (n_i, d) arrays
     weights: np.ndarray
+    d: int | None = None
+    packed: PackedSets = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        sets = tuple(np.atleast_2d(np.asarray(s, dtype=float)) if np.size(s)
-                     else np.zeros((0, self._dim_guess())) for s in self.sets)
-        w = np.asarray(self.weights, dtype=float)
-        if len(sets) != len(w):
-            raise ValueError("one weight per set required")
-        if np.any(w <= 0.0):
+        packed = PackedSets.pack(self.sets, self.weights, self.d)
+        if np.any(packed.weights <= 0.0):
             raise ValueError("weights must be positive")
-        object.__setattr__(self, "sets", sets)
-        object.__setattr__(self, "weights", w)
-
-    def _dim_guess(self) -> int:
-        for s in self.sets:
-            if np.size(s):
-                return np.atleast_2d(np.asarray(s)).shape[1]
-        return 1
+        object.__setattr__(self, "packed", packed)
+        object.__setattr__(self, "sets", packed.sets())
+        object.__setattr__(self, "weights", packed.weights)
+        object.__setattr__(self, "d", packed.d)
 
     @property
     def size(self) -> int:
-        return len(self.sets)
+        return self.packed.size
 
     @property
     def max_set_size(self) -> int:
-        return max((s.shape[0] for s in self.sets), default=0)
-
-    @property
-    def d(self) -> int:
-        return self._dim_guess()
+        return int(np.diff(self.packed.offsets).max(initial=0))
 
     def union_points(self) -> np.ndarray:
-        nonempty = [s for s in self.sets if s.shape[0]]
-        return np.vstack(nonempty) if nonempty else np.zeros((0, self.d))
+        return self.packed.points
 
 
 def collection_from_image(image: WeightedImage,
                           instance: Instance) -> WeightedCollection:
     support = instance.support_points
-    sets, weights = [], []
-    for ids, w in image.entries:
-        if w > 0.0:
-            sets.append(support[list(ids)] if ids else np.zeros((0, support.shape[1])))
-            weights.append(w)
-    return WeightedCollection(sets=tuple(sets), weights=np.array(weights))
+    entries = [(ids, w) for ids, w in image.entries if w > 0.0]
+    return WeightedCollection(
+        sets=tuple(support[list(ids)] for ids, _ in entries),
+        weights=np.array([w for _, w in entries]), d=instance.d)
 
 
 @dataclass(frozen=True)
@@ -94,17 +106,20 @@ class GeneralizedCoreset:
     def as_collection(self, S: WeightedCollection) -> WeightedCollection:
         return WeightedCollection(
             sets=tuple(S.sets[i] for i in self.indices),
-            weights=np.asarray(self.weights, dtype=float))
-
-
-def set_cost(points: np.ndarray, F: CenterSet) -> float:
-    if points.shape[0] == 0:
-        return 0.0
-    return float(shape_distances(points, F).max())
+            weights=np.asarray(self.weights, dtype=float), d=S.d)
 
 
 def gkm_cost(S: WeightedCollection, F: CenterSet) -> float:
-    return float(sum(w * set_cost(s, F) for s, w in zip(S.sets, S.weights)))
+    return S.packed.cost(F)
+
+
+def _farthest_nearest(S: WeightedCollection, F: CenterSet) -> np.ndarray:
+    """Index of the center of F nearest to each nonempty set's farthest
+    point from F (first argmax), one entry per ``S.packed.nonempty``."""
+    P = S.packed
+    far = P.points[P.argmax(shape_distances(P.points, F))]
+    return ((F.centers[None, :, :] - far[:, None, :]) ** 2).sum(axis=2) \
+        .argmin(axis=1)
 
 
 def sensitivity_bruteforce(S: WeightedCollection,
@@ -121,8 +136,8 @@ def sensitivity_bruteforce(S: WeightedCollection,
         total = gkm_cost(S, F)
         if total <= 0.0:
             raise ZeroCostCandidate("candidate with zero total cost")
-        for i, (s, w) in enumerate(zip(S.sets, S.weights)):
-            values[i] = max(values[i], w * set_cost(s, F) / total)
+        values = np.maximum(values,
+                            S.weights * S.packed.max_distances(F) / total)
     return SensitivityEstimate(values=values, kind="BruteForceLower")
 
 
@@ -144,21 +159,16 @@ def sensitivity_projection_upper(S: WeightedCollection, k: int,
     # Nearest reference center of each set's farthest point; the projected
     # points coincide with centers, so their distance share vanishes and
     # only the cluster-mass term survives.
+    # Empty sets count toward center 0's cluster mass.
     nearest = np.zeros(N, dtype=int)
-    for i, s in enumerate(S.sets):
-        if s.shape[0] == 0:
-            continue
-        far = s[int(np.argmax(shape_distances(s, F_hat)))]
-        diff = F_hat.centers - far
-        nearest[i] = int(np.argmin((diff ** 2).sum(axis=1)))
+    nearest[S.packed.nonempty] = _farthest_nearest(S, F_hat)
     cluster_mass = np.zeros(F_hat.k)
-    for i in range(N):
-        cluster_mass[nearest[i]] += S.weights[i]
-    values = np.empty(N)
-    for i, (s, w) in enumerate(zip(S.sets, S.weights)):
-        share = w * set_cost(s, F_hat) / total
-        mass_term = 2.0 * w / cluster_mass[nearest[i]] if cluster_mass[nearest[i]] > 0 else 0.0
-        values[i] = min(max(share + mass_term, 0.0), 1.0)
+    np.add.at(cluster_mass, nearest, S.weights)  # in set order
+    share = S.weights * S.packed.max_distances(F_hat) / total
+    # Each set adds its own positive weight, so every cluster mass used here
+    # is positive.
+    mass_term = 2.0 * S.weights / cluster_mass[nearest]
+    values = np.minimum(np.maximum(share + mass_term, 0.0), 1.0)
     return SensitivityEstimate(values=values, kind="ProjectionUpper")
 
 
@@ -212,42 +222,44 @@ def _lex_key(centers: np.ndarray):
                  for row in centers[np.lexsort(centers.T[::-1])])
 
 
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """||x_i|| per row through the BLAS dot that ``np.linalg.norm`` uses on
+    one vector, so batched norms equal per-row ones bit for bit."""
+    return np.sqrt((x[:, None, :] @ x[:, :, None]).ravel())
+
+
 def _solve_k1(S: WeightedCollection, tol: float = 1e-10) -> tuple[np.ndarray, float]:
     """Minimize the convex map c -> sum_i w_i max_{s in S_i} ||s - c||."""
     d = S.d
-    pts = S.union_points()
+    P = S.packed
+    pts = P.points
     if pts.shape[0] == 0:
         return np.zeros(d), 0.0
+    w = S.weights[P.nonempty]
 
     def fval(c):
         F = CenterSet(centers=c.reshape(1, -1))
         return gkm_cost(S, F)
 
+    def farthest(c):
+        return pts[P.argmax(np.linalg.norm(pts - c, axis=1))]
+
     c0 = pts.mean(axis=0)
     # Init at the weighted centroid of per-set farthest points from c0.
-    fars, ws = [], []
-    for s, w in zip(S.sets, S.weights):
-        if s.shape[0]:
-            far = s[int(np.argmax(np.linalg.norm(s - c0, axis=1)))]
-            fars.append(far)
-            ws.append(w)
-    if fars:
-        c0 = np.average(np.array(fars), axis=0, weights=np.array(ws))
+    c0 = np.average(farthest(c0), axis=0, weights=w)
     best_c, best_v = c0.copy(), fval(c0)
     # Subgradient descent with step halving on rejected moves.
     c = c0.copy()
     scale = max(float(np.linalg.norm(pts - c0, axis=1).max()), 1e-12)
     step = 0.5 * scale
     for _ in range(200):
+        diff = c - farthest(c)
+        norm = _row_norms(diff)
+        keep = norm > 1e-15
         g = np.zeros(d)
-        for s, w in zip(S.sets, S.weights):
-            if s.shape[0] == 0:
-                continue
-            dists = np.linalg.norm(s - c, axis=1)
-            far = s[int(np.argmax(dists))]
-            norm = np.linalg.norm(c - far)
-            if norm > 1e-15:
-                g += w * (c - far) / norm
+        if keep.any():
+            g += np.add.accumulate(
+                w[keep, None] * diff[keep] / norm[keep, None], axis=0)[-1]
         gn = np.linalg.norm(g)
         if gn < 1e-13 or step < 1e-14 * scale:
             break
@@ -266,18 +278,37 @@ def _solve_k1(S: WeightedCollection, tol: float = 1e-10) -> tuple[np.ndarray, fl
 
 
 def _discrete_pass(S: WeightedCollection, k: int):
-    pts = S.union_points()
-    uniq = np.unique(pts, axis=0)
+    """Best k-subset of the unique union points, scored DISCRETE_CHUNK
+    subsets at a time.
+
+    Subsets are scanned in ``combinations`` order of the sorted unique
+    points, which is lexicographic order of the center sets, so keeping
+    the first subset within 1e-15 of the best keeps the lexicographically
+    smallest one."""
+    P = S.packed
+    uniq = np.unique(P.points, axis=0)
     if math.comb(uniq.shape[0], k) > MAX_DISCRETE_SUBSETS:
         return None
+    # Distance of every packed point to every unique point, computed as
+    # shape_distances does for one center.
+    D = np.sqrt(((P.points[:, None, :] - uniq[None, :, :]) ** 2).sum(axis=2))
+    combos = combinations(range(uniq.shape[0]), k)
+    subsets, values = [], []
+    while chunk := list(islice(combos, DISCRETE_CHUNK)):
+        idx = np.array(chunk)
+        dist = D[:, idx[:, 0]]                             # (points, chunk)
+        for j in range(1, k):
+            np.minimum(dist, D[:, idx[:, j]], out=dist)
+        terms = P.weights[:, None] * P.maxima(dist)        # (sets, chunk)
+        values.extend(np.add.accumulate(terms, axis=0)[-1].tolist())
+        subsets.extend(chunk)
     best = None
-    for idx in combinations(range(uniq.shape[0]), k):
-        F = CenterSet(centers=uniq[list(idx)])
-        v = gkm_cost(S, F)
-        if best is None or v < best[1] - 1e-15 or \
-                (abs(v - best[1]) <= 1e-15 and _lex_key(F.centers) < _lex_key(best[0].centers)):
-            best = (F, v)
-    return best
+    for idx, v in zip(subsets, values):
+        if best is None or v < best[1] - 1e-15:
+            best = (idx, v)
+    if best is None:  # fewer unique points than k
+        return None
+    return CenterSet(centers=uniq[list(best[0])]), best[1]
 
 
 def _alternating(S: WeightedCollection, k: int, F0: CenterSet,
@@ -285,17 +316,12 @@ def _alternating(S: WeightedCollection, k: int, F0: CenterSet,
     F = F0
     value = gkm_cost(S, F)
     for _ in range(rounds):
-        groups: dict[int, list[int]] = {}
-        for i, s in enumerate(S.sets):
-            if s.shape[0] == 0:
-                continue
-            far = s[int(np.argmax(shape_distances(s, F)))]
-            j = int(np.argmin(((F.centers - far) ** 2).sum(axis=1)))
-            groups.setdefault(j, []).append(i)
+        nearest = _farthest_nearest(S, F)
         new_centers = F.centers.copy()
-        for j, members in groups.items():
+        for j in np.unique(nearest):
+            members = S.packed.nonempty[nearest == j]
             sub = WeightedCollection(sets=tuple(S.sets[i] for i in members),
-                                     weights=S.weights[list(members)])
+                                     weights=S.weights[members], d=S.d)
             c, _ = _solve_k1(sub)
             new_centers[j] = c
         F2 = CenterSet(centers=new_centers)
@@ -352,7 +378,7 @@ def solve_gkm(S: WeightedCollection, k: int,
     """Best center set found; deterministic for fixed inputs."""
     if S.size == 0:
         raise ValueError("collection must be nonempty")
-    if all(s.shape[0] == 0 for s in S.sets):
+    if S.packed.points.shape[0] == 0:
         return CenterSet(centers=np.zeros((k, S.d))), 0.0
     if k == 1:
         c, v = _solve_k1(S)
@@ -430,10 +456,9 @@ def skc_pipeline(instance: Instance, k: int, eps: float,
         support = instance.support_points
         probes = np.unique(np.vstack([center_grid(support, 5), support]),
                            axis=0)
-        K_rows = np.stack([
-            np.sqrt(((s[:, None, :] - probes[None, :, :]) ** 2).sum(axis=2))
-            .max(axis=0) if s.shape[0] else np.zeros(probes.shape[0])
-            for s in S.sets])
+        pts = S.packed.points
+        K_rows = S.packed.maxima(np.sqrt(
+            ((pts[:, None, :] - probes[None, :, :]) ** 2).sum(axis=2)))
         full_cost = S.weights @ K_rows
         mask = full_cost > 1e-12
         best_core, best_dev = None, math.inf
@@ -461,7 +486,7 @@ def skc_pipeline(instance: Instance, k: int, eps: float,
              [(None, F0) for F0 in extra_starts]
     for coll, F0 in starts:
         if coll is not None:
-            if coll.size == 0 or all(s.shape[0] == 0 for s in coll.sets):
+            if coll.packed.points.shape[0] == 0:
                 continue
             F, _ = solve_gkm(coll, k)
         else:

@@ -16,14 +16,14 @@ p_i = sum over nodes of probs[node, i].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import minimize
 
 from .errors import CaseMismatch, EmptyK, SchemaError
 from .model import ExistentialInstance, Flat, Instance
-from .objective import expected_flatcenter_exact, shape_distances
+from .objective import PackedSets, expected_flatcenter_exact, shape_distances
 
 NET_SEED = 0xC0FFEE
 
@@ -170,12 +170,24 @@ def sweep_convexK(instance: Instance, j: int, eps: float,
 
 @dataclass(frozen=True)
 class SJFCCoreset:
+    """S1 kernels (each weight 1/N) and the weighted outside points S2.
+
+    S1 is packed once, at construction, into ``kernels`` (unit weights, d
+    from ``s2_points``); ``s1`` then holds read-only views into it.
+    """
+
     s1: tuple               # tuple of (n_i, d) arrays, each weight 1/N
     s2_points: np.ndarray   # (m, d)
     s2_weights: np.ndarray  # (m,)
     j: int
     eps: float
     case: int               # 1 or 2
+    kernels: PackedSets = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        kernels = PackedSets.pack(self.s1, d=self.s2_points.shape[1])
+        object.__setattr__(self, "kernels", kernels)
+        object.__setattr__(self, "s1", kernels.sets())
 
     @property
     def N(self) -> int:
@@ -323,11 +335,8 @@ def estimate_J(coreset: SJFCCoreset, F: Flat) -> float:
     """(1/N) sum of kernel maxima plus the weighted outside term."""
     total = 0.0
     if coreset.N:
-        acc = 0.0
-        for E in coreset.s1:
-            if E.shape[0]:
-                acc += float(shape_distances(E, F).max())
-        total += acc / coreset.N
+        # unit weights: the left-to-right sum of the kernel maxima
+        total += coreset.kernels.cost(F) / coreset.N
     if coreset.s2_points.shape[0]:
         total += float(coreset.s2_weights @
                        shape_distances(coreset.s2_points, F))
@@ -338,11 +347,8 @@ def estimate_J(coreset: SJFCCoreset, F: Flat) -> float:
 # Solvers
 
 
-def _coreset_support(coreset: SJFCCoreset, d: int) -> np.ndarray:
-    parts = [E for E in coreset.s1 if E.shape[0]]
-    if coreset.s2_points.shape[0]:
-        parts.append(coreset.s2_points)
-    return np.vstack(parts) if parts else np.zeros((0, d))
+def _coreset_support(coreset: SJFCCoreset) -> np.ndarray:
+    return np.vstack([coreset.kernels.points, coreset.s2_points])
 
 
 def _flat_from_params(x: np.ndarray, j: int, d: int) -> Flat:
@@ -397,7 +403,7 @@ def solve_jflat(coreset: SJFCCoreset, j: int, d: int) -> tuple[Flat, float]:
     """Minimize the coreset estimator over flats; deterministic multi-start."""
     if j not in (0, 1):
         raise SchemaError("only j in {0, 1} is supported")
-    support = _coreset_support(coreset, d)
+    support = _coreset_support(coreset)
     if support.shape[0] == 0:
         return _flat_from_params(np.zeros(d if j == 0 else 2 * d), j, d), 0.0
     return _optimize_flat(lambda F: estimate_J(coreset, F), j, d,

@@ -4,11 +4,14 @@ and expected j-flat-center value J(P, F) in both uncertainty models.
 The exact existential evaluator sorts distances non-increasing and sums
 p_i * d_i * prod_{j<i}(1 - p_j); the locational evaluator integrates the
 max-distance CDF over its finitely many jump points.
+
+``PackedSets`` holds ragged point sets in one array and is the one place
+that takes "the max distance of each set to a shape"; see its docstring.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,12 +50,113 @@ def shape_distances(points: np.ndarray, shape: Shape) -> np.ndarray:
     return np.sqrt((rel ** 2).sum(axis=1))
 
 
-def kcenter_value(P: np.ndarray, F: CenterSet) -> float:
-    """max_{s in P} min_{f in F} ||s - f||; empty P gives 0."""
+@dataclass(frozen=True, eq=False)
+class PackedSets:
+    """Ragged point sets packed into one array, with one weight per set.
+
+    Set i is ``points[offsets[i]:offsets[i + 1]]``; sets may be empty, and
+    ``d`` is stored, so an all-empty collection keeps its dimension.  Every
+    per-set maximum goes through ``maxima``: one ``np.maximum.reduceat``
+    over the start offsets of the nonempty sets.  ``max_distances`` and
+    ``cost`` compute ``shape_distances`` once on all packed points.
+    """
+
+    points: np.ndarray   # (total, d), read-only
+    offsets: np.ndarray  # (size + 1,): set starts, then total
+    weights: np.ndarray  # (size,)
+    d: int
+    nonempty: np.ndarray = field(init=False, repr=False)  # set indices
+    _starts: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        nonempty = np.flatnonzero(np.diff(self.offsets))
+        object.__setattr__(self, "nonempty", nonempty)
+        object.__setattr__(self, "_starts", self.offsets[nonempty])
+
+    @classmethod
+    def pack(cls, sets, weights=None, d: int | None = None) -> "PackedSets":
+        """Pack a sequence of (n_i, d) arrays; a 1-D array is one point.
+
+        ``d`` is taken from the sets (an empty ``(0, d)`` array counts)
+        unless given; it must agree with every set.
+        """
+        arrays = [np.asarray(s, dtype=float) for s in sets]
+        dims = {np.atleast_2d(a).shape[1] for a in arrays
+                if a.size or a.ndim == 2}
+        if d is None:
+            if len(dims) != 1:
+                raise DimensionMismatch(
+                    "cannot infer one dimension from the sets; pass d")
+            d = dims.pop()
+        elif dims - {d}:
+            raise DimensionMismatch(f"set dimensions {sorted(dims)} != {d}")
+        rows = [np.atleast_2d(a) for a in arrays if a.size]
+        points = np.vstack(rows) if rows else np.zeros((0, d))
+        points.flags.writeable = False
+        sizes = [a.size // d for a in arrays]
+        offsets = np.concatenate([[0], np.cumsum(sizes, dtype=int)])
+        w = np.ones(len(arrays)) if weights is None \
+            else np.asarray(weights, dtype=float)
+        if w.shape != (len(arrays),):
+            raise ValueError("one weight per set required")
+        return cls(points=points, offsets=offsets, weights=w, d=int(d))
+
+    @property
+    def size(self) -> int:
+        return len(self.weights)
+
+    def sets(self) -> tuple:
+        """Each set as a read-only view into ``points``."""
+        if not self.size:
+            return ()
+        return tuple(np.split(self.points, self.offsets[1:-1]))
+
+    def maxima(self, values: np.ndarray) -> np.ndarray:
+        """Per-set maximum of per-point values, shape (total,) or
+        (total, m); an empty set gives 0."""
+        out = np.zeros((self.size,) + values.shape[1:])
+        if self._starts.size:
+            out[self.nonempty] = np.maximum.reduceat(values, self._starts,
+                                                     axis=0)
+        return out
+
+    def argmax(self, values: np.ndarray) -> np.ndarray:
+        """Row in ``points`` of the first maximum of each nonempty set
+        (one entry per index in ``nonempty``), as ``np.argmax`` picks it."""
+        if not self._starts.size:
+            return np.zeros(0, dtype=int)
+        top = np.maximum.reduceat(values, self._starts)
+        sizes = np.diff(np.append(self._starts, len(values)))
+        rows = np.arange(len(values))
+        hit = np.where(values == np.repeat(top, sizes), rows, len(values))
+        return np.minimum.reduceat(hit, self._starts)
+
+    def max_distances(self, shape: Shape) -> np.ndarray:
+        """max_{s in S_i} d(s, shape) for every set i (0 when empty)."""
+        return self.maxima(shape_distances(self.points, shape))
+
+    def cost(self, shape: Shape) -> float:
+        """sum_i w_i max_{s in S_i} d(s, shape), summed left to right.
+
+        ``np.add.accumulate`` adds in set order like a Python loop; the
+        pairwise ``np.sum`` or a BLAS dot would move the last bits.
+        """
+        if not self.size:
+            return 0.0
+        terms = self.weights * self.max_distances(shape)
+        return float(np.add.accumulate(terms)[-1])
+
+
+def _max_distance(P: np.ndarray, shape: Shape) -> float:
     P = np.asarray(P, dtype=float)
     if P.size == 0:
         return 0.0
-    return float(shape_distances(P, F).max())
+    return float(shape_distances(P, shape).max())
+
+
+def kcenter_value(P: np.ndarray, F: CenterSet) -> float:
+    """max_{s in P} min_{f in F} ||s - f||; empty P gives 0."""
+    return _max_distance(P, F)
 
 
 def flat_distance(x: np.ndarray, F: Flat) -> float:
@@ -60,10 +164,8 @@ def flat_distance(x: np.ndarray, F: Flat) -> float:
 
 
 def flatcenter_value(P: np.ndarray, F: Flat) -> float:
-    P = np.asarray(P, dtype=float)
-    if P.size == 0:
-        return 0.0
-    return float(shape_distances(P, F).max())
+    """max_{s in P} d(s, F); empty P gives 0."""
+    return _max_distance(P, F)
 
 
 def _exact_existential(probs: np.ndarray, dists: np.ndarray) -> float:
@@ -119,10 +221,7 @@ def expected_objective_exact(instance: Instance, shape: Shape) -> ObjectiveValue
 
 def realization_objective(instance: Instance, realization: Realization,
                           shape: Shape) -> float:
-    pts = realization.points(instance)
-    if pts.shape[0] == 0:
-        return 0.0
-    return float(shape_distances(pts, shape).max())
+    return _max_distance(realization.points(instance), shape)
 
 
 def expected_objective_mc(instance: Instance, shape: Shape, samples: int,

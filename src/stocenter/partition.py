@@ -274,10 +274,8 @@ def build_weighted_image(instance: Instance, k: int, eps: float,
 
 def image_cost(image: WeightedImage, instance: Instance, shape) -> float:
     """Sum over classes of weight times the class's plain objective."""
-    from .objective import shape_distances
+    from .objective import PackedSets
     support = instance.support_points
-    total = 0.0
-    for ids, w in image.entries:
-        if ids:
-            total += w * float(shape_distances(support[list(ids)], shape).max())
-    return total
+    entries = [(ids, w) for ids, w in image.entries if ids]
+    return PackedSets.pack([support[list(ids)] for ids, _ in entries],
+                           [w for _, w in entries], d=instance.d).cost(shape)

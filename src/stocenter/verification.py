@@ -15,7 +15,8 @@ import numpy as np
 from .gkm import (WeightedCollection, enumerate_candidate_coresets,
                   skc_pipeline)
 from .grid_coreset import CoresetBuilder, coreset_image_size_bound
-from .jflat import (build_S1, build_S2, sjfc_pipeline, sweep_convexK)
+from .jflat import (SJFCCoreset, build_S1, build_S2, estimate_J,
+                    sjfc_pipeline, sweep_convexK)
 from .model import (CenterSet, ExistentialInstance, Flat, LocationalInstance)
 from .objective import (expected_flatcenter_exact, expected_objective_exact,
                         shape_distances)
@@ -462,22 +463,12 @@ def criterion_11(scale: str, seed: int = 111, **_) -> CheckResult:
         max_outside = max(max_outside, float(inst.probs[~inside].sum()))
         s1 = build_S1(inst, K, eps, c["c11_N"], seed=seed + _i)
         s2_pts, s2_w = build_S2(inst, K, 0, eps)
-        # stack nonempty kernels for batched evaluation
-        nonempty = [E for E in s1 if E.shape[0]]
-        sizes = np.array([E.shape[0] for E in nonempty], dtype=int)
-        stacked = np.vstack(nonempty) if nonempty else np.zeros((0, 2))
-        starts = np.concatenate([[0], np.cumsum(sizes)[:-1]]) if len(sizes) \
-            else np.zeros(0, dtype=int)
+        coreset = SJFCCoreset(s1=s1, s2_points=s2_pts, s2_weights=s2_w, j=0,
+                              eps=eps, case=2)
         for _f in range(c["c11_F"]):
             F = _rand_flat(rng, 0, 2)
             exact = expected_flatcenter_exact(inst, F).value
-            est = 0.0
-            if stacked.shape[0]:
-                dists = shape_distances(stacked, F)
-                est += float(np.maximum.reduceat(dists, starts).sum()) \
-                    / c["c11_N"]
-            if s2_pts.shape[0]:
-                est += float(s2_w @ shape_distances(s2_pts, F))
+            est = estimate_J(coreset, F)
             if exact > 0:
                 max_delta = max(max_delta,
                                 abs(est / exact - 1.0) - 4 * eps)

@@ -1,0 +1,260 @@
+"""The packed per-set max kernel against the per-set loops it replaced.
+
+The loops below are the reference: they are the library's former
+implementations of the gkm cost, the j-flat estimator, the per-set
+farthest point and the discrete k-subset pass.  The packed versions must
+agree with them exactly (``==``), not within a tolerance.
+"""
+
+from itertools import combinations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from stocenter.errors import DimensionMismatch
+from stocenter.gkm import (WeightedCollection, _discrete_pass, _lex_key,
+                           collection_from_image, gkm_cost,
+                           sensitivity_bruteforce,
+                           sensitivity_projection_upper, solve_gkm)
+from stocenter.jflat import SJFCCoreset, estimate_J
+from stocenter.model import CenterSet, ExistentialInstance, Flat
+from stocenter.objective import PackedSets, shape_distances
+from stocenter.partition import WeightedImage, image_cost
+
+SETTINGS = settings(max_examples=150, deadline=None, derandomize=True,
+                    database=None)
+
+
+# ---------------------------------------------------------------------------
+# Loop references
+
+
+def loop_set_cost(points, F):
+    if points.shape[0] == 0:
+        return 0.0
+    return float(shape_distances(points, F).max())
+
+
+def loop_gkm_cost(sets, weights, F):
+    return float(sum(w * loop_set_cost(s, F) for s, w in zip(sets, weights)))
+
+
+def loop_estimate_J(s1, s2_points, s2_weights, F):
+    total = 0.0
+    if len(s1):
+        acc = 0.0
+        for E in s1:
+            if E.shape[0]:
+                acc += float(shape_distances(E, F).max())
+        total += acc / len(s1)
+    if s2_points.shape[0]:
+        total += float(s2_weights @ shape_distances(s2_points, F))
+    return total
+
+
+def loop_argmax(sets, F):
+    """Row in the concatenated points of each nonempty set's farthest
+    point, first occurrence on ties."""
+    rows, offset = [], 0
+    for s in sets:
+        if s.shape[0]:
+            rows.append(offset + int(np.argmax(shape_distances(s, F))))
+        offset += s.shape[0]
+    return rows
+
+
+def loop_discrete_pass(sets, weights, k):
+    nonempty = [s for s in sets if s.shape[0]]
+    uniq = np.unique(np.vstack(nonempty), axis=0)
+    best = None
+    for idx in combinations(range(uniq.shape[0]), k):
+        F = CenterSet(centers=uniq[list(idx)])
+        v = loop_gkm_cost(sets, weights, F)
+        if best is None or v < best[1] - 1e-15 or \
+                (abs(v - best[1]) <= 1e-15
+                 and _lex_key(F.centers) < _lex_key(best[0].centers)):
+            best = (F, v)
+    return best
+
+
+# ---------------------------------------------------------------------------
+# Strategies: small ragged collections with empty sets, single points and
+# duplicate points (grid coordinates make argmax ties common).
+
+coord = st.one_of(st.integers(-3, 3).map(float),
+                  st.floats(-10, 10, allow_nan=False, width=64))
+
+
+@st.composite
+def ragged(draw, max_sets=30):
+    d = draw(st.integers(1, 3))
+    pool = draw(st.lists(st.tuples(*[coord] * d), min_size=1, max_size=8))
+    sizes = draw(st.lists(st.integers(0, 5), min_size=1, max_size=max_sets))
+    sets = tuple(
+        np.array([pool[draw(st.integers(0, len(pool) - 1))]
+                  for _ in range(n)], dtype=float).reshape(n, d)
+        for n in sizes)
+    weights = np.array(draw(st.lists(
+        st.floats(0.01, 5.0, allow_nan=False), min_size=len(sets),
+        max_size=len(sets))))
+    return sets, weights, d
+
+
+@st.composite
+def center_sets(draw, d):
+    k = draw(st.integers(1, 3))
+    return CenterSet(centers=np.array(
+        draw(st.lists(st.tuples(*[coord] * d), min_size=k, max_size=k)),
+        dtype=float).reshape(k, d))
+
+
+@st.composite
+def flats(draw, d):
+    j = draw(st.integers(0, min(1, d - 1)))
+    base = np.array(draw(st.tuples(*[coord] * d)), dtype=float)
+    if j == 0:
+        return Flat(j=0, base=base)
+    v = np.array(draw(st.tuples(*[coord] * d)), dtype=float)
+    if np.linalg.norm(v) < 1e-3:
+        v = np.eye(d)[0]
+    return Flat(j=1, base=base, basis=(v / np.linalg.norm(v)).reshape(1, d))
+
+
+@st.composite
+def collection_and_centers(draw):
+    sets, weights, d = draw(ragged())
+    return sets, weights, draw(center_sets(d))
+
+
+@st.composite
+def coreset_and_flat(draw):
+    s1, _, d = draw(ragged(max_sets=40))
+    m = draw(st.integers(0, 4))
+    s2 = np.array(draw(st.lists(st.tuples(*[coord] * d), min_size=m,
+                                max_size=m)), dtype=float).reshape(m, d)
+    w2 = np.array(draw(st.lists(st.floats(0.001, 1.0), min_size=m,
+                                max_size=m)))
+    return s1, s2, w2, draw(flats(d))
+
+
+# ---------------------------------------------------------------------------
+# Exact agreement with the loops
+
+
+@SETTINGS
+@given(collection_and_centers())
+def test_gkm_cost_equals_loop(case):
+    sets, weights, F = case
+    S = WeightedCollection(sets=sets, weights=weights)
+    assert gkm_cost(S, F) == loop_gkm_cost(sets, weights, F)
+
+
+@SETTINGS
+@given(collection_and_centers())
+def test_argmax_equals_loop_first_occurrence(case):
+    sets, weights, F = case
+    P = PackedSets.pack(sets, weights)
+    rows = P.argmax(shape_distances(P.points, F))
+    assert rows.tolist() == loop_argmax(sets, F)
+    assert P.max_distances(F).tolist() == \
+        [loop_set_cost(s, F) for s in sets]
+
+
+@SETTINGS
+@given(coreset_and_flat())
+def test_estimate_J_equals_loop(case):
+    s1, s2, w2, F = case
+    core = SJFCCoreset(s1=s1, s2_points=s2, s2_weights=w2, j=F.j, eps=0.3,
+                       case=2)
+    assert estimate_J(core, F) == loop_estimate_J(s1, s2, w2, F)
+
+
+@SETTINGS
+@given(collection_and_centers())
+def test_sensitivities_equal_loop(case):
+    sets, weights, F = case
+    S = WeightedCollection(sets=sets, weights=weights)
+    total = loop_gkm_cost(sets, weights, F)
+    if total <= 0.0:
+        return
+    est = sensitivity_bruteforce(S, [F])
+    assert est.values.tolist() == \
+        [w * loop_set_cost(s, F) / total for s, w in zip(sets, weights)]
+    # projection upper bound: farthest point, nearest center, cluster mass
+    up = sensitivity_projection_upper(S, F.k, F_hat=F).values
+    nearest = np.zeros(len(sets), dtype=int)
+    for i, s in enumerate(sets):
+        if s.shape[0]:
+            far = s[int(np.argmax(shape_distances(s, F)))]
+            nearest[i] = int(np.argmin(((F.centers - far) ** 2).sum(axis=1)))
+    mass = np.zeros(F.k)
+    for i in range(len(sets)):
+        mass[nearest[i]] += weights[i]
+    ref = [min(max(w * loop_set_cost(s, F) / total
+                   + 2.0 * w / mass[nearest[i]], 0.0), 1.0)
+           for i, (s, w) in enumerate(zip(sets, weights))]
+    assert up.tolist() == ref
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(ragged(max_sets=14), st.integers(1, 3))
+def test_discrete_pass_equals_loop(case, k):
+    sets, weights, _d = case
+    if not any(s.shape[0] for s in sets):
+        return
+    S = WeightedCollection(sets=sets, weights=weights)
+    got = _discrete_pass(S, k)
+    ref = loop_discrete_pass(sets, weights, k)
+    if ref is None:  # fewer unique points than k
+        assert got is None
+        return
+    assert got[1] == ref[1]
+    assert np.array_equal(got[0].centers, ref[0].centers)
+
+
+def test_image_cost_equals_loop():
+    rng = np.random.default_rng(5)
+    inst = ExistentialInstance(points=rng.uniform(-5, 5, (6, 2)),
+                               probs=rng.uniform(0.1, 0.9, 6))
+    image = WeightedImage(entries=(((), 0.25), ((0, 3), 0.5), ((1,), 0.125),
+                                   ((2, 4, 5), 0.125)), source="Exhaustive")
+    F = CenterSet(centers=[[0.5, -1.0], [2.0, 2.0]])
+    ref = 0.0
+    for ids, w in image.entries:
+        if ids:
+            ref += w * float(shape_distances(inst.points[list(ids)], F).max())
+    assert image_cost(image, inst, F) == ref
+
+
+# ---------------------------------------------------------------------------
+# The dimension of an all-empty collection
+
+
+def test_all_empty_collection_keeps_dimension():
+    S = WeightedCollection(sets=(np.zeros((0, 2)),) * 2,
+                           weights=np.ones(2))
+    assert S.d == 2
+    assert S.sets[0].shape == (0, 2)
+    F, value = solve_gkm(S, 2)
+    assert F.centers.shape == (2, 2) and value == 0.0
+    assert gkm_cost(S, CenterSet(centers=[[1.0, 1.0]])) == 0.0
+
+
+def test_collection_from_image_passes_instance_dimension():
+    inst = ExistentialInstance(points=[[1.0, 2.0, 3.0]], probs=[0.5])
+    image = WeightedImage(entries=(((), 1.0),), source="Exhaustive")
+    S = collection_from_image(image, inst)
+    assert S.d == 3 and S.size == 1
+    assert solve_gkm(S, 1)[0].centers.shape == (1, 3)
+
+
+def test_dimension_must_be_known_and_consistent():
+    with pytest.raises(DimensionMismatch):
+        WeightedCollection(sets=(np.zeros(0),), weights=np.ones(1))
+    with pytest.raises(DimensionMismatch):
+        WeightedCollection(sets=(np.zeros((1, 2)), np.zeros((1, 3))),
+                           weights=np.ones(2))
+    S = WeightedCollection(sets=(np.zeros(0),), weights=np.ones(1), d=4)
+    assert S.sets[0].shape == (0, 4)
