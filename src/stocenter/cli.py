@@ -8,7 +8,6 @@ Exit codes: 0 ok, 2 usage, 3 guard exceeded, 4 verification failure.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 
@@ -19,7 +18,8 @@ from .errors import GuardExceeded, StocenterError
 from .gkm import skc_pipeline
 from .grid_coreset import build_additive_coreset, coreset_image_size_bound
 from .model import (ExistentialInstance, Instance, LocationalInstance,
-                    instance_to_dict, load_instance, load_shape)
+                    instance_to_dict, load_instance, load_shape,
+                    sample_realization)
 from .objective import (expected_objective_exact, expected_objective_mc)
 from .oracle import (oracle_expected_objective, oracle_partition_masses,
                      oracle_solver_instance)
@@ -39,14 +39,6 @@ def _emit(args, obj):
             fh.write(text + "\n")
     else:
         print(text)
-
-
-def _thread_cap(args) -> int:
-    """Accepted for interface stability; execution is sequential."""
-    env = os.environ.get("STOCENTER_THREADS")
-    if env is not None:
-        return max(int(env), 1)
-    return max(getattr(args, "threads", 1) or 1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -205,8 +197,7 @@ def bench_rows(seed: int, eps_list=(0.25, 0.5), n_list=(6, 8, 10),
                 inst = generate_instance("uniform", "existential", n, 2,
                                          seed + 13 * n + k)
                 rng = np.random.default_rng([seed, n, k])
-                mask = rng.random(n) < inst.probs
-                ids = tuple(np.flatnonzero(mask)) or (0,)
+                ids = sample_realization(inst, rng).ids or (0,)
                 out = build_additive_coreset(ids, inst.points, k, eps)
                 image = build_weighted_image(inst, k, eps, mode="exhaustive")
                 F, value, _ = skc_pipeline(inst, k, eps, strategy="full")
@@ -252,14 +243,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stocenter",
         description="Clustering and shape fitting over stochastic point sets")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker cap (currently executes sequentially)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("evaluate", help="expected objective of a shape")
     p.add_argument("--instance", required=True)
     p.add_argument("--shape", required=True)
-    p.add_argument("--exact", action="store_true", default=True)
     p.add_argument("--mc", type=int, default=None, metavar="N")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output")
@@ -351,7 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _thread_cap(args)
     try:
         return args.func(args)
     except GuardExceeded as exc:

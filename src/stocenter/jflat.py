@@ -22,7 +22,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .errors import CaseMismatch, EmptyK, SchemaError
-from .model import ExistentialInstance, Flat, Instance
+from .model import ExistentialInstance, Flat, Instance, realize
 from .objective import PackedSets, expected_flatcenter_exact, shape_distances
 
 NET_SEED = 0xC0FFEE
@@ -283,27 +283,20 @@ def build_S1(instance: Instance, K: ConvexKSpec, eps: float, N: int,
     a directional kernel; empty realizations stay empty."""
     inside = K.inside_mask(instance.support_points)
     kernel_dirs = direction_net(K.lin.D, kernel_net_size)
-    out = []
     if isinstance(instance, ExistentialInstance):
-        pts = instance.points[inside]
-        probs = instance.probs[inside]
-        for i in range(N):
-            rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
-            mask = rng.random(len(probs)) < probs
-            out.append(_kernel(pts[mask], K.lin, kernel_dirs))
+        # Only the points inside K are drawn, one uniform each.
+        instance = ExistentialInstance(points=instance.points[inside],
+                                       probs=instance.probs[inside])
+    # One generator per sample, so sample i does not depend on N.
+    u = np.array([np.random.default_rng(np.random.SeedSequence([seed, i]))
+                  .random(instance.n) for i in range(N)])
+    drawn = realize(instance, u.reshape(N, instance.n))
+    if isinstance(instance, ExistentialInstance):
+        realized = (instance.points[mask] for mask in drawn)
     else:
-        cum = np.cumsum(instance.probs, axis=1)
-        for i in range(N):
-            rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
-            u = rng.random(instance.n)
-            idx = np.minimum(
-                np.array([np.searchsorted(cum[r], u[r], side="right")
-                          for r in range(instance.n)]),
-                instance.m - 1)
-            idx = np.array(sorted(set(int(v) for v in idx if inside[v])),
-                           dtype=int)
-            out.append(_kernel(instance.locations[idx], K.lin, kernel_dirs))
-    return tuple(out)
+        realized = (instance.locations[np.unique(idx[inside[idx]])]
+                    for idx in drawn)
+    return tuple(_kernel(P, K.lin, kernel_dirs) for P in realized)
 
 
 def build_S2(instance: Instance, K: ConvexKSpec, j: int, eps: float,

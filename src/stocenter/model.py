@@ -12,6 +12,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -112,6 +113,15 @@ class LocationalInstance:
     @property
     def model(self) -> str:
         return "locational"
+
+    @cached_property
+    def inverse_cdf(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-node cumulative probabilities (n, m) and the index of each
+        node's last location of positive probability (n,)."""
+        cum = np.cumsum(self.probs, axis=1)
+        last = self.m - 1 - np.argmax(self.probs[:, ::-1] > 0.0, axis=1)
+        cum.flags.writeable = last.flags.writeable = False
+        return cum, last
 
     @property
     def support_points(self) -> np.ndarray:
@@ -250,18 +260,34 @@ def enumerate_realizations(instance: Instance, keep_zero: bool = False):
     return out
 
 
-def sample_realization(instance: Instance, rng: np.random.Generator) -> Realization:
-    """Draw one realization; rng must be seeded by the caller."""
+def realize(instance: Instance, u: np.ndarray) -> np.ndarray:
+    """Map a caller-drawn (samples, n) matrix of uniforms in [0, 1) to
+    realizations, one per row; u[i, j] decides node (or point) j of draw i.
+
+    Existential: a boolean presence mask, ``u < probs``.  Locational: the
+    location index of every node by inverse CDF, the first location whose
+    cumulative probability exceeds u.  A row may sum to 1 only within 1e-9,
+    so u can lie past its last cumulative value; such a draw takes the
+    row's last location of positive probability.
+    """
+    u = np.asarray(u, dtype=float)
+    if u.ndim != 2 or u.shape[1] != instance.n:
+        raise SchemaError(f"need a (samples, {instance.n}) uniform matrix")
     if isinstance(instance, ExistentialInstance):
-        mask = rng.random(instance.n) < instance.probs
-        return Realization(ids=tuple(np.flatnonzero(mask)))
-    cum = np.cumsum(instance.probs, axis=1)
-    u = rng.random(instance.n)
-    assignment = tuple(int(np.searchsorted(cum[i], u[i], side="right"))
-                       for i in range(instance.n))
-    # searchsorted can land one past the end on rounding; clamp.
-    assignment = tuple(min(a, instance.m - 1) for a in assignment)
-    return Realization(assignment=assignment)
+        return u < instance.probs
+    cum, last = instance.inverse_cdf
+    idx = np.empty(u.shape, dtype=np.intp)
+    for j in range(instance.n):
+        idx[:, j] = np.searchsorted(cum[j], u[:, j], side="right")
+    return np.minimum(idx, last, out=idx)
+
+
+def sample_realization(instance: Instance, rng: np.random.Generator) -> Realization:
+    """Draw one realization from n uniforms; rng must be seeded by the caller."""
+    drawn = realize(instance, rng.random((1, instance.n)))[0]
+    if isinstance(instance, ExistentialInstance):
+        return Realization(ids=tuple(np.flatnonzero(drawn)))
+    return Realization(assignment=tuple(drawn.tolist()))
 
 
 def realization_probability(instance: Instance, realization: Realization) -> float:

@@ -17,7 +17,10 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .model import (CenterSet, ExistentialInstance, Flat, Instance,
-                    LocationalInstance, Realization)
+                    LocationalInstance, Realization, realize)
+
+# Uniforms per Monte-Carlo chunk: 2**17 float64 values are 1 MiB.
+MC_CHUNK_ELEMENTS = 2 ** 17
 
 
 @dataclass(frozen=True)
@@ -227,24 +230,32 @@ def realization_objective(instance: Instance, realization: Realization,
 def expected_objective_mc(instance: Instance, shape: Shape, samples: int,
                           rng: np.random.Generator,
                           seed: int | None = None) -> ObjectiveValue:
-    """Monte-Carlo estimate with standard error of the mean."""
+    """Monte-Carlo estimate with standard error of the mean.
+
+    Sample i consumes the i-th block of n uniforms from ``rng`` (see
+    ``model.realize``), so a seed gives the same value and stderr as
+    drawing the samples one at a time.  Uniforms are drawn and scored in
+    chunks of ``MC_CHUNK_ELEMENTS // n`` rows (at least one), which keeps
+    each chunk temporary at 1 MiB, or at one row of n values when n
+    exceeds ``MC_CHUNK_ELEMENTS``; the per-sample values take 8 bytes
+    per sample.
+    """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     dists = shape_distances(instance.support_points, shape)
+    rows = max(MC_CHUNK_ELEMENTS // instance.n, 1)
     vals = np.empty(samples)
-    if isinstance(instance, ExistentialInstance):
-        for i in range(samples):
-            mask = rng.random(instance.n) < instance.probs
-            vals[i] = dists[mask].max() if mask.any() else 0.0
-    else:
-        cum = np.cumsum(instance.probs, axis=1)
-        for i in range(samples):
-            u = rng.random(instance.n)
-            idx = np.minimum(
-                np.array([np.searchsorted(cum[j], u[j], side="right")
-                          for j in range(instance.n)]),
-                instance.m - 1)
-            vals[i] = dists[idx].max()
+    for start in range(0, samples, rows):
+        drawn = realize(instance, rng.random((min(rows, samples - start),
+                                              instance.n)))
+        if isinstance(instance, ExistentialInstance):
+            # Distances are finite and nonnegative, so an absent point's 0.0
+            # never exceeds a present one's: this is the max over the
+            # present points, and 0 when none is present.
+            chunk = (drawn * dists).max(axis=1)
+        else:
+            chunk = dists[drawn].max(axis=1)
+        vals[start:start + len(chunk)] = chunk
     mean = float(vals.mean())
     stderr = float(vals.std(ddof=1) / np.sqrt(samples)) if samples > 1 else 0.0
     return ObjectiveValue(mean, "MonteCarlo", samples=samples, seed=seed,
