@@ -5,19 +5,19 @@ with exact class probabilities, generalized k-median coresets and solvers,
 and j-flat-center coresets, plus brute-force oracles and a CLI.
 """
 
-from .errors import (CaseMismatch, CombinationGuardExceeded, DegenerateCost,
+from .errors import (CaseMismatch, CombinationGuardExceeded,
                      DimensionMismatch, EmptyK, EmptyRealization,
                      EnumerationGuardExceeded, GuardExceeded,
                      InstanceTooLarge, NotFull, SchemaError,
                      StateSpaceGuardExceeded, StocenterError,
-                     VerificationFailure, ZeroCostCandidate)
+                     ZeroCostCandidate)
 from .gkm import (GeneralizedCoreset, SensitivityEstimate, WeightedCollection,
                   collection_from_image, enumerate_candidate_coresets,
                   gkm_cost, importance_sample_coreset,
                   sensitivity_bruteforce, sensitivity_projection_upper,
                   skc_pipeline, solve_gkm)
 from .grid_coreset import (CoresetBuilder, CoresetOutput, GridSpec,
-                           build_additive_coreset, coreset_image_size_bound)
+                           coreset_image_size_bound)
 from .jflat import (ConvexKSpec, LinearizationMap, SJFCCoreset, build_S1,
                     build_S2, build_sjfc_coreset, case1_coreset, estimate_J,
                     sjfc_pipeline, solve_jflat, sweep_convexK)
@@ -27,15 +27,13 @@ from .model import (CenterSet, ExistentialInstance, Flat, Instance,
                     load_shape, realization_probability, sample_realization,
                     shape_from_dict, shape_to_dict)
 from .objective import (ObjectiveValue, expected_flatcenter_exact,
-                        expected_kcenter_exact_existential,
-                        expected_kcenter_exact_locational,
                         expected_objective_exact, expected_objective_mc,
-                        flatcenter_value, kcenter_value,
+                        flat_distance, flatcenter_value, kcenter_value,
                         realization_objective, shape_distances)
 from .oracle import (minimum_enclosing_ball, oracle_expected_objective,
                      oracle_holant_direct, oracle_min_flat,
-                     oracle_partition_masses, oracle_sensitivities,
-                     oracle_solver_gkm, oracle_solver_instance)
+                     oracle_sensitivities, oracle_solver_gkm,
+                     oracle_solver_instance)
 from .partition import (MembershipVerdict, WeightedImage,
                         build_weighted_image, holant_value, image_cost,
                         membership_check, subset_probability)

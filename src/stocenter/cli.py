@@ -16,13 +16,12 @@ import numpy as np
 from . import jflat as jflat_mod
 from .errors import GuardExceeded, StocenterError
 from .gkm import skc_pipeline
-from .grid_coreset import build_additive_coreset, coreset_image_size_bound
+from .grid_coreset import CoresetBuilder, coreset_image_size_bound
 from .model import (ExistentialInstance, Instance, LocationalInstance,
                     instance_to_dict, load_instance, load_shape,
                     sample_realization)
 from .objective import (expected_objective_exact, expected_objective_mc)
-from .oracle import (oracle_expected_objective, oracle_partition_masses,
-                     oracle_solver_instance)
+from .oracle import oracle_expected_objective, oracle_solver_instance
 from .partition import build_weighted_image
 from .serialize import dumps_json, rows_to_csv, write_json
 
@@ -67,8 +66,8 @@ def cmd_grid_coreset(args) -> int:
     import json
     with open(args.realization, "r", encoding="utf-8") as fh:
         ids = json.load(fh)
-    out = build_additive_coreset(ids, instance.support_points, args.k,
-                                 args.eps)
+    out = CoresetBuilder(instance.support_points, args.k,
+                         args.eps).build(ids)
     cells = sorted((list(c), rep) for c, rep in out.cells.items())
     _emit(args, {
         "coreset": list(out.coreset),
@@ -130,7 +129,8 @@ def cmd_oracle(args) -> int:
         out = {"value": rep.value, "method": rep.method,
                "enumeration_size": rep.enumeration_size}
     elif args.oracle_cmd == "partition":
-        image = oracle_partition_masses(instance, args.k, args.eps)
+        image = build_weighted_image(instance, args.k, args.eps,
+                                     mode="exhaustive")
         out = {"source": image.source,
                "entries": [{"subset": list(ids), "weight": w}
                            for ids, w in image.entries]}
@@ -198,7 +198,7 @@ def bench_rows(seed: int, eps_list=(0.25, 0.5), n_list=(6, 8, 10),
                                          seed + 13 * n + k)
                 rng = np.random.default_rng([seed, n, k])
                 ids = sample_realization(inst, rng).ids or (0,)
-                out = build_additive_coreset(ids, inst.points, k, eps)
+                out = CoresetBuilder(inst.points, k, eps).build(ids)
                 image = build_weighted_image(inst, k, eps, mode="exhaustive")
                 F, value, _ = skc_pipeline(inst, k, eps, strategy="full")
                 oracle_F, oracle_v = oracle_solver_instance(inst, k,

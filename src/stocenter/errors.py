@@ -50,17 +50,9 @@ class ZeroCostCandidate(StocenterError):
     pass
 
 
-class DegenerateCost(StocenterError):
-    pass
-
-
 class CaseMismatch(StocenterError):
     pass
 
 
 class EmptyK(StocenterError):
     """The sweep threshold mass was never reached in some direction."""
-
-
-class VerificationFailure(StocenterError):
-    pass

@@ -202,9 +202,14 @@ def enumerate_candidate_coresets(S: WeightedCollection, M: int, L_exp: int,
     tuple, in lexicographic order; weights w' = (1+eps)^a * w / M."""
     if S.size == 0:
         return
-    if S.size ** M * M ** (L_exp + 1) > MAX_CANDIDATE_STREAM:
-        raise EnumerationGuardExceeded(
-            f"candidate stream {S.size}^{M} * {M}^{L_exp + 1} exceeds cap")
+    # The stream has sum_{s=1..M} C(N, s) (L_exp + 1)^s candidates.
+    total = 0
+    for size in range(1, min(M, S.size) + 1):
+        total += math.comb(S.size, size) * (L_exp + 1) ** size
+        if total > MAX_CANDIDATE_STREAM:
+            raise EnumerationGuardExceeded(
+                f"candidate stream for N={S.size}, M={M}, L_exp={L_exp} "
+                f"exceeds {MAX_CANDIDATE_STREAM}")
     for size in range(1, M + 1):
         for idx in combinations(range(S.size), size):
             for exps in product(range(L_exp + 1), repeat=size):
@@ -332,49 +337,7 @@ def _alternating(S: WeightedCollection, k: int, F0: CenterSet,
     return F, value
 
 
-def _exact_tiny(S: WeightedCollection, k: int):
-    """Enumerate per-set (argmax point, responsible center) descriptors and
-    minimize each resulting smooth piece; infeasibility is handled by always
-    scoring the true cost of the produced centers."""
-    choices = []
-    for s in S.sets:
-        if s.shape[0] == 0:
-            choices.append([None])
-        else:
-            choices.append([(b, j) for b in range(s.shape[0]) for j in range(k)])
-    total = 1
-    for c in choices:
-        total *= len(c)
-        if total > 20000:
-            return None
-    best = None
-    for combo in product(*choices):
-        per_center: dict[int, list[tuple[np.ndarray, float]]] = {}
-        for i, pick in enumerate(combo):
-            if pick is None:
-                continue
-            b, j = pick
-            per_center.setdefault(j, []).append((S.sets[i][b], S.weights[i]))
-        centers = np.zeros((k, S.d))
-        for j in range(k):
-            if j in per_center:
-                pts = np.array([p for p, _ in per_center[j]])
-                ws = np.array([w for _, w in per_center[j]])
-                sub = WeightedCollection(
-                    sets=tuple(p.reshape(1, -1) for p in pts), weights=ws)
-                centers[j], _ = _solve_k1(sub)
-            else:
-                centers[j] = S.union_points().mean(axis=0)
-        F = CenterSet(centers=centers)
-        v = gkm_cost(S, F)
-        if best is None or v < best[1] - 1e-15 or \
-                (abs(v - best[1]) <= 1e-15 and _lex_key(F.centers) < _lex_key(best[0].centers)):
-            best = (F, v)
-    return best
-
-
-def solve_gkm(S: WeightedCollection, k: int,
-              exact_tiny: bool = False) -> tuple[CenterSet, float]:
+def solve_gkm(S: WeightedCollection, k: int) -> tuple[CenterSet, float]:
     """Best center set found; deterministic for fixed inputs."""
     if S.size == 0:
         raise ValueError("collection must be nonempty")
@@ -388,10 +351,6 @@ def solve_gkm(S: WeightedCollection, k: int,
     if disc is not None:
         candidates.append(disc)
         candidates.append(_alternating(S, k, disc[0]))
-    if exact_tiny:
-        tiny = _exact_tiny(S, k)
-        if tiny is not None:
-            candidates.append(tiny)
     if not candidates:
         pts = S.union_points()
         F0 = CenterSet(centers=pts[np.linspace(0, pts.shape[0] - 1, k).astype(int)])
@@ -420,8 +379,7 @@ def _polish_on_exact(instance: Instance, k: int, F: CenterSet) -> CenterSet:
 
 def skc_pipeline(instance: Instance, k: int, eps: float,
                  strategy: str = "full", seed: int = 0,
-                 M: int | None = None, L_exp: int | None = None,
-                 image_mode: str | None = None):
+                 M: int | None = None, L_exp: int | None = None):
     """Full stochastic k-center pipeline.
 
     Builds the coreset-class image, derives candidate collections per the
@@ -431,9 +389,8 @@ def skc_pipeline(instance: Instance, k: int, eps: float,
     if isinstance(instance, ExistentialInstance) and float(instance.probs.max(initial=0.0)) == 0.0:
         F = CenterSet(centers=np.zeros((k, instance.d)))
         return F, 0.0, {"strategy": strategy, "candidates_evaluated": 0}
-    if image_mode is None:
-        image_mode = "exhaustive" if instance.support_points.shape[0] <= 14 \
-            and isinstance(instance, ExistentialInstance) else "subsets"
+    image_mode = "exhaustive" if instance.support_points.shape[0] <= 14 \
+        and isinstance(instance, ExistentialInstance) else "subsets"
     image = build_weighted_image(instance, k, eps, mode=image_mode)
     S = collection_from_image(image, instance)
     collections = []

@@ -62,30 +62,6 @@ class CoresetOutput:
 SENTINEL_GRID = GridSpec(side=0.0, d=0, a=0, stage=0)
 
 
-def _pairwise_min_to_centers(P: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    diff = P[:, None, :] - centers[None, :, :]
-    return np.sqrt((diff ** 2).sum(axis=2)).min(axis=1)
-
-
-def r_value(P: np.ndarray, support: np.ndarray, k: int) -> float:
-    """Exact min over k-subsets F of the support of K(P, F)."""
-    P = np.atleast_2d(np.asarray(P, dtype=float))
-    support = np.atleast_2d(np.asarray(support, dtype=float))
-    n = support.shape[0]
-    if math.comb(n, k) > MAX_K_SUBSETS:
-        raise CombinationGuardExceeded(
-            f"C({n},{k}) exceeds {MAX_K_SUBSETS}")
-    # dist[i, j] = distance of realization point i to support point j
-    diff = P[:, None, :] - support[None, :, :]
-    dist = np.sqrt((diff ** 2).sum(axis=2))
-    best = math.inf
-    for combo in combinations(range(n), k):
-        val = dist[:, combo].min(axis=1).max()
-        if val < best:
-            best = val
-    return float(best)
-
-
 def _exponent(r: float) -> int:
     """The integer a with 2^a <= r < 2^{a+1}, snapping near-powers downward.
 
@@ -136,8 +112,13 @@ class CoresetBuilder:
             if combos else np.zeros((0, n))
 
     def r_of(self, ids: tuple[int, ...]) -> float:
+        """r_P: min over k-subsets F of the support of K(P, F).
+
+        With k above the support size there is no k-subset, but k centers
+        can sit on every support point, so r_P is 0.
+        """
         if self.combo_min.shape[0] == 0:
-            return math.inf
+            return 0.0
         return float(self.combo_min[:, list(ids)].max(axis=1).min())
 
     def build(self, P_ids) -> CoresetOutput:
@@ -161,17 +142,6 @@ class CoresetBuilder:
         if self.r_of(out1.coreset) >= two_a:
             return out1
         return stage(self.eps * two_a / (8 * self.d), 2)
-
-
-def build_additive_coreset(P_ids, support: np.ndarray, k: int,
-                           eps: float) -> CoresetOutput:
-    """Run the two-stage grid construction on realization P_ids.
-
-    P_ids are support-point ids; the returned coreset is a subset of them.
-    One-shot convenience wrapper; reuse a CoresetBuilder for many runs over
-    the same support.
-    """
-    return CoresetBuilder(support, k, eps).build(P_ids)
 
 
 def coreset_image_size_bound(k: int, d: int, eps: float) -> int:

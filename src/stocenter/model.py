@@ -220,12 +220,6 @@ def _existential_mask_probs(probs: np.ndarray) -> np.ndarray:
     return out
 
 
-def realization_mask_matrix(n: int) -> np.ndarray:
-    """Boolean (2^n, n) membership matrix matching _existential_mask_probs."""
-    idx = np.arange(2 ** n, dtype=np.int64)
-    return ((idx[:, None] >> np.arange(n)) & 1).astype(bool)
-
-
 def enumerate_realizations(instance: Instance, keep_zero: bool = False):
     """All realizations with their probabilities.
 

@@ -194,32 +194,22 @@ def _exact_locational(instance: LocationalInstance, dists: np.ndarray) -> float:
     return float(np.sum(ts * (cdf - prev)))
 
 
-def expected_kcenter_exact_existential(instance: ExistentialInstance,
-                                       F: CenterSet) -> ObjectiveValue:
-    dists = shape_distances(instance.points, F)
-    return ObjectiveValue(_exact_existential(instance.probs, dists), "ExactSorted")
+def expected_objective_exact(instance: Instance, shape: Shape) -> ObjectiveValue:
+    """Exact expected objective of a center set or a flat.
 
-
-def expected_kcenter_exact_locational(instance: LocationalInstance,
-                                      F: CenterSet) -> ObjectiveValue:
-    dists = shape_distances(instance.locations, F)
+    ``shape_distances`` handles the shape kind, so only the model picks
+    the formula.
+    """
+    dists = shape_distances(instance.support_points, shape)
+    if isinstance(instance, ExistentialInstance):
+        return ObjectiveValue(_exact_existential(instance.probs, dists),
+                              "ExactSorted")
     return ObjectiveValue(_exact_locational(instance, dists), "ExactCDF")
 
 
 def expected_flatcenter_exact(instance: Instance, F: Flat) -> ObjectiveValue:
-    dists = shape_distances(instance.support_points, F)
-    if isinstance(instance, ExistentialInstance):
-        return ObjectiveValue(_exact_existential(instance.probs, dists), "ExactSorted")
-    return ObjectiveValue(_exact_locational(instance, dists), "ExactCDF")
-
-
-def expected_objective_exact(instance: Instance, shape: Shape) -> ObjectiveValue:
-    """Dispatch to the right exact evaluator for (model, shape kind)."""
-    if isinstance(shape, Flat):
-        return expected_flatcenter_exact(instance, shape)
-    if isinstance(instance, ExistentialInstance):
-        return expected_kcenter_exact_existential(instance, shape)
-    return expected_kcenter_exact_locational(instance, shape)
+    """``expected_objective_exact`` for a flat."""
+    return expected_objective_exact(instance, F)
 
 
 def realization_objective(instance: Instance, realization: Realization,

@@ -1,9 +1,10 @@
 """Brute-force reference implementations backing every approximation claim.
 
 Everything here is definitionally exact on guard-sized instances and
-deliberately slow: full realization enumeration, grouped partition masses,
-direct holant summation, grid-search solvers, exhaustive sensitivity
-families, and a Welzl minimum enclosing ball.
+deliberately slow: full realization enumeration, direct holant summation,
+grid-search solvers, exhaustive sensitivity families, and a Welzl minimum
+enclosing ball.  The grouped coreset-class masses are the exhaustive mode
+of ``partition.build_weighted_image``.
 """
 
 from __future__ import annotations
@@ -14,11 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gkm import WeightedCollection, gkm_cost, sensitivity_bruteforce
-from .grid_coreset import CoresetBuilder
 from .model import (CenterSet, Flat, Instance, LocationalInstance,
                     enumerate_realizations)
 from .objective import shape_distances
-from .partition import WeightedImage
 
 
 @dataclass(frozen=True)
@@ -40,19 +39,6 @@ def oracle_expected_objective(instance: Instance, shape) -> OracleReport:
         count += 1
     return OracleReport(value=total, method="FullEnumeration",
                         enumeration_size=count)
-
-
-def oracle_partition_masses(instance: Instance, k: int,
-                            eps: float) -> WeightedImage:
-    """Group every realization by its grid-construction coreset."""
-    builder = CoresetBuilder(instance.support_points, k, eps)
-    groups: dict[tuple[int, ...], float] = {}
-    for real, pr in enumerate_realizations(instance):
-        ids = real.point_ids()
-        core = builder.build(ids).coreset if ids else ()
-        groups[core] = groups.get(core, 0.0) + pr
-    return WeightedImage(entries=tuple(sorted(groups.items())),
-                         source="Exhaustive")
 
 
 def oracle_holant_direct(instance: LocationalInstance, S_ids, tail,

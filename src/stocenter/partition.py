@@ -28,7 +28,6 @@ class MembershipVerdict:
     kind: str  # "NotInImage" | "Singleton" | "Full"
     grid: GridSpec | None = None
     cells: dict | None = None          # cell index -> representative id
-    tail_sets: dict | None = None      # cell index -> smaller-index support ids
 
 
 @dataclass(frozen=True)
@@ -58,14 +57,7 @@ def membership_check(S_ids, instance: Instance, k: int, eps: float,
     out = builder.build(S_ids)
     if out.coreset != S_ids:
         return MembershipVerdict(kind="NotInImage")
-    support = instance.support_points
-    tail_sets = {}
-    for cell, rep in out.cells.items():
-        smaller = [i for i in range(support.shape[0])
-                   if i < rep and out.grid.cell_of(support[i]) == cell]
-        tail_sets[cell] = smaller
-    return MembershipVerdict(kind="Full", grid=out.grid, cells=dict(out.cells),
-                             tail_sets=tail_sets)
+    return MembershipVerdict(kind="Full", grid=out.grid, cells=dict(out.cells))
 
 
 def _support_cells(instance: Instance, grid: GridSpec):
@@ -233,6 +225,8 @@ def build_weighted_image(instance: Instance, k: int, eps: float,
     """All coreset classes with their exact masses.
 
     exhaustive: group every realization by its coreset (small instances).
+    This is the brute-force reference: acceptance criteria 4 and 5 check
+    subsets mode against it.
     subsets: iterate candidate subsets up to the size bound, filter by the
     fixed-point membership test, attach closed-form/DP probabilities.
     """

@@ -82,8 +82,3 @@ def rows_to_csv(header, rows) -> str:
         writer.writerow([fmt_float(v) if isinstance(v, (float, np.floating))
                          else v for v in row])
     return buf.getvalue()
-
-
-def write_csv(path, header, rows):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(rows_to_csv(header, rows))

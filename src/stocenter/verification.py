@@ -17,10 +17,11 @@ from .gkm import (WeightedCollection, enumerate_candidate_coresets,
 from .grid_coreset import CoresetBuilder, coreset_image_size_bound
 from .jflat import (SJFCCoreset, build_S1, build_S2, estimate_J,
                     sjfc_pipeline, sweep_convexK)
-from .model import (CenterSet, ExistentialInstance, Flat, LocationalInstance)
+from .model import (CenterSet, ExistentialInstance, Flat, LocationalInstance,
+                    _existential_mask_probs)
 from .objective import (expected_flatcenter_exact, expected_objective_exact,
                         shape_distances)
-from .oracle import minimum_enclosing_ball, oracle_partition_masses
+from .oracle import minimum_enclosing_ball
 from .partition import (build_weighted_image, holant_value,
                         membership_check, forbidden_and_tail_sets)
 from .serialize import dumps_json
@@ -74,20 +75,13 @@ def _mask_matrix(n: int) -> np.ndarray:
     return ((idx[:, None] >> np.arange(n)) & 1).astype(bool)
 
 
-def _exist_mask_probs(probs: np.ndarray) -> np.ndarray:
-    out = np.ones(1)
-    for p in probs:
-        out = np.concatenate([out * (1.0 - p), out * p])
-    return out
-
-
 def _enum_value_exist(instance: ExistentialInstance, dists: np.ndarray,
                       masks=None, mprobs=None) -> float:
     """Expected max distance by full 2^n enumeration, vectorized."""
     if masks is None:
         masks = _mask_matrix(instance.n)
     if mprobs is None:
-        mprobs = _exist_mask_probs(instance.probs)
+        mprobs = _existential_mask_probs(instance.probs)
     vals = np.where(masks, dists[None, :], -np.inf).max(axis=1)
     vals[0] = 0.0  # empty realization
     return float(mprobs @ np.maximum(vals, 0.0))
@@ -130,7 +124,7 @@ def criterion_1(scale: str, seed: int = 101, **_) -> CheckResult:
         k = int(rng.integers(1, 3))
         inst = _rand_exist(rng, n, d)
         masks = _mask_matrix(n)
-        mprobs = _exist_mask_probs(inst.probs)
+        mprobs = _existential_mask_probs(inst.probs)
         F_batch = _rand_centers(rng, c["c1_F"], k, d)
         dmat = _min_center_dists(inst.points, F_batch)
         for f in range(c["c1_F"]):
@@ -228,7 +222,8 @@ def criterion_4(scale: str, seed: int = 104, perturb: float = 0.0,
         if perturb and algo:
             key = max(algo, key=algo.get)
             algo[key] *= 1.0 + perturb
-        brute = dict(oracle_partition_masses(inst, k, eps).entries)
+        brute = dict(build_weighted_image(inst, k, eps,
+                                          mode="exhaustive").entries)
         keys = set(algo) | set(brute)
         for key in keys:
             worst = max(worst, abs(algo.get(key, 0.0) - brute.get(key, 0.0)))
@@ -253,7 +248,8 @@ def criterion_5(scale: str, seed: int = 105, **_) -> CheckResult:
         eps = 0.5
         inst = _rand_loc(rng, n, m, 2)
         algo = dict(build_weighted_image(inst, k, eps, mode="subsets").entries)
-        brute = dict(oracle_partition_masses(inst, k, eps).entries)
+        brute = dict(build_weighted_image(inst, k, eps,
+                                          mode="exhaustive").entries)
         for key in set(algo) | set(brute):
             worst = max(worst, abs(algo.get(key, 0.0) - brute.get(key, 0.0)))
         # per-sequence holant values on one Full class, if any

@@ -114,6 +114,14 @@ def test_enumerate_candidates_counting_and_guard():
     big = _coll([[[float(i), 0.0]] for i in range(40)], np.ones(40))
     with pytest.raises(EnumerationGuardExceeded):
         list(enumerate_candidate_coresets(big, M=5, L_exp=10, eps=0.5))
+    # one set, M=1: the stream has L_exp + 1 = 10^8 + 1 candidates
+    one = _coll([[[0.0, 0.0]]], [1.0])
+    with pytest.raises(EnumerationGuardExceeded):
+        next(enumerate_candidate_coresets(one, M=1, L_exp=10 ** 8, eps=0.5))
+    # the guard counts the stream itself: C(3,1)*31 + C(3,2)*31^2 = 2976
+    three = _coll([[[float(i), 0.0]] for i in range(3)], np.ones(3))
+    assert sum(1 for _ in enumerate_candidate_coresets(
+        three, M=2, L_exp=30, eps=0.5)) == 2976
     assert default_weight_exponent(0.5, 2, 10, 1) > 0
 
 
@@ -134,7 +142,7 @@ def test_solve_gkm_k2_matches_oracle():
     left = [rng.normal([-8, 0], 0.3, (1, 2)) for _ in range(3)]
     right = [rng.normal([8, 0], 0.3, (1, 2)) for _ in range(3)]
     S = _coll(left + right, np.ones(6))
-    F, value = solve_gkm(S, 2, exact_tiny=True)
+    F, value = solve_gkm(S, 2)
     _oF, ov = oracle_solver_gkm(S, 2, resolution=11)
     assert value <= (1 + 1e-6) * ov + 1e-9
 

@@ -3,30 +3,44 @@ import pytest
 
 from stocenter.errors import CombinationGuardExceeded, EmptyRealization
 from stocenter.grid_coreset import (SENTINEL_GRID, CoresetBuilder, GridSpec,
-                                    build_additive_coreset,
-                                    coreset_image_size_bound, r_value)
+                                    coreset_image_size_bound)
 from stocenter.model import CenterSet
 from stocenter.objective import kcenter_value
 
 
 def test_r_value_hand_cases():
     support = np.array([[0.0, 0.0], [2.0, 0.0]])
-    assert r_value(support, support, 1) == pytest.approx(2.0)
-    assert r_value(support[:1], support, 1) == 0.0
-    assert r_value(support, support, 2) == 0.0
+    assert CoresetBuilder(support, 1, 0.5).r_of((0, 1)) == pytest.approx(2.0)
+    assert CoresetBuilder(support, 1, 0.5).r_of((0,)) == 0.0
+    assert CoresetBuilder(support, 2, 0.5).r_of((0, 1)) == 0.0
 
 
 def test_r_value_guard():
     support = np.zeros((40, 1))
     with pytest.raises(CombinationGuardExceeded):
-        r_value(support, support, 10)
+        CoresetBuilder(support, 10, 0.5)
 
 
 def test_zero_radius_branch_returns_realization():
     support = np.array([[0.0, 0.0], [5.0, 5.0], [9.0, 1.0]])
-    out = build_additive_coreset((1,), support, 1, 0.5)
+    out = CoresetBuilder(support, 1, 0.5).build((1,))
     assert out.coreset == (1,)
     assert out.grid == SENTINEL_GRID and out.grid.side == 0.0
+
+
+def test_more_centers_than_points_keeps_realization():
+    # k > n: k centers can sit on every support point, so r_P = 0 and no
+    # point may be dropped; thinning here would let F = E + {far point}
+    # cover E exactly but miss (0.01, 0) by 0.01
+    support = np.array([[0.0, 0.0], [0.01, 0.0], [5.0, 5.0]])
+    builder = CoresetBuilder(support, 4, 0.5)
+    assert builder.r_of((0, 1, 2)) == 0.0
+    out = builder.build((0, 1, 2))
+    assert out.coreset == (0, 1, 2)
+    assert out.grid == SENTINEL_GRID
+    F = CenterSet(centers=support[[0, 2]])
+    assert kcenter_value(support, F) <= \
+        1.5 * kcenter_value(support[list(out.coreset)], F)
 
 
 def test_single_cell_collapses_to_smallest_id():
@@ -34,7 +48,7 @@ def test_single_cell_collapses_to_smallest_id():
     # shares one coarse cell and keeps only the smallest id
     cluster = np.array([[100.0, 100.0], [100.01, 100.0], [100.0, 100.02]])
     support = np.vstack([[[0.0, 0.0]], cluster])
-    out = build_additive_coreset((0, 1, 2, 3), support, 1, 0.5)
+    out = CoresetBuilder(support, 1, 0.5).build((0, 1, 2, 3))
     assert out.coreset == (0, 1)
     cluster_cell = out.grid.cell_of(cluster[0])
     assert out.cells[cluster_cell] == 1
@@ -42,7 +56,7 @@ def test_single_cell_collapses_to_smallest_id():
 
 def test_empty_realization_rejected():
     with pytest.raises(EmptyRealization):
-        build_additive_coreset((), np.zeros((2, 1)), 1, 0.5)
+        CoresetBuilder(np.zeros((2, 1)), 1, 0.5).build(())
 
 
 def test_boundary_point_goes_to_floor_cell():
@@ -63,7 +77,7 @@ def test_coverage_on_random_instances():
     for eps in (0.25, 0.5):
         support = rng.uniform(-10, 10, (30, 2))
         ids = tuple(range(30))
-        out = build_additive_coreset(ids, support, 1, eps)
+        out = CoresetBuilder(support, 1, eps).build(ids)
         E = support[list(out.coreset)]
         for _ in range(500):
             F = CenterSet(centers=rng.uniform(-12, 12, (1, 2)))
@@ -105,8 +119,8 @@ def test_rerun_is_fixed_point():
 def test_determinism():
     rng = np.random.default_rng(3)
     support = rng.uniform(-5, 5, (15, 2))
-    a = build_additive_coreset(tuple(range(15)), support, 2, 0.3)
-    b = build_additive_coreset(tuple(range(15)), support, 2, 0.3)
+    a = CoresetBuilder(support, 2, 0.3).build(tuple(range(15)))
+    b = CoresetBuilder(support, 2, 0.3).build(tuple(range(15)))
     assert a == b
 
 
@@ -124,5 +138,5 @@ def test_size_bound_holds_empirically():
         k = int(rng.integers(1, 3))
         eps = float(rng.uniform(0.25, 0.9))
         support = rng.uniform(-10, 10, (n, d))
-        out = build_additive_coreset(tuple(range(n)), support, k, eps)
+        out = CoresetBuilder(support, k, eps).build(tuple(range(n)))
         assert out.size <= coreset_image_size_bound(k, d, eps)

@@ -4,8 +4,6 @@ import pytest
 from stocenter.model import (CenterSet, ExistentialInstance, Flat,
                              LocationalInstance, enumerate_realizations)
 from stocenter.objective import (expected_flatcenter_exact,
-                                 expected_kcenter_exact_existential,
-                                 expected_kcenter_exact_locational,
                                  expected_objective_exact,
                                  expected_objective_mc, flat_distance,
                                  kcenter_value, realization_objective)
@@ -34,17 +32,15 @@ def test_exact_existential_hand_value():
     # distances (4, 3) at p = 0.5 each: 0.5*4 + 0.5*0.5*3 = 2.75
     inst = ExistentialInstance(points=[[4.0], [3.0]], probs=[0.5, 0.5])
     F = CenterSet(centers=[[0.0]])
-    assert expected_kcenter_exact_existential(inst, F).value == \
-        pytest.approx(2.75)
+    assert expected_objective_exact(inst, F).value == pytest.approx(2.75)
 
 
 def test_exact_existential_extremes():
     one = ExistentialInstance(points=[[5.0]], probs=[1.0])
     F = CenterSet(centers=[[0.0]])
-    assert expected_kcenter_exact_existential(one, F).value == \
-        pytest.approx(5.0)
+    assert expected_objective_exact(one, F).value == pytest.approx(5.0)
     dead = ExistentialInstance(points=[[5.0], [2.0]], probs=[0.0, 0.0])
-    assert expected_kcenter_exact_existential(dead, F).value == 0.0
+    assert expected_objective_exact(dead, F).value == 0.0
 
 
 def test_exact_locational_hand_value():
@@ -52,11 +48,9 @@ def test_exact_locational_hand_value():
     inst = LocationalInstance(locations=[[1.0], [2.0]],
                               probs=[[0.5, 0.5], [0.5, 0.5]])
     F = CenterSet(centers=[[0.0]])
-    assert expected_kcenter_exact_locational(inst, F).value == \
-        pytest.approx(1.75)
+    assert expected_objective_exact(inst, F).value == pytest.approx(1.75)
     det = LocationalInstance(locations=[[7.0]], probs=[[1.0]])
-    assert expected_kcenter_exact_locational(det, F).value == \
-        pytest.approx(7.0)
+    assert expected_objective_exact(det, F).value == pytest.approx(7.0)
 
 
 def _enum_expected(instance, shape):

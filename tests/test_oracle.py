@@ -6,9 +6,9 @@ from stocenter.model import (CenterSet, ExistentialInstance,
 from stocenter.objective import expected_objective_exact, flat_distance
 from stocenter.oracle import (center_grid, minimum_enclosing_ball,
                               oracle_expected_objective, oracle_min_flat,
-                              oracle_partition_masses, oracle_sensitivities,
-                              oracle_solver_instance)
+                              oracle_sensitivities, oracle_solver_instance)
 from stocenter.gkm import WeightedCollection, sensitivity_bruteforce
+from stocenter.partition import build_weighted_image
 
 
 def test_oracle_objective_matches_exact_evaluators():
@@ -41,11 +41,12 @@ def test_oracle_partition_masses_sum_to_one():
     rng = np.random.default_rng(52)
     inst = ExistentialInstance(points=rng.uniform(-5, 5, (8, 2)),
                                probs=rng.uniform(0.1, 0.9, 8))
-    image = oracle_partition_masses(inst, 1, 0.5)
+    image = build_weighted_image(inst, 1, 0.5, mode="exhaustive")
     assert image.total_weight == pytest.approx(1.0, abs=1e-9)
     det = ExistentialInstance(points=rng.uniform(-5, 5, (5, 2)),
                               probs=np.ones(5))
-    assert len(oracle_partition_masses(det, 1, 0.5).entries) == 1
+    assert len(build_weighted_image(det, 1, 0.5,
+                                    mode="exhaustive").entries) == 1
 
 
 def test_center_grid_and_solver_refinement():

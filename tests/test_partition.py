@@ -6,7 +6,7 @@ from stocenter.grid_coreset import CoresetBuilder
 from stocenter.model import (CenterSet, ExistentialInstance,
                              LocationalInstance, enumerate_realizations)
 from stocenter.objective import expected_objective_exact, kcenter_value
-from stocenter.oracle import oracle_holant_direct, oracle_partition_masses
+from stocenter.oracle import oracle_holant_direct
 from stocenter.partition import (build_weighted_image, enumerate_sequences,
                                  forbidden_and_tail_sets, holant_value,
                                  image_cost, membership_check,
@@ -64,7 +64,8 @@ def test_prob_existential_matches_grouping_oracle():
     for _ in range(5):
         inst = _rand_exist(rng, int(rng.integers(6, 11)))
         k, eps = 1, 0.5
-        brute = dict(oracle_partition_masses(inst, k, eps).entries)
+        brute = dict(build_weighted_image(inst, k, eps,
+                                          mode="exhaustive").entries)
         builder = CoresetBuilder(inst.points, k, eps)
         for S, mass in brute.items():
             if not S:
@@ -131,7 +132,8 @@ def test_prob_locational_matches_grouping_oracle():
         inst = _rand_loc(rng, int(rng.integers(2, 5)),
                          int(rng.integers(2, 5)))
         k, eps = 1, 0.5
-        brute = dict(oracle_partition_masses(inst, k, eps).entries)
+        brute = dict(build_weighted_image(inst, k, eps,
+                                          mode="exhaustive").entries)
         for S, mass in brute.items():
             algo = prob_locational(S, inst, k, eps)
             assert algo == pytest.approx(mass, abs=1e-12)
@@ -140,11 +142,15 @@ def test_prob_locational_matches_grouping_oracle():
             assert algo == pytest.approx(brute.get(S, 0.0), abs=1e-12)
 
 
-def test_image_modes_agree_and_sum_to_one():
+@pytest.mark.parametrize("model,k", [("existential", 1), ("existential", 2),
+                                     ("locational", 1)])
+def test_image_modes_agree_and_sum_to_one(model, k):
+    # exhaustive mode is the reference the subsets mode is checked against
     rng = np.random.default_rng(8)
-    inst = _rand_exist(rng, 9)
-    ex = build_weighted_image(inst, 1, 0.5, mode="exhaustive")
-    su = build_weighted_image(inst, 1, 0.5, mode="subsets")
+    inst = _rand_exist(rng, 9) if model == "existential" \
+        else _rand_loc(rng, 4, 4)
+    ex = build_weighted_image(inst, k, 0.5, mode="exhaustive")
+    su = build_weighted_image(inst, k, 0.5, mode="subsets")
     assert ex.total_weight == pytest.approx(1.0, abs=1e-9)
     assert su.total_weight == pytest.approx(1.0, abs=1e-9)
     dex, dsu = dict(ex.entries), dict(su.entries)
