@@ -94,10 +94,8 @@ def cmd_partition(args) -> int:
 
 def cmd_solve(args) -> int:
     instance = load_instance(args.instance)
-    strategy = {"sampling": "sampling", "enumerate": "enumerate",
-                "full": "full"}[args.strategy]
     F, value, info = skc_pipeline(instance, args.k, args.eps,
-                                  strategy=strategy, seed=args.seed,
+                                  strategy=args.strategy, seed=args.seed,
                                   M=args.M, L_exp=args.Lexp)
     _emit(args, {"centers": [list(c) for c in F.centers], "value": value,
                  "strategy": info["strategy"],

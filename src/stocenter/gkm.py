@@ -377,6 +377,32 @@ def _polish_on_exact(instance: Instance, k: int, F: CenterSet) -> CenterSet:
     return CenterSet(centers=np.asarray(res.x).reshape(k, d))
 
 
+def _best_polished(instance: Instance, k: int,
+                   starts: list) -> tuple[CenterSet, float, int]:
+    """Polish each start center set on the exact objective and keep the
+    best by (value, lexicographic centers).
+
+    For k=1 the enclosing-ball center of the support is tried last: it is
+    the exact optimum for deterministic instances and a strong start
+    elsewhere.  Returns (CenterSet, value, starts evaluated); with no start
+    at all, the zero centers and value 0.
+    """
+    if k == 1:
+        from .oracle import minimum_enclosing_ball
+        c, _ = minimum_enclosing_ball(instance.support_points)
+        starts = [*starts, CenterSet(centers=c.reshape(1, -1))]
+    best = None
+    for F0 in starts:
+        F = _polish_on_exact(instance, k, F0)
+        v = expected_objective_exact(instance, F).value
+        if best is None or v < best[1] - 1e-15 or \
+                (abs(v - best[1]) <= 1e-15 and _lex_key(F.centers) < _lex_key(best[0].centers)):
+            best = (F, v)
+    if best is None:
+        best = (CenterSet(centers=np.zeros((k, instance.d))), 0.0)
+    return best[0], float(best[1]), len(starts)
+
+
 def skc_pipeline(instance: Instance, k: int, eps: float,
                  strategy: str = "full", seed: int = 0,
                  M: int | None = None, L_exp: int | None = None):
@@ -430,31 +456,7 @@ def skc_pipeline(instance: Instance, k: int, eps: float,
             collections.append(best_core.as_collection(S))
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
-    extra_starts = []
-    if k == 1:
-        # The enclosing-ball center of the support is the exact optimum for
-        # deterministic instances and a strong start elsewhere.
-        from .oracle import minimum_enclosing_ball
-        c, _ = minimum_enclosing_ball(instance.support_points)
-        extra_starts.append(CenterSet(centers=c.reshape(1, -1)))
-    best = None
-    evaluated = 0
-    starts = [(coll, None) for coll in collections] + \
-             [(None, F0) for F0 in extra_starts]
-    for coll, F0 in starts:
-        if coll is not None:
-            if coll.packed.points.shape[0] == 0:
-                continue
-            F, _ = solve_gkm(coll, k)
-        else:
-            F = F0
-        F = _polish_on_exact(instance, k, F)
-        v = expected_objective_exact(instance, F).value
-        evaluated += 1
-        if best is None or v < best[1] - 1e-15 or \
-                (abs(v - best[1]) <= 1e-15 and _lex_key(F.centers) < _lex_key(best[0].centers)):
-            best = (F, v)
-    if best is None:
-        best = (CenterSet(centers=np.zeros((k, instance.d))), 0.0)
-    return best[0], float(best[1]), {"strategy": strategy,
-                                     "candidates_evaluated": evaluated}
+    starts = [solve_gkm(coll, k)[0] for coll in collections
+              if coll.packed.points.shape[0]]
+    F, value, evaluated = _best_polished(instance, k, starts)
+    return F, value, {"strategy": strategy, "candidates_evaluated": evaluated}

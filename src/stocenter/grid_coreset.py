@@ -16,7 +16,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import CombinationGuardExceeded, EmptyRealization
+from .errors import CombinationGuardExceeded, EmptyRealization, SchemaError
 MAX_K_SUBSETS = 10 ** 6
 
 
@@ -125,6 +125,9 @@ class CoresetBuilder:
         P_ids = tuple(sorted(int(i) for i in P_ids))
         if not P_ids:
             raise EmptyRealization("realization has no points")
+        n = self.support.shape[0]
+        if P_ids[0] < 0 or P_ids[-1] >= n:
+            raise SchemaError(f"realization ids must lie in [0, {n})")
         r_P = self.r_of(P_ids)
         if r_P == 0.0:
             return CoresetOutput(coreset=P_ids, grid=SENTINEL_GRID, cells={})

@@ -11,6 +11,10 @@ j in {0, 1} is supported; the lift dimension grows too fast beyond that.
 
 The locational model always takes Case 2 with per-location masses
 p_i = sum over nodes of probs[node, i].
+
+A 0-flat is one center, so j=0 (coreset solve, S2 sensitivity seed and
+exact polish) runs through the k=1 code of ``gkm``; only j=1 uses the
+Nelder-Mead line search of this module.
 """
 
 from __future__ import annotations
@@ -22,7 +26,9 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .errors import CaseMismatch, EmptyK, SchemaError
-from .model import ExistentialInstance, Flat, Instance, realize
+from .gkm import (SensitivityEstimate, WeightedCollection, _best_polished,
+                  importance_sample_coreset, solve_gkm)
+from .model import CenterSet, ExistentialInstance, Flat, Instance, realize
 from .objective import PackedSets, expected_flatcenter_exact, shape_distances
 
 NET_SEED = 0xC0FFEE
@@ -198,20 +204,16 @@ def case1_size_cap(j: int, d: int, eps: float) -> int:
     return math.ceil((j + 1) ** 4 * d / eps ** 2)
 
 
-def _weighted_median_flat(points: np.ndarray, weights: np.ndarray,
-                          j: int) -> Flat:
-    """Rough optimum of sum_i w_i d(s_i, F), enough for sensitivity scores."""
-    d = points.shape[1]
-    center = np.average(points, axis=0, weights=weights)
-
-    def cost0(c):
-        return float(weights @ np.linalg.norm(points - c, axis=1))
-
+def _weighted_median_flat(S: WeightedCollection, j: int) -> Flat:
+    """Rough optimum of sum_i w_i d(s_i, F) over the singleton sets of S,
+    enough for sensitivity scores: the weighted 1-median for j=0, the
+    principal axis through the weighted mean for j=1."""
     if j == 0:
-        res = minimize(cost0, center, method="Nelder-Mead",
-                       options={"xatol": 1e-10, "fatol": 1e-12})
-        return Flat(j=0, base=np.asarray(res.x))
-    cov = np.cov(points.T, aweights=weights, bias=True).reshape(d, d)
+        C, _ = solve_gkm(S, 1)
+        return Flat(j=0, base=C.centers[0])
+    points, weights = S.packed.points, S.weights
+    center = np.average(points, axis=0, weights=weights)
+    cov = np.cov(points.T, aweights=weights, bias=True).reshape(S.d, S.d)
     v = np.linalg.eigh(cov)[1][:, -1]
     return Flat(j=1, base=center, basis=v.reshape(1, -1))
 
@@ -223,34 +225,28 @@ def weighted_flat_median_coreset(points: np.ndarray, weights: np.ndarray,
 
     Instances at or under the size cap are returned verbatim.  Sensitivities
     are the distance share w.r.t. an approximate optimum plus the projected
-    total-sensitivity mass term.
+    total-sensitivity mass term; the draws are ``gkm``'s importance sampler
+    over the points as singleton sets.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     weights = np.asarray(weights, dtype=float)
-    n = points.shape[0]
-    if n == 0:
-        return points, weights
-    cap = case1_size_cap(j, points.shape[1], eps)
+    n, d = points.shape
+    cap = case1_size_cap(j, d, eps)
     if n <= cap:
         return points, weights
-    F_hat = _weighted_median_flat(points, weights, j)
-    dists = shape_distances(points, F_hat)
+    S = WeightedCollection(sets=tuple(points[:, None, :]), weights=weights,
+                           d=d)
+    dists = shape_distances(points, _weighted_median_flat(S, j))
     cost = float(weights @ dists)
     W = float(weights.sum())
-    d = points.shape[1]
     if cost > 0.0:
-        sigma = weights * dists / cost + 2.0 * (d + 1) ** 1.5 * weights / W
+        sigma = SensitivityEstimate(
+            values=weights * dists / cost + 2.0 * (d + 1) ** 1.5 * weights / W,
+            kind="ProjectionUpper")
     else:
-        sigma = np.full(n, 1.0 / n)
-    q = sigma + 1.0 / n
-    probs = q / q.sum()
-    draws = rng.choice(n, size=cap, p=probs)
-    acc: dict[int, float] = {}
-    for i in draws:
-        i = int(i)
-        acc[i] = acc.get(i, 0.0) + float(q.sum()) * weights[i] / (q[i] * cap)
-    idx = sorted(acc)
-    return points[idx], np.array([acc[i] for i in idx])
+        sigma = SensitivityEstimate(values=np.full(n, 1.0 / n), kind="Uniform")
+    core = importance_sample_coreset(S, sigma, cap, rng)
+    return points[list(core.indices)], core.weights
 
 
 def case1_coreset(instance: ExistentialInstance, j: int, eps: float,
@@ -340,10 +336,6 @@ def estimate_J(coreset: SJFCCoreset, F: Flat) -> float:
 # Solvers
 
 
-def _coreset_support(coreset: SJFCCoreset) -> np.ndarray:
-    return np.vstack([coreset.kernels.points, coreset.s2_points])
-
-
 def _flat_from_params(x: np.ndarray, j: int, d: int) -> Flat:
     if j == 0:
         return Flat(j=0, base=x)
@@ -354,53 +346,52 @@ def _flat_from_params(x: np.ndarray, j: int, d: int) -> Flat:
     return Flat(j=1, base=t, basis=v.reshape(1, -1))
 
 
-def _optimize_flat(fval, j: int, d: int, starts) -> tuple[Flat, float]:
+def _optimize_flat(fval, d: int, starts) -> tuple[Flat, float]:
     best = None
     for x0 in starts:
-        res = minimize(lambda x: fval(_flat_from_params(x, j, d)), x0,
+        res = minimize(lambda x: fval(_flat_from_params(x, 1, d)), x0,
                        method="Nelder-Mead",
                        options={"xatol": 1e-11, "fatol": 1e-13,
                                 "maxiter": 4000})
-        F = _flat_from_params(np.asarray(res.x), j, d)
+        F = _flat_from_params(np.asarray(res.x), 1, d)
         v = float(res.fun)
         if best is None or v < best[1]:
             best = (F, v)
     return best
 
 
-def _starts_for(support: np.ndarray, j: int, d: int):
-    if support.shape[0] == 0:
-        base = np.zeros(d)
-    else:
-        base = support.mean(axis=0)
-    starts = []
-    if j == 0:
-        starts.append(base)
-        if support.shape[0]:
-            spread = support.std(axis=0)
-            starts.append(base + spread)
-            starts.append(base - spread)
-    else:
-        axes = np.eye(d)
-        dirs = [axes[i] for i in range(d)]
-        if support.shape[0] > 1:
-            centered = support - base
-            v = np.linalg.eigh(centered.T @ centered)[1][:, -1]
-            dirs.insert(0, v)
-        for v in dirs:
-            starts.append(np.concatenate([base, v]))
-    return starts
+def _starts_for(support: np.ndarray, d: int):
+    """Lines through the support mean along its principal axis, then each
+    coordinate axis."""
+    base = support.mean(axis=0)
+    axes = np.eye(d)
+    dirs = [axes[i] for i in range(d)]
+    if support.shape[0] > 1:
+        centered = support - base
+        v = np.linalg.eigh(centered.T @ centered)[1][:, -1]
+        dirs.insert(0, v)
+    return [np.concatenate([base, v]) for v in dirs]
 
 
 def solve_jflat(coreset: SJFCCoreset, j: int, d: int) -> tuple[Flat, float]:
-    """Minimize the coreset estimator over flats; deterministic multi-start."""
+    """Minimize the coreset estimator over flats; deterministic multi-start
+    for j=1.  Returns the flat and its ``estimate_J``."""
     if j not in (0, 1):
         raise SchemaError("only j in {0, 1} is supported")
-    support = _coreset_support(coreset)
+    support = np.vstack([coreset.kernels.points, coreset.s2_points])
     if support.shape[0] == 0:
         return _flat_from_params(np.zeros(d if j == 0 else 2 * d), j, d), 0.0
-    return _optimize_flat(lambda F: estimate_J(coreset, F), j, d,
-                          _starts_for(support, j, d))
+    if j == 0:
+        # gkm's k=1 solve, each kernel a set of weight 1/N and each S2
+        # point a singleton set of its S2 weight.
+        C, _ = solve_gkm(WeightedCollection(
+            sets=coreset.s1 + tuple(coreset.s2_points[:, None, :]),
+            weights=np.concatenate([np.ones(coreset.N) / coreset.N,
+                                    coreset.s2_weights]), d=d), 1)
+        F = Flat(j=0, base=C.centers[0])
+        return F, estimate_J(coreset, F)
+    return _optimize_flat(lambda F: estimate_J(coreset, F), d,
+                          _starts_for(support, d))
 
 
 def sjfc_pipeline(instance: Instance, j: int, eps: float, seed: int = 0,
@@ -409,7 +400,8 @@ def sjfc_pipeline(instance: Instance, j: int, eps: float, seed: int = 0,
 
     Returns (Flat, value, info).  The exact evaluator is cheap (one sort per
     call), so the final polish runs directly on it and the reported value is
-    exact for the returned flat.
+    exact for the returned flat.  For j=0 the polish is ``gkm``'s k=1 one,
+    from the coreset solution and the support's enclosing-ball center.
     """
     if j not in (0, 1):
         raise SchemaError("only j in {0, 1} is supported")
@@ -421,16 +413,16 @@ def sjfc_pipeline(instance: Instance, j: int, eps: float, seed: int = 0,
     coreset = build_sjfc_coreset(instance, j, eps, seed, N=N,
                                  net_size=net_size)
     F0, _ = solve_jflat(coreset, j, instance.d)
-
-    def exact(F):
-        return expected_flatcenter_exact(instance, F).value
-
-    starts = _starts_for(instance.support_points, j, instance.d)
     if j == 0:
-        starts.insert(0, F0.base)
+        C, value, _ = _best_polished(
+            instance, 1, [CenterSet(centers=F0.base.reshape(1, -1))])
+        F = Flat(j=0, base=C.centers[0])
     else:
+        starts = _starts_for(instance.support_points, instance.d)
         starts.insert(0, np.concatenate([F0.base, F0.basis[0]]))
-    F, value = _optimize_flat(exact, j, instance.d, starts)
+        F, value = _optimize_flat(
+            lambda F: expected_flatcenter_exact(instance, F).value,
+            instance.d, starts)
     info = {"case": coreset.case, "s1_size": coreset.N,
             "s2_size": int(coreset.s2_points.shape[0])}
     return F, float(value), info

@@ -146,22 +146,24 @@ def _ball_from(boundary: list[np.ndarray], d: int):
 
 def minimum_enclosing_ball(points: np.ndarray,
                            seed: int = 7) -> tuple[np.ndarray, float]:
-    """Welzl's algorithm with a fixed-seed shuffle."""
+    """Welzl's algorithm with a fixed-seed shuffle, in loop form: it recurses
+    only when a point joins the boundary, so the depth is at most d + 1."""
     pts = [np.asarray(p, dtype=float) for p in np.atleast_2d(points)]
     rng = np.random.default_rng(seed)
     rng.shuffle(pts)
     d = pts[0].shape[0]
 
-    def welzl(P, R):
-        if not P or len(R) == d + 1:
-            return _ball_from(R, d)
-        p = P[0]
-        c, r = welzl(P[1:], R)
-        if np.linalg.norm(p - c) <= r * (1 + 1e-12) + 1e-12:
+    def welzl(start, R):  # the ball of pts[start:] with R on its boundary
+        c, r = _ball_from(R, d)
+        if len(R) == d + 1:
             return c, r
-        return welzl(P[1:], R + [p])
+        for i in range(len(pts) - 1, start - 1, -1):
+            p = pts[i]
+            if np.linalg.norm(p - c) > r * (1 + 1e-12) + 1e-12:
+                c, r = welzl(i + 1, R + [p])
+        return c, r
 
-    return welzl(pts, [])
+    return welzl(0, [])
 
 
 def oracle_min_flat(points: np.ndarray, j: int) -> tuple[Flat, float]:

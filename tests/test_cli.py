@@ -63,6 +63,20 @@ def test_grid_coreset_command(inst_file, tmp_path, capsys):
     assert data["size_bound"] >= len(data["coreset"])
 
 
+@pytest.mark.parametrize("ids", ["[0, 7]", "[-1, 0]"])
+def test_grid_coreset_rejects_ids_outside_instance(ids, tmp_path, capsys):
+    inst = str(tmp_path / "inst.json")
+    assert main(["generate", "--n", "5", "--seed", "0",
+                 "--output", inst]) == 0
+    rfile = tmp_path / "real.json"
+    rfile.write_text(ids)
+    code = main(["grid-coreset", "--instance", inst, "--realization",
+                 str(rfile), "--k", "1", "--eps", "0.5"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "[0, 5)" in captured.err
+
+
 def test_partition_command(inst_file, capsys):
     code, out = _run(["partition", "--instance", inst_file, "--k", "1",
                       "--eps", "0.5"], capsys)

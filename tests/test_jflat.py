@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from stocenter.errors import CaseMismatch, SchemaError
+from stocenter.gkm import WeightedCollection, skc_pipeline, solve_gkm
 from stocenter.jflat import (LinearizationMap, build_S1, build_S2,
                              build_sjfc_coreset, case1_coreset,
                              case1_size_cap, direction_net, estimate_J,
@@ -204,3 +205,44 @@ def test_pipeline_locational_case2():
     assert info["case"] == 2
     assert value == pytest.approx(
         expected_flatcenter_exact(inst, F).value, abs=1e-12)
+
+
+def test_k1_center_equals_j0_flat():
+    # A 0-flat is one center: both pipelines minimize the same convex map.
+    rng = np.random.default_rng(41)
+    eps = 0.5
+    for t in range(8):
+        n = int(rng.integers(3, 9))
+        pts = rng.uniform(-6, 6, (n, 2))
+        deterministic = t % 4 == 3
+        probs = np.ones(n) if deterministic else rng.uniform(0.05, 0.95, n)
+        inst = ExistentialInstance(points=pts, probs=probs)
+        _C, kval, _ = skc_pipeline(inst, 1, eps)
+        _F, jval, _ = sjfc_pipeline(inst, 0, eps, seed=t, N=40)
+        assert jval == pytest.approx(kval, rel=1e-9)
+        if deterministic:
+            _c, r = minimum_enclosing_ball(pts)
+            assert kval == pytest.approx(r, rel=1e-9)
+            assert jval == pytest.approx(r, rel=1e-9)
+
+
+def test_solve_jflat_j0_is_the_k1_center_solve():
+    rng = np.random.default_rng(42)
+    low = rng.uniform(0.01, 1.0, 30)
+    # Tiny masses leave points outside K, so Case 2 has both S1 and S2.
+    high = np.concatenate([rng.uniform(0.3, 0.9, 10),
+                           rng.uniform(0.0001, 0.001, 20)])
+    for probs, eps in ((low * 0.2 / low.sum(), 0.3), (high, 0.2)):
+        inst = ExistentialInstance(points=rng.uniform(-5, 5, (30, 2)),
+                                   probs=probs)
+        core = build_sjfc_coreset(inst, 0, eps, seed=3, N=25)
+        assert core.s2_points.shape[0] and core.N == (0 if core.case == 1
+                                                      else 25)
+        S = WeightedCollection(
+            sets=core.s1 + tuple(p.reshape(1, -1) for p in core.s2_points),
+            weights=np.array([1.0 / core.N for _ in core.s1]
+                             + list(core.s2_weights)), d=2)
+        C, _ = solve_gkm(S, 1)
+        F, value = solve_jflat(core, 0, 2)
+        assert np.array_equal(F.base, C.centers[0])
+        assert value == estimate_J(core, F)

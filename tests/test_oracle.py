@@ -4,7 +4,7 @@ import pytest
 from stocenter.model import (CenterSet, ExistentialInstance,
                              LocationalInstance)
 from stocenter.objective import expected_objective_exact, flat_distance
-from stocenter.oracle import (center_grid, minimum_enclosing_ball,
+from stocenter.oracle import (_ball_from, center_grid, minimum_enclosing_ball,
                               oracle_expected_objective, oracle_min_flat,
                               oracle_sensitivities, oracle_solver_instance)
 from stocenter.gkm import WeightedCollection, sensitivity_bruteforce
@@ -88,6 +88,49 @@ def test_minimum_enclosing_ball_contains_everything():
         pts = rng.uniform(-10, 10, (int(rng.integers(1, 30)), 2))
         c, r = minimum_enclosing_ball(pts)
         assert np.linalg.norm(pts - c, axis=1).max() <= r * (1 + 1e-9) + 1e-9
+
+
+def _recursive_welzl(points, seed=7):
+    """The textbook recursion (depth grows with n), kept as the reference."""
+    pts = [np.asarray(p, dtype=float) for p in np.atleast_2d(points)]
+    np.random.default_rng(seed).shuffle(pts)
+    d = pts[0].shape[0]
+
+    def welzl(P, R):
+        if not P or len(R) == d + 1:
+            return _ball_from(R, d)
+        p = P[0]
+        c, r = welzl(P[1:], R)
+        if np.linalg.norm(p - c) <= r * (1 + 1e-12) + 1e-12:
+            return c, r
+        return welzl(P[1:], R + [p])
+
+    return welzl(pts, [])
+
+
+def test_minimum_enclosing_ball_equals_recursion():
+    rng = np.random.default_rng(55)
+    for t in range(300):
+        d = int(rng.integers(1, 4))
+        n = int(rng.integers(1, 120))
+        if t % 3 == 0:  # integer grid: ties and repeated points
+            pts = rng.integers(-3, 4, (n, d)).astype(float)
+        elif t % 3 == 1:  # duplicated rows
+            pts = np.repeat(rng.uniform(-5, 5, (n // 2 + 1, d)), 2, axis=0)
+        else:
+            pts = rng.normal(0.0, 4.0, (n, d))
+        c, r = minimum_enclosing_ball(pts)
+        c_ref, r_ref = _recursive_welzl(pts)
+        assert np.array_equal(c, c_ref) and r == r_ref
+
+
+def test_minimum_enclosing_ball_past_recursion_limit():
+    # The recursive form needs about n frames and fails near n=1000.
+    pts = np.random.default_rng(56).uniform(-10, 10, (1500, 2))
+    c, r = minimum_enclosing_ball(pts)
+    dist = np.linalg.norm(pts - c, axis=1)
+    assert dist.max() <= r * (1 + 1e-9) + 1e-9
+    assert np.sum(dist >= r * (1 - 1e-9)) >= 2
 
 
 def test_oracle_min_flat():
