@@ -6,18 +6,32 @@ lays a grid of side eps*2^a/(4d) with 2^a <= r_P < 2^{a+1}, and keeps the
 smallest-index point of every nonempty cell.  If the kept points' own
 r value dropped below 2^a the grid is refined once to side eps*2^a/(8d).
 The origin is a grid vertex, so stage-2 cells exactly refine stage-1 cells.
+
+``CoresetBuilder.build_masks`` runs the construction on a boolean
+(rows, n) matrix of realization masks at once: r_P of every row is a masked
+max/min over the precomputed ``combo_min`` table, the exponent of every row
+one ``np.frexp``, the cells once per distinct grid side (one ``np.floor``
+over the support), and a row keeps each of its points that has no earlier
+point of the row in the same cell.  Rows go through in chunks whose largest
+temporary holds at most ``CHUNK_ELEMENTS`` float64 entries.  ``build(ids)``
+is the one-row call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 
-from .errors import CombinationGuardExceeded, EmptyRealization, SchemaError
-MAX_K_SUBSETS = 10 ** 6
+from .errors import CombinationGuardExceeded, EmptyRealization
+from .model import id_mask
+
+# Cap on the entries of the C(n,k) x n combo_min table (80 MB of float64).
+MAX_COMBO_ENTRIES = 10 ** 7
+# Entries of the largest per-chunk temporary of the batched construction.
+CHUNK_ELEMENTS = 2 ** 17
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,7 +59,8 @@ class GridSpec:
 
     def cell_of(self, x: np.ndarray) -> tuple[int, ...]:
         """Boundary coordinates fall to the floor cell."""
-        return tuple(int(math.floor(c / self.side)) for c in x)
+        return tuple(int(c) for c in grid_cells(np.asarray(x, dtype=float),
+                                                self.side).tolist())
 
 
 @dataclass(frozen=True)
@@ -59,92 +74,163 @@ class CoresetOutput:
         return len(self.coreset)
 
 
+@dataclass(frozen=True)
+class CoresetBatch:
+    """Per-row result of ``CoresetBuilder.build_masks``."""
+
+    core: np.ndarray   # (rows, n) bool: the coreset of each row
+    side: np.ndarray   # (rows,) final grid side; 0.0 for the sentinel
+    a: np.ndarray      # (rows,) exponent a; 0 for the sentinel
+    stage: np.ndarray  # (rows,) 1 or 2; 0 for the r_P = 0 sentinel
+
+
 SENTINEL_GRID = GridSpec(side=0.0, d=0, a=0, stage=0)
 
 
-def _exponent(r: float) -> int:
-    """The integer a with 2^a <= r < 2^{a+1}, snapping near-powers downward.
+def _exponent(r):
+    """The integer a with 2^a <= r < 2^{a+1}, snapping near-powers downward;
+    elementwise for an array of r > 0.
 
     A value within relative 1e-12 of 2^e is treated as exactly 2^e so that
     the exponent is stable across platforms.
     """
-    frac, e = math.frexp(r)  # r = frac * 2^e, frac in [0.5, 1)
+    frac, e = np.frexp(r)  # r = frac * 2^e, frac in [0.5, 1)
     a = e - 1
-    upper = math.ldexp(1.0, a + 1)
-    if abs(r - upper) <= 1e-12 * upper:
-        a += 1
-    return a
+    upper = np.ldexp(1.0, a + 1)
+    return np.where(np.abs(r - upper) <= 1e-12 * upper, a + 1, a)
 
 
-def _collect_cells(ids, points: np.ndarray, grid: GridSpec):
-    """Smallest-index representative per nonempty cell."""
-    cells: dict[tuple[int, ...], int] = {}
-    for pid, x in zip(ids, points):
-        c = grid.cell_of(x)
-        if c not in cells or pid < cells[c]:
-            cells[c] = pid
-    return cells
+def grid_cells(points: np.ndarray, side: float) -> np.ndarray:
+    """Cell index of every coordinate, as integral floats: floor(x / side),
+    so boundary coordinates fall to the floor cell."""
+    return np.floor(points / side)
+
+
+def shadowed(support: np.ndarray, masks: np.ndarray,
+             side: np.ndarray) -> np.ndarray:
+    """For every row of ``masks``, the points that share their cell of the
+    row's grid (side ``side[row]``) with an earlier point of the row.
+
+    A row's grid coreset is its points minus these.  Rows with side 0 (the
+    r_P = 0 sentinel) shadow nothing.
+    """
+    out = np.zeros(masks.shape, dtype=bool)
+    ids = np.arange(support.shape[0])
+    below = ids[:, None] > ids[None, :]
+    for s in set(side[side > 0.0].tolist()):
+        rows = side == s
+        cells = grid_cells(support, s)
+        # earlier[i, j]: point j < i lies in the cell of point i
+        earlier = below & (cells[:, None, :] == cells[None, :, :]).all(axis=2)
+        out[rows] = masks[rows].astype(np.float32) \
+            @ earlier.T.astype(np.float32) > 0.0
+    return out
 
 
 class CoresetBuilder:
     """Runs the grid construction repeatedly over one support set.
 
     Precomputes, for every k-subset F of the support, the column
-    min_{f in F} ||s_i - f||, so each r query is a masked max/min.
+    min_{f in F} ||s_i - f|| over the support points i, so each r query is
+    a masked max/min.
     """
 
     def __init__(self, support: np.ndarray, k: int, eps: float):
         if not (0.0 < eps < 1.0):
             raise ValueError("eps must lie in (0, 1)")
+        if k < 1:
+            raise ValueError("k must be at least 1")
         support = np.atleast_2d(np.asarray(support, dtype=float))
         n = support.shape[0]
-        if math.comb(n, k) > MAX_K_SUBSETS:
-            raise CombinationGuardExceeded(f"C({n},{k}) exceeds {MAX_K_SUBSETS}")
+        n_combos = math.comb(n, k)
+        if n_combos * n > MAX_COMBO_ENTRIES:
+            raise CombinationGuardExceeded(
+                f"C({n},{k}) x {n} = {n_combos * n} entries exceed "
+                f"{MAX_COMBO_ENTRIES}")
         self.support = support
         self.k = k
         self.eps = eps
+        self.n = n
         self.d = support.shape[1]
         diff = support[:, None, :] - support[None, :, :]
         dist = np.sqrt((diff ** 2).sum(axis=2))
-        combos = list(combinations(range(n), k))
-        # combo_min[c, i] = distance of point i to its nearest center of combo c
-        self.combo_min = np.stack([dist[:, list(c)].min(axis=1) for c in combos]) \
-            if combos else np.zeros((0, n))
+        # combo_min[i, c] = distance of point i to its nearest center of combo c
+        self.combo_min = np.empty((n, n_combos))
+        combos = combinations(range(n), k)
+        step = max(CHUNK_ELEMENTS // (n * k), 1)
+        for lo in range(0, n_combos, step):
+            centers = np.array(list(islice(combos, step)), dtype=np.intp)
+            np.min(dist.T[centers], axis=1,
+                   out=self.combo_min[:, lo:lo + len(centers)].T)
 
-    def r_of(self, ids: tuple[int, ...]) -> float:
-        """r_P: min over k-subsets F of the support of K(P, F).
+    @property
+    def chunk_rows(self) -> int:
+        """Mask rows per chunk: the temporaries are rows x C(n,k) floats
+        and rows x n masks."""
+        return max(CHUNK_ELEMENTS // max(self.combo_min.shape[1], self.n), 1)
+
+    def _r_rows(self, masks: np.ndarray) -> np.ndarray:
+        """r_P of every mask row; 0 for an empty row.
 
         With k above the support size there is no k-subset, but k centers
         can sit on every support point, so r_P is 0.
         """
-        if self.combo_min.shape[0] == 0:
-            return 0.0
-        return float(self.combo_min[:, list(ids)].max(axis=1).min())
+        r = np.zeros(masks.shape[0])
+        if self.combo_min.shape[1] == 0:
+            return r
+        step = self.chunk_rows
+        for lo in range(0, masks.shape[0], step):
+            chunk = masks[lo:lo + step]
+            # K(P, F) of every row and combo, reduced over a broadcast view
+            # (no rows x n x C copy); distances are >= 0, so the initial 0
+            # leaves every nonempty row's maximum unchanged
+            table = np.broadcast_to(self.combo_min, (len(chunk),)
+                                    + self.combo_min.shape)
+            K = np.maximum.reduce(table, axis=1, where=chunk[:, :, None],
+                                  initial=0.0)
+            r[lo:lo + step] = K.min(axis=1)
+        return r
+
+    def r_of(self, ids) -> float:
+        """r_P: min over k-subsets F of the support of K(P, F)."""
+        return float(self._r_rows(id_mask(ids, self.n)[None])[0])
+
+    def build_masks(self, masks: np.ndarray) -> CoresetBatch:
+        """The grid construction on every row of a boolean (rows, n) mask
+        matrix.  An empty row, like any row with r_P = 0, is its own
+        coreset under the sentinel grid."""
+        masks = np.asarray(masks, dtype=bool)
+        r = self._r_rows(masks)
+        live = r > 0.0
+        a = np.where(live, _exponent(r), 0)
+        two_a = np.ldexp(1.0, a)
+        side = np.where(live, self.eps * two_a / (4 * self.d), 0.0)
+        core = masks & ~shadowed(self.support, masks, side)
+        refine = live & (self._r_rows(core) < two_a)
+        if refine.any():
+            side[refine] = self.eps * two_a[refine] / (8 * self.d)
+            core[refine] = masks[refine] & ~shadowed(
+                self.support, masks[refine], side[refine])
+        stage = np.where(live, np.where(refine, 2, 1), 0)
+        return CoresetBatch(core=core, side=side, a=a, stage=stage)
+
+    def output(self, batch: CoresetBatch, row: int) -> CoresetOutput:
+        """One row of a batch as a CoresetOutput, with its cells."""
+        coreset = tuple(np.flatnonzero(batch.core[row]).tolist())
+        if batch.stage[row] == 0:
+            return CoresetOutput(coreset=coreset, grid=SENTINEL_GRID, cells={})
+        grid = GridSpec(side=float(batch.side[row]), d=self.d,
+                        a=int(batch.a[row]), stage=int(batch.stage[row]))
+        cells = grid_cells(self.support[list(coreset)], grid.side).tolist()
+        return CoresetOutput(coreset=coreset, grid=grid,
+                             cells={tuple(map(int, cell)): pid
+                                    for cell, pid in zip(cells, coreset)})
 
     def build(self, P_ids) -> CoresetOutput:
-        P_ids = tuple(sorted(int(i) for i in P_ids))
-        if not P_ids:
+        mask = id_mask(P_ids, self.n)
+        if not mask.any():
             raise EmptyRealization("realization has no points")
-        n = self.support.shape[0]
-        if P_ids[0] < 0 or P_ids[-1] >= n:
-            raise SchemaError(f"realization ids must lie in [0, {n})")
-        r_P = self.r_of(P_ids)
-        if r_P == 0.0:
-            return CoresetOutput(coreset=P_ids, grid=SENTINEL_GRID, cells={})
-        a = _exponent(r_P)
-        two_a = math.ldexp(1.0, a)
-        P = self.support[list(P_ids)]
-
-        def stage(side: float, stage_no: int) -> CoresetOutput:
-            grid = GridSpec(side=side, d=self.d, a=a, stage=stage_no)
-            cells = _collect_cells(P_ids, P, grid)
-            core = tuple(sorted(cells.values()))
-            return CoresetOutput(coreset=core, grid=grid, cells=cells)
-
-        out1 = stage(self.eps * two_a / (4 * self.d), 1)
-        if self.r_of(out1.coreset) >= two_a:
-            return out1
-        return stage(self.eps * two_a / (8 * self.d), 2)
+        return self.output(self.build_masks(mask[None]), 0)
 
 
 def coreset_image_size_bound(k: int, d: int, eps: float) -> int:

@@ -11,6 +11,8 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -212,12 +214,48 @@ class Flat:
 # Realization enumeration / sampling / probability
 
 
-def _existential_mask_probs(probs: np.ndarray) -> np.ndarray:
-    """Probability of every bitmask realization; bit i set = point i present."""
-    out = np.ones(1)
-    for p in probs:
-        out = np.concatenate([out * (1.0 - p), out * p])
+def mask_rows(n: int, start: int = 0, stop: int | None = None) -> np.ndarray:
+    """Rows start..stop-1 (default: all 2^n) of the bit-mask enumeration of
+    n points, as a boolean (rows, n) matrix: column i of row r is bit i of
+    r, so row r is the realization with point i present iff that bit is set.
+    """
+    if stop is None:
+        stop = 2 ** n
+    rows = np.arange(start, stop, dtype=np.int64)
+    return ((rows[:, None] >> np.arange(n)) & 1).astype(bool)
+
+
+def mask_probabilities(probs: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """Probability of every existential realization mask (one per row): the
+    product of p_i (present) or 1 - p_i (absent), taken in point order."""
+    factors = np.where(masks, probs, 1.0 - probs)
+    out = np.ones(masks.shape[0])
+    for i in range(masks.shape[1]):
+        out *= factors[:, i]
     return out
+
+
+def id_mask(ids, n: int) -> np.ndarray:
+    """Boolean (n,) mask of a set of point ids.
+
+    Every id must be an integer in [0, n).  A float is accepted only when it
+    is integral (2.0 is id 2, as JSON writers may print it); fractional,
+    non-finite, boolean and non-numeric ids raise SchemaError.
+    """
+    if isinstance(ids, (str, bytes)) or not isinstance(ids, Iterable):
+        raise SchemaError("realization ids must be a list of integers")
+    mask = np.zeros(n, dtype=bool)
+    for i in ids:
+        if type(i) is not int and (
+                isinstance(i, (bool, np.bool_))
+                or not isinstance(i, numbers.Real)
+                or not (isinstance(i, numbers.Integral)
+                        or (math.isfinite(i) and float(i).is_integer()))):
+            raise SchemaError(f"realization id {i!r} is not an integer")
+        if not 0 <= i < n:
+            raise SchemaError(f"realization ids must lie in [0, {n})")
+        mask[int(i)] = True
+    return mask
 
 
 def enumerate_realizations(instance: Instance, keep_zero: bool = False):
@@ -230,14 +268,14 @@ def enumerate_realizations(instance: Instance, keep_zero: bool = False):
         n = instance.n
         if n > MAX_EXISTENTIAL_N:
             raise InstanceTooLarge(f"existential n={n} exceeds {MAX_EXISTENTIAL_N}")
-        mask_probs = _existential_mask_probs(instance.probs)
+        masks = mask_rows(n)
         out = []
-        for mask in range(2 ** n):
-            pr = float(mask_probs[mask])
+        for row, pr in zip(masks.tolist(),
+                           mask_probabilities(instance.probs, masks).tolist()):
             if pr == 0.0 and not keep_zero:
                 continue
-            ids = tuple(i for i in range(n) if (mask >> i) & 1)
-            out.append((Realization(ids=ids), pr))
+            out.append((Realization(ids=tuple(itertools.compress(range(n), row))),
+                        pr))
         return out
 
     n, m = instance.n, instance.m

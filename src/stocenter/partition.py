@@ -4,23 +4,38 @@ A realization maps through the grid construction to its coreset; this module
 computes Pr[coreset = S] for candidate subsets S.  Existential instances use
 the closed-form per-cell product; locational instances use an exact dynamic
 program over node occupancy counts (summing the per-sequence holant values).
+
+Both modes of ``build_weighted_image`` run the batched construction
+(``CoresetBuilder.build_masks``) over chunks of ``chunk_rows`` mask rows:
+every realization (exhaustive) or every candidate subset (subsets).  In
+subsets mode the existential masses come out of the same batch; locational
+classes then go one at a time through ``prob_locational``, whose occupancy
+DP is per class.  ``membership_check`` (through ``CoresetBuilder.build``),
+``prob_existential`` and ``forbidden_and_tail_sets`` are one-row calls of
+the batched code.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, compress, islice
 
 import numpy as np
 
-from .errors import (EnumerationGuardExceeded, NotFull,
+from .errors import (EnumerationGuardExceeded, InstanceTooLarge, NotFull,
                      StateSpaceGuardExceeded)
-from .grid_coreset import (CoresetBuilder, GridSpec, coreset_image_size_bound)
-from .model import ExistentialInstance, Instance, LocationalInstance
+from .grid_coreset import (CoresetBuilder, GridSpec, coreset_image_size_bound,
+                           shadowed)
+from .model import (MAX_EXISTENTIAL_N, ExistentialInstance, Instance,
+                    LocationalInstance, enumerate_realizations, id_mask,
+                    mask_probabilities, mask_rows)
 
 MAX_SUBSET_ENUMERATION = 10 ** 6
 MAX_HOLANT_STATES = 10 ** 7
+
+# Verdict codes of the batched membership test.
+NOT_IN_IMAGE, SINGLETON, FULL = 0, 1, 2
 
 
 @dataclass(frozen=True)
@@ -44,11 +59,74 @@ def _builder(instance: Instance, k: int, eps: float) -> CoresetBuilder:
     return CoresetBuilder(instance.support_points, k, eps)
 
 
+def _ids(masks: np.ndarray) -> list[tuple[int, ...]]:
+    """Ascending point ids of every mask row."""
+    cols = range(masks.shape[1])
+    return [tuple(compress(cols, row)) for row in masks.tolist()]
+
+
+def _checked_ids(S_ids, n: int) -> tuple[int, ...]:
+    """S_ids validated against a support of n points, ascending, distinct."""
+    return _ids(id_mask(S_ids, n)[None])[0]
+
+
+def _group_rows(masks: np.ndarray):
+    """The distinct rows of a boolean matrix, and each row's index among
+    them."""
+    order = np.lexsort(masks.T)
+    ordered = masks[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    inverse = np.empty(len(order), dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return ordered[first], inverse
+
+
+def _classify(builder: CoresetBuilder, masks: np.ndarray, k: int):
+    """Verdict code of every candidate row S, and the construction's batch.
+
+    S with at most k points is a Singleton (the only realization mapping to
+    S is S itself, the empty set included); a larger S is Full when the
+    construction run on S returns S, and NotInImage otherwise.
+    """
+    batch = builder.build_masks(masks)
+    kind = np.where((batch.core == masks).all(axis=1), FULL, NOT_IN_IMAGE)
+    kind[masks.sum(axis=1) <= k] = SINGLETON
+    return kind, batch
+
+
+def _tails(support: np.ndarray, masks: np.ndarray, side: np.ndarray):
+    """T(S) of every Full row S on its grid of side ``side[row]``: the points
+    outside S whose cell holds a smaller-index point of S.  Each such cell
+    holds exactly one point of S, its representative."""
+    return shadowed(support, masks, side) & ~masks
+
+
+def _existential_masses(builder: CoresetBuilder, probs: np.ndarray,
+                        masks: np.ndarray, k: int) -> np.ndarray:
+    """Pr over realizations P of [coreset(P) = S] for every row S, in closed
+    form; 0 for rows not in the image."""
+    kind, batch = _classify(builder, masks, k)
+    w = np.zeros(masks.shape[0])
+    single = kind == SINGLETON
+    w[single] = np.prod(np.where(masks[single], probs, 1.0 - probs), axis=1)
+    # Full: one factor per support point, in index order: p at a
+    # representative, 1 for a point of T(S) (unconstrained), and 1 - p for
+    # a smaller-index cellmate of a representative or a point in an
+    # unoccupied cell (both must be absent).
+    full = np.flatnonzero(kind == FULL)
+    S = masks[full]
+    tail = _tails(builder.support, S, batch.side[full])
+    factors = np.where(S, probs, np.where(tail, 1.0, 1.0 - probs))
+    w[full] = np.multiply.accumulate(factors, axis=1)[:, -1]
+    return w
+
+
 def membership_check(S_ids, instance: Instance, k: int, eps: float,
                      builder: CoresetBuilder | None = None) -> MembershipVerdict:
     """Classify S as NotInImage, Singleton, or Full by running the grid
-    construction on S itself."""
-    S_ids = tuple(sorted(int(i) for i in S_ids))
+    construction on S itself (``build``, the one-row call)."""
+    S_ids = _checked_ids(S_ids, instance.support_points.shape[0])
     if len(S_ids) <= k:
         # Includes the empty set: the only realization mapping to S is S.
         return MembershipVerdict(kind="Singleton")
@@ -60,40 +138,13 @@ def membership_check(S_ids, instance: Instance, k: int, eps: float,
     return MembershipVerdict(kind="Full", grid=out.grid, cells=dict(out.cells))
 
 
-def _support_cells(instance: Instance, grid: GridSpec):
-    return [grid.cell_of(x) for x in instance.support_points]
-
-
 def prob_existential(S_ids, instance: ExistentialInstance, k: int, eps: float,
-                     builder: CoresetBuilder | None = None,
-                     verdict: MembershipVerdict | None = None) -> float:
+                     builder: CoresetBuilder | None = None) -> float:
     """Pr over realizations P of [coreset(P) = S], computed in closed form."""
-    S_ids = tuple(sorted(int(i) for i in S_ids))
-    if verdict is None:
-        verdict = membership_check(S_ids, instance, k, eps, builder)
-    if verdict.kind == "NotInImage":
-        return 0.0
-    p = instance.probs
-    if verdict.kind == "Singleton":
-        inside = np.zeros(instance.n, dtype=bool)
-        inside[list(S_ids)] = True
-        return float(np.prod(np.where(inside, p, 1.0 - p)))
-    # Full: one factor per support point, grouped by its cell.
-    cells = verdict.cells
-    result = 1.0
-    cell_of = _support_cells(instance, verdict.grid)
-    for i in range(instance.n):
-        c = cell_of[i]
-        if c in cells:
-            rep = cells[c]
-            if i < rep:
-                result *= 1.0 - p[i]
-            elif i == rep:
-                result *= p[i]
-            # larger-index points in an occupied cell are unconstrained
-        else:
-            result *= 1.0 - p[i]
-    return float(result)
+    if builder is None:
+        builder = _builder(instance, k, eps)
+    masks = id_mask(S_ids, instance.n)[None]
+    return float(_existential_masses(builder, instance.probs, masks, k)[0])
 
 
 def forbidden_and_tail_sets(S_ids, instance: Instance, k: int, eps: float,
@@ -103,26 +154,16 @@ def forbidden_and_tail_sets(S_ids, instance: Instance, k: int, eps: float,
     Forbidden: points in unoccupied cells plus smaller-index points in
     occupied cells.  T(S): larger-index points in occupied cells.
     """
-    S_ids = tuple(sorted(int(i) for i in S_ids))
+    mask = id_mask(S_ids, instance.support_points.shape[0])
     if verdict is None:
         verdict = membership_check(S_ids, instance, k, eps)
     if verdict.kind != "Full":
         raise NotFull("forbidden/tail decomposition requires a Full verdict")
-    S_set = set(S_ids)
-    forbidden, tail = set(), set()
-    cell_of = _support_cells(instance, verdict.grid)
-    for i in range(instance.support_points.shape[0]):
-        if i in S_set:
-            continue
-        c = cell_of[i]
-        if c in verdict.cells:
-            if i < verdict.cells[c]:
-                forbidden.add(i)
-            else:
-                tail.add(i)
-        else:
-            forbidden.add(i)
-    return forbidden, tail
+    tail = _tails(instance.support_points, mask[None],
+                  np.array([verdict.grid.side]))[0]
+    forbidden = ~mask & ~tail
+    return (set(np.flatnonzero(forbidden).tolist()),
+            set(np.flatnonzero(tail).tolist()))
 
 
 def enumerate_sequences(n: int, slots: int):
@@ -159,14 +200,16 @@ def _occupancy_dp(instance: LocationalInstance, S_ids, tail):
         raise StateSpaceGuardExceeded(
             f"occupancy DP needs about {states} states, cap {MAX_HOLANT_STATES}")
     tail = sorted(tail)
-    w_s = instance.probs[:, S_ids]                       # (n, |S|)
-    w_t = instance.probs[:, tail].sum(axis=1) if tail else np.zeros(n)
+    # Python floats: the same IEEE products and sums as numpy scalars, in
+    # the same order, without a numpy scalar per step
+    w_s = instance.probs[:, S_ids].tolist()              # (n, |S|)
+    w_t = (instance.probs[:, tail].sum(axis=1) if tail
+           else np.zeros(n)).tolist()
     dp = {tuple([0] * len(S_ids)): 1.0}
     for i in range(n):
         nxt: dict[tuple, float] = {}
         for state, mass in dp.items():
-            for j in range(len(S_ids)):
-                w = w_s[i, j]
+            for j, w in enumerate(w_s[i]):
                 if w > 0.0:
                     s2 = list(state)
                     s2[j] += 1
@@ -180,7 +223,7 @@ def _occupancy_dp(instance: LocationalInstance, S_ids, tail):
 
 def holant_value(instance: LocationalInstance, S_ids, tail, sequence) -> float:
     """Z for one occupancy sequence (l_1..l_|S|, l_t)."""
-    S_ids = tuple(sorted(int(i) for i in S_ids))
+    S_ids = _checked_ids(S_ids, instance.m)
     ls, lt = sequence[:-1], sequence[-1]
     if sum(ls) + lt != instance.n:
         raise ValueError("sequence must sum to n")
@@ -189,11 +232,9 @@ def holant_value(instance: LocationalInstance, S_ids, tail, sequence) -> float:
 
 
 def prob_locational(S_ids, instance: LocationalInstance, k: int, eps: float,
-                    builder: CoresetBuilder | None = None,
-                    verdict: MembershipVerdict | None = None) -> float:
-    S_ids = tuple(sorted(int(i) for i in S_ids))
-    if verdict is None:
-        verdict = membership_check(S_ids, instance, k, eps, builder)
+                    builder: CoresetBuilder | None = None) -> float:
+    S_ids = _checked_ids(S_ids, instance.m)
+    verdict = membership_check(S_ids, instance, k, eps, builder)
     if verdict.kind == "NotInImage":
         return 0.0
     if verdict.kind == "Singleton":
@@ -209,8 +250,8 @@ def prob_locational(S_ids, instance: LocationalInstance, k: int, eps: float,
         return max(total, 0.0)
     _, tail = forbidden_and_tail_sets(S_ids, instance, k, eps, verdict)
     dp = _occupancy_dp(instance, S_ids, tail)
-    return float(sum(mass for state, mass in dp.items()
-                     if all(c >= 1 for c in state)))
+    # counts are >= 0, so "no zero count" is "every point of S realized"
+    return float(sum(mass for state, mass in dp.items() if 0 not in state))
 
 
 def subset_probability(S_ids, instance: Instance, k: int, eps: float,
@@ -220,26 +261,63 @@ def subset_probability(S_ids, instance: Instance, k: int, eps: float,
     return prob_locational(S_ids, instance, k, eps, builder)
 
 
+def _realization_chunks(instance: Instance, rows: int):
+    """Every realization with nonzero probability in enumeration order, as
+    (support masks, probabilities) chunks of at most ``rows`` rows."""
+    if isinstance(instance, ExistentialInstance):
+        n = instance.n
+        if n > MAX_EXISTENTIAL_N:
+            raise InstanceTooLarge(f"existential n={n} exceeds {MAX_EXISTENTIAL_N}")
+        for lo in range(0, 2 ** n, rows):
+            masks = mask_rows(n, lo, min(lo + rows, 2 ** n))
+            pr = mask_probabilities(instance.probs, masks)
+            keep = pr != 0.0
+            yield masks[keep], pr[keep]
+        return
+    reals = enumerate_realizations(instance)
+    for lo in range(0, len(reals), rows):
+        chunk = reals[lo:lo + rows]
+        masks = np.zeros((len(chunk), instance.m), dtype=bool)
+        for row, (real, _) in enumerate(chunk):
+            masks[row, list(real.assignment)] = True
+        yield masks, np.array([pr for _, pr in chunk])
+
+
+def _candidate_chunks(n: int, sizes, rows: int):
+    """Masks of every subset of range(n) with a size in ``sizes``, by size
+    and then lexicographically, in chunks of at most ``rows`` rows."""
+    for size in sizes:
+        combos = combinations(range(n), size)
+        while block := list(islice(combos, rows)):
+            idx = np.array(block, dtype=np.intp).reshape(len(block), size)
+            masks = np.zeros((len(block), n), dtype=bool)
+            masks[np.arange(len(block))[:, None], idx] = True
+            yield masks
+
+
 def build_weighted_image(instance: Instance, k: int, eps: float,
                          mode: str = "exhaustive") -> WeightedImage:
     """All coreset classes with their exact masses.
 
     exhaustive: group every realization by its coreset (small instances).
     This is the brute-force reference: acceptance criteria 4 and 5 check
-    subsets mode against it.
+    subsets mode against it.  Masses add up per class in enumeration order.
     subsets: iterate candidate subsets up to the size bound, filter by the
     fixed-point membership test, attach closed-form/DP probabilities.
     """
     builder = _builder(instance, k, eps)
+    rows = builder.chunk_rows
     if mode == "exhaustive":
-        from .model import enumerate_realizations
         groups: dict[tuple[int, ...], float] = {}
-        for real, pr in enumerate_realizations(instance):
-            ids = real.point_ids()
-            core = builder.build(ids).coreset if ids else ()
-            groups[core] = groups.get(core, 0.0) + pr
-        entries = tuple(sorted(groups.items()))
-        return WeightedImage(entries=entries, source="Exhaustive")
+        for masks, pr in _realization_chunks(instance, rows):
+            classes, inverse = _group_rows(builder.build_masks(masks).core)
+            keys = _ids(classes)
+            mass = np.array([groups.get(key, 0.0) for key in keys])
+            # ufunc.at adds repeated indices one by one, in row order
+            np.add.at(mass, inverse, pr)
+            groups.update(zip(keys, mass.tolist()))
+        return WeightedImage(entries=tuple(sorted(groups.items())),
+                             source="Exhaustive")
     if mode != "subsets":
         raise ValueError(f"unknown mode {mode!r}")
     n = instance.support_points.shape[0]
@@ -248,18 +326,20 @@ def build_weighted_image(instance: Instance, k: int, eps: float,
     if total > MAX_SUBSET_ENUMERATION:
         raise EnumerationGuardExceeded(
             f"{total} candidate subsets exceed {MAX_SUBSET_ENUMERATION}")
+    # every node always realizes somewhere, so a locational S is nonempty
+    first = 1 if isinstance(instance, LocationalInstance) else 0
     entries = []
-    for size in range(bound + 1):
-        for S in combinations(range(n), size):
-            if isinstance(instance, LocationalInstance) and size == 0:
-                continue  # every node always realizes somewhere
-            verdict = membership_check(S, instance, k, eps, builder)
-            if verdict.kind == "NotInImage":
-                continue
-            if isinstance(instance, ExistentialInstance):
-                w = prob_existential(S, instance, k, eps, builder, verdict)
-            else:
-                w = prob_locational(S, instance, k, eps, builder, verdict)
+    for masks in _candidate_chunks(n, range(first, bound + 1), rows):
+        if isinstance(instance, ExistentialInstance):
+            w = _existential_masses(builder, instance.probs, masks, k)
+            keep = w > 0.0
+            entries.extend(zip(_ids(masks[keep]), w[keep].tolist()))
+            continue
+        # Locational classes go one by one through prob_locational: the
+        # occupancy DP behind each costs far more than its construction.
+        kind, _ = _classify(builder, masks, k)
+        for S in _ids(masks[kind != NOT_IN_IMAGE]):
+            w = prob_locational(S, instance, k, eps, builder)
             if w > 0.0:
                 entries.append((S, w))
     entries.sort()

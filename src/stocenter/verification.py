@@ -8,7 +8,6 @@ interactive runs, the full scale uses the acceptance counts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -18,7 +17,7 @@ from .grid_coreset import CoresetBuilder, coreset_image_size_bound
 from .jflat import (SJFCCoreset, build_S1, build_S2, estimate_J,
                     sjfc_pipeline, sweep_convexK)
 from .model import (CenterSet, ExistentialInstance, Flat, LocationalInstance,
-                    _existential_mask_probs)
+                    mask_probabilities, mask_rows)
 from .objective import (expected_flatcenter_exact, expected_objective_exact,
                         shape_distances)
 from .oracle import minimum_enclosing_ball
@@ -69,19 +68,9 @@ def _rand_centers(rng, count, k, d, scale=12.0):
     return rng.uniform(-scale, scale, size=(count, k, d))
 
 
-@lru_cache(maxsize=None)
-def _mask_matrix(n: int) -> np.ndarray:
-    idx = np.arange(2 ** n, dtype=np.int64)
-    return ((idx[:, None] >> np.arange(n)) & 1).astype(bool)
-
-
-def _enum_value_exist(instance: ExistentialInstance, dists: np.ndarray,
-                      masks=None, mprobs=None) -> float:
+def _enum_value_exist(dists: np.ndarray, masks: np.ndarray,
+                      mprobs: np.ndarray) -> float:
     """Expected max distance by full 2^n enumeration, vectorized."""
-    if masks is None:
-        masks = _mask_matrix(instance.n)
-    if mprobs is None:
-        mprobs = _existential_mask_probs(instance.probs)
     vals = np.where(masks, dists[None, :], -np.inf).max(axis=1)
     vals[0] = 0.0  # empty realization
     return float(mprobs @ np.maximum(vals, 0.0))
@@ -123,14 +112,14 @@ def criterion_1(scale: str, seed: int = 101, **_) -> CheckResult:
         d = int(rng.integers(1, 4))
         k = int(rng.integers(1, 3))
         inst = _rand_exist(rng, n, d)
-        masks = _mask_matrix(n)
-        mprobs = _existential_mask_probs(inst.probs)
+        masks = mask_rows(n)
+        mprobs = mask_probabilities(inst.probs, masks)
         F_batch = _rand_centers(rng, c["c1_F"], k, d)
         dmat = _min_center_dists(inst.points, F_batch)
         for f in range(c["c1_F"]):
             F = CenterSet(centers=F_batch[f])
             exact = expected_objective_exact(inst, F).value
-            enum = _enum_value_exist(inst, dmat[:, f], masks, mprobs)
+            enum = _enum_value_exist(dmat[:, f], masks, mprobs)
             worst = max(worst, abs(exact - enum))
     for _i in range(c["c1_loc"]):
         n = int(rng.integers(2, 7))

@@ -77,6 +77,28 @@ def test_grid_coreset_rejects_ids_outside_instance(ids, tmp_path, capsys):
     assert "[0, 5)" in captured.err
 
 
+@pytest.mark.parametrize("ids, code", [("[0.7, 2.9]", 2), ("[0, 2.5]", 2),
+                                       ("[true, 2]", 2), ("2", 2),
+                                       ("[0.0, 2.0]", 0), ("[2, 0]", 0)])
+def test_grid_coreset_ids_must_be_integral(ids, code, tmp_path, capsys):
+    inst = str(tmp_path / "inst.json")
+    assert main(["generate", "--n", "5", "--seed", "0",
+                 "--output", inst]) == 0
+    outputs = []
+    for text in (ids, "[0, 2]"):
+        rfile = tmp_path / "real.json"
+        rfile.write_text(text)
+        outputs.append((main(["grid-coreset", "--instance", inst,
+                              "--realization", str(rfile), "--k", "1",
+                              "--eps", "0.5"]), capsys.readouterr()))
+    (got, captured), (_, integral) = outputs
+    assert got == code
+    if code == 0:
+        assert captured.out == integral.out  # same as the integer ids
+    else:
+        assert captured.out == "" and "integer" in captured.err
+
+
 def test_partition_command(inst_file, capsys):
     code, out = _run(["partition", "--instance", inst_file, "--k", "1",
                       "--eps", "0.5"], capsys)
