@@ -1,7 +1,7 @@
 """Command-line front-end.
 
 Subcommands: evaluate, grid-coreset, partition, solve, jflat, oracle,
-generate, bench, verify.  JSON for structured outputs, CSV for tables.
+generate, verify.  Structured outputs are JSON.
 Exit codes: 0 ok, 2 usage, 3 guard exceeded, 4 verification failure.
 """
 
@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
 
 import numpy as np
 
@@ -18,12 +17,11 @@ from .errors import GuardExceeded, StocenterError
 from .gkm import skc_pipeline
 from .grid_coreset import CoresetBuilder, coreset_image_size_bound
 from .model import (ExistentialInstance, Instance, LocationalInstance,
-                    instance_to_dict, load_instance, load_shape,
-                    sample_realization)
+                    instance_to_dict, load_instance, load_shape)
 from .objective import (expected_objective_exact, expected_objective_mc)
 from .oracle import oracle_expected_objective, oracle_solver_instance
 from .partition import build_weighted_image
-from .serialize import dumps_json, rows_to_csv, write_json
+from .serialize import dumps_json, write_json
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -181,45 +179,6 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def bench_rows(seed: int, eps_list=(0.25, 0.5), n_list=(6, 8, 10),
-               k_list=(1, 2)):
-    """Benchmark sweep; every column except the wall_seconds one is a pure
-    function of the seed."""
-    header = ["kind", "n", "k", "eps", "coreset_size", "size_bound",
-              "image_classes", "approx_ratio", "wall_seconds"]
-    rows = []
-    for n in n_list:
-        for k in k_list:
-            for eps in eps_list:
-                t0 = time.perf_counter()
-                inst = generate_instance("uniform", "existential", n, 2,
-                                         seed + 13 * n + k)
-                rng = np.random.default_rng([seed, n, k])
-                ids = sample_realization(inst, rng).ids or (0,)
-                out = CoresetBuilder(inst.points, k, eps).build(ids)
-                image = build_weighted_image(inst, k, eps, mode="exhaustive")
-                F, value, _ = skc_pipeline(inst, k, eps, strategy="full")
-                oracle_F, oracle_v = oracle_solver_instance(inst, k,
-                                                            resolution=9)
-                ratio = value / oracle_v if oracle_v > 0 else 1.0
-                wall = time.perf_counter() - t0
-                rows.append(["uniform", n, k, float(eps), out.size,
-                             coreset_image_size_bound(k, 2, eps),
-                             len(image.entries), float(ratio), float(wall)])
-    return header, rows
-
-
-def cmd_bench(args) -> int:
-    header, rows = bench_rows(args.seed)
-    text = rows_to_csv(header, rows)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return EXIT_OK
-
-
 def cmd_verify(args) -> int:
     from .verification import run_all
     scale = "full" if args.full else "quick"
@@ -319,11 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--output")
     p.set_defaults(func=cmd_generate)
-
-    p = sub.add_parser("bench", help="seeded benchmark sweep to CSV")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--output")
-    p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("verify", help="run the acceptance checks")
     p.add_argument("--full", action="store_true",

@@ -70,10 +70,6 @@ class WeightedCollection:
     def size(self) -> int:
         return self.packed.size
 
-    @property
-    def max_set_size(self) -> int:
-        return int(np.diff(self.packed.offsets).max(initial=0))
-
     def union_points(self) -> np.ndarray:
         return self.packed.points
 

@@ -26,12 +26,10 @@ from itertools import combinations, islice
 import numpy as np
 
 from .errors import CombinationGuardExceeded, EmptyRealization
-from .model import id_mask
+from .model import CHUNK_ELEMENTS, id_mask
 
 # Cap on the entries of the C(n,k) x n combo_min table (80 MB of float64).
 MAX_COMBO_ENTRIES = 10 ** 7
-# Entries of the largest per-chunk temporary of the batched construction.
-CHUNK_ELEMENTS = 2 ** 17
 
 
 @dataclass(frozen=True, eq=False)

@@ -4,17 +4,26 @@ Point ids are 0-based input-file positions and are never reassigned; every
 "smallest index" tie-break elsewhere in the package refers to these ids.
 All types are immutable after construction and safe to share across threads;
 random state is always caller-owned and passed explicitly.
+
+This module is the only owner of exhaustive realization enumeration:
+``realization_chunks`` walks every realization of either model in chunks
+(bit masks from ``mask_rows``, node -> location assignments from
+``assignment_rows``), applies both enumeration guards and the
+zero-probability filter, and takes each probability from
+``realization_probabilities``, the one product rule per model.
+``enumerate_realizations``, ``realization_probability``, the exhaustive
+weighted image and acceptance criterion 1 all read these.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import numbers
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import compress
 
 import numpy as np
 
@@ -24,8 +33,9 @@ from .errors import DimensionMismatch, InstanceTooLarge, SchemaError
 MAX_EXISTENTIAL_N = 24
 MAX_LOCATIONAL_STATES = 2 ** 24
 
-# Above this many factors, probability products are accumulated in log space.
-LOGSPACE_THRESHOLD = 50
+# Entries of the largest temporary of one chunk, in the realization
+# enumeration (rows x n) and in the batched grid construction.
+CHUNK_ELEMENTS = 2 ** 17
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -144,10 +154,6 @@ class Realization:
     ids: tuple[int, ...] = ()
     assignment: tuple[int, ...] | None = None
 
-    @property
-    def is_locational(self) -> bool:
-        return self.assignment is not None
-
     def point_ids(self) -> tuple[int, ...]:
         """Distinct support-point ids realized, ascending."""
         if self.assignment is not None:
@@ -225,13 +231,33 @@ def mask_rows(n: int, start: int = 0, stop: int | None = None) -> np.ndarray:
     return ((rows[:, None] >> np.arange(n)) & 1).astype(bool)
 
 
-def mask_probabilities(probs: np.ndarray, masks: np.ndarray) -> np.ndarray:
-    """Probability of every existential realization mask (one per row): the
-    product of p_i (present) or 1 - p_i (absent), taken in point order."""
-    factors = np.where(masks, probs, 1.0 - probs)
-    out = np.ones(masks.shape[0])
-    for i in range(masks.shape[1]):
-        out *= factors[:, i]
+def assignment_rows(n: int, m: int, start: int = 0,
+                    stop: int | None = None) -> np.ndarray:
+    """Rows start..stop-1 (default: all m^n) of the enumeration of node ->
+    location assignments of n nodes over m locations, as an integer (rows, n)
+    matrix in ``itertools.product(range(m), repeat=n)`` order: row r holds
+    the n base-m digits of r, most significant first, so the last node
+    varies fastest."""
+    if stop is None:
+        stop = m ** n
+    rows = np.arange(start, stop, dtype=np.int64)
+    place = m ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    return rows[:, None] // place % m
+
+
+def realization_probabilities(instance: Instance,
+                              rows: np.ndarray) -> np.ndarray:
+    """Probability of every realization row: a presence mask (existential)
+    or a node -> location assignment (locational).  It is the product of
+    p_i or 1 - p_i per point, or of the node's row entry per node, taken
+    in point or node order."""
+    if isinstance(instance, ExistentialInstance):
+        factors = np.where(rows, instance.probs, 1.0 - instance.probs)
+    else:
+        factors = instance.probs[np.arange(instance.n), rows]
+    out = np.ones(rows.shape[0])
+    for column in factors.T:
+        out *= column
     return out
 
 
@@ -258,37 +284,59 @@ def id_mask(ids, n: int) -> np.ndarray:
     return mask
 
 
+def realization_chunks(instance: Instance, rows: int | None = None,
+                       keep_zero: bool = False):
+    """Every realization with its probability, in enumeration order, as
+    (realization rows, probabilities) chunks.
+
+    The rows are ``mask_rows`` (existential) or ``assignment_rows``
+    (locational).  A chunk has at most ``rows`` rows and at most
+    ``CHUNK_ELEMENTS`` realization entries (at least one row).
+    Zero-probability realizations are dropped unless keep_zero is set.
+    Raises InstanceTooLarge past the enumeration guards, before any row
+    is built.
+    """
+    n = instance.n
+    existential = isinstance(instance, ExistentialInstance)
+    if existential:
+        if n > MAX_EXISTENTIAL_N:
+            raise InstanceTooLarge(f"existential n={n} exceeds {MAX_EXISTENTIAL_N}")
+        total = 2 ** n
+    else:
+        total = instance.m ** n
+        if total > MAX_LOCATIONAL_STATES:
+            raise InstanceTooLarge(f"locational m^n={total} exceeds {MAX_LOCATIONAL_STATES}")
+    step = max(CHUNK_ELEMENTS // max(n, 1), 1)
+    if rows is not None:
+        step = min(step, rows)
+    for lo in range(0, total, step):
+        hi = min(lo + step, total)
+        block = mask_rows(n, lo, hi) if existential \
+            else assignment_rows(n, instance.m, lo, hi)
+        pr = realization_probabilities(instance, block)
+        if not keep_zero:
+            keep = pr != 0.0
+            block, pr = block[keep], pr[keep]
+        yield block, pr
+
+
 def enumerate_realizations(instance: Instance, keep_zero: bool = False):
-    """All realizations with their probabilities.
+    """All realizations with their probabilities, in the order of
+    ``realization_chunks``.
 
     Probabilities sum to 1 within 1e-12.  Zero-probability realizations are
     dropped unless keep_zero is set.
     """
-    if isinstance(instance, ExistentialInstance):
-        n = instance.n
-        if n > MAX_EXISTENTIAL_N:
-            raise InstanceTooLarge(f"existential n={n} exceeds {MAX_EXISTENTIAL_N}")
-        masks = mask_rows(n)
-        out = []
-        for row, pr in zip(masks.tolist(),
-                           mask_probabilities(instance.probs, masks).tolist()):
-            if pr == 0.0 and not keep_zero:
-                continue
-            out.append((Realization(ids=tuple(itertools.compress(range(n), row))),
-                        pr))
-        return out
-
-    n, m = instance.n, instance.m
-    if m ** n > MAX_LOCATIONAL_STATES:
-        raise InstanceTooLarge(f"locational m^n={m ** n} exceeds {MAX_LOCATIONAL_STATES}")
+    cols = range(instance.n)
     out = []
-    for assignment in itertools.product(range(m), repeat=n):
-        pr = 1.0
-        for node, loc in enumerate(assignment):
-            pr *= instance.probs[node, loc]
-        if pr == 0.0 and not keep_zero:
-            continue
-        out.append((Realization(assignment=assignment), float(pr)))
+    for block, pr in realization_chunks(instance, keep_zero=keep_zero):
+        if isinstance(instance, ExistentialInstance):
+            reals = [Realization(ids=tuple(compress(cols, row)))
+                     for row in block.tolist()]
+        else:
+            reals = [Realization(assignment=tuple(row))
+                     for row in block.tolist()]
+        out.extend(zip(reals, pr.tolist()))
     return out
 
 
@@ -323,21 +371,14 @@ def sample_realization(instance: Instance, rng: np.random.Generator) -> Realizat
 
 
 def realization_probability(instance: Instance, realization: Realization) -> float:
-    """Pr[|= P]: product of inclusion/exclusion factors (existential) or of
-    per-node row entries (locational)."""
+    """Pr[|= P]: the one-row call of ``realization_probabilities``."""
     if isinstance(instance, ExistentialInstance):
-        present = np.zeros(instance.n, dtype=bool)
-        present[list(realization.ids)] = True
-        factors = np.where(present, instance.probs, 1.0 - instance.probs)
+        row = id_mask(realization.ids, instance.n)
     else:
         if realization.assignment is None or len(realization.assignment) != instance.n:
             raise SchemaError("locational realization needs a total assignment")
-        factors = instance.probs[np.arange(instance.n), list(realization.assignment)]
-    if len(factors) > LOGSPACE_THRESHOLD:
-        if np.any(factors == 0.0):
-            return 0.0
-        return float(math.exp(np.log(factors).sum()))
-    return float(np.prod(factors))
+        row = np.array(realization.assignment, dtype=np.intp)
+    return float(realization_probabilities(instance, row[None])[0])
 
 
 # ---------------------------------------------------------------------------

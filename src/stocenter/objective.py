@@ -232,6 +232,9 @@ def expected_objective_mc(instance: Instance, shape: Shape, samples: int,
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    if instance.n == 0:  # every realization is empty
+        return ObjectiveValue(0.0, "MonteCarlo", samples=samples, seed=seed,
+                              stderr=0.0)
     dists = shape_distances(instance.support_points, shape)
     rows = max(MC_CHUNK_ELEMENTS // instance.n, 1)
     vals = np.empty(samples)

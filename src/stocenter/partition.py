@@ -7,10 +7,15 @@ program over node occupancy counts (summing the per-sequence holant values).
 
 Both modes of ``build_weighted_image`` run the batched construction
 (``CoresetBuilder.build_masks``) over chunks of ``chunk_rows`` mask rows:
-every realization (exhaustive) or every candidate subset (subsets).  In
-subsets mode the existential masses come out of the same batch; locational
-classes then go one at a time through ``prob_locational``, whose occupancy
-DP is per class.  ``membership_check`` (through ``CoresetBuilder.build``),
+every realization (exhaustive) or every candidate subset (subsets).
+Exhaustive mode reads the realizations and their probabilities from
+``model.realization_chunks``, which owns the enumeration order, guards and
+zero-probability filter; a locational assignment becomes the mask of the
+locations its nodes took.  Memory is one chunk plus the classes, in both
+models.  In subsets mode the existential masses come out of the same
+batch; locational classes then go one at a time through
+``prob_locational``, whose occupancy DP is per class.
+``membership_check`` (through ``CoresetBuilder.build``),
 ``prob_existential`` and ``forbidden_and_tail_sets`` are one-row calls of
 the batched code.
 """
@@ -23,13 +28,12 @@ from itertools import combinations, compress, islice
 
 import numpy as np
 
-from .errors import (EnumerationGuardExceeded, InstanceTooLarge, NotFull,
+from .errors import (EnumerationGuardExceeded, NotFull,
                      StateSpaceGuardExceeded)
 from .grid_coreset import (CoresetBuilder, GridSpec, coreset_image_size_bound,
                            shadowed)
-from .model import (MAX_EXISTENTIAL_N, ExistentialInstance, Instance,
-                    LocationalInstance, enumerate_realizations, id_mask,
-                    mask_probabilities, mask_rows)
+from .model import (ExistentialInstance, Instance, LocationalInstance,
+                    id_mask, realization_chunks)
 
 MAX_SUBSET_ENUMERATION = 10 ** 6
 MAX_HOLANT_STATES = 10 ** 7
@@ -261,26 +265,11 @@ def subset_probability(S_ids, instance: Instance, k: int, eps: float,
     return prob_locational(S_ids, instance, k, eps, builder)
 
 
-def _realization_chunks(instance: Instance, rows: int):
-    """Every realization with nonzero probability in enumeration order, as
-    (support masks, probabilities) chunks of at most ``rows`` rows."""
-    if isinstance(instance, ExistentialInstance):
-        n = instance.n
-        if n > MAX_EXISTENTIAL_N:
-            raise InstanceTooLarge(f"existential n={n} exceeds {MAX_EXISTENTIAL_N}")
-        for lo in range(0, 2 ** n, rows):
-            masks = mask_rows(n, lo, min(lo + rows, 2 ** n))
-            pr = mask_probabilities(instance.probs, masks)
-            keep = pr != 0.0
-            yield masks[keep], pr[keep]
-        return
-    reals = enumerate_realizations(instance)
-    for lo in range(0, len(reals), rows):
-        chunk = reals[lo:lo + rows]
-        masks = np.zeros((len(chunk), instance.m), dtype=bool)
-        for row, (real, _) in enumerate(chunk):
-            masks[row, list(real.assignment)] = True
-        yield masks, np.array([pr for _, pr in chunk])
+def _index_masks(idx: np.ndarray, width: int) -> np.ndarray:
+    """Boolean (rows, width) masks, row r set at the columns idx[r]."""
+    masks = np.zeros((idx.shape[0], width), dtype=bool)
+    masks[np.arange(idx.shape[0])[:, None], idx] = True
+    return masks
 
 
 def _candidate_chunks(n: int, sizes, rows: int):
@@ -289,10 +278,8 @@ def _candidate_chunks(n: int, sizes, rows: int):
     for size in sizes:
         combos = combinations(range(n), size)
         while block := list(islice(combos, rows)):
-            idx = np.array(block, dtype=np.intp).reshape(len(block), size)
-            masks = np.zeros((len(block), n), dtype=bool)
-            masks[np.arange(len(block))[:, None], idx] = True
-            yield masks
+            yield _index_masks(
+                np.array(block, dtype=np.intp).reshape(len(block), size), n)
 
 
 def build_weighted_image(instance: Instance, k: int, eps: float,
@@ -309,7 +296,10 @@ def build_weighted_image(instance: Instance, k: int, eps: float,
     rows = builder.chunk_rows
     if mode == "exhaustive":
         groups: dict[tuple[int, ...], float] = {}
-        for masks, pr in _realization_chunks(instance, rows):
+        for real, pr in realization_chunks(instance, rows):
+            # a locational realization's support: the locations its nodes took
+            masks = real if isinstance(instance, ExistentialInstance) \
+                else _index_masks(real, instance.m)
             classes, inverse = _group_rows(builder.build_masks(masks).core)
             keys = _ids(classes)
             mass = np.array([groups.get(key, 0.0) for key in keys])

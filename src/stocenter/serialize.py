@@ -1,15 +1,12 @@
-"""Deterministic JSON/CSV emission.
+"""Deterministic JSON emission.
 
 Floats are rendered with 17 significant digits so round-trips are exact and
-repeated runs are byte-identical; CSV follows RFC 4180 with LF line endings
-and '.' decimals.  The JSON emitter is hand-rolled because the stdlib
-encoder hardwires float repr.
+repeated runs are byte-identical.  The emitter is hand-rolled because the
+stdlib encoder hardwires float repr.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 
 import numpy as np
@@ -72,13 +69,3 @@ def write_json(path, obj, indent: int | None = 2):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(dumps_json(obj, indent=indent))
         fh.write("\n")
-
-
-def rows_to_csv(header, rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([fmt_float(v) if isinstance(v, (float, np.floating))
-                         else v for v in row])
-    return buf.getvalue()

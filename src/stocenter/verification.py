@@ -17,7 +17,7 @@ from .grid_coreset import CoresetBuilder, coreset_image_size_bound
 from .jflat import (SJFCCoreset, build_S1, build_S2, estimate_J,
                     sjfc_pipeline, sweep_convexK)
 from .model import (CenterSet, ExistentialInstance, Flat, LocationalInstance,
-                    mask_probabilities, mask_rows)
+                    realization_chunks, sample_realization)
 from .objective import (expected_flatcenter_exact, expected_objective_exact,
                         shape_distances)
 from .oracle import minimum_enclosing_ball
@@ -68,35 +68,34 @@ def _rand_centers(rng, count, k, d, scale=12.0):
     return rng.uniform(-scale, scale, size=(count, k, d))
 
 
-def _enum_value_exist(dists: np.ndarray, masks: np.ndarray,
-                      mprobs: np.ndarray) -> float:
-    """Expected max distance by full 2^n enumeration, vectorized."""
-    vals = np.where(masks, dists[None, :], -np.inf).max(axis=1)
-    vals[0] = 0.0  # empty realization
-    return float(mprobs @ np.maximum(vals, 0.0))
-
-
-def _assignment_matrix(n: int, m: int) -> np.ndarray:
-    idx = np.arange(m ** n, dtype=np.int64)
-    cols = []
-    for _ in range(n):
-        cols.append(idx % m)
-        idx //= m
-    return np.stack(cols, axis=1)
-
-
-def _enum_value_loc(instance: LocationalInstance, dists: np.ndarray) -> float:
-    assign = _assignment_matrix(instance.n, instance.m)
-    pr = np.prod(instance.probs[np.arange(instance.n)[None, :], assign],
-                 axis=1)
-    vals = dists[assign].max(axis=1)
-    return float(pr @ vals)
+def _enum_values(instance, dmat: np.ndarray) -> np.ndarray:
+    """Expected max distance by full enumeration, for every column of the
+    (support, F) distance matrix ``dmat``."""
+    out = np.zeros(dmat.shape[1])
+    for rows, pr in realization_chunks(instance):
+        for f, dists in enumerate(dmat.T):
+            if isinstance(instance, ExistentialInstance):
+                # distances are >= 0: an absent point's 0 never wins, and
+                # the empty realization scores 0
+                vals = np.where(rows, dists, 0.0).max(axis=1)
+            else:
+                vals = dists[rows].max(axis=1)
+            out[f] += pr @ vals
+    return out
 
 
 def _min_center_dists(points: np.ndarray, F_batch: np.ndarray) -> np.ndarray:
     """(n_points, n_F) min distance to each batch center set."""
     diff = points[:, None, None, :] - F_batch[None, :, :, :]
     return np.sqrt((diff ** 2).sum(axis=3)).min(axis=2)
+
+
+def _c1_error(instance, F_batch: np.ndarray) -> float:
+    """Largest |exact - enumeration| over the center sets of F_batch."""
+    dmat = _min_center_dists(instance.support_points, F_batch)
+    exact = [expected_objective_exact(instance, CenterSet(centers=F)).value
+             for F in F_batch]
+    return float(np.abs(np.array(exact) - _enum_values(instance, dmat)).max())
 
 
 # ---------------------------------------------------------------------------
@@ -112,15 +111,8 @@ def criterion_1(scale: str, seed: int = 101, **_) -> CheckResult:
         d = int(rng.integers(1, 4))
         k = int(rng.integers(1, 3))
         inst = _rand_exist(rng, n, d)
-        masks = mask_rows(n)
-        mprobs = mask_probabilities(inst.probs, masks)
         F_batch = _rand_centers(rng, c["c1_F"], k, d)
-        dmat = _min_center_dists(inst.points, F_batch)
-        for f in range(c["c1_F"]):
-            F = CenterSet(centers=F_batch[f])
-            exact = expected_objective_exact(inst, F).value
-            enum = _enum_value_exist(dmat[:, f], masks, mprobs)
-            worst = max(worst, abs(exact - enum))
+        worst = max(worst, _c1_error(inst, F_batch))
     for _i in range(c["c1_loc"]):
         n = int(rng.integers(2, 7))
         m = int(rng.integers(2, 5))
@@ -128,12 +120,7 @@ def criterion_1(scale: str, seed: int = 101, **_) -> CheckResult:
         k = int(rng.integers(1, 3))
         inst = _rand_loc(rng, n, m, d)
         F_batch = _rand_centers(rng, c["c1_locF"], k, d)
-        dmat = _min_center_dists(inst.locations, F_batch)
-        for f in range(c["c1_locF"]):
-            F = CenterSet(centers=F_batch[f])
-            exact = expected_objective_exact(inst, F).value
-            enum = _enum_value_loc(inst, dmat[:, f])
-            worst = max(worst, abs(exact - enum))
+        worst = max(worst, _c1_error(inst, F_batch))
     ok = worst <= 1e-9
     return CheckResult("criterion 1 exact-objective equivalence", ok,
                        f"max |exact - enumeration| = {worst:.3e} (tol 1e-9)")
@@ -473,16 +460,26 @@ def criterion_11(scale: str, seed: int = 111, **_) -> CheckResult:
 
 
 def criterion_12(scale: str, seed: int = 112, **_) -> CheckResult:
-    from .cli import bench_rows
-    from .serialize import rows_to_csv
+    from .oracle import oracle_solver_instance
 
-    def bench_text():
-        header, rows = bench_rows(seed, eps_list=(0.5,), n_list=(6, 8),
-                                  k_list=(1,))
-        drop = header.index("wall_seconds")
-        header2 = header[:drop] + header[drop + 1:]
-        rows2 = [r[:drop] + r[drop + 1:] for r in rows]
-        return rows_to_csv(header2, rows2)
+    def pipeline_text():
+        # n in {6, 8}, k=1, eps=0.5: a sampled realization, its coreset, the
+        # exhaustive image, the full pipeline and its ratio to the oracle
+        out = []
+        for n in (6, 8):
+            rng = np.random.default_rng([seed, n])
+            inst = _rand_exist(rng, n, 2)
+            ids = sample_realization(inst, rng).ids or (0,)
+            core = CoresetBuilder(inst.points, 1, 0.5).build(ids)
+            image = build_weighted_image(inst, 1, 0.5, mode="exhaustive")
+            F, value, _ = skc_pipeline(inst, 1, 0.5, strategy="full")
+            _oF, oracle_v = oracle_solver_instance(inst, 1, resolution=9)
+            out.append({
+                "n": n, "realization": ids, "coreset": core.coreset,
+                "size_bound": coreset_image_size_bound(1, 2, 0.5),
+                "image": image.entries, "centers": F.centers, "value": value,
+                "ratio": value / oracle_v if oracle_v > 0 else 1.0})
+        return dumps_json(out)
 
     def verify_text():
         rng = np.random.default_rng(seed)
@@ -495,7 +492,7 @@ def criterion_12(scale: str, seed: int = 112, **_) -> CheckResult:
             "flat_base": jF.base, "jvalue": jvalue, "jinfo": jinfo,
         })
 
-    ok = bench_text() == bench_text() and verify_text() == verify_text()
+    ok = pipeline_text() == pipeline_text() and verify_text() == verify_text()
     return CheckResult("criterion 12 determinism of seeded runs", ok,
                        "byte-identical" if ok else "outputs differ between runs")
 

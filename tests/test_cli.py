@@ -5,10 +5,10 @@ import sys
 import numpy as np
 import pytest
 
-from stocenter.cli import bench_rows, generate_instance, main
+from stocenter.cli import generate_instance, main
 from stocenter.model import instance_to_dict, shape_to_dict
 from stocenter.model import CenterSet, ExistentialInstance
-from stocenter.serialize import dumps_json, fmt_float, rows_to_csv, write_json
+from stocenter.serialize import dumps_json, fmt_float, write_json
 
 
 @pytest.fixture
@@ -156,17 +156,6 @@ def test_instance_kinds(capsys):
         assert inst.n == 5 and inst.d == 3
 
 
-def test_bench_rows_reproducible_without_timing():
-    header, rows1 = bench_rows(7, eps_list=(0.5,), n_list=(6,), k_list=(1,))
-    _, rows2 = bench_rows(7, eps_list=(0.5,), n_list=(6,), k_list=(1,))
-    assert header[:4] == ["kind", "n", "k", "eps"]
-    drop = header.index("wall_seconds")
-    for a, b in zip(rows1, rows2):
-        assert a[:drop] == b[:drop]
-    ratio = rows1[0][header.index("approx_ratio")]
-    assert ratio >= 1 - 0.5 - 1e-9
-
-
 def test_missing_instance_is_usage_error(capsys):
     code = main(["evaluate", "--instance", "/nonexistent.json",
                  "--shape", "/nonexistent.json"])
@@ -191,7 +180,7 @@ def test_cli_entry_point_help():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     for cmd in ("evaluate", "grid-coreset", "partition", "solve", "jflat",
-                "oracle", "generate", "bench", "verify"):
+                "oracle", "generate", "verify"):
         assert cmd in proc.stdout
 
 
@@ -221,11 +210,3 @@ def test_float_serialization_round_trip():
                                 "d": True}
     pretty = dumps_json({"a": [1.0]}, indent=2)
     assert json.loads(pretty) == {"a": [1.0]}
-
-
-def test_csv_rfc4180():
-    text = rows_to_csv(["a", "b"], [[1, 0.5], ["x,y", 2.0]])
-    lines = text.split("\n")
-    assert lines[0] == "a,b"
-    assert lines[1] == "1,0.5"
-    assert lines[2] == '"x,y",2'

@@ -5,14 +5,15 @@ The loops below are the reference: they are the library's former
 ``CoresetBuilder.build`` (with its ``_collect_cells`` and the ``math.floor``
 cell of every point), the former single-set membership and probability
 helpers, and the former loops of both ``build_weighted_image`` modes and of
-``enumerate_realizations``.  The batched versions must agree with them
+``enumerate_realizations`` (bit masks, and ``itertools.product`` over node
+-> location assignments).  The batched versions must agree with them
 exactly (``==``), not within a tolerance, also with the chunk constant
 patched small so that every batch spans many chunks.
 """
 
 import math
 import tracemalloc
-from itertools import combinations, compress, product
+from itertools import combinations, compress, islice, product
 from unittest import mock
 
 import numpy as np
@@ -20,13 +21,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stocenter import grid_coreset
+from stocenter import grid_coreset, model
 from stocenter.errors import CombinationGuardExceeded, SchemaError
 from stocenter.grid_coreset import (CoresetBuilder, GridSpec, _exponent,
                                     grid_cells)
 from stocenter.model import (ExistentialInstance, LocationalInstance,
-                             enumerate_realizations, mask_probabilities,
-                             mask_rows)
+                             Realization, assignment_rows,
+                             enumerate_realizations, mask_rows,
+                             realization_probabilities,
+                             realization_probability)
 from stocenter.partition import (_occupancy_dp, build_weighted_image,
                                  forbidden_and_tail_sets, membership_check,
                                  prob_existential, prob_locational)
@@ -170,6 +173,8 @@ def ref_mask_probs(probs):
 
 
 def ref_realizations(inst, keep_zero=False):
+    """(ids, probability) of every realization, existential, or
+    (assignment, probability), locational."""
     out = []
     if isinstance(inst, ExistentialInstance):
         mask_probs = ref_mask_probs(inst.probs)
@@ -186,14 +191,15 @@ def ref_realizations(inst, keep_zero=False):
             pr *= inst.probs[node, loc]
         if pr == 0.0 and not keep_zero:
             continue
-        out.append((tuple(sorted(set(assignment))), float(pr)))
+        out.append((assignment, float(pr)))
     return out
 
 
 def ref_exhaustive(inst, k, eps):
     builder = RefBuilder(inst.support_points, k, eps)
     groups = {}
-    for ids, pr in ref_realizations(inst):
+    for real, pr in ref_realizations(inst):
+        ids = tuple(sorted(set(real)))
         core = builder.build(ids)[0] if ids else ()
         groups[core] = groups.get(core, 0.0) + pr
     return tuple(sorted(groups.items()))
@@ -267,6 +273,10 @@ SNAPPED = np.array([[0.0], [2.0 - 2e-13], [7.0]])
 
 def chunked(value):
     return mock.patch.object(grid_coreset, "CHUNK_ELEMENTS", value)
+
+
+def enumeration_chunked(value):
+    return mock.patch.object(model, "CHUNK_ELEMENTS", value)
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +378,7 @@ def test_duplicate_points_have_full_classes_without_a_grid():
 
 
 # ---------------------------------------------------------------------------
-# The bit-mask generator
+# The realization enumeration
 
 
 @SETTINGS
@@ -383,17 +393,52 @@ def test_mask_rows_by_range_match_the_bits(n, data):
 
 
 @SETTINGS
-@given(st.lists(prob, min_size=1, max_size=8))
-def test_mask_probabilities_and_enumeration_equal_former_loops(probs):
-    probs = np.array(probs)
-    n = len(probs)
-    assert mask_probabilities(probs, mask_rows(n)).tolist() == \
-        ref_mask_probs(probs).tolist()
-    inst = ExistentialInstance(points=np.zeros((n, 1)), probs=probs)
+@given(st.integers(0, 5), st.integers(1, 4), st.data())
+def test_assignment_rows_by_range_match_itertools_product(n, m, data):
+    lo = data.draw(st.integers(0, m ** n))
+    hi = data.draw(st.integers(lo, m ** n))
+    rows = assignment_rows(n, m, lo, hi)
+    assert rows.shape == (hi - lo, n)
+    assert rows.tolist() == \
+        [list(a) for a in islice(product(range(m), repeat=n), lo, hi)]
+    assert assignment_rows(n, m).tolist() == \
+        [list(a) for a in product(range(m), repeat=n)]
+
+
+@SETTINGS
+@given(st.one_of(st.lists(prob, min_size=1, max_size=8).map(
+    lambda p: ExistentialInstance(points=np.zeros((len(p), 1)), probs=p)),
+    locational_instances()), chunks)
+def test_enumeration_equals_former_loops(inst, chunk):
+    existential = isinstance(inst, ExistentialInstance)
+    if existential:
+        assert realization_probabilities(inst, mask_rows(inst.n)).tolist() \
+            == ref_mask_probs(inst.probs).tolist()
     for keep_zero in (False, True):
-        got = enumerate_realizations(inst, keep_zero=keep_zero)
-        assert [(r.ids, pr) for r, pr in got] == \
-            ref_realizations(inst, keep_zero)
+        with enumeration_chunked(chunk):
+            got = enumerate_realizations(inst, keep_zero=keep_zero)
+        assert [(r.ids if existential else r.assignment, pr)
+                for r, pr in got] == ref_realizations(inst, keep_zero)
+
+
+@SETTINGS
+@given(st.one_of(existential_instances(), locational_instances()))
+def test_realization_probability_is_the_enumerated_probability(inst):
+    for real, pr in enumerate_realizations(inst, keep_zero=True):
+        assert realization_probability(inst, real) == pr
+
+
+@SETTINGS
+@given(st.lists(prob, min_size=51, max_size=90), st.data())
+def test_realization_probability_of_many_factors_is_sequential(probs, data):
+    present = data.draw(st.lists(st.booleans(), min_size=len(probs),
+                                 max_size=len(probs)))
+    pr = 1.0
+    for p, here in zip(probs, present):
+        pr *= p if here else 1.0 - p
+    inst = ExistentialInstance(points=np.zeros((len(probs), 1)), probs=probs)
+    real = Realization(ids=tuple(compress(range(len(probs)), present)))
+    assert realization_probability(inst, real) == pr
 
 
 # ---------------------------------------------------------------------------
@@ -507,4 +552,27 @@ def test_exhaustive_image_memory_is_bounded_by_the_chunk():
     large, image = peak(16)
     assert len(image.entries) == 8 * 9
     # all 2^16 masks alone would take 1 MB, their K(P, F) table 4 MB
+    assert small < 2 ** 18 and large < 2 ** 18
+
+
+def test_locational_exhaustive_image_memory_is_bounded_by_the_chunk():
+    # Four locations give at most 15 classes, while the m^n realizations
+    # grow 16-fold from n = 6 to n = 8.
+    def peak(n):
+        inst = LocationalInstance(
+            locations=[[0.0, 0.0], [10.0, 0.0], [0.0, 10.0], [10.0, 10.0]],
+            probs=np.full((n, 4), 0.25))
+        with chunked(2 ** 10), enumeration_chunked(2 ** 10):
+            tracemalloc.start()
+            try:
+                image = build_weighted_image(inst, 1, 0.5)
+                return tracemalloc.get_traced_memory()[1], image
+            finally:
+                tracemalloc.stop()
+
+    peak(6)  # first-call allocations (caches, lazy imports) are not rows
+    small, _ = peak(6)
+    large, image = peak(8)
+    assert len(image.entries) == 15
+    # one Realization per draw took about 300 B: 20 MB at n = 8
     assert small < 2 ** 18 and large < 2 ** 18

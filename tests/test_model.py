@@ -63,6 +63,11 @@ def test_enumeration_guards():
     big = ExistentialInstance(points=np.zeros((25, 1)), probs=np.full(25, 0.5))
     with pytest.raises(InstanceTooLarge):
         enumerate_realizations(big)
+    # 4^13 = 2^26 assignments
+    big = LocationalInstance(locations=np.zeros((4, 1)),
+                             probs=np.full((13, 4), 0.25))
+    with pytest.raises(InstanceTooLarge):
+        enumerate_realizations(big)
 
 
 def test_enumeration_mass_sums_to_one():

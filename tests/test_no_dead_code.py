@@ -1,9 +1,14 @@
-"""Every top-level function and class of the package is reached.
+"""Every top-level function and class of the package, and every public
+method and property of its classes, is reached.
 
-A definition passes when code in ``src/stocenter`` or ``perfbench/*.py``
-refers to its name (as a bare name or an attribute) outside the definition
-itself, or when ``stocenter/__init__`` exports it.  Import statements do
-not count as references, and the package ``__init__`` is not scanned.
+A top-level definition passes when code in ``src/stocenter`` or
+``perfbench/*.py`` refers to its name (as a bare name or an attribute)
+outside the definition itself, or when ``stocenter/__init__`` exports it.
+A public method or property passes when code in ``src/stocenter``,
+``perfbench/*.py`` or ``tests/*.py`` refers to it outside its own
+definition: some members (``GridSpec.cell_of``,
+``LinearizationMap.flat_coeffs``) exist to be tested.  Import statements
+do not count as references, and the package ``__init__`` is not scanned.
 """
 
 import ast
@@ -11,6 +16,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "stocenter"
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def _references(node) -> list[str]:
@@ -19,27 +25,44 @@ def _references(node) -> list[str]:
             if isinstance(n, (ast.Name, ast.Attribute))]
 
 
-def unreached(modules: dict[str, str], others: list[str],
-              exported: set[str]) -> list[str]:
-    """``module.name`` of each top-level def or class in ``modules``
-    (label -> source) that no code in ``modules`` or ``others`` refers to
-    outside its own definition, unless its name is in ``exported``."""
-    trees = {label: ast.parse(src) for label, src in modules.items()}
+def _counts(sources) -> dict[str, int]:
     counts: dict[str, int] = {}
-    for tree in list(trees.values()) + [ast.parse(s) for s in others]:
+    for tree in sources:
         for name in _references(tree):
             counts[name] = counts.get(name, 0) + 1
-    found = []
+    return counts
+
+
+def _unused(node, counts) -> bool:
+    return counts.get(node.name, 0) - _references(node).count(node.name) == 0
+
+
+def unreached(modules: dict[str, str], others: list[str],
+              exported: set[str], tests: list[str] = ()) -> list[str]:
+    """``module.name`` of each top-level def or class in ``modules``
+    (label -> source) that no code in ``modules`` or ``others`` refers to
+    outside its own definition, unless its name is in ``exported``; then
+    ``module.Class.name`` of each public method or property that no code
+    in ``modules``, ``others`` or ``tests`` refers to outside its own
+    definition."""
+    trees = {label: ast.parse(src) for label, src in modules.items()}
+    library = list(trees.values()) + [ast.parse(s) for s in others]
+    counts = _counts(library)
+    everywhere = _counts(library + [ast.parse(s) for s in tests])
+    found, members = [], []
     for label, tree in trees.items():
         for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                     ast.ClassDef)):
+            if not isinstance(node, FUNCTIONS + (ast.ClassDef,)):
                 continue
-            own = _references(node).count(node.name)
-            if counts.get(node.name, 0) - own == 0 \
-                    and node.name not in exported:
+            if _unused(node, counts) and node.name not in exported:
                 found.append(f"{label}.{node.name}")
-    return found
+            if isinstance(node, ast.ClassDef):
+                members += [f"{label}.{node.name}.{member.name}"
+                            for member in node.body
+                            if isinstance(member, FUNCTIONS)
+                            and not member.name.startswith("_")
+                            and _unused(member, everywhere)]
+    return found + members
 
 
 def _package_exports() -> set[str]:
@@ -52,13 +75,23 @@ def test_every_definition_is_reached():
     modules = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))
                if p.name != "__init__.py"}
     others = [p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py"))]
-    assert unreached(modules, others, _package_exports()) == []
+    tests = [p.read_text() for p in sorted((ROOT / "tests").glob("*.py"))]
+    assert unreached(modules, others, _package_exports(), tests) == []
 
 
 def test_checker_flags_unreached_definitions():
     modules = {"m": "def used():\n    return 1\n\n"
                     "def dead():\n    return dead() + used()\n\n"
-                    "class Kept:\n    pass\n",
+                    "class Kept:\n"
+                    "    def _private(self):\n        return 0\n\n"
+                    "    @property\n"
+                    "    def size(self):\n        return self.size\n\n"
+                    "    def called(self):\n        return 2\n",
                "n": "import m\nx = m.used\n"}
-    assert unreached(modules, [], set()) == ["m.dead", "m.Kept"]
-    assert unreached(modules, ["y = Kept"], {"dead"}) == []
+    assert unreached(modules, [], set()) == \
+        ["m.dead", "m.Kept", "m.Kept.size", "m.Kept.called"]
+    assert unreached(modules, ["y = Kept", "z = Kept().size"], {"dead"},
+                     ["Kept().called()"]) == []
+    # a test reaches a method, but not a top-level definition
+    assert unreached(modules, [], set(), ["Kept().size + dead()"]) == \
+        ["m.dead", "m.Kept", "m.Kept.called"]

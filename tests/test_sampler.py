@@ -25,8 +25,8 @@ from stocenter.jflat import (ConvexKSpec, LinearizationMap, _kernel,
 from stocenter.model import (CenterSet, ExistentialInstance, Flat,
                              LocationalInstance, Realization, realize,
                              sample_realization)
-from stocenter.objective import (MC_CHUNK_ELEMENTS, expected_objective_mc,
-                                 shape_distances)
+from stocenter.objective import (MC_CHUNK_ELEMENTS, expected_objective_exact,
+                                 expected_objective_mc, shape_distances)
 
 SETTINGS = settings(max_examples=120, deadline=None, derandomize=True,
                     database=None)
@@ -294,6 +294,16 @@ def test_mc_matches_loop_at_the_chunk_size(model, n):
         res = expected_objective_mc(instance, shape, samples,
                                     np.random.default_rng(n))
         assert (res.value, res.stderr) == mc_summary(ref[:samples]), samples
+
+
+def test_mc_on_an_instance_without_points():
+    # every realization is empty, so every sample scores 0, as the exact
+    # evaluator says
+    instance = ExistentialInstance(points=np.zeros((0, 2)), probs=np.zeros(0))
+    shape = CenterSet(centers=[[1.0, 2.0]])
+    res = expected_objective_mc(instance, shape, 7, np.random.default_rng(0))
+    assert (res.value, res.stderr, res.samples) == (0.0, 0.0, 7)
+    assert expected_objective_exact(instance, shape).value == 0.0
 
 
 @SETTINGS
