@@ -28,7 +28,7 @@ from .model import (CenterSet, ExistentialInstance, Flat, Instance,
                     shape_from_dict, shape_to_dict)
 from .objective import (ObjectiveValue, expected_flatcenter_exact,
                         expected_objective_exact, expected_objective_mc,
-                        flat_distance, flatcenter_value, kcenter_value,
+                        flat_distance, kcenter_value,
                         realization_objective, shape_distances)
 from .oracle import (minimum_enclosing_ball, oracle_expected_objective,
                      oracle_holant_direct, oracle_min_flat,

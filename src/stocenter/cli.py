@@ -8,6 +8,7 @@ Exit codes: 0 ok, 2 usage, 3 guard exceeded, 4 verification failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -196,7 +197,10 @@ def cmd_verify(args) -> int:
 # Parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and reused by every
+    ``main`` call."""
     parser = argparse.ArgumentParser(
         prog="stocenter",
         description="Clustering and shape fitting over stochastic point sets")
@@ -289,8 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except GuardExceeded as exc:

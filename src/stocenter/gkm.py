@@ -6,14 +6,16 @@ provides sensitivity estimates, importance-sampling coresets, exhaustive
 candidate-coreset enumeration, numerical solvers, and the end-to-end
 stochastic k-center pipeline built on the partition module.
 
-Packed layout.  A ``WeightedCollection`` is packed once, at construction,
-into an ``objective.PackedSets``: all points in one (total, d) array, the
-start offset of each set, one weight per set and an explicit d.  A cost
-evaluation is one ``shape_distances`` call on the packed points and one
-``np.maximum.reduceat`` for the per-set maxima; the first-occurrence
-argmax per set (the farthest point, for subgradients and reassignment)
-comes from the same reduction.  No cost or farthest-point evaluation
-loops over the sets in Python.
+Packed layout.  The collection type is ``objective.WeightedCollection``,
+re-exported here.  It packs the sets once, at construction: all points in
+one (total, d) array, the start offset of each set, one weight per set
+and an explicit d.  A cost evaluation is one ``shape_distances`` call on
+the packed points and one ``np.maximum.reduceat`` for the per-set maxima;
+the first-occurrence argmax per set (the farthest point, for subgradients
+and reassignment) comes from the same reduction.  The discrete k-subset
+pass and the candidate-coreset screen score many center sets at once from
+``objective``'s point-to-candidate table.  No cost or farthest-point
+evaluation loops over the sets in Python.
 
 Sequential sums.  Weighted sums over sets are taken left to right with
 ``np.add.accumulate``, never ``w @ m`` or the pairwise ``np.sum``, so the
@@ -24,54 +26,20 @@ seeded outputs do not move.  Maxima and minima are exact in any order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from itertools import combinations, islice, product
+from dataclasses import dataclass
+from itertools import combinations, product
 
 import numpy as np
 from scipy.optimize import minimize
 
 from .errors import EnumerationGuardExceeded, ZeroCostCandidate
-from .model import CenterSet, ExistentialInstance, Instance
-from .objective import PackedSets, expected_objective_exact, shape_distances
+from .model import CHUNK_ELEMENTS, CenterSet, ExistentialInstance, Instance
+from .objective import (WeightedCollection, _distances, _subset_minima,
+                        expected_objective_exact, shape_distances)
 from .partition import WeightedImage, build_weighted_image
 
 MAX_CANDIDATE_STREAM = 10 ** 7
 MAX_DISCRETE_SUBSETS = 10 ** 5
-# k-subsets scored per batch in the discrete pass, so its memory beyond the
-# (points x unique points) distance table is (points + sets) x DISCRETE_CHUNK
-# floats, whatever the number of subsets.
-DISCRETE_CHUNK = 256
-
-
-@dataclass(frozen=True)
-class WeightedCollection:
-    """Weighted point sets; empty sets are allowed and cost 0.
-
-    ``d`` is inferred from the sets (an empty ``(0, d)`` array counts)
-    unless given.  After construction ``sets`` are read-only views into
-    ``packed.points``.
-    """
-
-    sets: tuple  # of (n_i, d) arrays
-    weights: np.ndarray
-    d: int | None = None
-    packed: PackedSets = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        packed = PackedSets.pack(self.sets, self.weights, self.d)
-        if np.any(packed.weights <= 0.0):
-            raise ValueError("weights must be positive")
-        object.__setattr__(self, "packed", packed)
-        object.__setattr__(self, "sets", packed.sets())
-        object.__setattr__(self, "weights", packed.weights)
-        object.__setattr__(self, "d", packed.d)
-
-    @property
-    def size(self) -> int:
-        return self.packed.size
-
-    def union_points(self) -> np.ndarray:
-        return self.packed.points
 
 
 def collection_from_image(image: WeightedImage,
@@ -106,14 +74,13 @@ class GeneralizedCoreset:
 
 
 def gkm_cost(S: WeightedCollection, F: CenterSet) -> float:
-    return S.packed.cost(F)
+    return S.cost(F)
 
 
 def _farthest_nearest(S: WeightedCollection, F: CenterSet) -> np.ndarray:
     """Index of the center of F nearest to each nonempty set's farthest
-    point from F (first argmax), one entry per ``S.packed.nonempty``."""
-    P = S.packed
-    far = P.points[P.argmax(shape_distances(P.points, F))]
+    point from F (first argmax), one entry per ``S.nonempty``."""
+    far = S.points[S.argmax(shape_distances(S.points, F))]
     return ((F.centers[None, :, :] - far[:, None, :]) ** 2).sum(axis=2) \
         .argmin(axis=1)
 
@@ -133,7 +100,7 @@ def sensitivity_bruteforce(S: WeightedCollection,
         if total <= 0.0:
             raise ZeroCostCandidate("candidate with zero total cost")
         values = np.maximum(values,
-                            S.weights * S.packed.max_distances(F) / total)
+                            S.weights * S.max_distances(F) / total)
     return SensitivityEstimate(values=values, kind="BruteForceLower")
 
 
@@ -157,10 +124,10 @@ def sensitivity_projection_upper(S: WeightedCollection, k: int,
     # only the cluster-mass term survives.
     # Empty sets count toward center 0's cluster mass.
     nearest = np.zeros(N, dtype=int)
-    nearest[S.packed.nonempty] = _farthest_nearest(S, F_hat)
+    nearest[S.nonempty] = _farthest_nearest(S, F_hat)
     cluster_mass = np.zeros(F_hat.k)
     np.add.at(cluster_mass, nearest, S.weights)  # in set order
-    share = S.weights * S.packed.max_distances(F_hat) / total
+    share = S.weights * S.max_distances(F_hat) / total
     # Each set adds its own positive weight, so every cluster mass used here
     # is positive.
     mass_term = 2.0 * S.weights / cluster_mass[nearest]
@@ -232,18 +199,17 @@ def _row_norms(x: np.ndarray) -> np.ndarray:
 def _solve_k1(S: WeightedCollection, tol: float = 1e-10) -> tuple[np.ndarray, float]:
     """Minimize the convex map c -> sum_i w_i max_{s in S_i} ||s - c||."""
     d = S.d
-    P = S.packed
-    pts = P.points
+    pts = S.points
     if pts.shape[0] == 0:
         return np.zeros(d), 0.0
-    w = S.weights[P.nonempty]
+    w = S.weights[S.nonempty]
 
     def fval(c):
         F = CenterSet(centers=c.reshape(1, -1))
         return gkm_cost(S, F)
 
     def farthest(c):
-        return pts[P.argmax(np.linalg.norm(pts - c, axis=1))]
+        return pts[S.argmax(np.linalg.norm(pts - c, axis=1))]
 
     c0 = pts.mean(axis=0)
     # Init at the weighted centroid of per-set farthest points from c0.
@@ -279,37 +245,27 @@ def _solve_k1(S: WeightedCollection, tol: float = 1e-10) -> tuple[np.ndarray, fl
 
 
 def _discrete_pass(S: WeightedCollection, k: int):
-    """Best k-subset of the unique union points, scored DISCRETE_CHUNK
-    subsets at a time.
+    """Best k-subset of the unique packed points, scored
+    ``CHUNK_ELEMENTS // points`` subsets at a time.
 
     Subsets are scanned in ``combinations`` order of the sorted unique
     points, which is lexicographic order of the center sets, so keeping
     the first subset within 1e-15 of the best keeps the lexicographically
     smallest one."""
-    P = S.packed
-    uniq = np.unique(P.points, axis=0)
+    uniq = np.unique(S.points, axis=0)
     if math.comb(uniq.shape[0], k) > MAX_DISCRETE_SUBSETS:
         return None
-    # Distance of every packed point to every unique point, computed as
-    # shape_distances does for one center.
-    D = np.sqrt(((P.points[:, None, :] - uniq[None, :, :]) ** 2).sum(axis=2))
-    combos = combinations(range(uniq.shape[0]), k)
-    subsets, values = [], []
-    while chunk := list(islice(combos, DISCRETE_CHUNK)):
-        idx = np.array(chunk)
-        dist = D[:, idx[:, 0]]                             # (points, chunk)
-        for j in range(1, k):
-            np.minimum(dist, D[:, idx[:, j]], out=dist)
-        terms = P.weights[:, None] * P.maxima(dist)        # (sets, chunk)
-        values.extend(np.add.accumulate(terms, axis=0)[-1].tolist())
-        subsets.extend(chunk)
+    rows = max(CHUNK_ELEMENTS // max(S.points.shape[0], 1), 1)
     best = None
-    for idx, v in zip(subsets, values):
-        if best is None or v < best[1] - 1e-15:
-            best = (idx, v)
+    for subsets, table in _subset_minima(_distances(S.points, uniq), k, rows):
+        terms = S.weights[:, None] * S.maxima(table)      # (sets, chunk)
+        values = np.add.accumulate(terms, axis=0)[-1].tolist()
+        for idx, v in zip(subsets, values):
+            if best is None or v < best[1] - 1e-15:
+                best = (idx, v)
     if best is None:  # fewer unique points than k
         return None
-    return CenterSet(centers=uniq[list(best[0])]), best[1]
+    return CenterSet(centers=uniq[best[0]]), best[1]
 
 
 def _alternating(S: WeightedCollection, k: int, F0: CenterSet,
@@ -320,7 +276,7 @@ def _alternating(S: WeightedCollection, k: int, F0: CenterSet,
         nearest = _farthest_nearest(S, F)
         new_centers = F.centers.copy()
         for j in np.unique(nearest):
-            members = S.packed.nonempty[nearest == j]
+            members = S.nonempty[nearest == j]
             sub = WeightedCollection(sets=tuple(S.sets[i] for i in members),
                                      weights=S.weights[members], d=S.d)
             c, _ = _solve_k1(sub)
@@ -337,7 +293,7 @@ def solve_gkm(S: WeightedCollection, k: int) -> tuple[CenterSet, float]:
     """Best center set found; deterministic for fixed inputs."""
     if S.size == 0:
         raise ValueError("collection must be nonempty")
-    if S.packed.points.shape[0] == 0:
+    if S.points.shape[0] == 0:
         return CenterSet(centers=np.zeros((k, S.d))), 0.0
     if k == 1:
         c, v = _solve_k1(S)
@@ -348,7 +304,7 @@ def solve_gkm(S: WeightedCollection, k: int) -> tuple[CenterSet, float]:
         candidates.append(disc)
         candidates.append(_alternating(S, k, disc[0]))
     if not candidates:
-        pts = S.union_points()
+        pts = S.points
         F0 = CenterSet(centers=pts[np.linspace(0, pts.shape[0] - 1, k).astype(int)])
         candidates.append(_alternating(S, k, F0))
     best = min(candidates, key=lambda fv: (fv[1], _lex_key(fv[0].centers)))
@@ -435,9 +391,7 @@ def skc_pipeline(instance: Instance, k: int, eps: float,
         support = instance.support_points
         probes = np.unique(np.vstack([center_grid(support, 5), support]),
                            axis=0)
-        pts = S.packed.points
-        K_rows = S.packed.maxima(np.sqrt(
-            ((pts[:, None, :] - probes[None, :, :]) ** 2).sum(axis=2)))
+        K_rows = S.maxima(_distances(S.points, probes))
         full_cost = S.weights @ K_rows
         mask = full_cost > 1e-12
         best_core, best_dev = None, math.inf
@@ -453,6 +407,6 @@ def skc_pipeline(instance: Instance, k: int, eps: float,
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
     starts = [solve_gkm(coll, k)[0] for coll in collections
-              if coll.packed.points.shape[0]]
+              if coll.points.shape[0]]
     F, value, evaluated = _best_polished(instance, k, starts)
     return F, value, {"strategy": strategy, "candidates_evaluated": evaluated}

@@ -21,12 +21,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, islice
 
 import numpy as np
 
 from .errors import CombinationGuardExceeded, EmptyRealization
 from .model import CHUNK_ELEMENTS, id_mask
+from .objective import _distances, _subset_minima
 
 # Cap on the entries of the C(n,k) x n combo_min table (80 MB of float64).
 MAX_COMBO_ENTRIES = 10 ** 7
@@ -150,16 +150,14 @@ class CoresetBuilder:
         self.eps = eps
         self.n = n
         self.d = support.shape[1]
-        diff = support[:, None, :] - support[None, :, :]
-        dist = np.sqrt((diff ** 2).sum(axis=2))
         # combo_min[i, c] = distance of point i to its nearest center of combo c
         self.combo_min = np.empty((n, n_combos))
-        combos = combinations(range(n), k)
-        step = max(CHUNK_ELEMENTS // (n * k), 1)
-        for lo in range(0, n_combos, step):
-            centers = np.array(list(islice(combos, step)), dtype=np.intp)
-            np.min(dist.T[centers], axis=1,
-                   out=self.combo_min[:, lo:lo + len(centers)].T)
+        lo = 0
+        for combos, table in _subset_minima(
+                _distances(support, support), k,
+                max(CHUNK_ELEMENTS // max(n, 1), 1)):
+            self.combo_min[:, lo:lo + len(combos)] = table
+            lo += len(combos)
 
     @property
     def chunk_rows(self) -> int:

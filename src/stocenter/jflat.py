@@ -14,7 +14,9 @@ p_i = sum over nodes of probs[node, i].
 
 A 0-flat is one center, so j=0 (coreset solve, S2 sensitivity seed and
 exact polish) runs through the k=1 code of ``gkm``; only j=1 uses the
-Nelder-Mead line search of this module.
+Nelder-Mead line search of this module.  An ``SJFCCoreset`` packs S1 and
+S2 once, into one ``WeightedCollection``: the estimator reads its per-set
+maxima, and the j=0 solve runs on it as it is.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .errors import CaseMismatch, EmptyK, SchemaError
 from .gkm import (SensitivityEstimate, WeightedCollection, _best_polished,
                   importance_sample_coreset, solve_gkm)
 from .model import CenterSet, ExistentialInstance, Flat, Instance, realize
-from .objective import PackedSets, expected_flatcenter_exact, shape_distances
+from .objective import expected_flatcenter_exact, shape_distances
 
 NET_SEED = 0xC0FFEE
 
@@ -178,8 +180,10 @@ def sweep_convexK(instance: Instance, j: int, eps: float,
 class SJFCCoreset:
     """S1 kernels (each weight 1/N) and the weighted outside points S2.
 
-    S1 is packed once, at construction, into ``kernels`` (unit weights, d
-    from ``s2_points``); ``s1`` then holds read-only views into it.
+    Both are packed once, at construction, into one ``collection``: the N
+    kernels first, each of weight 1/N, then every S2 point as a singleton
+    set of its S2 weight (d from ``s2_points``).  ``s1`` then holds
+    read-only views into it.
     """
 
     s1: tuple               # tuple of (n_i, d) arrays, each weight 1/N
@@ -188,12 +192,17 @@ class SJFCCoreset:
     j: int
     eps: float
     case: int               # 1 or 2
-    kernels: PackedSets = field(init=False, repr=False, compare=False)
+    collection: WeightedCollection = field(init=False, repr=False,
+                                           compare=False)
 
     def __post_init__(self):
-        kernels = PackedSets.pack(self.s1, d=self.s2_points.shape[1])
-        object.__setattr__(self, "kernels", kernels)
-        object.__setattr__(self, "s1", kernels.sets())
+        N = len(self.s1)
+        collection = WeightedCollection(
+            sets=tuple(self.s1) + tuple(self.s2_points[:, None, :]),
+            weights=np.concatenate([np.ones(N) / N, self.s2_weights]),
+            d=self.s2_points.shape[1])
+        object.__setattr__(self, "collection", collection)
+        object.__setattr__(self, "s1", collection.sets[:N])
 
     @property
     def N(self) -> int:
@@ -211,7 +220,7 @@ def _weighted_median_flat(S: WeightedCollection, j: int) -> Flat:
     if j == 0:
         C, _ = solve_gkm(S, 1)
         return Flat(j=0, base=C.centers[0])
-    points, weights = S.packed.points, S.weights
+    points, weights = S.points, S.weights
     center = np.average(points, axis=0, weights=weights)
     cov = np.cov(points.T, aweights=weights, bias=True).reshape(S.d, S.d)
     v = np.linalg.eigh(cov)[1][:, -1]
@@ -321,14 +330,18 @@ def build_sjfc_coreset(instance: Instance, j: int, eps: float, seed: int,
 
 
 def estimate_J(coreset: SJFCCoreset, F: Flat) -> float:
-    """(1/N) sum of kernel maxima plus the weighted outside term."""
+    """(1/N) sum of kernel maxima plus the weighted outside term.
+
+    The maxima are summed left to right, then divided by N, and the outside
+    term is one dot, as in the per-kernel loop; ``collection.cost`` would
+    sum w_i max_i in one pass and move the last bits."""
+    N = coreset.N
+    maxima = coreset.collection.max_distances(F)
     total = 0.0
-    if coreset.N:
-        # unit weights: the left-to-right sum of the kernel maxima
-        total += coreset.kernels.cost(F) / coreset.N
+    if N:
+        total += float(np.add.accumulate(maxima[:N])[-1]) / N
     if coreset.s2_points.shape[0]:
-        total += float(coreset.s2_weights @
-                       shape_distances(coreset.s2_points, F))
+        total += float(coreset.s2_weights @ maxima[N:])
     return total
 
 
@@ -378,16 +391,12 @@ def solve_jflat(coreset: SJFCCoreset, j: int, d: int) -> tuple[Flat, float]:
     for j=1.  Returns the flat and its ``estimate_J``."""
     if j not in (0, 1):
         raise SchemaError("only j in {0, 1} is supported")
-    support = np.vstack([coreset.kernels.points, coreset.s2_points])
+    support = coreset.collection.points
     if support.shape[0] == 0:
         return _flat_from_params(np.zeros(d if j == 0 else 2 * d), j, d), 0.0
     if j == 0:
-        # gkm's k=1 solve, each kernel a set of weight 1/N and each S2
-        # point a singleton set of its S2 weight.
-        C, _ = solve_gkm(WeightedCollection(
-            sets=coreset.s1 + tuple(coreset.s2_points[:, None, :]),
-            weights=np.concatenate([np.ones(coreset.N) / coreset.N,
-                                    coreset.s2_weights]), d=d), 1)
+        # gkm's k=1 solve on the packed kernels and S2 singletons
+        C, _ = solve_gkm(coreset.collection, 1)
         F = Flat(j=0, base=C.centers[0])
         return F, estimate_J(coreset, F)
     return _optimize_flat(lambda F: estimate_J(coreset, F), d,

@@ -60,7 +60,7 @@ class ExistentialInstance:
             raise SchemaError("probs must have one entry per point")
         if not np.all(np.isfinite(pts)):
             raise SchemaError("coordinates must be finite")
-        if np.any(pr < 0.0) or np.any(pr > 1.0):
+        if not np.all((pr >= 0.0) & (pr <= 1.0)):  # NaN fails both
             raise SchemaError("probabilities must lie in [0, 1]")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "probs", pr)
@@ -103,7 +103,7 @@ class LocationalInstance:
             raise SchemaError("coordinates must be finite")
         if pr.ndim != 2 or pr.shape[1] != loc.shape[0]:
             raise SchemaError("probs must be (n, m) matching the locations")
-        if np.any(pr < 0.0) or np.any(pr > 1.0):
+        if not np.all((pr >= 0.0) & (pr <= 1.0)):  # NaN fails both
             raise SchemaError("probabilities must lie in [0, 1]")
         if np.any(np.abs(pr.sum(axis=1) - 1.0) > 1e-9):
             raise SchemaError("each node row must sum to 1 within 1e-9")
@@ -385,10 +385,43 @@ def realization_probability(instance: Instance, realization: Realization) -> flo
 # JSON I/O
 
 
-def _require_keys(obj: dict, allowed: set[str], where: str):
-    extra = set(obj) - allowed
+def _fields(obj, where: str, required: set[str],
+            allowed: set[str] | None = None):
+    """Check that ``obj`` is a JSON object with every ``required`` field
+    and none outside ``allowed`` (by default the required ones)."""
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{where} must be a JSON object")
+    if obj.keys() == required:
+        return
+    extra = obj.keys() - (allowed or required)
     if extra:
         raise SchemaError(f"unknown field(s) {sorted(extra)} in {where}")
+    missing = required - obj.keys()
+    if missing:
+        raise SchemaError(f"missing field(s) {sorted(missing)} in {where}")
+
+
+def _floats(values, what: str) -> np.ndarray:
+    """One float array from a JSON value, converted in one call.  Every
+    entry must be a finite number (``np.array`` turns null into NaN)."""
+    try:
+        out = np.array(values, dtype=float)
+    except (TypeError, ValueError):
+        raise SchemaError(f"{what} must be numbers") from None
+    if not np.all(np.isfinite(out)):
+        raise SchemaError(f"{what} must be finite numbers")
+    return out
+
+
+def _rows(values, d, what: str) -> list:
+    """A JSON list of coordinate rows, each a list of d entries (so a d
+    that is not a whole number matches no row)."""
+    if not isinstance(values, list) or not all(
+            isinstance(row, list) for row in values):
+        raise SchemaError(f"{what} must be a list of coordinate lists")
+    if any(len(row) != d for row in values):
+        raise DimensionMismatch(f"{what} dimension differs from d")
+    return values
 
 
 def instance_from_dict(data: dict) -> Instance:
@@ -396,31 +429,30 @@ def instance_from_dict(data: dict) -> Instance:
         raise SchemaError("instance JSON must be an object with a 'model' field")
     model = data["model"]
     if model == "existential":
-        _require_keys(data, {"model", "d", "points"}, "existential instance")
-        d = int(data["d"])
-        pts, probs = [], []
-        for entry in data["points"]:
-            _require_keys(entry, {"coords", "p"}, "existential point")
-            if len(entry["coords"]) != d:
-                raise DimensionMismatch("point dimension differs from d")
-            pts.append([float(c) for c in entry["coords"]])
-            probs.append(float(entry["p"]))
-        if not pts:
-            raise SchemaError("instance needs at least one point")
-        return ExistentialInstance(points=np.array(pts), probs=np.array(probs))
+        _fields(data, "existential instance", {"model", "d", "points"})
+        entries = data["points"]
+        if not isinstance(entries, list) or not entries:
+            raise SchemaError("instance needs a nonempty list of points")
+        for entry in entries:
+            _fields(entry, "existential point", {"coords", "p"})
+        coords = _rows([entry["coords"] for entry in entries], data["d"],
+                       "point")
+        return ExistentialInstance(
+            points=_floats(coords, "coordinates"),
+            probs=_floats([entry["p"] for entry in entries], "probabilities"))
     if model == "locational":
-        _require_keys(data, {"model", "d", "locations", "nodes"}, "locational instance")
-        d = int(data["d"])
-        locs = [[float(c) for c in row] for row in data["locations"]]
-        if any(len(row) != d for row in locs):
-            raise DimensionMismatch("location dimension differs from d")
-        rows = []
-        for entry in data["nodes"]:
-            _require_keys(entry, {"probs"}, "locational node")
-            rows.append([float(p) for p in entry["probs"]])
-        if not locs or not rows:
+        _fields(data, "locational instance",
+                {"model", "d", "locations", "nodes"})
+        locs = _rows(data["locations"], data["d"], "location")
+        nodes = data["nodes"]
+        if not isinstance(nodes, list) or not locs or not nodes:
             raise SchemaError("instance needs locations and nodes")
-        return LocationalInstance(locations=np.array(locs), probs=np.array(rows))
+        for entry in nodes:
+            _fields(entry, "locational node", {"probs"})
+        return LocationalInstance(
+            locations=_floats(locs, "coordinates"),
+            probs=_floats([entry["probs"] for entry in nodes],
+                          "probabilities"))
     raise SchemaError(f"unknown model {model!r}")
 
 
@@ -449,12 +481,14 @@ def shape_from_dict(data: dict) -> CenterSet | Flat:
     if not isinstance(data, dict) or "kind" not in data:
         raise SchemaError("shape JSON must be an object with a 'kind' field")
     if data["kind"] == "centers":
-        _require_keys(data, {"kind", "points"}, "centers shape")
-        return CenterSet(centers=np.array(data["points"], dtype=float))
+        _fields(data, "centers shape", {"kind", "points"})
+        return CenterSet(centers=_floats(data["points"], "center coordinates"))
     if data["kind"] == "flat":
-        _require_keys(data, {"kind", "j", "base", "basis"}, "flat shape")
-        return Flat(j=int(data["j"]), base=np.array(data["base"], dtype=float),
-                    basis=np.array(data.get("basis", []), dtype=float))
+        _fields(data, "flat shape", {"kind", "j", "base"},
+                {"kind", "j", "base", "basis"})
+        return Flat(j=data["j"],
+                    base=_floats(data["base"], "flat coordinates"),
+                    basis=_floats(data.get("basis", []), "flat coordinates"))
     raise SchemaError(f"unknown shape kind {data['kind']!r}")
 
 

@@ -5,13 +5,17 @@ The exact existential evaluator sorts distances non-increasing and sums
 p_i * d_i * prod_{j<i}(1 - p_j); the locational evaluator integrates the
 max-distance CDF over its finitely many jump points.
 
-``PackedSets`` holds ragged point sets in one array and is the one place
-that takes "the max distance of each set to a shape"; see its docstring.
+``WeightedCollection``, the one weighted point-set type, is the one place
+that takes K(S, F) = max_{s in S} d(s, F) for every set S.  The grid
+coreset's r_P table, gkm's discrete pass and screen and the sensitivity
+oracle read the point-to-candidate table ``_distances`` through
+``_subset_minima``, its minimum over every k-subset of candidates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations, islice
 
 import numpy as np
 
@@ -43,8 +47,7 @@ def shape_distances(points: np.ndarray, shape: Shape) -> np.ndarray:
     if isinstance(shape, CenterSet):
         if points.shape[1] != shape.d:
             raise DimensionMismatch("point and center dimensions differ")
-        diff = points[:, None, :] - shape.centers[None, :, :]
-        return np.sqrt((diff ** 2).sum(axis=2)).min(axis=1)
+        return _distances(points, shape.centers).min(axis=1)
     if points.shape[1] != shape.d:
         raise DimensionMismatch("point and flat dimensions differ")
     rel = points - shape.base
@@ -53,39 +56,52 @@ def shape_distances(points: np.ndarray, shape: Shape) -> np.ndarray:
     return np.sqrt((rel ** 2).sum(axis=1))
 
 
-@dataclass(frozen=True, eq=False)
-class PackedSets:
-    """Ragged point sets packed into one array, with one weight per set.
+def _distances(points: np.ndarray, candidates: np.ndarray) -> np.ndarray:
+    """(points, candidates) table of Euclidean distances."""
+    return np.sqrt(((points[:, None, :] - candidates[None, :, :]) ** 2)
+                   .sum(axis=2))
 
-    Set i is ``points[offsets[i]:offsets[i + 1]]``; sets may be empty, and
-    ``d`` is stored, so an all-empty collection keeps its dimension.  Every
-    per-set maximum goes through ``maxima``: one ``np.maximum.reduceat``
-    over the start offsets of the nonempty sets.  ``max_distances`` and
-    ``cost`` compute ``shape_distances`` once on all packed points.
+
+def _subset_minima(D: np.ndarray, k: int, rows: int):
+    """Every k-subset of the columns of ``D``, in ``combinations`` order,
+    as (subsets, table) chunks of at most ``rows`` subsets: ``subsets`` is
+    (c, k) column indices and ``table[i, s]`` the minimum of row i of ``D``
+    over subset s, the distance to the nearest of its centers when ``D``
+    comes from ``_distances``.  Fewer columns than k give no chunk."""
+    combos = combinations(range(D.shape[1]), k)
+    while chunk := list(islice(combos, rows)):
+        subsets = np.array(chunk, dtype=np.intp)
+        table = D[:, subsets[:, 0]]
+        for j in range(1, k):
+            np.minimum(table, D[:, subsets[:, j]], out=table)
+        yield subsets, table
+
+
+@dataclass(frozen=True, eq=False)
+class WeightedCollection:
+    """Weighted point sets packed into one array; empty sets cost 0.
+
+    ``sets`` are (n_i, d) arrays (a 1-D array is one point), ``weights``
+    positive, 1 each by default, and ``d`` is taken from the sets (an empty
+    ``(0, d)`` array counts) unless given.  Set i becomes the read-only view
+    ``points[offsets[i]:offsets[i + 1]]``.  Every per-set maximum is one
+    ``np.maximum.reduceat`` over the starts of the ``nonempty`` sets, and
+    ``max_distances`` and ``cost`` take ``shape_distances`` once.
     """
 
-    points: np.ndarray   # (total, d), read-only
-    offsets: np.ndarray  # (size + 1,): set starts, then total
-    weights: np.ndarray  # (size,)
-    d: int
+    sets: tuple
+    weights: np.ndarray | None = None
+    d: int | None = None
+    points: np.ndarray = field(init=False, repr=False)   # (total, d)
+    offsets: np.ndarray = field(init=False, repr=False)  # (size + 1,)
     nonempty: np.ndarray = field(init=False, repr=False)  # set indices
     _starts: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        nonempty = np.flatnonzero(np.diff(self.offsets))
-        object.__setattr__(self, "nonempty", nonempty)
-        object.__setattr__(self, "_starts", self.offsets[nonempty])
-
-    @classmethod
-    def pack(cls, sets, weights=None, d: int | None = None) -> "PackedSets":
-        """Pack a sequence of (n_i, d) arrays; a 1-D array is one point.
-
-        ``d`` is taken from the sets (an empty ``(0, d)`` array counts)
-        unless given; it must agree with every set.
-        """
-        arrays = [np.asarray(s, dtype=float) for s in sets]
+        arrays = [np.asarray(s, dtype=float) for s in self.sets]
         dims = {np.atleast_2d(a).shape[1] for a in arrays
                 if a.size or a.ndim == 2}
+        d = self.d
         if d is None:
             if len(dims) != 1:
                 raise DimensionMismatch(
@@ -93,26 +109,30 @@ class PackedSets:
             d = dims.pop()
         elif dims - {d}:
             raise DimensionMismatch(f"set dimensions {sorted(dims)} != {d}")
+        w = np.ones(len(arrays)) if self.weights is None \
+            else np.asarray(self.weights, dtype=float)
+        if w.shape != (len(arrays),):
+            raise ValueError("one weight per set required")
+        if not np.all(w > 0.0):
+            raise ValueError("weights must be positive")
         rows = [np.atleast_2d(a) for a in arrays if a.size]
         points = np.vstack(rows) if rows else np.zeros((0, d))
         points.flags.writeable = False
         sizes = [a.size // d for a in arrays]
         offsets = np.concatenate([[0], np.cumsum(sizes, dtype=int)])
-        w = np.ones(len(arrays)) if weights is None \
-            else np.asarray(weights, dtype=float)
-        if w.shape != (len(arrays),):
-            raise ValueError("one weight per set required")
-        return cls(points=points, offsets=offsets, weights=w, d=int(d))
+        nonempty = np.flatnonzero(np.diff(offsets))
+        views = tuple(np.split(points, offsets[1:-1])) if arrays else ()
+        object.__setattr__(self, "sets", views)
+        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "d", int(d))
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "offsets", offsets)
+        object.__setattr__(self, "nonempty", nonempty)
+        object.__setattr__(self, "_starts", offsets[nonempty])
 
     @property
     def size(self) -> int:
         return len(self.weights)
-
-    def sets(self) -> tuple:
-        """Each set as a read-only view into ``points``."""
-        if not self.size:
-            return ()
-        return tuple(np.split(self.points, self.offsets[1:-1]))
 
     def maxima(self, values: np.ndarray) -> np.ndarray:
         """Per-set maximum of per-point values, shape (total,) or
@@ -150,25 +170,16 @@ class PackedSets:
         return float(np.add.accumulate(terms)[-1])
 
 
-def _max_distance(P: np.ndarray, shape: Shape) -> float:
+def kcenter_value(P: np.ndarray, shape: Shape) -> float:
+    """max_{s in P} d(s, shape); empty P gives 0."""
     P = np.asarray(P, dtype=float)
     if P.size == 0:
         return 0.0
     return float(shape_distances(P, shape).max())
 
 
-def kcenter_value(P: np.ndarray, F: CenterSet) -> float:
-    """max_{s in P} min_{f in F} ||s - f||; empty P gives 0."""
-    return _max_distance(P, F)
-
-
 def flat_distance(x: np.ndarray, F: Flat) -> float:
     return float(shape_distances(np.atleast_2d(np.asarray(x, dtype=float)), F)[0])
-
-
-def flatcenter_value(P: np.ndarray, F: Flat) -> float:
-    """max_{s in P} d(s, F); empty P gives 0."""
-    return _max_distance(P, F)
 
 
 def _exact_existential(probs: np.ndarray, dists: np.ndarray) -> float:
@@ -200,11 +211,15 @@ def expected_objective_exact(instance: Instance, shape: Shape) -> ObjectiveValue
     ``shape_distances`` handles the shape kind, so only the model picks
     the formula.
     """
+    existential = isinstance(instance, ExistentialInstance)
+    method = "ExactSorted" if existential else "ExactCDF"
+    if instance.n == 0:  # every realization is empty
+        return ObjectiveValue(0.0, method)
     dists = shape_distances(instance.support_points, shape)
-    if isinstance(instance, ExistentialInstance):
+    if existential:
         return ObjectiveValue(_exact_existential(instance.probs, dists),
-                              "ExactSorted")
-    return ObjectiveValue(_exact_locational(instance, dists), "ExactCDF")
+                              method)
+    return ObjectiveValue(_exact_locational(instance, dists), method)
 
 
 def expected_flatcenter_exact(instance: Instance, F: Flat) -> ObjectiveValue:
@@ -214,7 +229,7 @@ def expected_flatcenter_exact(instance: Instance, F: Flat) -> ObjectiveValue:
 
 def realization_objective(instance: Instance, realization: Realization,
                           shape: Shape) -> float:
-    return _max_distance(realization.points(instance), shape)
+    return kcenter_value(realization.points(instance), shape)
 
 
 def expected_objective_mc(instance: Instance, shape: Shape, samples: int,

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gkm import WeightedCollection, gkm_cost, sensitivity_bruteforce
-from .model import (CenterSet, Flat, Instance, LocationalInstance,
-                    enumerate_realizations)
-from .objective import shape_distances
+from .gkm import WeightedCollection, gkm_cost
+from .model import (CHUNK_ELEMENTS, CenterSet, Flat, Instance,
+                    LocationalInstance, enumerate_realizations)
+from .objective import _distances, _subset_minima, shape_distances
 
 
 @dataclass(frozen=True)
@@ -83,7 +83,7 @@ def center_grid(points: np.ndarray, resolution: int,
 def oracle_solver_gkm(S: WeightedCollection, k: int,
                       resolution: int = 21) -> tuple[CenterSet, float]:
     """Grid search over center tuples plus all k-subsets of union points."""
-    pts = S.union_points()
+    pts = S.points
     cand = np.unique(np.vstack([center_grid(pts, resolution), pts]), axis=0)
     best = None
     for idx in itertools.combinations(range(cand.shape[0]), k):
@@ -111,17 +111,26 @@ def oracle_solver_instance(instance: Instance, k: int,
 
 def oracle_sensitivities(S: WeightedCollection, k: int,
                          resolution: int = 7) -> np.ndarray:
-    """Brute-force lower bounds over the maximal feasible family: all
-    k-subsets of union points plus grid centers."""
-    pts = np.unique(S.union_points(), axis=0)
+    """Brute-force lower bounds over the maximal feasible family, every
+    k-subset of union points plus grid centers of positive cost: the values
+    of ``gkm.sensitivity_bruteforce`` on it, a chunk of subsets at a time,
+    with each cost summed left to right as ``gkm_cost`` sums it."""
+    pts = np.unique(S.points, axis=0)
     cand = np.unique(np.vstack([center_grid(pts, resolution, margin=1.0), pts]),
                      axis=0)
-    family = []
-    for idx in itertools.combinations(range(cand.shape[0]), k):
-        F = CenterSet(centers=cand[list(idx)])
-        if gkm_cost(S, F) > 0.0:
-            family.append(F)
-    return sensitivity_bruteforce(S, family).values
+    rows = max(CHUNK_ELEMENTS // max(S.points.shape[0], 1), 1)
+    values, feasible = np.zeros(S.size), False
+    for _, table in _subset_minima(_distances(S.points, cand), k, rows):
+        terms = S.weights[:, None] * S.maxima(table)       # (sets, chunk)
+        total = np.add.accumulate(terms, axis=0)[-1]
+        good = total > 0.0
+        if good.any():
+            feasible = True
+            shares = terms[:, good] / total[good]
+            values = np.maximum(values, shares.max(axis=1))
+    if not feasible:
+        raise ValueError("candidate family must be nonempty")
+    return values
 
 
 # ---------------------------------------------------------------------------

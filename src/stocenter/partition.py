@@ -34,6 +34,7 @@ from .grid_coreset import (CoresetBuilder, GridSpec, coreset_image_size_bound,
                            shadowed)
 from .model import (ExistentialInstance, Instance, LocationalInstance,
                     id_mask, realization_chunks)
+from .objective import WeightedCollection
 
 MAX_SUBSET_ENUMERATION = 10 ** 6
 MAX_HOLANT_STATES = 10 ** 7
@@ -338,8 +339,7 @@ def build_weighted_image(instance: Instance, k: int, eps: float,
 
 def image_cost(image: WeightedImage, instance: Instance, shape) -> float:
     """Sum over classes of weight times the class's plain objective."""
-    from .objective import PackedSets
     support = instance.support_points
     entries = [(ids, w) for ids, w in image.entries if ids]
-    return PackedSets.pack([support[list(ids)] for ids, _ in entries],
-                           [w for _, w in entries], d=instance.d).cost(shape)
+    return WeightedCollection([support[list(ids)] for ids, _ in entries],
+                              [w for _, w in entries], instance.d).cost(shape)

@@ -20,7 +20,7 @@ from .model import (CenterSet, ExistentialInstance, Flat, LocationalInstance,
                     realization_chunks, sample_realization)
 from .objective import (expected_flatcenter_exact, expected_objective_exact,
                         shape_distances)
-from .oracle import minimum_enclosing_ball
+from .oracle import minimum_enclosing_ball, oracle_sensitivities
 from .partition import (build_weighted_image, holant_value,
                         membership_check, forbidden_and_tail_sets)
 from .serialize import dumps_json
@@ -286,29 +286,6 @@ def _rand_gkm(rng, max_sets=8, max_size=4, d=2) -> WeightedCollection:
     return WeightedCollection(sets=tuple(sets), weights=np.array(weights))
 
 
-def _oracle_sens_fast(S: WeightedCollection, k: int,
-                      resolution: int = 7) -> np.ndarray:
-    """Vectorized brute-force sensitivity lower bounds."""
-    from .oracle import center_grid
-    from itertools import combinations
-    pts = np.unique(S.union_points(), axis=0)
-    cand = np.unique(np.vstack([center_grid(pts, resolution, margin=1.0),
-                                pts]), axis=0)
-    dist = [np.sqrt(((s[:, None, :] - cand[None, :, :]) ** 2).sum(axis=2))
-            for s in S.sets]  # per set: (n_i, C)
-    if k == 1:
-        K = np.stack([d.max(axis=0) for d in dist])        # (sets, C)
-    else:
-        combos = np.array(list(combinations(range(cand.shape[0]), k)))
-        K = np.stack([
-            np.minimum.reduce([d[:, combos[:, j]] for j in range(k)])
-            .max(axis=0) for d in dist])                   # (sets, n_combos)
-    cost = S.weights @ K
-    good = cost > 1e-12
-    shares = (S.weights[:, None] * K[:, good]) / cost[good]
-    return shares.max(axis=1)
-
-
 def criterion_7(scale: str, seed: int = 107, **_) -> CheckResult:
     c = COUNTS[scale]
     rng = np.random.default_rng(seed)
@@ -316,7 +293,7 @@ def criterion_7(scale: str, seed: int = 107, **_) -> CheckResult:
     for i in range(c["c7_inst"]):
         k = 1 + i % 2
         S = _rand_gkm(rng)
-        total = float(_oracle_sens_fast(S, k).sum())
+        total = float(oracle_sensitivities(S, k).sum())
         worst = max(worst, total - (4 * k + 3))
     ok = worst <= 1e-9
     return CheckResult("criterion 7 total sensitivity cap", ok,
@@ -331,8 +308,7 @@ def criterion_8(scale: str, seed: int = 108, **_) -> CheckResult:
     for _i in range(c["c8_inst"]):
         S = _rand_gkm(rng, max_sets=4, max_size=3)
         from .oracle import center_grid
-        cand = np.vstack([center_grid(S.union_points(), 5, margin=2.0),
-                          S.union_points()])
+        cand = np.vstack([center_grid(S.points, 5, margin=2.0), S.points])
         K = np.stack([
             np.sqrt(((s[:, None, :] - cand[None, :, :]) ** 2).sum(axis=2))
             .max(axis=0) for s in S.sets])  # (sets, F) for k=1

@@ -163,6 +163,33 @@ def test_missing_instance_is_usage_error(capsys):
     assert code == 2
 
 
+EXISTENTIAL = ('{"model": "existential", "d": 2, "points": '
+               '[{"coords": [0.0, 0.0], "p": 0.5}, '
+               '{"coords": [1.0, 2.0], "p": 0.5}]}')
+CENTERS = '{"kind": "centers", "points": [[0.0, 0.0]]}'
+
+
+@pytest.mark.parametrize("instance, shape", [
+    (EXISTENTIAL.replace("[1.0, 2.0]", "[null, 2.0]"), CENTERS),
+    (EXISTENTIAL.replace('"d": 2, ', ""), CENTERS),
+    (EXISTENTIAL.replace('"coords": [1.0, 2.0], ', ""), CENTERS),
+    (EXISTENTIAL.replace('"p": 0.5}]', '"p": NaN}]'), CENTERS),
+    ('{"model": "locational", "d": 2, "locations": [[0.0, 0.0], [1.0, 1.0]],'
+     ' "nodes": [{"probs": [null, 1.0]}]}', CENTERS),
+    (EXISTENTIAL, '{"kind": "centers", "points": [[null, 0.0]]}'),
+    (EXISTENTIAL, '{"kind": "flat", "j": 0, "base": [null, 0.0]}'),
+], ids=["null-coord", "no-d", "no-coords", "nan-prob", "null-loc-prob",
+        "null-center", "null-flat-base"])
+def test_malformed_json_is_usage_error(instance, shape, tmp_path, capsys):
+    files = []
+    for name, text in (("inst.json", instance), ("shape.json", shape)):
+        files.append(tmp_path / name)
+        files[-1].write_text(text)
+    code, out = _run(["evaluate", "--instance", str(files[0]),
+                      "--shape", str(files[1])], capsys)
+    assert (code, out) == (2, "")
+
+
 def test_guard_exit_code(tmp_path, capsys):
     rng = np.random.default_rng(0)
     inst = ExistentialInstance(points=rng.uniform(-5, 5, (30, 2)),

@@ -296,6 +296,7 @@ def test_batched_construction_equals_former_loop(support, k, eps, chunk):
         singles = [builder.build(tuple(compress(range(n), row)))
                    for row in masks[1:].tolist()]
     ref = RefBuilder(support, k, eps)
+    assert np.array_equal(builder.combo_min, ref.combo_min.T)
     assert not batch.core[0].any() and batch.stage[0] == 0
     for row, single in zip(range(1, 2 ** n), singles):
         ids = tuple(compress(range(n), masks[row]))

@@ -24,11 +24,15 @@ def test_existential_rejects_bad_probs():
         ExistentialInstance(points=[[0.0]], probs=[1.5])
     with pytest.raises(SchemaError):
         ExistentialInstance(points=[[0.0], [1.0]], probs=[0.5])
+    with pytest.raises(SchemaError):
+        ExistentialInstance(points=[[0.0]], probs=[np.nan])
 
 
 def test_locational_rows_must_sum_to_one():
     with pytest.raises(SchemaError):
         LocationalInstance(locations=[[0.0], [1.0]], probs=[[0.5, 0.4]])
+    with pytest.raises(SchemaError):
+        LocationalInstance(locations=[[0.0], [1.0]], probs=[[np.nan, 1.0]])
     inst = LocationalInstance(locations=[[0.0], [1.0]],
                               probs=[[0.5, 0.5], [0.2, 0.8]])
     assert inst.n == 2 and inst.m == 2

@@ -65,7 +65,7 @@ def test_oracle_sensitivities_dominate_and_single_set():
     sets = tuple(rng.uniform(-5, 5, (2, 2)) for _ in range(4))
     S = WeightedCollection(sets=sets, weights=rng.uniform(0.5, 1.5, 4))
     maximal = oracle_sensitivities(S, 1, resolution=5)
-    small_family = [CenterSet(centers=S.union_points()[i].reshape(1, -1))
+    small_family = [CenterSet(centers=S.points[i].reshape(1, -1))
                     for i in range(3)]
     smaller = sensitivity_bruteforce(S, small_family).values
     assert np.all(smaller <= maximal + 1e-12)

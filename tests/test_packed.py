@@ -1,26 +1,32 @@
-"""The packed per-set max kernel against the per-set loops it replaced.
+"""The packed per-set max kernel and the k-subset distance table against
+the per-set and per-subset loops they replaced.
 
 The loops below are the reference: they are the library's former
 implementations of the gkm cost, the j-flat estimator, the per-set
-farthest point and the discrete k-subset pass.  The packed versions must
-agree with them exactly (``==``), not within a tolerance.
+farthest point, the discrete k-subset pass and the sensitivity oracle's
+per-candidate family.  The packed versions must agree with them exactly
+(``==``), not within a tolerance, also with the chunk constant patched
+small so that every table spans many chunks.
 """
 
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stocenter import gkm, oracle
 from stocenter.errors import DimensionMismatch
 from stocenter.gkm import (WeightedCollection, _discrete_pass, _lex_key,
                            collection_from_image, gkm_cost,
                            sensitivity_bruteforce,
                            sensitivity_projection_upper, solve_gkm)
-from stocenter.jflat import SJFCCoreset, estimate_J
+from stocenter.jflat import SJFCCoreset, estimate_J, solve_jflat
 from stocenter.model import CenterSet, ExistentialInstance, Flat
-from stocenter.objective import PackedSets, shape_distances
+from stocenter.objective import _subset_minima, shape_distances
+from stocenter.oracle import center_grid, oracle_sensitivities
 from stocenter.partition import WeightedImage, image_cost
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True,
@@ -63,6 +69,28 @@ def loop_argmax(sets, F):
             rows.append(offset + int(np.argmax(shape_distances(s, F))))
         offset += s.shape[0]
     return rows
+
+
+def loop_subset_minima(D, k):
+    """(subsets, table) of every k-subset of the columns of D."""
+    subsets = list(combinations(range(D.shape[1]), k))
+    table = [D[:, list(c)].min(axis=1) for c in subsets]
+    return subsets, np.array(table).reshape(len(subsets), D.shape[0]).T
+
+
+def loop_oracle_sensitivities(S, k, resolution):
+    """The former oracle: one CenterSet per k-subset of the candidates,
+    those of positive cost kept, then the per-candidate loop of
+    ``sensitivity_bruteforce``."""
+    pts = np.unique(S.points, axis=0)
+    cand = np.unique(np.vstack([center_grid(pts, resolution, margin=1.0),
+                                pts]), axis=0)
+    family = []
+    for idx in combinations(range(cand.shape[0]), k):
+        F = CenterSet(centers=cand[list(idx)])
+        if gkm_cost(S, F) > 0.0:
+            family.append(F)
+    return sensitivity_bruteforce(S, family).values
 
 
 def loop_discrete_pass(sets, weights, k):
@@ -155,7 +183,7 @@ def test_gkm_cost_equals_loop(case):
 @given(collection_and_centers())
 def test_argmax_equals_loop_first_occurrence(case):
     sets, weights, F = case
-    P = PackedSets.pack(sets, weights)
+    P = WeightedCollection(sets, weights)
     rows = P.argmax(shape_distances(P.points, F))
     assert rows.tolist() == loop_argmax(sets, F)
     assert P.max_distances(F).tolist() == \
@@ -199,19 +227,70 @@ def test_sensitivities_equal_loop(case):
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(ragged(max_sets=14), st.integers(1, 3))
-def test_discrete_pass_equals_loop(case, k):
+@given(ragged(max_sets=14), st.integers(1, 3), st.sampled_from([1, 7, 2 ** 17]))
+def test_discrete_pass_equals_loop(case, k, chunk):
     sets, weights, _d = case
     if not any(s.shape[0] for s in sets):
         return
     S = WeightedCollection(sets=sets, weights=weights)
-    got = _discrete_pass(S, k)
+    with mock.patch.object(gkm, "CHUNK_ELEMENTS", chunk):
+        got = _discrete_pass(S, k)
     ref = loop_discrete_pass(sets, weights, k)
     if ref is None:  # fewer unique points than k
         assert got is None
         return
     assert got[1] == ref[1]
     assert np.array_equal(got[0].centers, ref[0].centers)
+
+
+@SETTINGS
+@given(st.integers(0, 6), st.integers(0, 7), st.integers(1, 3),
+       st.integers(1, 5), st.integers(0, 2 ** 16))
+def test_subset_minima_equal_combinations_loop(points, candidates, k, rows,
+                                               seed):
+    # integer distances make ties between subset members common
+    D = np.random.default_rng(seed).integers(
+        0, 4, (points, candidates)).astype(float)
+    chunks = list(_subset_minima(D, k, rows))
+    subsets, table = loop_subset_minima(D, k)
+    assert all(0 < len(c) <= rows for c, _ in chunks)
+    assert [tuple(row) for subs, _ in chunks for row in subs.tolist()] \
+        == subsets
+    got = np.hstack([t for _, t in chunks]) if chunks \
+        else np.zeros((points, 0))
+    assert got.shape == table.shape and (got == table).all()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(ragged(max_sets=6), st.integers(1, 2), st.sampled_from([3, 40]))
+def test_oracle_sensitivities_equal_family_loop(case, k, chunk):
+    sets, weights, _d = case
+    if not any(s.shape[0] for s in sets):
+        return
+    S = WeightedCollection(sets=sets, weights=weights)
+    with mock.patch.object(oracle, "CHUNK_ELEMENTS", chunk):
+        got = oracle_sensitivities(S, k, resolution=3)
+    assert got.tolist() == loop_oracle_sensitivities(S, k, 3).tolist()
+
+
+@pytest.mark.parametrize("n_s1, n_s2", [(0, 3), (4, 0), (0, 0)])
+def test_sjfc_coreset_with_an_empty_part(n_s1, n_s2):
+    rng = np.random.default_rng(n_s1 + 2 * n_s2)
+    s1 = tuple(rng.uniform(-3, 3, (int(rng.integers(0, 4)), 2))
+               for _ in range(n_s1))
+    s2 = rng.uniform(-3, 3, (n_s2, 2))
+    w2 = rng.uniform(0.1, 1.0, n_s2)
+    core = SJFCCoreset(s1=s1, s2_points=s2, s2_weights=w2, j=0, eps=0.3,
+                       case=2)
+    assert core.N == n_s1 and core.collection.size == n_s1 + n_s2
+    assert all(np.array_equal(a, b) for a, b in zip(core.s1, s1))
+    for F in (Flat(j=0, base=[0.5, -1.0]),
+              Flat(j=1, base=[0.0, 1.0], basis=[[0.6, 0.8]])):
+        assert estimate_J(core, F) == loop_estimate_J(s1, s2, w2, F)
+    F, value = solve_jflat(core, 0, 2)
+    assert value == estimate_J(core, F)
+    if not core.collection.points.shape[0]:
+        assert (F.base == 0.0).all() and value == 0.0
 
 
 def test_image_cost_equals_loop():

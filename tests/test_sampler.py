@@ -306,6 +306,17 @@ def test_mc_on_an_instance_without_points():
     assert expected_objective_exact(instance, shape).value == 0.0
 
 
+def test_exact_on_a_locational_instance_without_nodes():
+    # no node lands anywhere, so every realization is empty and scores 0,
+    # as Monte Carlo says; the location distances do not count
+    instance = LocationalInstance(locations=[[0.0, 0.0]],
+                                  probs=np.zeros((0, 1)))
+    shape = CenterSet(centers=[[1.0, 2.0]])
+    assert expected_objective_exact(instance, shape).value == 0.0
+    res = expected_objective_mc(instance, shape, 7, np.random.default_rng(0))
+    assert (res.value, res.stderr) == (0.0, 0.0)
+
+
 @SETTINGS
 @given(st.data(), st.integers(0, 2 ** 16), st.integers(0, 6))
 def test_build_S1_matches_loop(data, seed, N):
