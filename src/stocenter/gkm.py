@@ -196,7 +196,7 @@ def _row_norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt((x[:, None, :] @ x[:, :, None]).ravel())
 
 
-def _solve_k1(S: WeightedCollection, tol: float = 1e-10) -> tuple[np.ndarray, float]:
+def _solve_k1(S: WeightedCollection) -> tuple[np.ndarray, float]:
     """Minimize the convex map c -> sum_i w_i max_{s in S_i} ||s - c||."""
     d = S.d
     pts = S.points
@@ -232,7 +232,7 @@ def _solve_k1(S: WeightedCollection, tol: float = 1e-10) -> tuple[np.ndarray, fl
             break
         cand = c - step * g / gn
         v = fval(cand)
-        if v < best_v - tol * max(best_v, 1.0):
+        if v < best_v - 1e-10 * max(best_v, 1.0):
             best_c, best_v = cand, v
             c = cand
         else:
@@ -268,11 +268,11 @@ def _discrete_pass(S: WeightedCollection, k: int):
     return CenterSet(centers=uniq[best[0]]), best[1]
 
 
-def _alternating(S: WeightedCollection, k: int, F0: CenterSet,
-                 rounds: int = 30) -> tuple[CenterSet, float]:
+def _alternating(S: WeightedCollection, k: int,
+                 F0: CenterSet) -> tuple[CenterSet, float]:
     F = F0
     value = gkm_cost(S, F)
-    for _ in range(rounds):
+    for _ in range(30):
         nearest = _farthest_nearest(S, F)
         new_centers = F.centers.copy()
         for j in np.unique(nearest):
@@ -372,11 +372,13 @@ def skc_pipeline(instance: Instance, k: int, eps: float,
     image = build_weighted_image(instance, k, eps, mode=image_mode)
     S = collection_from_image(image, instance)
     collections = []
+    F_S = None  # solve_gkm's centers for S, once the sampler has them
     if strategy == "full" or S.size == 0:
         collections.append(S)
     elif strategy == "sampling":
         M_eff = M if M is not None else max(2 * S.size // 3, 1)
-        est = sensitivity_projection_upper(S, k)
+        F_S = solve_gkm(S, k)[0]
+        est = sensitivity_projection_upper(S, k, F_S)
         rng = np.random.default_rng(seed)
         core = importance_sample_coreset(S, est, M_eff, rng)
         collections.append(core.as_collection(S))
@@ -406,7 +408,7 @@ def skc_pipeline(instance: Instance, k: int, eps: float,
             collections.append(best_core.as_collection(S))
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
-    starts = [solve_gkm(coll, k)[0] for coll in collections
-              if coll.points.shape[0]]
+    starts = [F_S if coll is S and F_S is not None else solve_gkm(coll, k)[0]
+              for coll in collections if coll.points.shape[0]]
     F, value, evaluated = _best_polished(instance, k, starts)
     return F, value, {"strategy": strategy, "candidates_evaluated": evaluated}

@@ -94,14 +94,14 @@ class LinearizationMap:
 # Direction nets and the convex region K
 
 
-def direction_net(D: int, size: int, seed: int = NET_SEED) -> np.ndarray:
+def direction_net(D: int, size: int) -> np.ndarray:
     """Deterministic symmetric set of unit directions in R^D.
 
     Pairs +-u are generated from a fixed-seed Gaussian stream, so mirror
     directions always come together; size is rounded up to even.
     """
     half = (size + 1) // 2
-    rng = np.random.default_rng([seed, D, half])
+    rng = np.random.default_rng([NET_SEED, D, half])
     u = rng.standard_normal((half, D))
     u /= np.linalg.norm(u, axis=1, keepdims=True)
     return np.vstack([u, -u])
@@ -112,7 +112,6 @@ class ConvexKSpec:
     directions: np.ndarray   # (m, D)
     thresholds: np.ndarray   # (m,)
     lin: LinearizationMap
-    eps_prime: float
 
     def inside_mask(self, points: np.ndarray) -> np.ndarray:
         """Membership of original-space points, with a small slack so the
@@ -145,19 +144,16 @@ def _prefix_mass(instance: Instance, order: np.ndarray) -> np.ndarray:
 
 
 def sweep_convexK(instance: Instance, j: int, eps: float,
-                  eps_prime: float | None = None,
                   net_size: int = 32) -> ConvexKSpec:
-    """Intersect halfspaces cutting off at most eps_prime mass per direction.
-
-    With the default eps_prime = eps / (2 * net_size), the union bound puts
-    at most eps/2 total mass outside K.
+    """Intersect halfspaces cutting off at most eps' = eps / (2 * net_size)
+    mass per direction, so the union bound puts at most eps/2 total mass
+    outside K.
     """
     if isinstance(instance, ExistentialInstance) and instance.total_prob < eps:
         raise CaseMismatch("total probability below eps; use the Case 1 path")
     lin = LinearizationMap(j=j, d=instance.d)
     dirs = direction_net(lin.D, net_size)
-    if eps_prime is None:
-        eps_prime = eps / (2 * dirs.shape[0])
+    eps_prime = eps / (2 * dirs.shape[0])
     lifted = lin.lift(instance.support_points)
     thresholds = np.empty(dirs.shape[0])
     for i, u in enumerate(dirs):
@@ -168,8 +164,7 @@ def sweep_convexK(instance: Instance, j: int, eps: float,
         if hit.size == 0:
             raise EmptyK(f"sweep mass never reaches eps'={eps_prime}")
         thresholds[i] = proj[order[hit[0]]]
-    return ConvexKSpec(directions=dirs, thresholds=thresholds, lin=lin,
-                       eps_prime=eps_prime)
+    return ConvexKSpec(directions=dirs, thresholds=thresholds, lin=lin)
 
 
 # ---------------------------------------------------------------------------
@@ -316,8 +311,18 @@ def build_S2(instance: Instance, K: ConvexKSpec, j: int, eps: float,
         instance.support_points[outside], masses[outside], j, eps, rng)
 
 
+def _check_sjfc_args(eps: float, N: int, net_size: int):
+    if not 0.0 < eps < 1.0:
+        raise ValueError("eps must lie in (0, 1)")
+    if N < 1:
+        raise ValueError("N must be at least 1")
+    if net_size < 1:
+        raise ValueError("net_size must be at least 1")
+
+
 def build_sjfc_coreset(instance: Instance, j: int, eps: float, seed: int,
                        N: int = 500, net_size: int = 32) -> SJFCCoreset:
+    _check_sjfc_args(eps, N, net_size)
     if isinstance(instance, ExistentialInstance) and instance.total_prob < eps:
         return case1_coreset(instance, j, eps,
                              np.random.default_rng([seed, 1]))
@@ -414,6 +419,7 @@ def sjfc_pipeline(instance: Instance, j: int, eps: float, seed: int = 0,
     """
     if j not in (0, 1):
         raise SchemaError("only j in {0, 1} is supported")
+    _check_sjfc_args(eps, N, net_size)
     masses = _point_masses(instance)
     if float(masses.max(initial=0.0)) == 0.0:
         F = _flat_from_params(np.zeros(instance.d if j == 0 else 2 * instance.d),

@@ -33,8 +33,9 @@ from .errors import DimensionMismatch, InstanceTooLarge, SchemaError
 MAX_EXISTENTIAL_N = 24
 MAX_LOCATIONAL_STATES = 2 ** 24
 
-# Entries of the largest temporary of one chunk, in the realization
-# enumeration (rows x n) and in the batched grid construction.
+# Entries of the largest temporary of one chunk (2**17 float64 values are
+# 1 MiB): in the realization enumeration and Monte-Carlo sampling (rows x n)
+# and in the batched grid construction.
 CHUNK_ELEMENTS = 2 ** 17
 
 

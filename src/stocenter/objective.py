@@ -20,11 +20,8 @@ from itertools import combinations, islice
 import numpy as np
 
 from .errors import DimensionMismatch
-from .model import (CenterSet, ExistentialInstance, Flat, Instance,
-                    LocationalInstance, Realization, realize)
-
-# Uniforms per Monte-Carlo chunk: 2**17 float64 values are 1 MiB.
-MC_CHUNK_ELEMENTS = 2 ** 17
+from .model import (CHUNK_ELEMENTS, CenterSet, ExistentialInstance, Flat,
+                    Instance, LocationalInstance, Realization, realize)
 
 
 @dataclass(frozen=True)
@@ -240,9 +237,9 @@ def expected_objective_mc(instance: Instance, shape: Shape, samples: int,
     Sample i consumes the i-th block of n uniforms from ``rng`` (see
     ``model.realize``), so a seed gives the same value and stderr as
     drawing the samples one at a time.  Uniforms are drawn and scored in
-    chunks of ``MC_CHUNK_ELEMENTS // n`` rows (at least one), which keeps
-    each chunk temporary at 1 MiB, or at one row of n values when n
-    exceeds ``MC_CHUNK_ELEMENTS``; the per-sample values take 8 bytes
+    chunks of ``model.CHUNK_ELEMENTS // n`` rows (at least one), which
+    keeps each chunk temporary at 1 MiB, or at one row of n values when n
+    exceeds ``CHUNK_ELEMENTS``; the per-sample values take 8 bytes
     per sample.
     """
     if samples < 1:
@@ -251,7 +248,7 @@ def expected_objective_mc(instance: Instance, shape: Shape, samples: int,
         return ObjectiveValue(0.0, "MonteCarlo", samples=samples, seed=seed,
                               stderr=0.0)
     dists = shape_distances(instance.support_points, shape)
-    rows = max(MC_CHUNK_ELEMENTS // instance.n, 1)
+    rows = max(CHUNK_ELEMENTS // instance.n, 1)
     vals = np.empty(samples)
     for start in range(0, samples, rows):
         drawn = realize(instance, rng.random((min(rows, samples - start),

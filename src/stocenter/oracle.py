@@ -153,13 +153,11 @@ def _ball_from(boundary: list[np.ndarray], d: int):
     return c, float(np.linalg.norm(boundary[0] - c))
 
 
-def minimum_enclosing_ball(points: np.ndarray,
-                           seed: int = 7) -> tuple[np.ndarray, float]:
+def minimum_enclosing_ball(points: np.ndarray) -> tuple[np.ndarray, float]:
     """Welzl's algorithm with a fixed-seed shuffle, in loop form: it recurses
     only when a point joins the boundary, so the depth is at most d + 1."""
     pts = [np.asarray(p, dtype=float) for p in np.atleast_2d(points)]
-    rng = np.random.default_rng(seed)
-    rng.shuffle(pts)
+    np.random.default_rng(7).shuffle(pts)
     d = pts[0].shape[0]
 
     def welzl(start, R):  # the ball of pts[start:] with R on its boundary

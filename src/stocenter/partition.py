@@ -1,9 +1,15 @@
 """Probability mass of each additive-coreset class.
 
 A realization maps through the grid construction to its coreset; this module
-computes Pr[coreset = S] for candidate subsets S.  Existential instances use
-the closed-form per-cell product; locational instances use an exact dynamic
-program over node occupancy counts (summing the per-sequence holant values).
+computes Pr[coreset = S] for candidate subsets S.  S is in the image exactly
+when the construction run on S returns S, and every class's mass follows one
+rule: the probability that a realization contains S and avoids every
+forbidden point, with the tail T(S) left free.  A class of at most k points
+(a Singleton) is its own coreset under the sentinel grid of side 0, so its
+tail is empty and it needs no rule of its own.  Existential instances
+evaluate the rule as a closed-form per-point product; locational instances
+as an exact dynamic program over node occupancy counts (summing the
+per-sequence holant values).
 
 Both modes of ``build_weighted_image`` run the batched construction
 (``CoresetBuilder.build_masks``) over chunks of ``chunk_rows`` mask rows:
@@ -38,10 +44,6 @@ from .objective import WeightedCollection
 
 MAX_SUBSET_ENUMERATION = 10 ** 6
 MAX_HOLANT_STATES = 10 ** 7
-
-# Verdict codes of the batched membership test.
-NOT_IN_IMAGE, SINGLETON, FULL = 0, 1, 2
-
 
 @dataclass(frozen=True)
 class MembershipVerdict:
@@ -87,17 +89,15 @@ def _group_rows(masks: np.ndarray):
     return ordered[first], inverse
 
 
-def _classify(builder: CoresetBuilder, masks: np.ndarray, k: int):
-    """Verdict code of every candidate row S, and the construction's batch.
+def _classify(builder: CoresetBuilder, masks: np.ndarray):
+    """Whether every candidate row S is in the image, that is, whether the
+    construction run on S returns S; and the construction's batch.
 
-    S with at most k points is a Singleton (the only realization mapping to
-    S is S itself, the empty set included); a larger S is Full when the
-    construction run on S returns S, and NotInImage otherwise.
+    A row of at most k points (the empty row included) has r_S = 0, so it
+    is its own coreset under the sentinel grid, with an empty tail.
     """
     batch = builder.build_masks(masks)
-    kind = np.where((batch.core == masks).all(axis=1), FULL, NOT_IN_IMAGE)
-    kind[masks.sum(axis=1) <= k] = SINGLETON
-    return kind, batch
+    return (batch.core == masks).all(axis=1), batch
 
 
 def _tails(support: np.ndarray, masks: np.ndarray, side: np.ndarray):
@@ -108,22 +108,20 @@ def _tails(support: np.ndarray, masks: np.ndarray, side: np.ndarray):
 
 
 def _existential_masses(builder: CoresetBuilder, probs: np.ndarray,
-                        masks: np.ndarray, k: int) -> np.ndarray:
+                        masks: np.ndarray) -> np.ndarray:
     """Pr over realizations P of [coreset(P) = S] for every row S, in closed
     form; 0 for rows not in the image."""
-    kind, batch = _classify(builder, masks, k)
+    in_image, batch = _classify(builder, masks)
     w = np.zeros(masks.shape[0])
-    single = kind == SINGLETON
-    w[single] = np.prod(np.where(masks[single], probs, 1.0 - probs), axis=1)
-    # Full: one factor per support point, in index order: p at a
-    # representative, 1 for a point of T(S) (unconstrained), and 1 - p for
-    # a smaller-index cellmate of a representative or a point in an
-    # unoccupied cell (both must be absent).
-    full = np.flatnonzero(kind == FULL)
-    S = masks[full]
-    tail = _tails(builder.support, S, batch.side[full])
+    # One factor per support point, in index order: p at a point of S, 1 for
+    # a point of T(S) (unconstrained), and 1 - p for a smaller-index
+    # cellmate of a point of S or a point in an unoccupied cell (both must
+    # be absent).
+    rows = np.flatnonzero(in_image)
+    S = masks[rows]
+    tail = _tails(builder.support, S, batch.side[rows])
     factors = np.where(S, probs, np.where(tail, 1.0, 1.0 - probs))
-    w[full] = np.multiply.accumulate(factors, axis=1)[:, -1]
+    w[rows] = np.multiply.accumulate(factors, axis=1)[:, -1]
     return w
 
 
@@ -149,7 +147,7 @@ def prob_existential(S_ids, instance: ExistentialInstance, k: int, eps: float,
     if builder is None:
         builder = _builder(instance, k, eps)
     masks = id_mask(S_ids, instance.n)[None]
-    return float(_existential_masses(builder, instance.probs, masks, k)[0])
+    return float(_existential_masses(builder, instance.probs, masks)[0])
 
 
 def forbidden_and_tail_sets(S_ids, instance: Instance, k: int, eps: float,
@@ -238,32 +236,23 @@ def holant_value(instance: LocationalInstance, S_ids, tail, sequence) -> float:
 
 def prob_locational(S_ids, instance: LocationalInstance, k: int, eps: float,
                     builder: CoresetBuilder | None = None) -> float:
+    """Pr over realizations of [coreset = S]: the occupancy DP's mass on
+    every point of S occupied, with T(S) free (empty for a Singleton)."""
     S_ids = _checked_ids(S_ids, instance.m)
     verdict = membership_check(S_ids, instance, k, eps, builder)
     if verdict.kind == "NotInImage":
         return 0.0
-    if verdict.kind == "Singleton":
-        # Pr[realized location set equals exactly S], by inclusion-exclusion
-        # over subsets of S (every node must land in S, covering all of it).
-        total = 0.0
-        S = list(S_ids)
-        for r in range(len(S) + 1):
-            for T in combinations(S, r):
-                inner = instance.probs[:, list(T)].sum(axis=1) if T \
-                    else np.zeros(instance.n)
-                total += (-1) ** (len(S) - r) * float(np.prod(inner))
-        return max(total, 0.0)
-    _, tail = forbidden_and_tail_sets(S_ids, instance, k, eps, verdict)
+    tail = () if verdict.kind == "Singleton" else \
+        forbidden_and_tail_sets(S_ids, instance, k, eps, verdict)[1]
     dp = _occupancy_dp(instance, S_ids, tail)
     # counts are >= 0, so "no zero count" is "every point of S realized"
     return float(sum(mass for state, mass in dp.items() if 0 not in state))
 
 
-def subset_probability(S_ids, instance: Instance, k: int, eps: float,
-                       builder: CoresetBuilder | None = None) -> float:
+def subset_probability(S_ids, instance: Instance, k: int, eps: float) -> float:
     if isinstance(instance, ExistentialInstance):
-        return prob_existential(S_ids, instance, k, eps, builder)
-    return prob_locational(S_ids, instance, k, eps, builder)
+        return prob_existential(S_ids, instance, k, eps)
+    return prob_locational(S_ids, instance, k, eps)
 
 
 def _index_masks(idx: np.ndarray, width: int) -> np.ndarray:
@@ -322,14 +311,14 @@ def build_weighted_image(instance: Instance, k: int, eps: float,
     entries = []
     for masks in _candidate_chunks(n, range(first, bound + 1), rows):
         if isinstance(instance, ExistentialInstance):
-            w = _existential_masses(builder, instance.probs, masks, k)
+            w = _existential_masses(builder, instance.probs, masks)
             keep = w > 0.0
             entries.extend(zip(_ids(masks[keep]), w[keep].tolist()))
             continue
         # Locational classes go one by one through prob_locational: the
         # occupancy DP behind each costs far more than its construction.
-        kind, _ = _classify(builder, masks, k)
-        for S in _ids(masks[kind != NOT_IN_IMAGE]):
+        in_image, _ = _classify(builder, masks)
+        for S in _ids(masks[in_image]):
             w = prob_locational(S, instance, k, eps, builder)
             if w > 0.0:
                 entries.append((S, w))

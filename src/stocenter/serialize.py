@@ -65,7 +65,7 @@ def dumps_json(obj, indent: int | None = None) -> str:
     return "".join(out)
 
 
-def write_json(path, obj, indent: int | None = 2):
+def write_json(path, obj):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(dumps_json(obj, indent=indent))
+        fh.write(dumps_json(obj, indent=2))
         fh.write("\n")

@@ -51,21 +51,21 @@ COUNTS = {
 # Random-instance helpers (all seeded)
 
 
-def _rand_exist(rng, n, d, prob_lo=0.05, prob_hi=0.95, scale=10.0):
+def _rand_exist(rng, n, d, prob_lo=0.05):
     return ExistentialInstance(
-        points=rng.uniform(-scale, scale, size=(n, d)),
-        probs=rng.uniform(prob_lo, prob_hi, size=n))
+        points=rng.uniform(-10.0, 10.0, size=(n, d)),
+        probs=rng.uniform(prob_lo, 0.95, size=n))
 
 
-def _rand_loc(rng, n, m, d, scale=10.0):
+def _rand_loc(rng, n, m, d):
     rows = rng.uniform(0.05, 1.0, size=(n, m))
     rows /= rows.sum(axis=1, keepdims=True)
     return LocationalInstance(
-        locations=rng.uniform(-scale, scale, size=(m, d)), probs=rows)
+        locations=rng.uniform(-10.0, 10.0, size=(m, d)), probs=rows)
 
 
-def _rand_centers(rng, count, k, d, scale=12.0):
-    return rng.uniform(-scale, scale, size=(count, k, d))
+def _rand_centers(rng, count, k, d):
+    return rng.uniform(-12.0, 12.0, size=(count, k, d))
 
 
 def _enum_values(instance, dmat: np.ndarray) -> np.ndarray:
@@ -276,12 +276,12 @@ def criterion_6(scale: str, seed: int = 104, perturb: float = 0.0,
                        violations == 0, f"{violations} violations")
 
 
-def _rand_gkm(rng, max_sets=8, max_size=4, d=2) -> WeightedCollection:
+def _rand_gkm(rng, max_sets=8, max_size=4) -> WeightedCollection:
     n_sets = int(rng.integers(2, max_sets + 1))
     sets, weights = [], []
     for _ in range(n_sets):
         sz = int(rng.integers(1, max_size + 1))
-        sets.append(rng.uniform(-10, 10, size=(sz, d)))
+        sets.append(rng.uniform(-10, 10, size=(sz, 2)))
         weights.append(float(rng.uniform(0.1, 2.0)))
     return WeightedCollection(sets=tuple(sets), weights=np.array(weights))
 
@@ -361,8 +361,8 @@ def criterion_9(scale: str, seed: int = 109, **_) -> CheckResult:
                        f"{det_err:.2e} (tol 1e-6)")
 
 
-def _rand_flat(rng, j, d, scale=12.0) -> Flat:
-    base = rng.uniform(-scale, scale, size=d)
+def _rand_flat(rng, j, d) -> Flat:
+    base = rng.uniform(-12.0, 12.0, size=d)
     if j == 0:
         return Flat(j=0, base=base)
     v = rng.standard_normal(d)

@@ -190,6 +190,20 @@ def test_malformed_json_is_usage_error(instance, shape, tmp_path, capsys):
     assert (code, out) == (2, "")
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--eps", "0"), ("--eps", "-0.5"), ("--eps", "1.5"), ("--net", "0"),
+    ("--samples", "0"), ("--samples", "-2")])
+def test_jflat_out_of_range_is_usage_error(flag, value, tmp_path, capsys):
+    path = tmp_path / "inst.json"
+    write_json(path, instance_to_dict(
+        generate_instance("uniform", "existential", 12, 2, 3)))
+    args = {"--eps": "0.3", "--net": "32", "--samples": "500", flag: value}
+    code, out = _run(["jflat", "--instance", str(path), "--j", "0"]
+                     + [item for pair in args.items() for item in pair],
+                     capsys)
+    assert (code, out) == (2, "")
+
+
 def test_guard_exit_code(tmp_path, capsys):
     rng = np.random.default_rng(0)
     inst = ExistentialInstance(points=rng.uniform(-5, 5, (30, 2)),

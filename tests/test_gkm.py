@@ -195,6 +195,25 @@ def test_skc_pipeline_deterministic_repeat():
     assert np.array_equal(a[0].centers, b[0].centers) and a[1] == b[1]
 
 
+def test_skc_sampling_solves_each_collection_once(monkeypatch):
+    # the sensitivity estimate and the fallback start share one solve of S
+    from stocenter import gkm
+    solved = []
+
+    def counting(S, k):
+        solved.append(S)
+        return solve_gkm(S, k)
+
+    monkeypatch.setattr(gkm, "solve_gkm", counting)
+    rng = np.random.default_rng(29)
+    inst = ExistentialInstance(points=rng.uniform(-10, 10, (8, 2)),
+                               probs=rng.uniform(0.1, 0.9, 8))
+    skc_pipeline(inst, 1, 0.5, strategy="sampling", seed=4)
+    # the full image of 2^8 classes, then the sampled coreset
+    sizes = [S.size for S in solved]
+    assert len(sizes) == 2 and sizes[0] == 256 > sizes[1]
+
+
 def test_collection_from_image_weights():
     inst = ExistentialInstance(points=[[0.0], [4.0]], probs=[0.5, 0.5])
     image = build_weighted_image(inst, 1, 0.5)

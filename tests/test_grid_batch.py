@@ -151,15 +151,8 @@ def ref_prob_locational(builder, inst, S, k):
     kind, side, cells = ref_verdict(builder, S, k)
     if kind == "NotInImage":
         return 0.0
-    if kind == "Singleton":
-        total = 0.0
-        for r in range(len(S) + 1):
-            for T in combinations(S, r):
-                inner = inst.probs[:, list(T)].sum(axis=1) if T \
-                    else np.zeros(inst.n)
-                total += (-1) ** (len(S) - r) * float(np.prod(inner))
-        return max(total, 0.0)
-    _, tail = ref_tail(inst.locations, S, side, cells)
+    tail = () if kind == "Singleton" else \
+        ref_tail(inst.locations, S, side, cells)[1]
     dp = _occupancy_dp(inst, S, tail)
     return float(sum(mass for state, mass in dp.items()
                      if all(c >= 1 for c in state)))

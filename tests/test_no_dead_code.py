@@ -11,6 +11,13 @@ definition: some members (``GridSpec.cell_of``,
 ``LinearizationMap.flat_coeffs``) exist to be tested.  A constant passes
 on the same terms as a method.  Import statements do not count as
 references, and the package ``__init__`` is not scanned.
+
+Every defaulted parameter of a package function or non-dunder method is
+also passed by some call in ``src/stocenter``, ``perfbench/*.py`` or
+``tests/*.py``: by keyword, by position (a method's positions count
+``self``), or through ``*args`` or ``**kwargs``.  A call matches a
+definition by name.  A function whose name is also used as a value (passed
+or stored, not called) counts as passing every parameter.
 """
 
 import ast
@@ -87,6 +94,70 @@ def unreached(modules: dict[str, str], others: list[str],
     return found + members
 
 
+def _defaulted(fn, shift: int) -> list[tuple[int | None, str]]:
+    """(call position, name) of each defaulted parameter of ``fn``; the
+    position is None for a keyword-only one.  ``shift`` is 1 for a method,
+    whose calls do not pass ``self``."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    out = [(i - shift, p.arg) for i, p in enumerate(positional) if i >= first]
+    return out + [(None, p.arg) for p, default
+                  in zip(args.kwonlyargs, args.kw_defaults)
+                  if default is not None]
+
+
+def _call_sites(trees):
+    """Per callee name: keywords passed, most positional arguments, whether
+    some call splats; and the names used as values."""
+    keywords, positions, splat, callees = {}, {}, set(), set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            callees.add(id(func))
+            if not isinstance(func, (ast.Name, ast.Attribute)):
+                continue
+            name = func.id if isinstance(func, ast.Name) else func.attr
+            keywords.setdefault(name, set()).update(
+                kw.arg for kw in node.keywords)
+            positions[name] = max(positions.get(name, 0), len(node.args))
+            if None in keywords[name] or any(
+                    isinstance(a, ast.Starred) for a in node.args):
+                splat.add(name)
+    values = {n.id if isinstance(n, ast.Name) else n.attr
+              for tree in trees for n in ast.walk(tree)
+              if isinstance(n, (ast.Name, ast.Attribute))
+              and isinstance(n.ctx, ast.Load) and id(n) not in callees}
+    return keywords, positions, splat | values
+
+
+def dead_parameters(modules: dict[str, str], others: list[str]) -> list[str]:
+    """``module.function.param`` (or ``module.Class.method.param``) of each
+    defaulted parameter in ``modules`` that no call in ``modules`` or
+    ``others`` passes."""
+    trees = {label: ast.parse(src) for label, src in modules.items()}
+    keywords, positions, passes_all = _call_sites(
+        list(trees.values()) + [ast.parse(s) for s in others])
+    found = []
+    for label, tree in trees.items():
+        defs = [(f"{label}.{node.name}", node, 0) for node in tree.body
+                if isinstance(node, FUNCTIONS)]
+        defs += [(f"{label}.{node.name}.{member.name}", member, 1)
+                 for node in tree.body if isinstance(node, ast.ClassDef)
+                 for member in node.body if isinstance(member, FUNCTIONS)
+                 and not (member.name.startswith("__")
+                          and member.name.endswith("__"))]
+        for qualname, fn, shift in defs:
+            if fn.name in passes_all:
+                continue
+            found += [f"{qualname}.{name}" for pos, name in _defaulted(fn, shift)
+                      if name not in keywords.get(fn.name, ())
+                      and (pos is None or pos >= positions.get(fn.name, 0))]
+    return found
+
+
 def _package_exports() -> set[str]:
     tree = ast.parse((PACKAGE / "__init__.py").read_text())
     return {alias.asname or alias.name for node in tree.body
@@ -119,3 +190,30 @@ def test_checker_flags_unreached_definitions():
     # a test reaches a method or a constant, but not a top-level definition
     assert unreached(modules, [], set(), ["Kept().size + dead() + STALE"]) \
         == ["m.dead", "m.Kept", "m.Kept.called"]
+
+
+def test_every_defaulted_parameter_is_passed():
+    modules = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))
+               if p.name != "__init__.py"}
+    others = [p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py"))
+              + sorted((ROOT / "tests").glob("*.py"))]
+    assert dead_parameters(modules, others) == []
+
+
+def test_checker_flags_dead_parameters():
+    modules = {"m": "def f(a, b=1, c=2, *, d=3):\n    return a\n\n"
+                    "def g(a=1):\n    return a\n\n"
+                    "class C:\n"
+                    "    def __init__(self, x=0):\n        self.x = x\n\n"
+                    "    def meth(self, a=1, b=2):\n        return a + b\n"}
+    assert dead_parameters(modules, []) == \
+        ["m.f.b", "m.f.c", "m.f.d", "m.g.a", "m.C.meth.a", "m.C.meth.b"]
+    # by keyword, and by position: a method's calls skip self
+    assert dead_parameters(modules, ["f(0, d=1)", "C().meth(5)"]) == \
+        ["m.f.b", "m.f.c", "m.g.a", "m.C.meth.b"]
+    assert dead_parameters(modules, ["f(0, 1, 2)", "C().meth(5, 6)"]) == \
+        ["m.f.d", "m.g.a"]
+    # through *args or **kwargs
+    assert dead_parameters(modules, ["f(*xs)", "C().meth(**kw)"]) == ["m.g.a"]
+    # used as a value
+    assert dead_parameters(modules, ["h = f", "run(g)", "x.meth"]) == []

@@ -1,3 +1,6 @@
+from fractions import Fraction
+from itertools import combinations, product
+
 import numpy as np
 import pytest
 
@@ -140,6 +143,51 @@ def test_prob_locational_matches_grouping_oracle():
         for S in [(0,), tuple(range(inst.m))]:
             algo = subset_probability(S, inst, k, eps)
             assert algo == pytest.approx(brute.get(S, 0.0), abs=1e-12)
+
+
+def _exact_location_sets(inst):
+    """Pr[realized location set = T] of every T, in exact rationals."""
+    out = {}
+    for assignment in product(range(inst.m), repeat=inst.n):
+        pr = Fraction(1)
+        for node, loc in enumerate(assignment):
+            pr *= Fraction(float(inst.probs[node, loc]))
+        key = tuple(sorted(set(assignment)))
+        out[key] = out.get(key, 0) + pr
+    return out
+
+
+def _sparse_loc(rng, n, m):
+    """Rows with zero entries, each keeping at least one positive one."""
+    rows = rng.uniform(0.0, 1.0, (n, m)) * (rng.random((n, m)) < 0.6)
+    rows[np.arange(n), rng.integers(0, m, n)] += 0.05
+    rows /= rows.sum(axis=1, keepdims=True)
+    return LocationalInstance(locations=rng.uniform(-10, 10, (m, 2)),
+                              probs=rows)
+
+
+def test_singleton_masses_match_exact_rationals():
+    # a Singleton's mass is the rule with an empty tail; an
+    # inclusion-exclusion sum over subsets of S cancels on the first
+    # instance (relative error 2.2e-5)
+    rng = np.random.default_rng(21)
+    row = [0.0, 1.0 - 1e-12, 1e-12]
+    cases = [(LocationalInstance(locations=[[0.0, 0.0], [1.0, 0.0],
+                                            [0.0, 1.0]], probs=[row] * 4), 2)]
+    cases += [(_sparse_loc(rng, int(rng.integers(2, 5)),
+                           int(rng.integers(3, 5))), int(rng.integers(1, 4)))
+              for _ in range(12)]
+    for inst, k in cases:
+        exact = _exact_location_sets(inst)
+        image = dict(build_weighted_image(inst, k, 0.5,
+                                          mode="subsets").entries)
+        for size in range(1, k + 1):
+            for S in combinations(range(inst.m), size):
+                want = exact.get(S, Fraction(0))
+                for got in (prob_locational(S, inst, k, 0.5),
+                            image.get(S, 0.0)):
+                    assert abs(Fraction(got) - want) <= want * 1e-12, \
+                        (S, got, float(want))
 
 
 @pytest.mark.parametrize("model,k", [("existential", 1), ("existential", 2),

@@ -22,10 +22,10 @@ from stocenter import objective
 from stocenter.errors import SchemaError
 from stocenter.jflat import (ConvexKSpec, LinearizationMap, _kernel,
                              build_S1, direction_net)
-from stocenter.model import (CenterSet, ExistentialInstance, Flat,
-                             LocationalInstance, Realization, realize,
+from stocenter.model import (CHUNK_ELEMENTS, CenterSet, ExistentialInstance,
+                             Flat, LocationalInstance, Realization, realize,
                              sample_realization)
-from stocenter.objective import (MC_CHUNK_ELEMENTS, expected_objective_exact,
+from stocenter.objective import (expected_objective_exact,
                                  expected_objective_mc, shape_distances)
 
 SETTINGS = settings(max_examples=120, deadline=None, derandomize=True,
@@ -255,7 +255,7 @@ def test_mc_matches_loop_across_chunk_boundaries(data, seed, rows):
     shape = data.draw(shapes(instance.d))
     samples = data.draw(st.sampled_from(
         [s for s in (1, 2, rows - 1, rows, rows + 1, 3 * rows + 1) if s >= 1]))
-    with mock.patch.object(objective, "MC_CHUNK_ELEMENTS", rows * instance.n):
+    with mock.patch.object(objective, "CHUNK_ELEMENTS", rows * instance.n):
         res = expected_objective_mc(instance, shape, samples,
                                     np.random.default_rng(seed), seed=seed)
     ref = loop_mc_values(instance, shape, samples, np.random.default_rng(seed))
@@ -286,7 +286,7 @@ def test_mc_matches_loop_at_the_chunk_size(model, n):
     reference loop serves every count."""
     instance = _large_instance(model, n, seed=n)
     shape = CenterSet(centers=[[1.0, -2.0], [-3.0, 4.0]])
-    rows = max(MC_CHUNK_ELEMENTS // n, 1)
+    rows = max(CHUNK_ELEMENTS // n, 1)
     counts = (1, 2, rows - 1, rows, rows + 1, 2 * rows + 3)
     ref = loop_mc_values(instance, shape, counts[-1],
                          np.random.default_rng(n))
@@ -329,7 +329,7 @@ def test_build_S1_matches_loop(data, seed, N):
     proj = lin.lift(instance.support_points) @ dirs.T
     q = data.draw(st.floats(0.0, 1.0))
     K = ConvexKSpec(directions=dirs, thresholds=np.quantile(proj, q, axis=0),
-                    lin=lin, eps_prime=0.1)
+                    lin=lin)
     s1 = build_S1(instance, K, 0.5, N, seed, kernel_net_size=8)
     ref = loop_build_S1(instance, K, N, seed, kernel_net_size=8)
     assert len(s1) == len(ref) == N
