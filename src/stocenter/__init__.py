@@ -28,14 +28,13 @@ from .model import (CenterSet, ExistentialInstance, Flat, Instance,
                     shape_from_dict, shape_to_dict)
 from .objective import (ObjectiveValue, expected_flatcenter_exact,
                         expected_objective_exact, expected_objective_mc,
-                        flat_distance, kcenter_value,
-                        realization_objective, shape_distances)
+                        flat_distance, kcenter_value, shape_distances)
 from .oracle import (minimum_enclosing_ball, oracle_expected_objective,
                      oracle_holant_direct, oracle_min_flat,
                      oracle_sensitivities, oracle_solver_gkm,
                      oracle_solver_instance)
 from .partition import (MembershipVerdict, WeightedImage,
                         build_weighted_image, holant_value, image_cost,
-                        membership_check, subset_probability)
+                        membership_check, prob_existential, prob_locational)
 
 __version__ = "0.1.0"

@@ -163,7 +163,8 @@ class CoresetBuilder:
     def chunk_rows(self) -> int:
         """Mask rows per chunk: the temporaries are rows x C(n,k) floats
         and rows x n masks."""
-        return max(CHUNK_ELEMENTS // max(self.combo_min.shape[1], self.n), 1)
+        return max(CHUNK_ELEMENTS // max(self.combo_min.shape[1], self.n, 1),
+                   1)
 
     def _r_rows(self, masks: np.ndarray) -> np.ndarray:
         """r_P of every mask row; 0 for an empty row.

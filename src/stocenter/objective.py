@@ -1,9 +1,11 @@
 """Exact and Monte-Carlo evaluation of the expected k-center value K(P, F)
 and expected j-flat-center value J(P, F) in both uncertainty models.
 
-The exact existential evaluator sorts distances non-increasing and sums
-p_i * d_i * prod_{j<i}(1 - p_j); the locational evaluator integrates the
-max-distance CDF over its finitely many jump points.
+Both models' exact value is w . dists over one private kernel,
+``_farthest_weights``: w_l = Pr[support point l is the farthest realized
+point, ties to the lowest id].  So, for a fixed assignment of points to
+centers, sum_l w_l (c - s_l) / ||c - s_l|| over the points served by c is
+a subgradient of the expected objective.
 
 ``WeightedCollection``, the one weighted point-set type, is the one place
 that takes K(S, F) = max_{s in S} d(s, F) for every set S.  The grid
@@ -21,7 +23,7 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .model import (CHUNK_ELEMENTS, CenterSet, ExistentialInstance, Flat,
-                    Instance, LocationalInstance, Realization, realize)
+                    Instance, realize)
 
 
 @dataclass(frozen=True)
@@ -179,54 +181,48 @@ def flat_distance(x: np.ndarray, F: Flat) -> float:
     return float(shape_distances(np.atleast_2d(np.asarray(x, dtype=float)), F)[0])
 
 
-def _exact_existential(probs: np.ndarray, dists: np.ndarray) -> float:
-    # Sort non-increasing by distance, ties by point id for determinism.
-    # E[max] = sum_i p_i d_i prod_{j<i}(1 - p_j) over the sorted order.
-    n = len(dists)
-    order = np.lexsort((np.arange(n), -dists))
-    p = probs[order]
-    d = dists[order]
-    prefix = np.concatenate([[1.0], np.cumprod(1.0 - p)[:-1]])
-    return float(np.sum(p * d * prefix))
-
-
-def _exact_locational(instance: LocationalInstance, dists: np.ndarray) -> float:
-    # dists: distance of every location to the shape.  CDF of the max over
-    # nodes jumps only at the distinct location distances.
-    ts = np.unique(dists)
-    # cdf_per_node[i, r] = Pr[node i lands within distance ts[r]]
-    within = dists[None, :] <= ts[:, None]  # (R, m)
-    node_cdf = instance.probs @ within.T     # (n, R)
-    cdf = np.prod(node_cdf, axis=0)          # (R,)
-    prev = np.concatenate([[0.0], cdf[:-1]])
-    return float(np.sum(ts * (cdf - prev)))
+def _farthest_weights(instance: Instance, dists: np.ndarray) -> np.ndarray:
+    """w_l = Pr[support point l is the farthest realized point, ties to the
+    lowest id] for every support point l, given its distance ``dists[l]``.
+    An empty realization has no farthest point, so w sums to
+    Pr[some point is realized]."""
+    m = len(dists)
+    w = np.zeros(m)
+    if isinstance(instance, ExistentialInstance):
+        # farthest first, ties to the lowest id: l is the farthest realized
+        # point iff it is present and every point before it is absent
+        order = np.lexsort((np.arange(m), -dists))
+        p = instance.probs[order]
+        w[order] = p * np.concatenate([[1.0], np.cumprod(1.0 - p)[:-1]])
+        return w
+    # nearest first, ties to the highest id: cdf[r] = Pr[every node lands
+    # in order[:r + 1]], so its jump at r is Pr[the farthest realized
+    # location is order[r]]
+    order = np.lexsort((-np.arange(m), dists))
+    cdf = np.prod(np.cumsum(instance.probs[:, order], axis=1), axis=0)
+    w[order] = np.diff(cdf, prepend=0.0)
+    return w
 
 
 def expected_objective_exact(instance: Instance, shape: Shape) -> ObjectiveValue:
-    """Exact expected objective of a center set or a flat.
+    """Exact expected objective of a center set or a flat: w . dists over
+    the farthest-point weights w of ``_farthest_weights``.
 
-    ``shape_distances`` handles the shape kind, so only the model picks
-    the formula.
+    ``shape_distances`` handles the shape kind and ``_farthest_weights``
+    the model.
     """
-    existential = isinstance(instance, ExistentialInstance)
-    method = "ExactSorted" if existential else "ExactCDF"
+    method = "ExactSorted" if isinstance(instance, ExistentialInstance) \
+        else "ExactCDF"
     if instance.n == 0:  # every realization is empty
         return ObjectiveValue(0.0, method)
     dists = shape_distances(instance.support_points, shape)
-    if existential:
-        return ObjectiveValue(_exact_existential(instance.probs, dists),
-                              method)
-    return ObjectiveValue(_exact_locational(instance, dists), method)
+    return ObjectiveValue(float(_farthest_weights(instance, dists) @ dists),
+                          method)
 
 
 def expected_flatcenter_exact(instance: Instance, F: Flat) -> ObjectiveValue:
     """``expected_objective_exact`` for a flat."""
     return expected_objective_exact(instance, F)
-
-
-def realization_objective(instance: Instance, realization: Realization,
-                          shape: Shape) -> float:
-    return kcenter_value(realization.points(instance), shape)
 
 
 def expected_objective_mc(instance: Instance, shape: Shape, samples: int,

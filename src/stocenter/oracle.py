@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gkm import WeightedCollection, gkm_cost
-from .model import (CHUNK_ELEMENTS, CenterSet, Flat, Instance,
-                    LocationalInstance, enumerate_realizations)
+from .model import (CHUNK_ELEMENTS, CenterSet, ExistentialInstance, Flat,
+                    Instance, LocationalInstance, realization_chunks)
 from .objective import _distances, _subset_minima, shape_distances
 
 
@@ -27,17 +27,29 @@ class OracleReport:
     enumeration_size: int
 
 
+def oracle_expected_values(instance: Instance,
+                           dmat: np.ndarray) -> tuple[np.ndarray, int]:
+    """Expected max distance by full enumeration, for every column of the
+    (support, shapes) distance matrix ``dmat``, and the number of
+    realizations enumerated (those of nonzero probability)."""
+    existential = isinstance(instance, ExistentialInstance)
+    out = np.zeros(dmat.shape[1])
+    count = 0
+    for rows, pr in realization_chunks(instance):
+        count += len(pr)
+        for f, dists in enumerate(dmat.T):
+            # distances are >= 0: an absent point's 0 never wins, and the
+            # empty realization scores 0
+            vals = np.where(rows, dists, 0.0) if existential else dists[rows]
+            out[f] += pr @ vals.max(axis=1, initial=0.0)
+    return out, count
+
+
 def oracle_expected_objective(instance: Instance, shape) -> OracleReport:
     """Expected objective by summing over every realization."""
     dists = shape_distances(instance.support_points, shape)
-    total = 0.0
-    count = 0
-    for real, pr in enumerate_realizations(instance):
-        ids = real.point_ids()
-        val = float(dists[list(ids)].max()) if ids else 0.0
-        total += pr * val
-        count += 1
-    return OracleReport(value=total, method="FullEnumeration",
+    values, count = oracle_expected_values(instance, dists[:, None])
+    return OracleReport(value=float(values[0]), method="FullEnumeration",
                         enumeration_size=count)
 
 

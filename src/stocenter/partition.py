@@ -80,7 +80,8 @@ def _checked_ids(S_ids, n: int) -> tuple[int, ...]:
 def _group_rows(masks: np.ndarray):
     """The distinct rows of a boolean matrix, and each row's index among
     them."""
-    order = np.lexsort(masks.T)
+    # lexsort needs a key; rows of width 0 are all equal
+    order = np.lexsort(masks.T) if masks.shape[1] else np.arange(len(masks))
     ordered = masks[order]
     first = np.ones(len(order), dtype=bool)
     first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
@@ -121,7 +122,9 @@ def _existential_masses(builder: CoresetBuilder, probs: np.ndarray,
     S = masks[rows]
     tail = _tails(builder.support, S, batch.side[rows])
     factors = np.where(S, probs, np.where(tail, 1.0, 1.0 - probs))
-    w[rows] = np.multiply.accumulate(factors, axis=1)[:, -1]
+    # the empty product of a support of no points is 1
+    w[rows] = np.multiply.accumulate(factors, axis=1)[:, -1] \
+        if masks.shape[1] else 1.0
     return w
 
 
@@ -249,12 +252,6 @@ def prob_locational(S_ids, instance: LocationalInstance, k: int, eps: float,
     return float(sum(mass for state, mass in dp.items() if 0 not in state))
 
 
-def subset_probability(S_ids, instance: Instance, k: int, eps: float) -> float:
-    if isinstance(instance, ExistentialInstance):
-        return prob_existential(S_ids, instance, k, eps)
-    return prob_locational(S_ids, instance, k, eps)
-
-
 def _index_masks(idx: np.ndarray, width: int) -> np.ndarray:
     """Boolean (rows, width) masks, row r set at the columns idx[r]."""
     masks = np.zeros((idx.shape[0], width), dtype=bool)
@@ -306,8 +303,10 @@ def build_weighted_image(instance: Instance, k: int, eps: float,
     if total > MAX_SUBSET_ENUMERATION:
         raise EnumerationGuardExceeded(
             f"{total} candidate subsets exceed {MAX_SUBSET_ENUMERATION}")
-    # every node always realizes somewhere, so a locational S is nonempty
-    first = 1 if isinstance(instance, LocationalInstance) else 0
+    # a node always realizes somewhere, so with nodes a locational S is
+    # nonempty
+    first = 1 if isinstance(instance, LocationalInstance) and instance.n \
+        else 0
     entries = []
     for masks in _candidate_chunks(n, range(first, bound + 1), rows):
         if isinstance(instance, ExistentialInstance):

@@ -17,10 +17,11 @@ from .grid_coreset import CoresetBuilder, coreset_image_size_bound
 from .jflat import (SJFCCoreset, build_S1, build_S2, estimate_J,
                     sjfc_pipeline, sweep_convexK)
 from .model import (CenterSet, ExistentialInstance, Flat, LocationalInstance,
-                    realization_chunks, sample_realization)
+                    sample_realization)
 from .objective import (expected_flatcenter_exact, expected_objective_exact,
                         shape_distances)
-from .oracle import minimum_enclosing_ball, oracle_sensitivities
+from .oracle import (minimum_enclosing_ball, oracle_expected_values,
+                     oracle_sensitivities)
 from .partition import (build_weighted_image, holant_value,
                         membership_check, forbidden_and_tail_sets)
 from .serialize import dumps_json
@@ -68,22 +69,6 @@ def _rand_centers(rng, count, k, d):
     return rng.uniform(-12.0, 12.0, size=(count, k, d))
 
 
-def _enum_values(instance, dmat: np.ndarray) -> np.ndarray:
-    """Expected max distance by full enumeration, for every column of the
-    (support, F) distance matrix ``dmat``."""
-    out = np.zeros(dmat.shape[1])
-    for rows, pr in realization_chunks(instance):
-        for f, dists in enumerate(dmat.T):
-            if isinstance(instance, ExistentialInstance):
-                # distances are >= 0: an absent point's 0 never wins, and
-                # the empty realization scores 0
-                vals = np.where(rows, dists, 0.0).max(axis=1)
-            else:
-                vals = dists[rows].max(axis=1)
-            out[f] += pr @ vals
-    return out
-
-
 def _min_center_dists(points: np.ndarray, F_batch: np.ndarray) -> np.ndarray:
     """(n_points, n_F) min distance to each batch center set."""
     diff = points[:, None, None, :] - F_batch[None, :, :, :]
@@ -95,7 +80,8 @@ def _c1_error(instance, F_batch: np.ndarray) -> float:
     dmat = _min_center_dists(instance.support_points, F_batch)
     exact = [expected_objective_exact(instance, CenterSet(centers=F)).value
              for F in F_batch]
-    return float(np.abs(np.array(exact) - _enum_values(instance, dmat)).max())
+    enum, _ = oracle_expected_values(instance, dmat)
+    return float(np.abs(np.array(exact) - enum).max())
 
 
 # ---------------------------------------------------------------------------

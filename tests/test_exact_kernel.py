@@ -1,0 +1,191 @@
+"""The farthest-point weight kernel behind ``expected_objective_exact``, and
+metamorphic properties of the exact value.
+
+``_farthest_weights`` gives w_l = Pr[support point l is the farthest
+realized point, ties to the lowest id].  The checks: w is a distribution
+over the nonempty realizations, w . dists is the enumeration oracle's
+value, and, for a fixed assignment a of support points to centers,
+sum_l w_l (c_a(l) - s_l) / ||c_a(l) - s_l|| is a subgradient of
+g_a(C) = E[max_l ||s_l - c_a(l)||].  Integer-grid coordinates force ties
+in distance; probabilities include 0 and 1.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from stocenter.model import CenterSet, ExistentialInstance, LocationalInstance
+from stocenter.objective import (_farthest_weights, expected_objective_exact,
+                                 expected_objective_mc, shape_distances)
+from stocenter.oracle import oracle_expected_values
+
+SETTINGS = settings(max_examples=150, deadline=None, derandomize=True,
+                    database=None)
+
+grid = st.integers(-2, 2).map(float)
+prob = st.one_of(st.sampled_from([0.0, 1.0, 0.5]), st.floats(0.0, 1.0))
+coords = st.lists(st.floats(-3.0, 3.0), min_size=6, max_size=6)
+
+
+@st.composite
+def points(draw, max_n):
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(1, max_n))
+    return np.array(draw(st.lists(st.tuples(*[grid] * d), min_size=n,
+                                  max_size=n)))
+
+
+@st.composite
+def existential_instances(draw):
+    pts = draw(points(8))
+    probs = draw(st.lists(prob, min_size=len(pts), max_size=len(pts)))
+    return ExistentialInstance(points=pts, probs=np.array(probs))
+
+
+@st.composite
+def locational_instances(draw):
+    locs = draw(points(6))
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        w = draw(st.lists(st.integers(0, 3), min_size=len(locs),
+                          max_size=len(locs)).filter(any))
+        rows.append(np.array(w, dtype=float) / sum(w))
+    return LocationalInstance(locations=locs, probs=np.array(rows))
+
+
+instances = st.one_of(existential_instances(), locational_instances())
+
+# One node on (1, 0) or (-1, 0) with probability 1/2 each, center at the
+# origin: both locations tie at distance 1.  Giving the whole CDF jump to
+# the lowest id (w = (1, 0)) promises 1.1 at (-0.1, 0), where the value
+# is 1.0.
+TIE = LocationalInstance(locations=[[1.0, 0.0], [-1.0, 0.0]],
+                         probs=[[0.5, 0.5]])
+
+
+def _centers(flat, k, d):
+    return np.array(flat[:k * d]).reshape(k, d)
+
+
+def _assigned_dists(support, C, a):
+    return np.sqrt(((support - C[a]) ** 2).sum(axis=1))
+
+
+def _enumerated(inst, dists):
+    return oracle_expected_values(inst, dists[:, None])[0][0]
+
+
+@SETTINGS
+@given(instances, coords)
+def test_weights_are_the_farthest_point_distribution(inst, flat):
+    C = CenterSet(centers=_centers(flat, 1, inst.d))
+    dists = shape_distances(inst.support_points, C)
+    w = _farthest_weights(inst, dists)
+    assert (w >= 0.0).all()
+    if isinstance(inst, ExistentialInstance):
+        nonempty = 1.0 - np.prod(1.0 - inst.probs)
+    else:
+        nonempty = np.prod(inst.probs.sum(axis=1))
+    assert w.sum() == pytest.approx(nonempty, abs=1e-12)
+    value = _enumerated(inst, dists)
+    assert w @ dists == pytest.approx(value, abs=1e-12 * max(1.0, value))
+    assert expected_objective_exact(inst, C).value == \
+        pytest.approx(value, abs=1e-12 * max(1.0, value))
+
+
+@SETTINGS
+@given(instances, st.integers(1, 2), coords, coords,
+       st.lists(st.integers(0, 1), min_size=8, max_size=8))
+@example(TIE, 1, [0.0] * 6, [-0.1] + [0.0] * 5, [0] * 8)
+def test_weights_give_a_subgradient(inst, k, flat, moved, assign):
+    support = inst.support_points
+    a = np.array(assign[:len(support)]) % k
+    C, C2 = _centers(flat, k, inst.d), _centers(moved, k, inst.d)
+    dists = _assigned_dists(support, C, a)
+    w = _farthest_weights(inst, dists)
+    g = np.zeros_like(C)
+    far = dists > 0.0  # a point on its center contributes nothing
+    np.add.at(g, a[far], (w[far] / dists[far])[:, None]
+              * (C[a[far]] - support[far]))
+    here = _enumerated(inst, dists)
+    there = _enumerated(inst, _assigned_dists(support, C2, a))
+    assert there >= here + float((g * (C2 - C)).sum()) \
+        - 1e-9 * max(1.0, there)
+
+
+@SETTINGS
+@given(instances, coords, st.integers(0, 2 ** 32 - 1), st.floats(0.1, 10.0))
+def test_exact_value_is_euclidean_invariant(inst, flat, seed, scale):
+    d = inst.d
+    C = _centers(flat, 2, d)
+    base = expected_objective_exact(inst, CenterSet(centers=C)).value
+    rng = np.random.default_rng(seed)
+    Q = np.linalg.qr(rng.normal(size=(d, d)))[0]  # orthogonal
+    t = rng.uniform(-10.0, 10.0, d)
+
+    def moved(f):
+        if isinstance(inst, ExistentialInstance):
+            out = ExistentialInstance(points=f(inst.points), probs=inst.probs)
+        else:
+            out = LocationalInstance(locations=f(inst.locations),
+                                     probs=inst.probs)
+        return expected_objective_exact(
+            out, CenterSet(centers=f(C))).value
+
+    tol = 1e-12 * max(1.0, base)
+    assert moved(lambda x: x @ Q.T + t) == pytest.approx(base, abs=tol)
+    assert moved(lambda x: scale * x) == \
+        pytest.approx(scale * base, abs=scale * tol)
+
+
+@SETTINGS
+@given(existential_instances(), coords, st.data())
+def test_raising_a_probability_never_lowers_the_value(inst, flat, data):
+    C = CenterSet(centers=_centers(flat, 1, inst.d))
+    i = data.draw(st.integers(0, inst.n - 1))
+    probs = inst.probs.copy()
+    probs[i] = data.draw(st.floats(probs[i], 1.0))
+    raised = ExistentialInstance(points=inst.points, probs=probs)
+    base = expected_objective_exact(inst, C).value
+    assert expected_objective_exact(raised, C).value >= \
+        base - 1e-12 * max(1.0, base)
+
+
+@SETTINGS
+@given(points(8), st.data(), coords)
+def test_one_hot_locational_is_existential_with_certain_points(locs, data,
+                                                               flat):
+    m = len(locs)
+    visits = data.draw(st.lists(st.integers(0, m - 1), min_size=1,
+                                max_size=6))
+    rows = np.zeros((len(visits), m))
+    rows[np.arange(len(visits)), visits] = 1.0
+    probs = np.zeros(m)
+    probs[visits] = 1.0
+    C = CenterSet(centers=_centers(flat, 2, locs.shape[1]))
+    loc = expected_objective_exact(
+        LocationalInstance(locations=locs, probs=rows), C).value
+    exist = expected_objective_exact(
+        ExistentialInstance(points=locs, probs=probs), C).value
+    assert loc == pytest.approx(exist, abs=1e-12 * max(1.0, exist))
+
+
+def test_exact_agrees_with_seeded_monte_carlo():
+    rng = np.random.default_rng(2024)
+    for t in range(20):
+        d = int(rng.integers(1, 4))
+        if t % 2:
+            rows = rng.uniform(0.0, 1.0, (int(rng.integers(1, 30)), 12))
+            rows /= rows.sum(axis=1, keepdims=True)
+            inst = LocationalInstance(locations=rng.uniform(-5, 5, (12, d)),
+                                      probs=rows)
+        else:
+            n = int(rng.integers(1, 60))
+            inst = ExistentialInstance(points=rng.uniform(-5, 5, (n, d)),
+                                       probs=rng.uniform(0.0, 1.0, n))
+        F = CenterSet(centers=rng.uniform(-5, 5, (int(rng.integers(1, 3)),
+                                                  d)))
+        exact = expected_objective_exact(inst, F).value
+        mc = expected_objective_mc(inst, F, 4000, np.random.default_rng(t))
+        assert abs(exact - mc.value) <= 4 * mc.stderr + 1e-12

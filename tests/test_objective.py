@@ -6,7 +6,7 @@ from stocenter.model import (CenterSet, ExistentialInstance, Flat,
 from stocenter.objective import (expected_flatcenter_exact,
                                  expected_objective_exact,
                                  expected_objective_mc, flat_distance,
-                                 kcenter_value, realization_objective)
+                                 kcenter_value)
 
 
 def test_kcenter_value_hand_cases():
@@ -56,7 +56,7 @@ def test_exact_locational_hand_value():
 def _enum_expected(instance, shape):
     total = 0.0
     for real, pr in enumerate_realizations(instance):
-        total += pr * realization_objective(instance, real, shape)
+        total += pr * kcenter_value(real.points(instance), shape)
     return total
 
 

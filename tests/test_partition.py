@@ -13,8 +13,7 @@ from stocenter.oracle import oracle_holant_direct
 from stocenter.partition import (build_weighted_image, enumerate_sequences,
                                  forbidden_and_tail_sets, holant_value,
                                  image_cost, membership_check,
-                                 prob_existential, prob_locational,
-                                 subset_probability)
+                                 prob_existential, prob_locational)
 
 
 def _rand_exist(rng, n, d=2):
@@ -141,7 +140,7 @@ def test_prob_locational_matches_grouping_oracle():
             algo = prob_locational(S, inst, k, eps)
             assert algo == pytest.approx(mass, abs=1e-12)
         for S in [(0,), tuple(range(inst.m))]:
-            algo = subset_probability(S, inst, k, eps)
+            algo = prob_locational(S, inst, k, eps)
             assert algo == pytest.approx(brute.get(S, 0.0), abs=1e-12)
 
 
@@ -204,6 +203,18 @@ def test_image_modes_agree_and_sum_to_one(model, k):
     dex, dsu = dict(ex.entries), dict(su.entries)
     for S in set(dex) | set(dsu):
         assert dex.get(S, 0.0) == pytest.approx(dsu.get(S, 0.0), abs=1e-12)
+
+
+@pytest.mark.parametrize("model", ["existential", "locational"])
+@pytest.mark.parametrize("mode", ["exhaustive", "subsets"])
+@pytest.mark.parametrize("k", [1, 2])
+def test_empty_instance_is_one_empty_class(model, mode, k):
+    # no points, or no nodes: the one realization is empty
+    inst = ExistentialInstance(points=np.zeros((0, 2)), probs=np.zeros(0)) \
+        if model == "existential" else \
+        LocationalInstance(locations=np.zeros((3, 2)), probs=np.zeros((0, 3)))
+    assert build_weighted_image(inst, k, 0.5, mode=mode).entries == \
+        (((), 1.0),)
 
 
 def test_deterministic_instance_single_class():
