@@ -99,6 +99,7 @@ def cmd_solve(args) -> int:
     _emit(args, {"centers": [list(c) for c in F.centers], "value": value,
                  "strategy": info["strategy"],
                  "candidates_evaluated": info["candidates_evaluated"],
+                 "polish_unconverged": info["polish_unconverged"],
                  "seed": args.seed})
     return EXIT_OK
 
@@ -113,6 +114,7 @@ def cmd_jflat(args) -> int:
                  "basis": [list(b) for b in F.basis]},
         "value": value, "case": info["case"],
         "coreset_sizes": {"s1": info["s1_size"], "s2": info["s2_size"]},
+        "polish_unconverged": info["polish_unconverged"],
         "seed": args.seed,
     })
     return EXIT_OK

@@ -11,11 +11,19 @@ re-exported here.  It packs the sets once, at construction: all points in
 one (total, d) array, the start offset of each set, one weight per set
 and an explicit d.  A cost evaluation is one ``shape_distances`` call on
 the packed points and one ``np.maximum.reduceat`` for the per-set maxima;
-the first-occurrence argmax per set (the farthest point, for subgradients
+the first-occurrence argmax per set (the farthest point, for the k=1 start
 and reassignment) comes from the same reduction.  The discrete k-subset
 pass and the candidate-coreset screen score many center sets at once from
 ``objective``'s point-to-candidate table.  No cost or farthest-point
 evaluation loops over the sets in Python.
+
+Solves.  One local search per k, every Nelder-Mead run with the options
+``NELDER_MEAD`` (xatol 1e-12, fatol 1e-14, maxiter 4000), which ``jflat``'s
+j=1 line searches share.  k=1 is one Nelder-Mead run from the weighted
+centroid of the sets' farthest points; k >= 2 is one alternating run from
+the discrete pass's best k-subset, or from k evenly spaced points when it
+has none; the exact polish is one Nelder-Mead run per start, and the
+pipelines report the runs stopped at ``maxiter`` as ``polish_unconverged``.
 
 Sequential sums.  Weighted sums over sets are taken left to right with
 ``np.add.accumulate``, never ``w @ m`` or the pairwise ``np.sum``, so the
@@ -40,6 +48,7 @@ from .partition import WeightedImage, build_weighted_image
 
 MAX_CANDIDATE_STREAM = 10 ** 7
 MAX_DISCRETE_SUBSETS = 10 ** 5
+NELDER_MEAD = {"xatol": 1e-12, "fatol": 1e-14, "maxiter": 4000}
 
 
 def collection_from_image(image: WeightedImage,
@@ -190,58 +199,21 @@ def _lex_key(centers: np.ndarray):
                  for row in centers[np.lexsort(centers.T[::-1])])
 
 
-def _row_norms(x: np.ndarray) -> np.ndarray:
-    """||x_i|| per row through the BLAS dot that ``np.linalg.norm`` uses on
-    one vector, so batched norms equal per-row ones bit for bit."""
-    return np.sqrt((x[:, None, :] @ x[:, :, None]).ravel())
-
-
 def _solve_k1(S: WeightedCollection) -> tuple[np.ndarray, float]:
-    """Minimize the convex map c -> sum_i w_i max_{s in S_i} ||s - c||."""
-    d = S.d
+    """Minimize the convex map c -> sum_i w_i max_{s in S_i} ||s - c|| by one
+    Nelder-Mead run from the weighted centroid of the per-set farthest
+    points from the mean of all points."""
     pts = S.points
     if pts.shape[0] == 0:
-        return np.zeros(d), 0.0
-    w = S.weights[S.nonempty]
+        return np.zeros(S.d), 0.0
 
     def fval(c):
-        F = CenterSet(centers=c.reshape(1, -1))
-        return gkm_cost(S, F)
+        return gkm_cost(S, CenterSet(centers=c.reshape(1, -1)))
 
-    def farthest(c):
-        return pts[S.argmax(np.linalg.norm(pts - c, axis=1))]
-
-    c0 = pts.mean(axis=0)
-    # Init at the weighted centroid of per-set farthest points from c0.
-    c0 = np.average(farthest(c0), axis=0, weights=w)
-    best_c, best_v = c0.copy(), fval(c0)
-    # Subgradient descent with step halving on rejected moves.
-    c = c0.copy()
-    scale = max(float(np.linalg.norm(pts - c0, axis=1).max()), 1e-12)
-    step = 0.5 * scale
-    for _ in range(200):
-        diff = c - farthest(c)
-        norm = _row_norms(diff)
-        keep = norm > 1e-15
-        g = np.zeros(d)
-        if keep.any():
-            g += np.add.accumulate(
-                w[keep, None] * diff[keep] / norm[keep, None], axis=0)[-1]
-        gn = np.linalg.norm(g)
-        if gn < 1e-13 or step < 1e-14 * scale:
-            break
-        cand = c - step * g / gn
-        v = fval(cand)
-        if v < best_v - 1e-10 * max(best_v, 1.0):
-            best_c, best_v = cand, v
-            c = cand
-        else:
-            step *= 0.5
-    res = minimize(fval, best_c, method="Nelder-Mead",
-                   options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 4000})
-    if res.fun <= best_v:
-        best_c, best_v = np.asarray(res.x), float(res.fun)
-    return best_c, best_v
+    far = pts[S.argmax(np.linalg.norm(pts - pts.mean(axis=0), axis=1))]
+    c0 = np.average(far, axis=0, weights=S.weights[S.nonempty])
+    res = minimize(fval, c0, method="Nelder-Mead", options=NELDER_MEAD)
+    return np.asarray(res.x), float(res.fun)
 
 
 def _discrete_pass(S: WeightedCollection, k: int):
@@ -290,69 +262,67 @@ def _alternating(S: WeightedCollection, k: int,
 
 
 def solve_gkm(S: WeightedCollection, k: int) -> tuple[CenterSet, float]:
-    """Best center set found; deterministic for fixed inputs."""
+    """Best center set found; deterministic for fixed inputs.
+
+    k=1 is ``_solve_k1``.  For k >= 2 it is one ``_alternating`` run from
+    the discrete pass's best k-subset of the support, or from k evenly
+    spaced packed points when there is none (fewer unique points than k, or
+    more than ``MAX_DISCRETE_SUBSETS`` k-subsets)."""
     if S.size == 0:
         raise ValueError("collection must be nonempty")
     if S.points.shape[0] == 0:
         return CenterSet(centers=np.zeros((k, S.d))), 0.0
     if k == 1:
         c, v = _solve_k1(S)
-        return CenterSet(centers=c.reshape(1, -1)), float(v)
-    candidates = []
+        return CenterSet(centers=c.reshape(1, -1)), v
     disc = _discrete_pass(S, k)
-    if disc is not None:
-        candidates.append(disc)
-        candidates.append(_alternating(S, k, disc[0]))
-    if not candidates:
+    if disc is None:
         pts = S.points
         F0 = CenterSet(centers=pts[np.linspace(0, pts.shape[0] - 1, k).astype(int)])
-        candidates.append(_alternating(S, k, F0))
-    best = min(candidates, key=lambda fv: (fv[1], _lex_key(fv[0].centers)))
-    return best[0], float(best[1])
+    else:
+        F0 = disc[0]
+    return _alternating(S, k, F0)
 
 
 # ---------------------------------------------------------------------------
 # End-to-end stochastic k-center
 
 
-def _polish_on_exact(instance: Instance, k: int, F: CenterSet) -> CenterSet:
-    """Local refinement of the centers directly on the exact expected
-    objective; cheap because each evaluation is a sort."""
+def _best_polished(instance: Instance, k: int,
+                   starts: list) -> tuple[CenterSet, float, int, int]:
+    """Polish each start center set by one Nelder-Mead run on the exact
+    expected objective (cheap: each evaluation is one weight kernel and one
+    dot) and keep the best by (value, lexicographic centers).
+
+    For k=1 the enclosing-ball center of the support is tried last: it is
+    the exact optimum for deterministic instances and a strong start
+    elsewhere.  Returns (CenterSet, value, starts evaluated, starts whose
+    run stopped unconverged at ``maxiter``); with no start at all, the zero
+    centers and value 0.
+    """
+    if k == 1:
+        from .oracle import minimum_enclosing_ball
+        c, _ = minimum_enclosing_ball(instance.support_points)
+        starts = [*starts, CenterSet(centers=c.reshape(1, -1))]
     d = instance.d
 
     def fval(flat):
         return expected_objective_exact(
             instance, CenterSet(centers=flat.reshape(k, d))).value
 
-    res = minimize(fval, F.centers.reshape(-1), method="Nelder-Mead",
-                   options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 4000})
-    return CenterSet(centers=np.asarray(res.x).reshape(k, d))
-
-
-def _best_polished(instance: Instance, k: int,
-                   starts: list) -> tuple[CenterSet, float, int]:
-    """Polish each start center set on the exact objective and keep the
-    best by (value, lexicographic centers).
-
-    For k=1 the enclosing-ball center of the support is tried last: it is
-    the exact optimum for deterministic instances and a strong start
-    elsewhere.  Returns (CenterSet, value, starts evaluated); with no start
-    at all, the zero centers and value 0.
-    """
-    if k == 1:
-        from .oracle import minimum_enclosing_ball
-        c, _ = minimum_enclosing_ball(instance.support_points)
-        starts = [*starts, CenterSet(centers=c.reshape(1, -1))]
-    best = None
+    best, unconverged = None, 0
     for F0 in starts:
-        F = _polish_on_exact(instance, k, F0)
-        v = expected_objective_exact(instance, F).value
+        res = minimize(fval, F0.centers.reshape(-1), method="Nelder-Mead",
+                       options=NELDER_MEAD)
+        unconverged += not res.success
+        F = CenterSet(centers=np.asarray(res.x).reshape(k, d))
+        v = float(res.fun)
         if best is None or v < best[1] - 1e-15 or \
                 (abs(v - best[1]) <= 1e-15 and _lex_key(F.centers) < _lex_key(best[0].centers)):
             best = (F, v)
     if best is None:
-        best = (CenterSet(centers=np.zeros((k, instance.d))), 0.0)
-    return best[0], float(best[1]), len(starts)
+        best = (CenterSet(centers=np.zeros((k, d))), 0.0)
+    return best[0], best[1], len(starts), unconverged
 
 
 def skc_pipeline(instance: Instance, k: int, eps: float,
@@ -362,11 +332,14 @@ def skc_pipeline(instance: Instance, k: int, eps: float,
 
     Builds the coreset-class image, derives candidate collections per the
     strategy, solves each, and returns the candidate minimizing the exact
-    expected objective.  Returns (CenterSet, value, info dict).
+    expected objective.  Returns (CenterSet, value, info dict); info holds
+    the strategy, ``candidates_evaluated`` (polish starts run) and
+    ``polish_unconverged`` (those that stopped at ``maxiter``).
     """
     if isinstance(instance, ExistentialInstance) and float(instance.probs.max(initial=0.0)) == 0.0:
         F = CenterSet(centers=np.zeros((k, instance.d)))
-        return F, 0.0, {"strategy": strategy, "candidates_evaluated": 0}
+        return F, 0.0, {"strategy": strategy, "candidates_evaluated": 0,
+                        "polish_unconverged": 0}
     image_mode = "exhaustive" if instance.support_points.shape[0] <= 14 \
         and isinstance(instance, ExistentialInstance) else "subsets"
     image = build_weighted_image(instance, k, eps, mode=image_mode)
@@ -401,7 +374,9 @@ def skc_pipeline(instance: Instance, k: int, eps: float,
             cand_cost = np.zeros(probes.shape[0])
             for i, wi in zip(core.indices, core.weights):
                 cand_cost += wi * K_rows[i]
-            dev = float(np.abs(cand_cost[mask] / full_cost[mask] - 1.0).max())
+            # with no probe of positive cost every candidate matches
+            dev = float(np.abs(cand_cost[mask] / full_cost[mask] - 1.0)
+                        .max(initial=0.0))
             if dev < best_dev - 1e-15:
                 best_core, best_dev = core, dev
         if best_core is not None:
@@ -410,5 +385,6 @@ def skc_pipeline(instance: Instance, k: int, eps: float,
         raise ValueError(f"unknown strategy {strategy!r}")
     starts = [F_S if coll is S and F_S is not None else solve_gkm(coll, k)[0]
               for coll in collections if coll.points.shape[0]]
-    F, value, evaluated = _best_polished(instance, k, starts)
-    return F, value, {"strategy": strategy, "candidates_evaluated": evaluated}
+    F, value, evaluated, unconverged = _best_polished(instance, k, starts)
+    return F, value, {"strategy": strategy, "candidates_evaluated": evaluated,
+                      "polish_unconverged": unconverged}

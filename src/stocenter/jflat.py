@@ -14,9 +14,10 @@ p_i = sum over nodes of probs[node, i].
 
 A 0-flat is one center, so j=0 (coreset solve, S2 sensitivity seed and
 exact polish) runs through the k=1 code of ``gkm``; only j=1 uses the
-Nelder-Mead line search of this module.  An ``SJFCCoreset`` packs S1 and
-S2 once, into one ``WeightedCollection``: the estimator reads its per-set
-maxima, and the j=0 solve runs on it as it is.
+Nelder-Mead line search of this module, with ``gkm.NELDER_MEAD`` options.
+An ``SJFCCoreset`` packs S1 and S2 once, into one ``WeightedCollection``:
+the estimator reads its per-set maxima, and the j=0 solve runs on it as it
+is.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .errors import CaseMismatch, EmptyK, SchemaError
-from .gkm import (SensitivityEstimate, WeightedCollection, _best_polished,
-                  importance_sample_coreset, solve_gkm)
+from .gkm import (NELDER_MEAD, SensitivityEstimate, WeightedCollection,
+                  _best_polished, importance_sample_coreset, solve_gkm)
 from .model import CenterSet, ExistentialInstance, Flat, Instance, realize
 from .objective import expected_flatcenter_exact, shape_distances
 
@@ -364,18 +365,19 @@ def _flat_from_params(x: np.ndarray, j: int, d: int) -> Flat:
     return Flat(j=1, base=t, basis=v.reshape(1, -1))
 
 
-def _optimize_flat(fval, d: int, starts) -> tuple[Flat, float]:
-    best = None
+def _optimize_flat(fval, d: int, starts) -> tuple[Flat, float, int]:
+    """One Nelder-Mead run per start over lines; returns the best line, its
+    value and the number of runs that stopped unconverged at ``maxiter``."""
+    best, unconverged = None, 0
     for x0 in starts:
         res = minimize(lambda x: fval(_flat_from_params(x, 1, d)), x0,
-                       method="Nelder-Mead",
-                       options={"xatol": 1e-11, "fatol": 1e-13,
-                                "maxiter": 4000})
+                       method="Nelder-Mead", options=NELDER_MEAD)
+        unconverged += not res.success
         F = _flat_from_params(np.asarray(res.x), 1, d)
         v = float(res.fun)
         if best is None or v < best[1]:
             best = (F, v)
-    return best
+    return best[0], best[1], unconverged
 
 
 def _starts_for(support: np.ndarray, d: int):
@@ -404,8 +406,9 @@ def solve_jflat(coreset: SJFCCoreset, j: int, d: int) -> tuple[Flat, float]:
         C, _ = solve_gkm(coreset.collection, 1)
         F = Flat(j=0, base=C.centers[0])
         return F, estimate_J(coreset, F)
-    return _optimize_flat(lambda F: estimate_J(coreset, F), d,
-                          _starts_for(support, d))
+    F, value, _ = _optimize_flat(lambda F: estimate_J(coreset, F), d,
+                                 _starts_for(support, d))
+    return F, value
 
 
 def sjfc_pipeline(instance: Instance, j: int, eps: float, seed: int = 0,
@@ -415,7 +418,10 @@ def sjfc_pipeline(instance: Instance, j: int, eps: float, seed: int = 0,
     Returns (Flat, value, info).  The exact evaluator is cheap (one sort per
     call), so the final polish runs directly on it and the reported value is
     exact for the returned flat.  For j=0 the polish is ``gkm``'s k=1 one,
-    from the coreset solution and the support's enclosing-ball center.
+    from the coreset solution and the support's enclosing-ball center.  info
+    holds the coreset ``case``, ``s1_size``, ``s2_size`` and
+    ``polish_unconverged``, the number of polish runs that stopped at
+    ``maxiter``.
     """
     if j not in (0, 1):
         raise SchemaError("only j in {0, 1} is supported")
@@ -424,20 +430,22 @@ def sjfc_pipeline(instance: Instance, j: int, eps: float, seed: int = 0,
     if float(masses.max(initial=0.0)) == 0.0:
         F = _flat_from_params(np.zeros(instance.d if j == 0 else 2 * instance.d),
                               j, instance.d)
-        return F, 0.0, {"case": 1, "s1_size": 0, "s2_size": 0}
+        return F, 0.0, {"case": 1, "s1_size": 0, "s2_size": 0,
+                        "polish_unconverged": 0}
     coreset = build_sjfc_coreset(instance, j, eps, seed, N=N,
                                  net_size=net_size)
     F0, _ = solve_jflat(coreset, j, instance.d)
     if j == 0:
-        C, value, _ = _best_polished(
+        C, value, _, unconverged = _best_polished(
             instance, 1, [CenterSet(centers=F0.base.reshape(1, -1))])
         F = Flat(j=0, base=C.centers[0])
     else:
         starts = _starts_for(instance.support_points, instance.d)
         starts.insert(0, np.concatenate([F0.base, F0.basis[0]]))
-        F, value = _optimize_flat(
+        F, value, unconverged = _optimize_flat(
             lambda F: expected_flatcenter_exact(instance, F).value,
             instance.d, starts)
     info = {"case": coreset.case, "s1_size": coreset.N,
-            "s2_size": int(coreset.s2_points.shape[0])}
+            "s2_size": int(coreset.s2_points.shape[0]),
+            "polish_unconverged": unconverged}
     return F, float(value), info

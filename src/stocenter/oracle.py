@@ -17,7 +17,8 @@ import numpy as np
 from .gkm import WeightedCollection, gkm_cost
 from .model import (CHUNK_ELEMENTS, CenterSet, ExistentialInstance, Flat,
                     Instance, LocationalInstance, realization_chunks)
-from .objective import _distances, _subset_minima, shape_distances
+from .objective import (_distances, _subset_minima, expected_objective_exact,
+                        shape_distances)
 
 
 @dataclass(frozen=True)
@@ -92,33 +93,33 @@ def center_grid(points: np.ndarray, resolution: int,
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
-def oracle_solver_gkm(S: WeightedCollection, k: int,
-                      resolution: int = 21) -> tuple[CenterSet, float]:
-    """Grid search over center tuples plus all k-subsets of union points."""
-    pts = S.points
-    cand = np.unique(np.vstack([center_grid(pts, resolution), pts]), axis=0)
+def _grid_search(points: np.ndarray, k: int, resolution: int,
+                 value) -> tuple[CenterSet, float]:
+    """The first k-subset, in ``combinations`` order of the sorted grid and
+    support candidates, with the least ``value(CenterSet)``."""
+    cand = np.unique(np.vstack([center_grid(points, resolution), points]),
+                     axis=0)
     best = None
     for idx in itertools.combinations(range(cand.shape[0]), k):
         F = CenterSet(centers=cand[list(idx)])
-        v = gkm_cost(S, F)
+        v = value(F)
         if best is None or v < best[1]:
             best = (F, v)
     return best
+
+
+def oracle_solver_gkm(S: WeightedCollection, k: int,
+                      resolution: int = 21) -> tuple[CenterSet, float]:
+    """Grid search over center tuples plus all k-subsets of union points."""
+    return _grid_search(S.points, k, resolution, lambda F: gkm_cost(S, F))
 
 
 def oracle_solver_instance(instance: Instance, k: int,
                            resolution: int = 21) -> tuple[CenterSet, float]:
     """Grid search directly on the exact expected k-center objective."""
-    from .objective import expected_objective_exact
-    pts = instance.support_points
-    cand = np.unique(np.vstack([center_grid(pts, resolution), pts]), axis=0)
-    best = None
-    for idx in itertools.combinations(range(cand.shape[0]), k):
-        F = CenterSet(centers=cand[list(idx)])
-        v = expected_objective_exact(instance, F).value
-        if best is None or v < best[1]:
-            best = (F, v)
-    return best
+    return _grid_search(
+        instance.support_points, k, resolution,
+        lambda F: expected_objective_exact(instance, F).value)
 
 
 def oracle_sensitivities(S: WeightedCollection, k: int,

@@ -111,12 +111,24 @@ def test_solve_and_jflat_commands(inst_file, capsys):
     code, out = _run(["solve", "--instance", inst_file, "--k", "1",
                       "--eps", "0.5"], capsys)
     assert code == 0
-    assert json.loads(out)["value"] > 0
+    data = json.loads(out)
+    assert data["value"] > 0 and data["polish_unconverged"] == 0
     code, out = _run(["jflat", "--instance", inst_file, "--j", "0",
                       "--eps", "0.4", "--samples", "50"], capsys)
     assert code == 0
     data = json.loads(out)
     assert data["flat"]["j"] == 0 and data["value"] > 0
+    assert data["polish_unconverged"] == 0
+
+
+def test_solve_enumerate_one_point(tmp_path, capsys):
+    path = tmp_path / "one.json"
+    write_json(path, instance_to_dict(
+        ExistentialInstance(points=[[1.0, 2.0]], probs=[0.5])))
+    code, out = _run(["solve", "--instance", str(path), "--k", "1",
+                      "--eps", "0.5", "--strategy", "enumerate"], capsys)
+    assert code == 0
+    assert json.loads(out)["value"] == 0.0
 
 
 def test_oracle_command_with_golden(inst_file, shape_file, tmp_path, capsys):

@@ -136,15 +136,53 @@ def test_solve_gkm_singleton_and_midpoint():
     assert F.centers[0][0] == pytest.approx(5.0, abs=1e-6)
 
 
-def test_solve_gkm_k2_matches_oracle():
+@pytest.mark.parametrize("k", [1, 2])
+def test_solve_gkm_matches_oracle(k):
     rng = np.random.default_rng(24)
     # two well-separated clusters of singleton sets
     left = [rng.normal([-8, 0], 0.3, (1, 2)) for _ in range(3)]
     right = [rng.normal([8, 0], 0.3, (1, 2)) for _ in range(3)]
     S = _coll(left + right, np.ones(6))
-    F, value = solve_gkm(S, 2)
-    _oF, ov = oracle_solver_gkm(S, 2, resolution=11)
+    F, value = solve_gkm(S, k)
+    _oF, ov = oracle_solver_gkm(S, k, resolution=11)
     assert value <= (1 + 1e-6) * ov + 1e-9
+
+
+def _two_coincident_points():
+    # 2 unique points, fewer than k=3
+    return _coll([[[1.0, 2.0], [1.0, 2.0]], [[4.0, -1.0]], [[1.0, 2.0]]],
+                  [0.5, 1.0, 2.0]), 3
+
+
+def _many_points():
+    # C(460, 2) = 105570 pairs, more than MAX_DISCRETE_SUBSETS
+    rng = np.random.default_rng(30)
+    return _coll(list(rng.uniform(-10, 10, (460, 1, 2))),
+                 rng.uniform(0.5, 1.5, 460)), 2
+
+
+@pytest.mark.parametrize("make", [_two_coincident_points, _many_points])
+def test_solve_gkm_fallback_start(make, monkeypatch):
+    # with no discrete k-subset, the local search starts from k evenly
+    # spaced packed points
+    from stocenter import gkm
+    S, k = make()
+    assert gkm._discrete_pass(S, k) is None
+    pts = S.points
+    F0 = CenterSet(centers=pts[np.linspace(0, pts.shape[0] - 1, k)
+                               .astype(int)])
+    starts, alternating = [], gkm._alternating
+
+    def spy(S_, k_, F):
+        starts.append(F)
+        return alternating(S_, k_, F)
+
+    monkeypatch.setattr(gkm, "_alternating", spy)
+    F, value = solve_gkm(S, k)
+    assert len(starts) == 1 and np.array_equal(starts[0].centers, F0.centers)
+    assert F.k == k
+    assert value == gkm_cost(S, F)
+    assert value <= gkm_cost(S, F0)
 
 
 def test_solve_gkm_weight_scale_invariant_argmin():
@@ -168,9 +206,10 @@ def test_skc_pipeline_deterministic_matches_meb():
     rng = np.random.default_rng(26)
     pts = rng.uniform(-10, 10, (8, 2))
     inst = ExistentialInstance(points=pts, probs=np.ones(8))
-    _F, value, _ = skc_pipeline(inst, 1, 0.5)
+    _F, value, info = skc_pipeline(inst, 1, 0.5)
     _c, r = minimum_enclosing_ball(pts)
     assert value == pytest.approx(r, abs=1e-6)
+    assert info["polish_unconverged"] == 0
 
 
 def test_skc_pipeline_within_eps_of_oracle():
@@ -184,6 +223,19 @@ def test_skc_pipeline_within_eps_of_oracle():
         _oF, ov = oracle_solver_instance(inst, 1, resolution=11)
         assert value <= (1 + eps) * ov + 1e-9
         assert info["strategy"] == strategy
+
+
+@pytest.mark.parametrize("points", [[[1.0, 2.0]], [[1.0, 2.0]] * 3],
+                         ids=["one-point", "coincident"])
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("strategy", ["full", "sampling", "enumerate"])
+def test_skc_pipeline_zero_cost_instances(points, k, strategy):
+    # no probe center has positive cost; enumerate used to raise here
+    inst = ExistentialInstance(points=points,
+                               probs=[0.3, 0.6, 0.9][:len(points)])
+    F, value, info = skc_pipeline(inst, k, 0.5, strategy=strategy, seed=1)
+    assert value == 0.0 and F.k == k
+    assert info["polish_unconverged"] == 0
 
 
 def test_skc_pipeline_deterministic_repeat():

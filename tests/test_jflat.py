@@ -183,6 +183,17 @@ def test_pipeline_deterministic_matches_meb():
     _c, r = minimum_enclosing_ball(pts)
     assert value == pytest.approx(r, abs=1e-4)
     assert info["case"] == 2
+    assert info["polish_unconverged"] == 0
+
+
+def test_pipeline_reports_unconverged_polish():
+    # a seeded j=1 instance (n = 9) where a line polish stops at maxiter
+    rng = np.random.default_rng(6)
+    n = int(rng.integers(6, 14))
+    inst = ExistentialInstance(points=rng.uniform(-5, 5, (n, 2)),
+                               probs=rng.uniform(0.2, 0.9, n))
+    _F, _value, info = sjfc_pipeline(inst, 1, 0.3, seed=0, N=30)
+    assert info["polish_unconverged"] > 0
 
 
 def test_pipeline_line_fit_deterministic():

@@ -12,6 +12,9 @@ definition: some members (``GridSpec.cell_of``,
 on the same terms as a method.  Import statements do not count as
 references, and the package ``__init__`` is not scanned.
 
+Every name an import statement of a package module binds is read
+somewhere else in that module (``__future__`` imports excepted).
+
 Every defaulted parameter of a package function or non-dunder method is
 also passed by some call in ``src/stocenter``, ``perfbench/*.py`` or
 ``tests/*.py``: by keyword, by position (a method's positions count
@@ -190,6 +193,42 @@ def test_checker_flags_unreached_definitions():
     # a test reaches a method or a constant, but not a top-level definition
     assert unreached(modules, [], set(), ["Kept().size + dead() + STALE"]) \
         == ["m.dead", "m.Kept", "m.Kept.called"]
+
+
+def unused_imports(modules: dict[str, str]) -> list[str]:
+    """``module.name`` of each name an import in ``modules`` binds that the
+    rest of its module never reads; ``import a.b`` binds ``a``."""
+    found = []
+    for label, src in modules.items():
+        tree = ast.parse(src)
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound = [a.asname or a.name.split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) \
+                    and node.module != "__future__":
+                bound = [a.asname or a.name for a in node.names]
+            else:
+                continue
+            found += [f"{label}.{name}" for name in bound if name not in read]
+    return found
+
+
+def test_every_import_is_used():
+    modules = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))
+               if p.name != "__init__.py"}
+    assert unused_imports(modules) == []
+
+
+def test_checker_flags_unused_imports():
+    modules = {"m": "from __future__ import annotations\n"
+                    "import os\nimport numpy as np\nimport a.b\n"
+                    "import c.d\nfrom e import f, g as h, i\n\n"
+                    "def run():\n"
+                    "    from .j import k\n"
+                    "    return np.zeros(1), c.d, h\n",
+               "n": "import os\nos.getcwd()\n"}
+    assert unused_imports(modules) == ["m.os", "m.a", "m.f", "m.i", "m.k"]
 
 
 def test_every_defaulted_parameter_is_passed():
