@@ -42,10 +42,6 @@ class EmptyRealization(StocenterError):
     pass
 
 
-class NotFull(StocenterError):
-    """Operation requires a Full membership verdict."""
-
-
 class ZeroCostCandidate(StocenterError):
     pass
 

@@ -12,9 +12,13 @@ The origin is a grid vertex, so stage-2 cells exactly refine stage-1 cells.
 max/min over the precomputed ``combo_min`` table, the exponent of every row
 one ``np.frexp``, the cells once per distinct grid side (one ``np.floor``
 over the support), and a row keeps each of its points that has no earlier
-point of the row in the same cell.  Rows go through in chunks whose largest
-temporary holds at most ``CHUNK_ELEMENTS`` float64 entries.  ``build(ids)``
-is the one-row call.
+point of the row in the same cell.  The same test, run over every support
+point, gives the row's tail: the points outside the coreset whose cell
+holds a smaller-index point of the row.  For a row S that is its own
+coreset this is the tail T(S) of its class, which ``partition`` reads from
+the batch.  Rows go through in chunks whose largest temporary holds at
+most ``CHUNK_ELEMENTS`` float64 entries.  ``build(ids)`` is the one-row
+call.
 """
 
 from __future__ import annotations
@@ -66,6 +70,7 @@ class CoresetOutput:
     coreset: tuple[int, ...]                       # ids, ascending
     grid: GridSpec
     cells: dict[tuple[int, ...], int]              # cell index -> representative id
+    tail: tuple[int, ...]                          # ids, ascending
 
     @property
     def size(self) -> int:
@@ -80,6 +85,9 @@ class CoresetBatch:
     side: np.ndarray   # (rows,) final grid side; 0.0 for the sentinel
     a: np.ndarray      # (rows,) exponent a; 0 for the sentinel
     stage: np.ndarray  # (rows,) 1 or 2; 0 for the r_P = 0 sentinel
+    # (rows, n) bool: the support points outside the coreset whose cell
+    # holds a smaller-index coreset point; empty under the sentinel grid
+    tail: np.ndarray
 
 
 SENTINEL_GRID = GridSpec(side=0.0, d=0, a=0, stage=0)
@@ -109,8 +117,8 @@ def shadowed(support: np.ndarray, masks: np.ndarray,
     """For every row of ``masks``, the points that share their cell of the
     row's grid (side ``side[row]``) with an earlier point of the row.
 
-    A row's grid coreset is its points minus these.  Rows with side 0 (the
-    r_P = 0 sentinel) shadow nothing.
+    A row's grid coreset is its points minus these, and its tail is these.
+    Rows with side 0 (the r_P = 0 sentinel) shadow nothing.
     """
     out = np.zeros(masks.shape, dtype=bool)
     ids = np.arange(support.shape[0])
@@ -202,26 +210,30 @@ class CoresetBuilder:
         a = np.where(live, _exponent(r), 0)
         two_a = np.ldexp(1.0, a)
         side = np.where(live, self.eps * two_a / (4 * self.d), 0.0)
-        core = masks & ~shadowed(self.support, masks, side)
+        tail = shadowed(self.support, masks, side)
+        core = masks & ~tail
         refine = live & (self._r_rows(core) < two_a)
         if refine.any():
             side[refine] = self.eps * two_a[refine] / (8 * self.d)
-            core[refine] = masks[refine] & ~shadowed(
-                self.support, masks[refine], side[refine])
+            tail[refine] = shadowed(self.support, masks[refine], side[refine])
+            core[refine] = masks[refine] & ~tail[refine]
         stage = np.where(live, np.where(refine, 2, 1), 0)
-        return CoresetBatch(core=core, side=side, a=a, stage=stage)
+        return CoresetBatch(core=core, side=side, a=a, stage=stage, tail=tail)
 
     def output(self, batch: CoresetBatch, row: int) -> CoresetOutput:
-        """One row of a batch as a CoresetOutput, with its cells."""
+        """One row of a batch as a CoresetOutput, with its cells and tail."""
         coreset = tuple(np.flatnonzero(batch.core[row]).tolist())
+        tail = tuple(np.flatnonzero(batch.tail[row]).tolist())
         if batch.stage[row] == 0:
-            return CoresetOutput(coreset=coreset, grid=SENTINEL_GRID, cells={})
+            return CoresetOutput(coreset=coreset, grid=SENTINEL_GRID, cells={},
+                                 tail=tail)
         grid = GridSpec(side=float(batch.side[row]), d=self.d,
                         a=int(batch.a[row]), stage=int(batch.stage[row]))
         cells = grid_cells(self.support[list(coreset)], grid.side).tolist()
         return CoresetOutput(coreset=coreset, grid=grid,
                              cells={tuple(map(int, cell)): pid
-                                    for cell, pid in zip(cells, coreset)})
+                                    for cell, pid in zip(cells, coreset)},
+                             tail=tail)
 
     def build(self, P_ids) -> CoresetOutput:
         mask = id_mask(P_ids, self.n)

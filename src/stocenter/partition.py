@@ -4,12 +4,15 @@ A realization maps through the grid construction to its coreset; this module
 computes Pr[coreset = S] for candidate subsets S.  S is in the image exactly
 when the construction run on S returns S, and every class's mass follows one
 rule: the probability that a realization contains S and avoids every
-forbidden point, with the tail T(S) left free.  A class of at most k points
-(a Singleton) is its own coreset under the sentinel grid of side 0, so its
-tail is empty and it needs no rule of its own.  Existential instances
-evaluate the rule as a closed-form per-point product; locational instances
-as an exact dynamic program over node occupancy counts (summing the
-per-sequence holant values).
+forbidden point, with the tail T(S) left free.  T(S) is the construction's
+own tail of S (``CoresetBatch.tail``), and every other point outside S is
+forbidden.  A class of at most k points (a Singleton) is its own coreset
+under the sentinel grid of side 0, so its tail is empty and it needs no rule
+of its own.  Existential instances evaluate the rule as a closed-form
+per-point product; locational instances as an exact dynamic program over
+which points of S the nodes occupy (occupancy counts saturating at 1).
+``holant_value``, the per-sequence value of the paper, runs the same program
+with counts up to n.
 
 Both modes of ``build_weighted_image`` run the batched construction
 (``CoresetBuilder.build_masks``) over chunks of ``chunk_rows`` mask rows:
@@ -18,12 +21,12 @@ Exhaustive mode reads the realizations and their probabilities from
 ``model.realization_chunks``, which owns the enumeration order, guards and
 zero-probability filter; a locational assignment becomes the mask of the
 locations its nodes took.  Memory is one chunk plus the classes, in both
-models.  In subsets mode the existential masses come out of the same
-batch; locational classes then go one at a time through
+models.  In subsets mode the existential masses and tails come out of the
+same batch; locational classes then go one at a time through
 ``prob_locational``, whose occupancy DP is per class.
-``membership_check`` (through ``CoresetBuilder.build``),
-``prob_existential`` and ``forbidden_and_tail_sets`` are one-row calls of
-the batched code.
+``membership_check`` (through ``CoresetBuilder.build``, carrying the tail
+on its verdict) and ``prob_existential`` are one-row calls of the batched
+code.
 """
 
 from __future__ import annotations
@@ -34,10 +37,8 @@ from itertools import combinations, compress, islice
 
 import numpy as np
 
-from .errors import (EnumerationGuardExceeded, NotFull,
-                     StateSpaceGuardExceeded)
-from .grid_coreset import (CoresetBuilder, GridSpec, coreset_image_size_bound,
-                           shadowed)
+from .errors import EnumerationGuardExceeded, StateSpaceGuardExceeded
+from .grid_coreset import CoresetBuilder, GridSpec, coreset_image_size_bound
 from .model import (ExistentialInstance, Instance, LocationalInstance,
                     id_mask, realization_chunks)
 from .objective import WeightedCollection
@@ -49,7 +50,7 @@ MAX_HOLANT_STATES = 10 ** 7
 class MembershipVerdict:
     kind: str  # "NotInImage" | "Singleton" | "Full"
     grid: GridSpec | None = None
-    cells: dict | None = None          # cell index -> representative id
+    tail: tuple[int, ...] = ()         # T(S) of a Full class, ids ascending
 
 
 @dataclass(frozen=True)
@@ -101,13 +102,6 @@ def _classify(builder: CoresetBuilder, masks: np.ndarray):
     return (batch.core == masks).all(axis=1), batch
 
 
-def _tails(support: np.ndarray, masks: np.ndarray, side: np.ndarray):
-    """T(S) of every Full row S on its grid of side ``side[row]``: the points
-    outside S whose cell holds a smaller-index point of S.  Each such cell
-    holds exactly one point of S, its representative."""
-    return shadowed(support, masks, side) & ~masks
-
-
 def _existential_masses(builder: CoresetBuilder, probs: np.ndarray,
                         masks: np.ndarray) -> np.ndarray:
     """Pr over realizations P of [coreset(P) = S] for every row S, in closed
@@ -119,9 +113,8 @@ def _existential_masses(builder: CoresetBuilder, probs: np.ndarray,
     # cellmate of a point of S or a point in an unoccupied cell (both must
     # be absent).
     rows = np.flatnonzero(in_image)
-    S = masks[rows]
-    tail = _tails(builder.support, S, batch.side[rows])
-    factors = np.where(S, probs, np.where(tail, 1.0, 1.0 - probs))
+    factors = np.where(masks[rows], probs,
+                       np.where(batch.tail[rows], 1.0, 1.0 - probs))
     # the empty product of a support of no points is 1
     w[rows] = np.multiply.accumulate(factors, axis=1)[:, -1] \
         if masks.shape[1] else 1.0
@@ -141,7 +134,7 @@ def membership_check(S_ids, instance: Instance, k: int, eps: float,
     out = builder.build(S_ids)
     if out.coreset != S_ids:
         return MembershipVerdict(kind="NotInImage")
-    return MembershipVerdict(kind="Full", grid=out.grid, cells=dict(out.cells))
+    return MembershipVerdict(kind="Full", grid=out.grid, tail=out.tail)
 
 
 def prob_existential(S_ids, instance: ExistentialInstance, k: int, eps: float,
@@ -151,25 +144,6 @@ def prob_existential(S_ids, instance: ExistentialInstance, k: int, eps: float,
         builder = _builder(instance, k, eps)
     masks = id_mask(S_ids, instance.n)[None]
     return float(_existential_masses(builder, instance.probs, masks)[0])
-
-
-def forbidden_and_tail_sets(S_ids, instance: Instance, k: int, eps: float,
-                            verdict: MembershipVerdict | None = None):
-    """Split the support into forbidden points and the free tail T(S).
-
-    Forbidden: points in unoccupied cells plus smaller-index points in
-    occupied cells.  T(S): larger-index points in occupied cells.
-    """
-    mask = id_mask(S_ids, instance.support_points.shape[0])
-    if verdict is None:
-        verdict = membership_check(S_ids, instance, k, eps)
-    if verdict.kind != "Full":
-        raise NotFull("forbidden/tail decomposition requires a Full verdict")
-    tail = _tails(instance.support_points, mask[None],
-                  np.array([verdict.grid.side]))[0]
-    forbidden = ~mask & ~tail
-    return (set(np.flatnonzero(forbidden).tolist()),
-            set(np.flatnonzero(tail).tolist()))
 
 
 def enumerate_sequences(n: int, slots: int):
@@ -191,17 +165,19 @@ def enumerate_sequences(n: int, slots: int):
     return out
 
 
-def _occupancy_dp(instance: LocationalInstance, S_ids, tail):
-    """Distribution over occupancy counts of the points of S.
+def _occupancy_dp(instance: LocationalInstance, S_ids, tail, cap: int):
+    """Distribution over occupancy counts of the points of S, each count
+    saturating at ``cap``.
 
     Each node picks one of the |S| points (its row probability there) or the
     aggregated tail bucket; forbidden locations contribute no mass.  Returns
-    a dict mapping count tuples to probability; the tail count is implied
-    (node index minus the sum of counts).
+    a dict mapping count tuples to probability.  With ``cap`` = n no count
+    saturates, and the tail count is implied (node index minus the sum of
+    counts); with ``cap`` = 1 a state is the set of occupied points of S.
     """
     S_ids = list(S_ids)
     n = instance.n
-    states = n * (n + 1) ** len(S_ids)
+    states = n * (cap + 1) ** len(S_ids)
     if states > MAX_HOLANT_STATES:
         raise StateSpaceGuardExceeded(
             f"occupancy DP needs about {states} states, cap {MAX_HOLANT_STATES}")
@@ -217,9 +193,11 @@ def _occupancy_dp(instance: LocationalInstance, S_ids, tail):
         for state, mass in dp.items():
             for j, w in enumerate(w_s[i]):
                 if w > 0.0:
-                    s2 = list(state)
-                    s2[j] += 1
-                    s2 = tuple(s2)
+                    s2 = state
+                    if state[j] < cap:
+                        s2 = list(state)
+                        s2[j] += 1
+                        s2 = tuple(s2)
                     nxt[s2] = nxt.get(s2, 0.0) + mass * w
             if w_t[i] > 0.0:
                 nxt[state] = nxt.get(state, 0.0) + mass * w_t[i]
@@ -233,23 +211,21 @@ def holant_value(instance: LocationalInstance, S_ids, tail, sequence) -> float:
     ls, lt = sequence[:-1], sequence[-1]
     if sum(ls) + lt != instance.n:
         raise ValueError("sequence must sum to n")
-    dp = _occupancy_dp(instance, S_ids, tail)
+    dp = _occupancy_dp(instance, S_ids, tail, instance.n)
     return float(dp.get(tuple(ls), 0.0))
 
 
 def prob_locational(S_ids, instance: LocationalInstance, k: int, eps: float,
                     builder: CoresetBuilder | None = None) -> float:
     """Pr over realizations of [coreset = S]: the occupancy DP's mass on
-    every point of S occupied, with T(S) free (empty for a Singleton)."""
+    every point of S occupied, with T(S) free (empty for a Singleton).
+    Counts saturate at 1, so the DP tracks which points of S are occupied."""
     S_ids = _checked_ids(S_ids, instance.m)
     verdict = membership_check(S_ids, instance, k, eps, builder)
     if verdict.kind == "NotInImage":
         return 0.0
-    tail = () if verdict.kind == "Singleton" else \
-        forbidden_and_tail_sets(S_ids, instance, k, eps, verdict)[1]
-    dp = _occupancy_dp(instance, S_ids, tail)
-    # counts are >= 0, so "no zero count" is "every point of S realized"
-    return float(sum(mass for state, mass in dp.items() if 0 not in state))
+    dp = _occupancy_dp(instance, S_ids, verdict.tail, 1)
+    return float(dp.get((1,) * len(S_ids), 0.0))
 
 
 def _index_masks(idx: np.ndarray, width: int) -> np.ndarray:

@@ -22,8 +22,7 @@ from .objective import (expected_flatcenter_exact, expected_objective_exact,
                         shape_distances)
 from .oracle import (minimum_enclosing_ball, oracle_expected_values,
                      oracle_sensitivities)
-from .partition import (build_weighted_image, holant_value,
-                        membership_check, forbidden_and_tail_sets)
+from .partition import build_weighted_image, holant_value, membership_check
 from .serialize import dumps_json
 
 
@@ -219,10 +218,9 @@ def criterion_5(scale: str, seed: int = 105, **_) -> CheckResult:
             verdict = membership_check(S, inst, k, eps)
             if verdict.kind != "Full":
                 continue
-            _, tail = forbidden_and_tail_sets(S, inst, k, eps, verdict)
             for seq in enumerate_sequences(n, len(S)):
-                z_dp = holant_value(inst, S, tail, seq)
-                z_direct = oracle_holant_direct(inst, S, tail, seq)
+                z_dp = holant_value(inst, S, verdict.tail, seq)
+                z_direct = oracle_holant_direct(inst, S, verdict.tail, seq)
                 z_worst = max(z_worst, abs(z_dp - z_direct))
             break
     ok = worst <= 1e-12 and z_worst <= 1e-12

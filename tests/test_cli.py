@@ -7,7 +7,8 @@ import pytest
 
 from stocenter.cli import generate_instance, main
 from stocenter.model import instance_to_dict, shape_to_dict
-from stocenter.model import CenterSet, ExistentialInstance
+from stocenter.model import (CenterSet, ExistentialInstance,
+                             LocationalInstance)
 from stocenter.serialize import dumps_json, fmt_float, write_json
 
 
@@ -226,6 +227,23 @@ def test_guard_exit_code(tmp_path, capsys):
                  "--eps", "0.5", "--mode", "exhaustive"])
     capsys.readouterr()
     assert code == 3
+
+
+def test_locational_classes_past_the_count_guard(tmp_path, capsys):
+    # 300 nodes on two locations: counting occupancies up to n took
+    # 300 * 301^2 = 2.7e7 DP states for the class {0, 1}, over the guard
+    inst = LocationalInstance(locations=[[0.0, 0.0], [1.0, 0.0]],
+                              probs=np.full((300, 2), 0.5))
+    path = tmp_path / "nodes.json"
+    write_json(path, instance_to_dict(inst))
+    common = ["--instance", str(path), "--k", "2", "--eps", "0.5"]
+    code, out = _run(["partition", "--mode", "subsets"] + common, capsys)
+    assert code == 0
+    data = json.loads(out)
+    assert [e["subset"] for e in data["entries"]] == [[0], [0, 1], [1]]
+    assert data["total_weight"] == pytest.approx(1.0, abs=1e-12)
+    code, out = _run(["solve"] + common, capsys)
+    assert code == 0 and json.loads(out)["value"] == 0.0
 
 
 def test_cli_entry_point_help():

@@ -15,6 +15,9 @@ references, and the package ``__init__`` is not scanned.
 Every name an import statement of a package module binds is read
 somewhere else in that module (``__future__`` imports excepted).
 
+Every exception class of ``errors`` is raised by some package code, or is
+a base of a class that is.
+
 Every defaulted parameter of a package function or non-dunder method is
 also passed by some call in ``src/stocenter``, ``perfbench/*.py`` or
 ``tests/*.py``: by keyword, by position (a method's positions count
@@ -256,3 +259,49 @@ def test_checker_flags_dead_parameters():
     assert dead_parameters(modules, ["f(*xs)", "C().meth(**kw)"]) == ["m.g.a"]
     # used as a value
     assert dead_parameters(modules, ["h = f", "run(g)", "x.meth"]) == []
+
+
+def unraised_errors(errors: str, modules: list[str]) -> list[str]:
+    """Each class of the ``errors`` source that no ``raise`` in ``modules``
+    names, and that no class named by one has among its bases, however
+    far up."""
+    bases = {node.name: [b.id for b in node.bases if isinstance(b, ast.Name)]
+             for node in ast.parse(errors).body
+             if isinstance(node, ast.ClassDef)}
+    raised = []
+    for src in modules:
+        for node in ast.walk(ast.parse(src)):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) \
+                    else node.exc
+                if isinstance(exc, (ast.Name, ast.Attribute)):
+                    raised.append(exc.id if isinstance(exc, ast.Name)
+                                  else exc.attr)
+    covered = set()
+    while raised:
+        name = raised.pop()
+        if name not in covered:
+            covered.add(name)
+            raised += bases.get(name, [])
+    return [name for name in bases if name not in covered]
+
+
+def test_every_error_class_is_raised():
+    modules = [p.read_text() for p in sorted(PACKAGE.glob("*.py"))]
+    assert unraised_errors((PACKAGE / "errors.py").read_text(), modules) == []
+
+
+def test_checker_flags_unraised_error_classes():
+    errors = ("class Base(Exception):\n    pass\n\n"
+              "class Guard(Base):\n    pass\n\n"
+              "class Deep(Guard):\n    pass\n\n"
+              "class Unused(Base):\n    pass\n\n"
+              "class Caught(Base):\n    pass\n")
+    assert unraised_errors(errors, []) == \
+        ["Base", "Guard", "Deep", "Unused", "Caught"]
+    # raising a class covers it and every class above it; catching does not
+    assert unraised_errors(errors, ["raise Deep('x')",
+                                    "try:\n    f()\nexcept Caught:\n"
+                                    "    raise\n"]) == ["Unused", "Caught"]
+    assert unraised_errors(errors, ["raise errors.Unused",
+                                    "raise Deep from None"]) == ["Caught"]

@@ -4,15 +4,14 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
-from stocenter.errors import NotFull, StateSpaceGuardExceeded
+from stocenter.errors import StateSpaceGuardExceeded
 from stocenter.grid_coreset import CoresetBuilder
 from stocenter.model import (CenterSet, ExistentialInstance,
                              LocationalInstance, enumerate_realizations)
 from stocenter.objective import expected_objective_exact, kcenter_value
 from stocenter.oracle import oracle_holant_direct
 from stocenter.partition import (build_weighted_image, enumerate_sequences,
-                                 forbidden_and_tail_sets, holant_value,
-                                 image_cost, membership_check,
+                                 holant_value, image_cost, membership_check,
                                  prob_existential, prob_locational)
 
 
@@ -90,17 +89,15 @@ def test_forbidden_tail_partition_property():
     verdict = membership_check(core, inst, 1, 0.5, builder)
     if verdict.kind != "Full":
         pytest.skip("sampled instance produced no Full class")
-    forbidden, tail = forbidden_and_tail_sets(core, inst, 1, 0.5, verdict)
-    assert forbidden.isdisjoint(tail)
-    assert set(core).isdisjoint(forbidden | tail)
-    assert set(core) | forbidden | tail == set(range(12))
-
-
-def test_forbidden_tail_requires_full():
-    rng = np.random.default_rng(5)
-    inst = _rand_exist(rng, 6)
-    with pytest.raises(NotFull):
-        forbidden_and_tail_sets((0,), inst, 2, 0.5)
+    # forbidden: the points in unoccupied cells and the smaller-index
+    # cellmates of a point of S; everything else outside S is the tail
+    rep = {}
+    for i in core:
+        rep.setdefault(verdict.grid.cell_of(inst.points[i]), i)
+    forbidden = {i for i in range(12) if i not in core
+                 and i < rep.get(verdict.grid.cell_of(inst.points[i]), 12)}
+    assert set(core).isdisjoint(verdict.tail)
+    assert forbidden == set(range(12)) - set(core) - set(verdict.tail)
 
 
 def test_enumerate_sequences():
@@ -144,15 +141,20 @@ def test_prob_locational_matches_grouping_oracle():
             assert algo == pytest.approx(brute.get(S, 0.0), abs=1e-12)
 
 
-def _exact_location_sets(inst):
-    """Pr[realized location set = T] of every T, in exact rationals."""
-    out = {}
+def _exact_class_masses(inst, k, eps):
+    """Pr[coreset = S] of every class S, in exact rationals: the exact
+    probability of every node -> location assignment, added up by the class
+    the construction gives its set of locations."""
+    builder = CoresetBuilder(inst.locations, k, eps)
+    classes, out = {}, {}
     for assignment in product(range(inst.m), repeat=inst.n):
         pr = Fraction(1)
         for node, loc in enumerate(assignment):
             pr *= Fraction(float(inst.probs[node, loc]))
-        key = tuple(sorted(set(assignment)))
-        out[key] = out.get(key, 0) + pr
+        locs = tuple(sorted(set(assignment)))
+        if locs not in classes:
+            classes[locs] = builder.build(locs).coreset
+        out[classes[locs]] = out.get(classes[locs], 0) + pr
     return out
 
 
@@ -165,28 +167,47 @@ def _sparse_loc(rng, n, m):
                               probs=rows)
 
 
-def test_singleton_masses_match_exact_rationals():
-    # a Singleton's mass is the rule with an empty tail; an
-    # inclusion-exclusion sum over subsets of S cancels on the first
-    # instance (relative error 2.2e-5)
+def test_class_masses_match_exact_rationals():
+    # every candidate S, in the image or not, through the subsets image and
+    # prob_locational; an inclusion-exclusion sum over subsets of S for a
+    # class of at most k points cancelled on the first instance (relative
+    # error 2.2e-5)
     rng = np.random.default_rng(21)
     row = [0.0, 1.0 - 1e-12, 1e-12]
     cases = [(LocationalInstance(locations=[[0.0, 0.0], [1.0, 0.0],
                                             [0.0, 1.0]], probs=[row] * 4), 2)]
+    # location 1 shares the cell of location 0, so it is in the tail of
+    # every class that holds 0
+    tailed = _sparse_loc(rng, 4, 4)
+    cases += [(LocationalInstance(locations=[[0.0, 0.0], [0.01, 0.0],
+                                             [10.0, 0.0], [10.0, 10.0]],
+                                  probs=tailed.probs), k) for k in (1, 2)]
     cases += [(_sparse_loc(rng, int(rng.integers(2, 5)),
                            int(rng.integers(3, 5))), int(rng.integers(1, 4)))
               for _ in range(12)]
     for inst, k in cases:
-        exact = _exact_location_sets(inst)
+        exact = _exact_class_masses(inst, k, 0.5)
         image = dict(build_weighted_image(inst, k, 0.5,
                                           mode="subsets").entries)
-        for size in range(1, k + 1):
+        assert set(image) == {S for S, w in exact.items() if w}
+        for size in range(1, inst.m + 1):
             for S in combinations(range(inst.m), size):
                 want = exact.get(S, Fraction(0))
                 for got in (prob_locational(S, inst, k, 0.5),
                             image.get(S, 0.0)):
                     assert abs(Fraction(got) - want) <= want * 1e-12, \
                         (S, got, float(want))
+
+
+def test_locational_subsets_image_past_the_count_guard():
+    # counting occupancies up to n took 6 * 7^8 = 3.5e7 DP states for the
+    # eight-point classes here, over the 1e7 guard; a class mass needs only
+    # which points of S are occupied
+    inst = _rand_loc(np.random.default_rng(10), 6, 8)
+    su = dict(build_weighted_image(inst, 2, 0.5, mode="subsets").entries)
+    ex = dict(build_weighted_image(inst, 2, 0.5, mode="exhaustive").entries)
+    assert set(su) == set(ex) and len(su) > 200
+    assert max(abs(su[S] - ex[S]) for S in su) <= 1e-12
 
 
 @pytest.mark.parametrize("model,k", [("existential", 1), ("existential", 2),
