@@ -9,10 +9,11 @@ stochastic k-center pipeline built on the partition module.
 Packed layout.  The collection type is ``objective.WeightedCollection``,
 re-exported here.  It packs the sets once, at construction: all points in
 one (total, d) array, the start offset of each set, one weight per set
-and an explicit d.  A cost evaluation is one ``shape_distances`` call on
-the packed points and one ``np.maximum.reduceat`` for the per-set maxima;
-the first-occurrence argmax per set (the farthest point, for the k=1 start
-and reassignment) comes from the same reduction.  The discrete k-subset
+and an explicit d.  A cost evaluation is one point-to-center distance
+table on the packed points, its minimum over the centers, and one
+``np.maximum.reduceat`` for the per-set maxima; the first-occurrence
+argmax per set (the farthest point, for the k=1 start and reassignment)
+comes from the same reduction.  The discrete k-subset
 pass and the candidate-coreset screen score many center sets at once from
 ``objective``'s point-to-candidate table.  No cost or farthest-point
 evaluation loops over the sets in Python.
@@ -24,6 +25,9 @@ centroid of the sets' farthest points; k >= 2 is one alternating run from
 the discrete pass's best k-subset, or from k evenly spaced points when it
 has none; the exact polish is one Nelder-Mead run per start, and the
 pipelines report the runs stopped at ``maxiter`` as ``polish_unconverged``.
+Both Nelder-Mead objectives score the raw (k*d,) center vector through
+the evaluators' own arithmetic, with no ``CenterSet`` per evaluation, so
+they equal ``gkm_cost`` and ``expected_objective_exact`` bit for bit.
 
 Sequential sums.  Weighted sums over sets are taken left to right with
 ``np.add.accumulate``, never ``w @ m`` or the pairwise ``np.sum``, so the
@@ -42,8 +46,8 @@ from scipy.optimize import minimize
 
 from .errors import EnumerationGuardExceeded, ZeroCostCandidate
 from .model import CHUNK_ELEMENTS, CenterSet, ExistentialInstance, Instance
-from .objective import (WeightedCollection, _distances, _subset_minima,
-                        expected_objective_exact, shape_distances)
+from .objective import (WeightedCollection, _distances, _exact_value,
+                        _subset_minima, shape_distances)
 from .partition import WeightedImage, build_weighted_image
 
 MAX_CANDIDATE_STREAM = 10 ** 7
@@ -84,6 +88,20 @@ class GeneralizedCoreset:
 
 def gkm_cost(S: WeightedCollection, F: CenterSet) -> float:
     return S.cost(F)
+
+
+def _cost_objective(S: WeightedCollection):
+    """``gkm_cost`` of S as a function of the raw (k*d,) center vector."""
+    points, d = S.points, S.d
+    return lambda x: S._cost(_distances(points, x.reshape(-1, d)).min(axis=1))
+
+
+def _exact_objective(instance: Instance):
+    """``expected_objective_exact(instance, ·).value`` as a function of the
+    raw (k*d,) center vector."""
+    points, d = instance.support_points, instance.d
+    return lambda x: _exact_value(
+        instance, _distances(points, x.reshape(-1, d)).min(axis=1))
 
 
 def _farthest_nearest(S: WeightedCollection, F: CenterSet) -> np.ndarray:
@@ -206,13 +224,10 @@ def _solve_k1(S: WeightedCollection) -> tuple[np.ndarray, float]:
     pts = S.points
     if pts.shape[0] == 0:
         return np.zeros(S.d), 0.0
-
-    def fval(c):
-        return gkm_cost(S, CenterSet(centers=c.reshape(1, -1)))
-
     far = pts[S.argmax(np.linalg.norm(pts - pts.mean(axis=0), axis=1))]
     c0 = np.average(far, axis=0, weights=S.weights[S.nonempty])
-    res = minimize(fval, c0, method="Nelder-Mead", options=NELDER_MEAD)
+    res = minimize(_cost_objective(S), c0, method="Nelder-Mead",
+                   options=NELDER_MEAD)
     return np.asarray(res.x), float(res.fun)
 
 
@@ -305,11 +320,7 @@ def _best_polished(instance: Instance, k: int,
         c, _ = minimum_enclosing_ball(instance.support_points)
         starts = [*starts, CenterSet(centers=c.reshape(1, -1))]
     d = instance.d
-
-    def fval(flat):
-        return expected_objective_exact(
-            instance, CenterSet(centers=flat.reshape(k, d))).value
-
+    fval = _exact_objective(instance)
     best, unconverged = None, 0
     for F0 in starts:
         res = minimize(fval, F0.centers.reshape(-1), method="Nelder-Mead",

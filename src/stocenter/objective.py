@@ -7,6 +7,11 @@ point, ties to the lowest id].  So, for a fixed assignment of points to
 centers, sum_l w_l (c - s_l) / ||c - s_l|| over the points served by c is
 a subgradient of the expected objective.
 
+``_exact_value`` and ``WeightedCollection._cost`` are the one arithmetic
+path of the exact value and of the collection cost over per-point
+distances; the public evaluators and gkm's Nelder-Mead objectives call
+them.
+
 ``WeightedCollection``, the one weighted point-set type, is the one place
 that takes K(S, F) = max_{s in S} d(s, F) for every set S.  The grid
 coreset's r_P table, gkm's discrete pass and screen and the sensitivity
@@ -158,14 +163,19 @@ class WeightedCollection:
         return self.maxima(shape_distances(self.points, shape))
 
     def cost(self, shape: Shape) -> float:
-        """sum_i w_i max_{s in S_i} d(s, shape), summed left to right.
+        """sum_i w_i max_{s in S_i} d(s, shape), summed left to right."""
+        return self._cost(shape_distances(self.points, shape))
+
+    def _cost(self, dists: np.ndarray) -> float:
+        """sum_i w_i max_{s in S_i} dists[s] for the per-point distances
+        ``dists`` (shape (total,)), summed left to right.
 
         ``np.add.accumulate`` adds in set order like a Python loop; the
         pairwise ``np.sum`` or a BLAS dot would move the last bits.
         """
         if not self.size:
             return 0.0
-        terms = self.weights * self.max_distances(shape)
+        terms = self.weights * self.maxima(dists)
         return float(np.add.accumulate(terms)[-1])
 
 
@@ -185,9 +195,12 @@ def _farthest_weights(instance: Instance, dists: np.ndarray) -> np.ndarray:
     """w_l = Pr[support point l is the farthest realized point, ties to the
     lowest id] for every support point l, given its distance ``dists[l]``.
     An empty realization has no farthest point, so w sums to
-    Pr[some point is realized]."""
+    Pr[some point is realized]: 0 for a locational instance with no nodes,
+    whose only realization is empty."""
     m = len(dists)
     w = np.zeros(m)
+    if instance.n == 0:
+        return w
     if isinstance(instance, ExistentialInstance):
         # farthest first, ties to the lowest id: l is the farthest realized
         # point iff it is present and every point before it is absent
@@ -204,20 +217,23 @@ def _farthest_weights(instance: Instance, dists: np.ndarray) -> np.ndarray:
     return w
 
 
-def expected_objective_exact(instance: Instance, shape: Shape) -> ObjectiveValue:
-    """Exact expected objective of a center set or a flat: w . dists over
-    the farthest-point weights w of ``_farthest_weights``.
+def _exact_value(instance: Instance, dists: np.ndarray) -> float:
+    """E[max over the realized points of dists]: w . dists over the
+    farthest-point weights w of ``_farthest_weights``."""
+    return float(_farthest_weights(instance, dists) @ dists)
 
-    ``shape_distances`` handles the shape kind and ``_farthest_weights``
-    the model.
+
+def expected_objective_exact(instance: Instance, shape: Shape) -> ObjectiveValue:
+    """Exact expected objective of a center set or a flat.
+
+    ``shape_distances`` handles the shape kind and ``_exact_value`` the
+    model.
     """
     method = "ExactSorted" if isinstance(instance, ExistentialInstance) \
         else "ExactCDF"
-    if instance.n == 0:  # every realization is empty
-        return ObjectiveValue(0.0, method)
-    dists = shape_distances(instance.support_points, shape)
-    return ObjectiveValue(float(_farthest_weights(instance, dists) @ dists),
-                          method)
+    return ObjectiveValue(
+        _exact_value(instance, shape_distances(instance.support_points,
+                                               shape)), method)
 
 
 def expected_flatcenter_exact(instance: Instance, F: Flat) -> ObjectiveValue:

@@ -7,7 +7,8 @@ over the nonempty realizations, w . dists is the enumeration oracle's
 value, and, for a fixed assignment a of support points to centers,
 sum_l w_l (c_a(l) - s_l) / ||c_a(l) - s_l|| is a subgradient of
 g_a(C) = E[max_l ||s_l - c_a(l)||].  Integer-grid coordinates force ties
-in distance; probabilities include 0 and 1.
+in distance; probabilities include 0 and 1.  gkm's Nelder-Mead objective
+on the raw center vector equals ``expected_objective_exact`` bit for bit.
 """
 
 import numpy as np
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from stocenter.gkm import _exact_objective
 from stocenter.model import CenterSet, ExistentialInstance, LocationalInstance
 from stocenter.objective import (_farthest_weights, expected_objective_exact,
                                  expected_objective_mc, shape_distances)
@@ -55,6 +57,13 @@ def locational_instances(draw):
 
 
 instances = st.one_of(existential_instances(), locational_instances())
+# Every realization empty: a locational instance with no nodes, and an
+# existential one whose probabilities are all 0.
+empty_instances = st.one_of(
+    points(6).map(lambda locs: LocationalInstance(
+        locations=locs, probs=np.zeros((0, len(locs))))),
+    points(8).map(lambda pts: ExistentialInstance(
+        points=pts, probs=np.zeros(len(pts)))))
 
 # One node on (1, 0) or (-1, 0) with probability 1/2 each, center at the
 # origin: both locations tie at distance 1.  Giving the whole CDF jump to
@@ -112,6 +121,27 @@ def test_weights_give_a_subgradient(inst, k, flat, moved, assign):
     there = _enumerated(inst, _assigned_dists(support, C2, a))
     assert there >= here + float((g * (C2 - C)).sum()) \
         - 1e-9 * max(1.0, there)
+
+
+def test_zero_node_locational_weights_are_zero():
+    inst = LocationalInstance(locations=[[0.0, 0.0], [3.0, 4.0]],
+                              probs=np.zeros((0, 2)))
+    assert _farthest_weights(inst, np.array([5.0, 0.0])).tolist() == [0.0, 0.0]
+    assert expected_objective_exact(
+        inst, CenterSet(centers=[[0.0, 0.0]])).value == 0.0
+
+
+@SETTINGS
+@given(st.one_of(instances, empty_instances), st.integers(1, 2),
+       st.lists(st.one_of(grid, st.floats(-3.0, 3.0)), min_size=6,
+                max_size=6))
+def test_exact_objective_equals_the_evaluator(inst, k, flat):
+    """Grid centers tie in distance; the rows are tried in both orders."""
+    rows = _centers(flat, k, inst.d)
+    value = _exact_objective(inst)
+    for C in (rows, rows[::-1]):
+        assert value(C.reshape(-1)) == \
+            expected_objective_exact(inst, CenterSet(centers=C)).value
 
 
 @SETTINGS

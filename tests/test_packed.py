@@ -180,6 +180,20 @@ def test_gkm_cost_equals_loop(case):
 
 
 @SETTINGS
+@given(ragged(), st.integers(1, 2), st.data())
+def test_cost_objective_equals_gkm_cost(case, k, data):
+    """The Nelder-Mead objective on the raw center vector is ``gkm_cost``
+    of the same centers bit for bit, whatever the order of the rows."""
+    sets, weights, d = case
+    S = WeightedCollection(sets=sets, weights=weights)
+    rows = np.array(data.draw(st.lists(st.tuples(*[coord] * d), min_size=k,
+                                       max_size=k)), dtype=float).reshape(k, d)
+    cost = gkm._cost_objective(S)
+    for C in (rows, rows[::-1]):
+        assert cost(C.reshape(-1)) == gkm_cost(S, CenterSet(centers=C))
+
+
+@SETTINGS
 @given(collection_and_centers())
 def test_argmax_equals_loop_first_occurrence(case):
     sets, weights, F = case
