@@ -18,16 +18,21 @@ pass and the candidate-coreset screen score many center sets at once from
 ``objective``'s point-to-candidate table.  No cost or farthest-point
 evaluation loops over the sets in Python.
 
-Solves.  One local search per k, every Nelder-Mead run with the options
-``NELDER_MEAD`` (xatol 1e-12, fatol 1e-14, maxiter 4000), which ``jflat``'s
-j=1 line searches share.  k=1 is one Nelder-Mead run from the weighted
-centroid of the sets' farthest points; k >= 2 is one alternating run from
+Solves.  One local search per k, every Nelder-Mead run made by
+``neldermead.minimize``, whose only options are its module constants
+(``XATOL`` 1e-12, ``FATOL`` 1e-14, ``MAXITER`` 4000), as ``jflat``'s j=1
+line searches are; it replays
+scipy's Nelder-Mead bit for bit, and the library does not import scipy.
+k=1 is one Nelder-Mead run from the weighted centroid of the sets'
+farthest points; k >= 2 is one alternating run from
 the discrete pass's best k-subset, or from k evenly spaced points when it
 has none; the exact polish is one Nelder-Mead run per start, and the
-pipelines report the runs stopped at ``maxiter`` as ``polish_unconverged``.
+pipelines report the runs stopped at ``MAXITER`` as ``polish_unconverged``.
 Both Nelder-Mead objectives score the raw (k*d,) center vector through
-the evaluators' own arithmetic, with no ``CenterSet`` per evaluation, so
-they equal ``gkm_cost`` and ``expected_objective_exact`` bit for bit.
+the evaluators' own arithmetic (``objective._nearest_distances``, then the
+collection cost or ``_exact_value``), with no ``CenterSet`` per
+evaluation, so they equal ``gkm_cost`` and ``expected_objective_exact``
+bit for bit.
 
 Sequential sums.  Weighted sums over sets are taken left to right with
 ``np.add.accumulate``, never ``w @ m`` or the pairwise ``np.sum``, so the
@@ -42,17 +47,16 @@ from dataclasses import dataclass
 from itertools import combinations, product
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import EnumerationGuardExceeded, ZeroCostCandidate
 from .model import CHUNK_ELEMENTS, CenterSet, ExistentialInstance, Instance
+from .neldermead import minimize
 from .objective import (WeightedCollection, _distances, _exact_value,
-                        _subset_minima, shape_distances)
+                        _nearest_distances, _subset_minima, shape_distances)
 from .partition import WeightedImage, build_weighted_image
 
 MAX_CANDIDATE_STREAM = 10 ** 7
 MAX_DISCRETE_SUBSETS = 10 ** 5
-NELDER_MEAD = {"xatol": 1e-12, "fatol": 1e-14, "maxiter": 4000}
 
 
 def collection_from_image(image: WeightedImage,
@@ -93,7 +97,7 @@ def gkm_cost(S: WeightedCollection, F: CenterSet) -> float:
 def _cost_objective(S: WeightedCollection):
     """``gkm_cost`` of S as a function of the raw (k*d,) center vector."""
     points, d = S.points, S.d
-    return lambda x: S._cost(_distances(points, x.reshape(-1, d)).min(axis=1))
+    return lambda x: S._cost(_nearest_distances(points, x.reshape(-1, d)))
 
 
 def _exact_objective(instance: Instance):
@@ -101,7 +105,7 @@ def _exact_objective(instance: Instance):
     raw (k*d,) center vector."""
     points, d = instance.support_points, instance.d
     return lambda x: _exact_value(
-        instance, _distances(points, x.reshape(-1, d)).min(axis=1))
+        instance, _nearest_distances(points, x.reshape(-1, d)))
 
 
 def _farthest_nearest(S: WeightedCollection, F: CenterSet) -> np.ndarray:
@@ -226,9 +230,8 @@ def _solve_k1(S: WeightedCollection) -> tuple[np.ndarray, float]:
         return np.zeros(S.d), 0.0
     far = pts[S.argmax(np.linalg.norm(pts - pts.mean(axis=0), axis=1))]
     c0 = np.average(far, axis=0, weights=S.weights[S.nonempty])
-    res = minimize(_cost_objective(S), c0, method="Nelder-Mead",
-                   options=NELDER_MEAD)
-    return np.asarray(res.x), float(res.fun)
+    res = minimize(_cost_objective(S), c0)
+    return res.x, res.fun
 
 
 def _discrete_pass(S: WeightedCollection, k: int):
@@ -323,11 +326,10 @@ def _best_polished(instance: Instance, k: int,
     fval = _exact_objective(instance)
     best, unconverged = None, 0
     for F0 in starts:
-        res = minimize(fval, F0.centers.reshape(-1), method="Nelder-Mead",
-                       options=NELDER_MEAD)
+        res = minimize(fval, F0.centers.reshape(-1))
         unconverged += not res.success
-        F = CenterSet(centers=np.asarray(res.x).reshape(k, d))
-        v = float(res.fun)
+        F = CenterSet(centers=res.x.reshape(k, d))
+        v = res.fun
         if best is None or v < best[1] - 1e-15 or \
                 (abs(v - best[1]) <= 1e-15 and _lex_key(F.centers) < _lex_key(best[0].centers)):
             best = (F, v)

@@ -14,7 +14,8 @@ p_i = sum over nodes of probs[node, i].
 
 A 0-flat is one center, so j=0 (coreset solve, S2 sensitivity seed and
 exact polish) runs through the k=1 code of ``gkm``; only j=1 uses the
-Nelder-Mead line search of this module, with ``gkm.NELDER_MEAD`` options.
+Nelder-Mead line search of this module, ``neldermead.minimize``, as in
+``gkm``.
 An ``SJFCCoreset`` packs S1 and S2 once, into one ``WeightedCollection``:
 the estimator reads its per-set maxima, and the j=0 solve runs on it as it
 is.
@@ -26,12 +27,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import CaseMismatch, EmptyK, SchemaError
-from .gkm import (NELDER_MEAD, SensitivityEstimate, WeightedCollection,
-                  _best_polished, importance_sample_coreset, solve_gkm)
+from .gkm import (SensitivityEstimate, WeightedCollection, _best_polished,
+                  importance_sample_coreset, solve_gkm)
 from .model import CenterSet, ExistentialInstance, Flat, Instance, realize
+from .neldermead import minimize
 from .objective import expected_flatcenter_exact, shape_distances
 
 NET_SEED = 0xC0FFEE
@@ -370,11 +371,10 @@ def _optimize_flat(fval, d: int, starts) -> tuple[Flat, float, int]:
     value and the number of runs that stopped unconverged at ``maxiter``."""
     best, unconverged = None, 0
     for x0 in starts:
-        res = minimize(lambda x: fval(_flat_from_params(x, 1, d)), x0,
-                       method="Nelder-Mead", options=NELDER_MEAD)
+        res = minimize(lambda x: fval(_flat_from_params(x, 1, d)), x0)
         unconverged += not res.success
-        F = _flat_from_params(np.asarray(res.x), 1, d)
-        v = float(res.fun)
+        F = _flat_from_params(res.x, 1, d)
+        v = res.fun
         if best is None or v < best[1]:
             best = (F, v)
     return best[0], best[1], unconverged

@@ -17,8 +17,8 @@ import numpy as np
 from .gkm import WeightedCollection, gkm_cost
 from .model import (CHUNK_ELEMENTS, CenterSet, ExistentialInstance, Flat,
                     Instance, LocationalInstance, realization_chunks)
-from .objective import (_distances, _subset_minima, expected_objective_exact,
-                        shape_distances)
+from .objective import (_distances, _farthest_weights, _subset_minima,
+                        expected_objective_exact, shape_distances)
 
 
 @dataclass(frozen=True)
@@ -93,32 +93,56 @@ def center_grid(points: np.ndarray, resolution: int,
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
-def _grid_search(points: np.ndarray, k: int, resolution: int,
-                 value) -> tuple[CenterSet, float]:
+def _grid_search(points: np.ndarray, k: int, resolution: int, width: int,
+                 screen, value) -> tuple[CenterSet, float] | None:
     """The first k-subset, in ``combinations`` order of the sorted grid and
-    support candidates, with the least ``value(CenterSet)``."""
+    support candidates, with the least ``value(CenterSet)``; None when
+    there are fewer candidates than k.
+
+    ``screen(table)`` scores a chunk of subsets at once from their
+    point-to-nearest-center table (points, subsets), within rounding of
+    ``value``, with temporaries of at most ``width`` elements per subset,
+    so a chunk holds ``CHUNK_ELEMENTS // width`` subsets (at least one).
+    The chunks stream: a subset is scored by ``value``, in
+    ``combinations`` order, only if its screen score is within 1e-9
+    relative of the least screen score so far.  The least so far is never
+    below the final least, so every subset a ``value`` call per subset
+    could pick is scored, and the pick is the same; memory stays at one
+    chunk."""
     cand = np.unique(np.vstack([center_grid(points, resolution), points]),
                      axis=0)
-    best = None
-    for idx in itertools.combinations(range(cand.shape[0]), k):
-        F = CenterSet(centers=cand[list(idx)])
-        v = value(F)
-        if best is None or v < best[1]:
-            best = (F, v)
+    rows = max(CHUNK_ELEMENTS // max(width, 1), 1)
+    best, low = None, np.inf
+    for subsets, table in _subset_minima(_distances(points, cand), k, rows):
+        scores = screen(table)
+        low = min(low, scores.min())
+        for idx in subsets[scores <= low + 1e-9 * abs(low)]:
+            F = CenterSet(centers=cand[idx])
+            v = value(F)
+            if best is None or v < best[1]:
+                best = (F, v)
     return best
 
 
 def oracle_solver_gkm(S: WeightedCollection, k: int,
                       resolution: int = 21) -> tuple[CenterSet, float]:
     """Grid search over center tuples plus all k-subsets of union points."""
-    return _grid_search(S.points, k, resolution, lambda F: gkm_cost(S, F))
+    return _grid_search(
+        S.points, k, resolution, S.points.shape[0],
+        lambda table: np.add.accumulate(S.weights[:, None] * S.maxima(table),
+                                        axis=0)[-1],
+        lambda F: gkm_cost(S, F))
 
 
 def oracle_solver_instance(instance: Instance, k: int,
                            resolution: int = 21) -> tuple[CenterSet, float]:
     """Grid search directly on the exact expected k-center objective."""
+    points = instance.support_points
+    # the locational kernel's cumulative sums are (nodes, points, subsets)
+    nodes = instance.n if isinstance(instance, LocationalInstance) else 1
     return _grid_search(
-        instance.support_points, k, resolution,
+        points, k, resolution, points.shape[0] * max(nodes, 1),
+        lambda table: (_farthest_weights(instance, table) * table).sum(axis=0),
         lambda F: expected_objective_exact(instance, F).value)
 
 

@@ -3,18 +3,20 @@ the per-set and per-subset loops they replaced.
 
 The loops below are the reference: they are the library's former
 implementations of the gkm cost, the j-flat estimator, the per-set
-farthest point, the discrete k-subset pass and the sensitivity oracle's
-per-candidate family.  The packed versions must agree with them exactly
+farthest point, the discrete k-subset pass, the sensitivity oracle's
+per-candidate family and the grid-search oracles' per-subset scan.  The
+packed versions must agree with them exactly
 (``==``), not within a tolerance, also with the chunk constant patched
 small so that every table spans many chunks.
 """
 
+import tracemalloc
 from itertools import combinations
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stocenter import gkm, oracle
@@ -24,9 +26,12 @@ from stocenter.gkm import (WeightedCollection, _discrete_pass, _lex_key,
                            sensitivity_bruteforce,
                            sensitivity_projection_upper, solve_gkm)
 from stocenter.jflat import SJFCCoreset, estimate_J, solve_jflat
-from stocenter.model import CenterSet, ExistentialInstance, Flat
-from stocenter.objective import _subset_minima, shape_distances
-from stocenter.oracle import center_grid, oracle_sensitivities
+from stocenter.model import (CenterSet, ExistentialInstance, Flat,
+                             LocationalInstance)
+from stocenter.objective import (_farthest_weights, _subset_minima,
+                                 expected_objective_exact, shape_distances)
+from stocenter.oracle import (center_grid, oracle_sensitivities,
+                              oracle_solver_gkm, oracle_solver_instance)
 from stocenter.partition import WeightedImage, image_cost
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True,
@@ -91,6 +96,20 @@ def loop_oracle_sensitivities(S, k, resolution):
         if gkm_cost(S, F) > 0.0:
             family.append(F)
     return sensitivity_bruteforce(S, family).values
+
+
+def loop_grid_search(points, k, resolution, value):
+    """The former grid search: one ``value`` call per k-subset of the
+    candidates, in ``combinations`` order, the first least one kept."""
+    cand = np.unique(np.vstack([center_grid(points, resolution), points]),
+                     axis=0)
+    best = None
+    for idx in combinations(range(cand.shape[0]), k):
+        F = CenterSet(centers=cand[list(idx)])
+        v = value(F)
+        if best is None or v < best[1]:
+            best = (F, v)
+    return best
 
 
 def loop_discrete_pass(sets, weights, k):
@@ -206,11 +225,28 @@ def test_argmax_equals_loop_first_occurrence(case):
 
 @SETTINGS
 @given(coreset_and_flat())
+# A point's line distance must not depend on the points scored with it: a
+# BLAS projection rounded [0, 3] differently alone and packed with [0, 0].
+@example(((np.zeros((0, 2)), np.array([[0.0, 3.0]])),
+          np.array([[0.0, 0.0]]), np.array([0.5]),
+          Flat(j=1, base=np.array([2.0, -2.0]),
+               basis=(np.array([1.0, -10.0]) / np.sqrt(101.0))
+               .reshape(1, 2))))
 def test_estimate_J_equals_loop(case):
     s1, s2, w2, F = case
     core = SJFCCoreset(s1=s1, s2_points=s2, s2_weights=w2, j=F.j, eps=0.3,
                        case=2)
     assert estimate_J(core, F) == loop_estimate_J(s1, s2, w2, F)
+
+
+@SETTINGS
+@given(coreset_and_flat())
+def test_shape_distances_do_not_depend_on_the_batch(case):
+    """Each point's distance is the same scored alone or with the others."""
+    s1, s2, _w2, F = case
+    P = np.vstack([*s1, s2])
+    assert shape_distances(P, F).tolist() == \
+        [shape_distances(P[i:i + 1], F)[0] for i in range(len(P))]
 
 
 @SETTINGS
@@ -285,6 +321,92 @@ def test_oracle_sensitivities_equal_family_loop(case, k, chunk):
     with mock.patch.object(oracle, "CHUNK_ELEMENTS", chunk):
         got = oracle_sensitivities(S, k, resolution=3)
     assert got.tolist() == loop_oracle_sensitivities(S, k, 3).tolist()
+
+
+@st.composite
+def small_instances(draw):
+    d = draw(st.integers(1, 2))
+    pts = np.array(draw(st.lists(st.tuples(*[coord] * d), min_size=1,
+                                 max_size=5)), dtype=float)
+    if draw(st.booleans()):
+        probs = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0])
+                              | st.floats(0.0, 1.0),
+                              min_size=len(pts), max_size=len(pts)))
+        return ExistentialInstance(points=pts, probs=np.array(probs))
+    rows = [np.array(draw(st.lists(st.integers(0, 3), min_size=len(pts),
+                                   max_size=len(pts)).filter(any)),
+                     dtype=float) for _ in range(draw(st.integers(1, 3)))]
+    return LocationalInstance(locations=pts,
+                              probs=np.array([r / r.sum() for r in rows]))
+
+
+def assert_same_pick(got, ref):
+    if ref is None:  # fewer candidates than k
+        assert got is None
+        return
+    assert got[1] == ref[1]
+    assert np.array_equal(got[0].centers, ref[0].centers)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(small_instances(), st.integers(1, 2), st.sampled_from([3, 40]))
+def test_grid_search_on_the_instance_equals_loop(inst, k, chunk):
+    """The batched screen, then exact scores of the near-minimal subsets,
+    picks what one exact evaluation per subset picks."""
+    with mock.patch.object(oracle, "CHUNK_ELEMENTS", chunk):
+        got = oracle_solver_instance(inst, k, resolution=4)
+    assert_same_pick(got, loop_grid_search(
+        inst.support_points, k, 4,
+        lambda F: expected_objective_exact(inst, F).value))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(ragged(max_sets=6), st.integers(1, 2), st.sampled_from([3, 40]))
+def test_grid_search_on_a_collection_equals_loop(case, k, chunk):
+    sets, weights, _d = case
+    if not any(s.shape[0] for s in sets):
+        return
+    S = WeightedCollection(sets=sets, weights=weights)
+    with mock.patch.object(oracle, "CHUNK_ELEMENTS", chunk):
+        got = oracle_solver_gkm(S, k, resolution=4)
+    assert_same_pick(got, loop_grid_search(S.points, k, 4,
+                                           lambda F: gkm_cost(S, F)))
+
+
+@pytest.mark.parametrize("inst", [
+    ExistentialInstance(points=[[0, 0], [3, 1], [1, 4], [-2, 2], [2, -1]],
+                        probs=[0.9, 0.3, 0.6, 1.0, 0.5]),
+    LocationalInstance(locations=[[0, 0], [3, 1], [1, 4], [-2, 2], [2, -1]],
+                       probs=[[0.5, 0.5, 0, 0, 0], [0, 0.2, 0.3, 0.5, 0],
+                              [0.1, 0, 0, 0.4, 0.5]])])
+def test_grid_search_streams_one_bounded_chunk(inst):
+    """The oracle holds one chunk of subsets at a time, sized so that the
+    screen's largest temporary, (nodes, points, subsets) for a locational
+    instance, stays within CHUNK_ELEMENTS."""
+    chunk = 2 ** 10
+    nodes = inst.n if isinstance(inst, LocationalInstance) else 1
+    sizes = []
+
+    def spy(instance, table):
+        sizes.append(nodes * table.size)
+        return _farthest_weights(instance, table)
+
+    with mock.patch.object(oracle, "CHUNK_ELEMENTS", chunk):
+        # the first call also makes numpy's one-time allocations (about
+        # 1 MB), so only the second one is measured
+        with mock.patch.object(oracle, "_farthest_weights", spy):
+            ref = oracle_solver_instance(inst, 3, resolution=9)
+        tracemalloc.start()
+        try:
+            got = oracle_solver_instance(inst, 3, resolution=9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert len(sizes) > 100 and max(sizes) <= chunk
+    assert_same_pick(got, ref)
+    # the 86 candidates have C(86, 3) = 102,340 3-subsets: 2.4 MB of
+    # indices and 0.8 MB of scores if every chunk were kept
+    assert peak < 2 ** 19
 
 
 @pytest.mark.parametrize("n_s1, n_s2", [(0, 3), (4, 0), (0, 0)])
