@@ -12,10 +12,9 @@ from .errors import (CaseMismatch, CombinationGuardExceeded,
                      StateSpaceGuardExceeded, StocenterError,
                      ZeroCostCandidate)
 from .gkm import (GeneralizedCoreset, SensitivityEstimate, WeightedCollection,
-                  collection_from_image, enumerate_candidate_coresets,
-                  gkm_cost, importance_sample_coreset,
-                  sensitivity_bruteforce, sensitivity_projection_upper,
-                  skc_pipeline, solve_gkm)
+                  candidate_costs, collection_from_image, gkm_cost,
+                  importance_sample_coreset, sensitivity_bruteforce,
+                  sensitivity_projection_upper, skc_pipeline, solve_gkm)
 from .grid_coreset import (CoresetBuilder, CoresetOutput, GridSpec,
                            coreset_image_size_bound)
 from .jflat import (ConvexKSpec, LinearizationMap, SJFCCoreset, build_S1,

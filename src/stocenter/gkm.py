@@ -2,8 +2,8 @@
 
 An instance is a weighted collection of finite point sets; the cost of a
 k-point center set F is sum_i w_i * max_{s in S_i} d(s, F).  The module
-provides sensitivity estimates, importance-sampling coresets, exhaustive
-candidate-coreset enumeration, numerical solvers, and the end-to-end
+provides sensitivity estimates, importance-sampling coresets, the scored
+candidate-coreset stream, numerical solvers, and the end-to-end
 stochastic k-center pipeline built on the partition module.
 
 Packed layout.  The collection type is ``objective.WeightedCollection``,
@@ -14,9 +14,11 @@ table on the packed points, its minimum over the centers, and one
 ``np.maximum.reduceat`` for the per-set maxima; the first-occurrence
 argmax per set (the farthest point, for the k=1 start and reassignment)
 comes from the same reduction.  The discrete k-subset
-pass and the candidate-coreset screen score many center sets at once from
-``objective``'s point-to-candidate table.  No cost or farthest-point
-evaluation loops over the sets in Python.
+pass scores many center sets at once from ``objective``'s
+point-to-candidate table, and one chunked scorer, ``candidate_costs``,
+serves the candidate-coreset stream (the ``enumerate`` screen and criterion
+8) in one chunk of memory; it needs M >= 1 and L_exp >= 0.  No cost or
+farthest-point evaluation loops over the sets in Python.
 
 Solves.  One local search per k, every Nelder-Mead run made by
 ``neldermead.minimize``, whose only options are its module constants
@@ -44,12 +46,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations, islice
 
 import numpy as np
 
 from .errors import EnumerationGuardExceeded, ZeroCostCandidate
-from .model import CHUNK_ELEMENTS, CenterSet, ExistentialInstance, Instance
+from .model import (CHUNK_ELEMENTS, CenterSet, ExistentialInstance, Instance,
+                    assignment_rows)
 from .neldermead import minimize
 from .objective import (WeightedCollection, _distances, _exact_value,
                         _nearest_distances, _subset_minima, shape_distances)
@@ -184,32 +187,56 @@ def importance_sample_coreset(S: WeightedCollection, q: SensitivityEstimate,
                               weights=np.array([acc[i] for i in indices]))
 
 
-def default_weight_exponent(eps: float, M: int, N: int, k: int) -> int:
-    """Default exponent-grid range for enumerated candidate weights."""
-    return math.ceil((10.0 / eps) * (math.log(max(M, 2)) + math.log(max(N, 2))
-                                     + math.log(max(k, 2))))
+def candidate_costs(S: WeightedCollection, K: np.ndarray, M: int,
+                    L_exp: int, eps: float):
+    """The candidate-coreset stream scored against the (sets, probes) table
+    K, as blocks of (rows, size) set indices and exponents and (rows, probes)
+    costs sum_t ((1+eps)^{a_t} w_{i_t} / M) K[i_t], added left to right, in
+    order of size 1..M, ``combinations``, then ``product`` of 0..L_exp.  A
+    block holds at most ``CHUNK_ELEMENTS`` entries (one row at least), and a
+    stream past ``MAX_CANDIDATE_STREAM`` raises before the first block."""
+    if M < 1 or L_exp < 0:
+        raise ValueError("candidate enumeration needs M >= 1 and L_exp >= 0")
+    N, m = S.size, L_exp + 1
+    sizes = range(1, min(M, N) + 1)
+    if sum(math.comb(N, s) * m ** s for s in sizes) > MAX_CANDIDATE_STREAM:
+        raise EnumerationGuardExceeded(f"candidate stream for N={N}, M={M}, "
+                                       f"L_exp={L_exp} exceeds {MAX_CANDIDATE_STREAM}")
+    powers = np.array([(1.0 + eps) ** a for a in range(m if N else 0)])
+    for size in sizes:
+        E = m ** size
+        rows = max(CHUNK_ELEMENTS // max(K.shape[1], size), 1)
+        # whole combinations per block, or one combination in exponent steps
+        per, step = max(rows // E, 1), min(rows, E)
+        combos = combinations(range(N), size)
+        while block := list(islice(combos, per)):
+            idx = np.array(block, dtype=np.intp)
+            for lo in range(0, E, step):
+                exps = assignment_rows(size, m, lo, min(lo + step, E))
+                # sum() adds the terms to 0 left to right, as the loop did
+                costs = sum((powers[exps[:, t]] * S.weights[idx[:, t], None]
+                             / M)[:, :, None] * K[idx[:, t]][:, None, :]
+                            for t in range(size))
+                yield (np.repeat(idx, len(exps), axis=0), np.tile(
+                    exps, (len(idx), 1)), costs.reshape(-1, K.shape[1]))
 
 
-def enumerate_candidate_coresets(S: WeightedCollection, M: int, L_exp: int,
-                                 eps: float):
-    """Every subcollection of size <= M crossed with every weight-exponent
-    tuple, in lexicographic order; weights w' = (1+eps)^a * w / M."""
-    if S.size == 0:
-        return
-    # The stream has sum_{s=1..M} C(N, s) (L_exp + 1)^s candidates.
-    total = 0
-    for size in range(1, min(M, S.size) + 1):
-        total += math.comb(S.size, size) * (L_exp + 1) ** size
-        if total > MAX_CANDIDATE_STREAM:
-            raise EnumerationGuardExceeded(
-                f"candidate stream for N={S.size}, M={M}, L_exp={L_exp} "
-                f"exceeds {MAX_CANDIDATE_STREAM}")
-    for size in range(1, M + 1):
-        for idx in combinations(range(S.size), size):
-            for exps in product(range(L_exp + 1), repeat=size):
-                weights = np.array([(1.0 + eps) ** a * S.weights[i] / M
-                                    for i, a in zip(idx, exps)])
-                yield GeneralizedCoreset(indices=idx, weights=weights)
+def _screen(S: WeightedCollection, K: np.ndarray, M: int, L_exp: int,
+            eps: float) -> tuple[GeneralizedCoreset, float]:
+    """The candidate whose largest relative deviation from S's cost, over
+    the probes where S costs more than 1e-12, is least, and that deviation:
+    a later candidate replaces the kept one only when lower by over 1e-15."""
+    full = S.weights @ K
+    mask = full > 1e-12
+    best, best_dev = None, math.inf
+    for idx, exps, costs in candidate_costs(S, K, M, L_exp, eps):
+        # with no probe of positive cost every candidate matches
+        dev = np.abs(costs[:, mask] / full[mask] - 1.0).max(axis=1, initial=0.0)
+        for r in np.flatnonzero(dev < best_dev - 1e-15).tolist():
+            if dev[r] < best_dev - 1e-15:
+                best, best_dev = (idx[r].tolist(), exps[r].tolist()), float(dev[r])
+    return GeneralizedCoreset(indices=tuple(best[0]), weights=np.array(
+        [(1.0 + eps) ** a * S.weights[i] / M for i, a in zip(*best)])), best_dev
 
 
 # ---------------------------------------------------------------------------
@@ -348,6 +375,11 @@ def skc_pipeline(instance: Instance, k: int, eps: float,
     expected objective.  Returns (CenterSet, value, info dict); info holds
     the strategy, ``candidates_evaluated`` (polish starts run) and
     ``polish_unconverged`` (those that stopped at ``maxiter``).
+
+    ``enumerate`` solves the candidate (M default min(N, 2), L_exp 6) that
+    tracks the image best on a probe grid.  L_exp is 6, not the paper's
+    >= 21 for eps < 1: on a 256-set image with M=2 that would stream
+    C(256, 2)·22² ≈ 1.58e7 candidates, past ``MAX_CANDIDATE_STREAM``.
     """
     if isinstance(instance, ExistentialInstance) and float(instance.probs.max(initial=0.0)) == 0.0:
         F = CenterSet(centers=np.zeros((k, instance.d)))
@@ -370,30 +402,13 @@ def skc_pipeline(instance: Instance, k: int, eps: float,
         collections.append(core.as_collection(S))
         collections.append(S)  # keep the safe fallback candidate
     elif strategy == "enumerate":
-        M_eff = M if M is not None else min(S.size, 2)
-        L_eff = L_exp if L_exp is not None else min(
-            default_weight_exponent(eps, M_eff, S.size, k), 6)
-        # Screen the stream cheaply: keep the candidate whose cost tracks the
-        # full image best over a probe grid, and solve only that one.
         from .oracle import center_grid
         support = instance.support_points
-        probes = np.unique(np.vstack([center_grid(support, 5), support]),
-                           axis=0)
-        K_rows = S.maxima(_distances(S.points, probes))
-        full_cost = S.weights @ K_rows
-        mask = full_cost > 1e-12
-        best_core, best_dev = None, math.inf
-        for core in enumerate_candidate_coresets(S, M_eff, L_eff, eps):
-            cand_cost = np.zeros(probes.shape[0])
-            for i, wi in zip(core.indices, core.weights):
-                cand_cost += wi * K_rows[i]
-            # with no probe of positive cost every candidate matches
-            dev = float(np.abs(cand_cost[mask] / full_cost[mask] - 1.0)
-                        .max(initial=0.0))
-            if dev < best_dev - 1e-15:
-                best_core, best_dev = core, dev
-        if best_core is not None:
-            collections.append(best_core.as_collection(S))
+        probes = np.unique(np.vstack([center_grid(support, 5), support]), axis=0)
+        core, _ = _screen(S, S.maxima(_distances(S.points, probes)),
+                          min(S.size, 2) if M is None else M,
+                          6 if L_exp is None else L_exp, eps)
+        collections.append(core.as_collection(S))
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
     starts = [F_S if coll is S and F_S is not None else solve_gkm(coll, k)[0]

@@ -11,18 +11,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gkm import (WeightedCollection, enumerate_candidate_coresets,
-                  skc_pipeline)
+from .gkm import WeightedCollection, candidate_costs, skc_pipeline
 from .grid_coreset import CoresetBuilder, coreset_image_size_bound
 from .jflat import (SJFCCoreset, build_S1, build_S2, estimate_J,
                     sjfc_pipeline, sweep_convexK)
 from .model import (CenterSet, ExistentialInstance, Flat, LocationalInstance,
                     sample_realization)
-from .objective import (expected_flatcenter_exact, expected_objective_exact,
+from .objective import (_distances, _squared_distances,
+                        expected_flatcenter_exact, expected_objective_exact,
                         shape_distances)
-from .oracle import (minimum_enclosing_ball, oracle_expected_values,
-                     oracle_sensitivities)
-from .partition import build_weighted_image, holant_value, membership_check
+from .oracle import (center_grid, minimum_enclosing_ball,
+                     oracle_expected_values, oracle_holant_direct,
+                     oracle_sensitivities, oracle_solver_instance)
+from .partition import (build_weighted_image, enumerate_sequences,
+                        holant_value, membership_check)
 from .serialize import dumps_json
 
 
@@ -69,9 +71,10 @@ def _rand_centers(rng, count, k, d):
 
 
 def _min_center_dists(points: np.ndarray, F_batch: np.ndarray) -> np.ndarray:
-    """(n_points, n_F) min distance to each batch center set."""
-    diff = points[:, None, None, :] - F_batch[None, :, :, :]
-    return np.sqrt((diff ** 2).sum(axis=3)).min(axis=2)
+    """(n_points, n_F) min distance to each batch center set, sqrt last."""
+    count, k, d = F_batch.shape
+    sq = _squared_distances(points, F_batch.reshape(count * k, d))
+    return np.sqrt(sq.reshape(len(points), count, k).min(axis=2))
 
 
 def _c1_error(instance, F_batch: np.ndarray) -> float:
@@ -200,8 +203,6 @@ def criterion_5(scale: str, seed: int = 105, **_) -> CheckResult:
     rng = np.random.default_rng(seed)
     worst = 0.0
     z_worst = 0.0
-    from .oracle import oracle_holant_direct
-    from .partition import enumerate_sequences
     for i in range(c["c5_inst"]):
         n = int(rng.integers(2, 6))
         m = int(rng.integers(2, 5))
@@ -245,17 +246,13 @@ def criterion_6(scale: str, seed: int = 104, perturb: float = 0.0,
             entries[pos] = (ids0, w0 * (1.0 + perturb))
         F_batch = _rand_centers(rng, c["c6_F"], k, 2)
         dmat = _min_center_dists(inst.points, F_batch)  # (n, F)
-        approx = np.zeros(c["c6_F"])
-        for ids, w in entries:
-            if ids:
-                approx += w * dmat[list(ids)].max(axis=0)
-        for f in range(c["c6_F"]):
-            exact = expected_objective_exact(
-                inst, CenterSet(centers=F_batch[f])).value
-            lo = (1.0 - eps) * exact - 1e-9
-            hi = (1.0 + eps) * exact + 1e-9
-            if not (lo <= approx[f] <= hi):
-                violations += 1
+        # summed from 0, class by class, as a per-class loop adds
+        approx = sum(w * dmat[list(ids)].max(axis=0) for ids, w in entries
+                     if ids)
+        exact = np.array([expected_objective_exact(inst, CenterSet(centers=F))
+                          .value for F in F_batch])
+        violations += int(np.sum(~(((1.0 - eps) * exact - 1e-9 <= approx)
+                                   & (approx <= (1.0 + eps) * exact + 1e-9))))
     return CheckResult("criterion 6 weighted-image cost sandwich",
                        violations == 0, f"{violations} violations")
 
@@ -284,39 +281,29 @@ def criterion_7(scale: str, seed: int = 107, **_) -> CheckResult:
                        f"max excess over 4k+3 = {worst:.3e} (tol 1e-9)")
 
 
+def _c8_found(S: WeightedCollection, cand: np.ndarray, eps: float) -> bool:
+    """Whether an M=2, L_exp=6 candidate is in S's (1 +- 3 eps) band."""
+    K = S.maxima(_distances(S.points, cand))  # (sets, F)
+    cost_full = S.weights @ K
+    lo = (1.0 - 3 * eps) * cost_full - 1e-9
+    hi = (1.0 + 3 * eps) * cost_full + 1e-9
+    return any(((costs >= lo) & (costs <= hi)).all(axis=1).any()
+               for _, _, costs in candidate_costs(S, K, 2, 6, eps))
+
+
 def criterion_8(scale: str, seed: int = 108, **_) -> CheckResult:
-    c = COUNTS[scale]
     rng = np.random.default_rng(seed)
-    eps = 0.5
     failures = 0
-    for _i in range(c["c8_inst"]):
+    for _i in range(COUNTS[scale]["c8_inst"]):
         S = _rand_gkm(rng, max_sets=4, max_size=3)
-        from .oracle import center_grid
         cand = np.vstack([center_grid(S.points, 5, margin=2.0), S.points])
-        K = np.stack([
-            np.sqrt(((s[:, None, :] - cand[None, :, :]) ** 2).sum(axis=2))
-            .max(axis=0) for s in S.sets])  # (sets, F) for k=1
-        cost_full = S.weights @ K
-        found = False
-        for core in enumerate_candidate_coresets(S, M=2, L_exp=6, eps=eps):
-            w = np.zeros(S.size)
-            for i, wi in zip(core.indices, core.weights):
-                w[i] = wi
-            cost_c = w @ K
-            lo = (1.0 - 3 * eps) * cost_full - 1e-9
-            hi = (1.0 + 3 * eps) * cost_full + 1e-9
-            if np.all((cost_c >= lo) & (cost_c <= hi)):
-                found = True
-                break
-        if not found:
-            failures += 1
+        failures += not _c8_found(S, cand, eps=0.5)
     return CheckResult("criterion 8 enumerated-coreset existence",
                        failures == 0, f"{failures} instances without a "
                                       f"(1 +- 3 eps) candidate")
 
 
 def criterion_9(scale: str, seed: int = 109, **_) -> CheckResult:
-    from .oracle import oracle_solver_instance
     c = COUNTS[scale]
     rng = np.random.default_rng(seed)
     eps = 0.5
@@ -420,8 +407,6 @@ def criterion_11(scale: str, seed: int = 111, **_) -> CheckResult:
 
 
 def criterion_12(scale: str, seed: int = 112, **_) -> CheckResult:
-    from .oracle import oracle_solver_instance
-
     def pipeline_text():
         # n in {6, 8}, k=1, eps=0.5: a sampled realization, its coreset, the
         # exhaustive image, the full pipeline and its ratio to the oracle

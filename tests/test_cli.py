@@ -132,6 +132,23 @@ def test_solve_enumerate_one_point(tmp_path, capsys):
     assert json.loads(out)["value"] == 0.0
 
 
+@pytest.mark.parametrize("k", ["1", "2"])
+@pytest.mark.parametrize("flag", [["--M", "0"], ["--Lexp", "-1"]],
+                         ids=["M=0", "Lexp=-1"])
+def test_solve_enumerate_empty_stream_is_usage_error(k, flag, tmp_path,
+                                                     capsys):
+    # an empty candidate stream used to exit 0 with "value": 0 at k=2
+    rng = np.random.default_rng(1)
+    path = tmp_path / "inst.json"
+    write_json(path, instance_to_dict(ExistentialInstance(
+        points=rng.uniform(-10, 10, (5, 2)), probs=rng.uniform(0.2, 0.9, 5))))
+    code = main(["solve", "--instance", str(path), "--k", k, "--eps", "0.5",
+                 "--strategy", "enumerate", *flag])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "M >= 1 and L_exp >= 0" in captured.err
+
+
 def test_oracle_command_with_golden(inst_file, shape_file, tmp_path, capsys):
     golden = tmp_path / "golden.json"
     code, out = _run(["oracle", "evaluate", "--instance", inst_file,

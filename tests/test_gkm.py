@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from stocenter.errors import EnumerationGuardExceeded, ZeroCostCandidate
-from stocenter.gkm import (GeneralizedCoreset, WeightedCollection,
-                           collection_from_image, default_weight_exponent,
-                           enumerate_candidate_coresets, gkm_cost,
+from stocenter.gkm import (WeightedCollection, candidate_costs,
+                           collection_from_image, gkm_cost,
                            importance_sample_coreset, sensitivity_bruteforce,
                            sensitivity_projection_upper, skc_pipeline,
                            solve_gkm)
@@ -106,23 +105,27 @@ def test_importance_sampling_unbiased_cost():
     assert abs(mean - target) <= 3 * se
 
 
+def _stream_rows(S, M, L_exp):
+    K = np.ones((S.size, 3))
+    return sum(len(costs) for _, _, costs in
+               candidate_costs(S, K, M=M, L_exp=L_exp, eps=0.5))
+
+
 def test_enumerate_candidates_counting_and_guard():
     S = _coll([[[0.0, 0.0]], [[1.0, 0.0]]], [1.0, 1.0])
-    cands = list(enumerate_candidate_coresets(S, M=1, L_exp=1, eps=0.5))
-    assert len(cands) == 4
-    assert all(isinstance(c, GeneralizedCoreset) for c in cands)
+    assert _stream_rows(S, M=1, L_exp=1) == 4
     big = _coll([[[float(i), 0.0]] for i in range(40)], np.ones(40))
     with pytest.raises(EnumerationGuardExceeded):
-        list(enumerate_candidate_coresets(big, M=5, L_exp=10, eps=0.5))
-    # one set, M=1: the stream has L_exp + 1 = 10^8 + 1 candidates
+        next(candidate_costs(big, np.ones((40, 3)), M=5, L_exp=10, eps=0.5))
+    # one set, M=1: the stream has L_exp + 1 = 10^8 + 1 candidates, and the
+    # guard fires before the first block
     one = _coll([[[0.0, 0.0]]], [1.0])
     with pytest.raises(EnumerationGuardExceeded):
-        next(enumerate_candidate_coresets(one, M=1, L_exp=10 ** 8, eps=0.5))
+        next(candidate_costs(one, np.ones((1, 3)), M=1, L_exp=10 ** 8,
+                             eps=0.5))
     # the guard counts the stream itself: C(3,1)*31 + C(3,2)*31^2 = 2976
     three = _coll([[[float(i), 0.0]] for i in range(3)], np.ones(3))
-    assert sum(1 for _ in enumerate_candidate_coresets(
-        three, M=2, L_exp=30, eps=0.5)) == 2976
-    assert default_weight_exponent(0.5, 2, 10, 1) > 0
+    assert _stream_rows(three, M=2, L_exp=30) == 2976
 
 
 def test_solve_gkm_singleton_and_midpoint():
@@ -223,6 +226,19 @@ def test_skc_pipeline_within_eps_of_oracle():
         _oF, ov = oracle_solver_instance(inst, 1, resolution=11)
         assert value <= (1 + eps) * ov + 1e-9
         assert info["strategy"] == strategy
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("bad", [dict(M=0), dict(L_exp=-1)],
+                         ids=["M=0", "L_exp=-1"])
+def test_skc_enumerate_rejects_an_empty_stream(k, bad):
+    # with M < 1 or L_exp < 0 the stream has no candidate; at k=2 the
+    # pipeline used to return zero centers with value 0.0
+    rng = np.random.default_rng(1)
+    inst = ExistentialInstance(points=rng.uniform(-10, 10, (5, 2)),
+                               probs=rng.uniform(0.2, 0.9, 5))
+    with pytest.raises(ValueError, match="M >= 1 and L_exp >= 0"):
+        skc_pipeline(inst, k, 0.5, strategy="enumerate", **bad)
 
 
 @pytest.mark.parametrize("points", [[[1.0, 2.0]], [[1.0, 2.0]] * 3],

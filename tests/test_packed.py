@@ -4,14 +4,17 @@ the per-set and per-subset loops they replaced.
 The loops below are the reference: they are the library's former
 implementations of the gkm cost, the j-flat estimator, the per-set
 farthest point, the discrete k-subset pass, the sensitivity oracle's
-per-candidate family and the grid-search oracles' per-subset scan.  The
+per-candidate family, the grid-search oracles' per-subset scan, and the
+per-candidate walks of the candidate-coreset stream (the ``enumerate``
+screen and acceptance criterion 8).  The
 packed versions must agree with them exactly
 (``==``), not within a tolerance, also with the chunk constant patched
 small so that every table spans many chunks.
 """
 
+import math
 import tracemalloc
-from itertools import combinations
+from itertools import combinations, product
 from unittest import mock
 
 import numpy as np
@@ -22,17 +25,20 @@ from hypothesis import strategies as st
 from stocenter import gkm, oracle
 from stocenter.errors import DimensionMismatch
 from stocenter.gkm import (WeightedCollection, _discrete_pass, _lex_key,
-                           collection_from_image, gkm_cost,
+                           _screen, candidate_costs, collection_from_image,
+                           gkm_cost,
                            sensitivity_bruteforce,
                            sensitivity_projection_upper, solve_gkm)
 from stocenter.jflat import SJFCCoreset, estimate_J, solve_jflat
 from stocenter.model import (CenterSet, ExistentialInstance, Flat,
                              LocationalInstance)
-from stocenter.objective import (_farthest_weights, _subset_minima,
-                                 expected_objective_exact, shape_distances)
+from stocenter.objective import (_distances, _farthest_weights,
+                                 _subset_minima, expected_objective_exact,
+                                 shape_distances)
 from stocenter.oracle import (center_grid, oracle_sensitivities,
                               oracle_solver_gkm, oracle_solver_instance)
 from stocenter.partition import WeightedImage, image_cost
+from stocenter.verification import _c8_found
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True,
                     database=None)
@@ -124,6 +130,58 @@ def loop_discrete_pass(sets, weights, k):
                  and _lex_key(F.centers) < _lex_key(best[0].centers)):
             best = (F, v)
     return best
+
+
+def loop_candidate_stream(S, M, L_exp, eps):
+    """The former per-candidate generator: (indices, exponents, weights)
+    over sizes 1..M, then ``combinations``, then ``product`` order of the
+    exponents, with weights (1+eps)^a * w_i / M."""
+    for size in range(1, M + 1):
+        for idx in combinations(range(S.size), size):
+            for exps in product(range(L_exp + 1), repeat=size):
+                yield idx, exps, np.array([(1.0 + eps) ** a * S.weights[i] / M
+                                           for i, a in zip(idx, exps)])
+
+
+def loop_candidate_cost(K, idx, weights):
+    cand_cost = np.zeros(K.shape[1])
+    for i, wi in zip(idx, weights):
+        cand_cost += wi * K[i]
+    return cand_cost
+
+
+def loop_screen(S, K, M, L_exp, eps):
+    """The former ``enumerate`` screen: (indices, weights, deviation) of the
+    first candidate not beaten by more than 1e-15 later in the stream."""
+    full_cost = S.weights @ K
+    mask = full_cost > 1e-12
+    best, best_dev = None, math.inf
+    for idx, _, weights in loop_candidate_stream(S, M, L_exp, eps):
+        cand_cost = loop_candidate_cost(K, idx, weights)
+        dev = float(np.abs(cand_cost[mask] / full_cost[mask] - 1.0)
+                    .max(initial=0.0))
+        if dev < best_dev - 1e-15:
+            best, best_dev = (idx, weights), dev
+    return best[0], best[1], best_dev
+
+
+def loop_band_found(S, cand, eps):
+    """The former criterion 8 check: one per-set distance stack, then a
+    dense weight vector per candidate of the M=2, L_exp=6 stream."""
+    K = np.stack([
+        np.sqrt(((s[:, None, :] - cand[None, :, :]) ** 2).sum(axis=2))
+        .max(axis=0) for s in S.sets])
+    cost_full = S.weights @ K
+    for idx, _, weights in loop_candidate_stream(S, 2, 6, eps):
+        w = np.zeros(S.size)
+        for i, wi in zip(idx, weights):
+            w[i] = wi
+        cost_c = w @ K
+        lo = (1.0 - 3 * eps) * cost_full - 1e-9
+        hi = (1.0 + 3 * eps) * cost_full + 1e-9
+        if np.all((cost_c >= lo) & (cost_c <= hi)):
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -441,6 +499,105 @@ def test_image_cost_equals_loop():
         if ids:
             ref += w * float(shape_distances(inst.points[list(ids)], F).max())
     assert image_cost(image, inst, F) == ref
+
+
+# ---------------------------------------------------------------------------
+# The candidate-coreset stream
+
+
+@st.composite
+def scored_collection(draw):
+    """Up to 5 sets of up to 3 points from a pool of up to 4 points in the
+    plane, and 1-6 probes: on integer coordinates with weights in
+    {0.5, 1, 2}, so that equal sets make deviations tie exactly, or
+    random."""
+    grid = draw(st.booleans())
+    c = st.integers(-3, 3).map(float) if grid else \
+        st.floats(-10, 10, allow_nan=False, width=64)
+    pool = draw(st.lists(st.tuples(c, c), min_size=1, max_size=4))
+    sizes = draw(st.lists(st.integers(0, 3), min_size=1, max_size=5))
+    sets = tuple(np.array([pool[draw(st.integers(0, len(pool) - 1))]
+                           for _ in range(n)], dtype=float).reshape(n, 2)
+                 for n in sizes)
+    if grid:
+        weights = np.array(draw(st.lists(st.sampled_from([0.5, 1.0, 2.0]),
+                                         min_size=len(sets),
+                                         max_size=len(sets))))
+    else:
+        weights = np.random.default_rng(draw(st.integers(0, 2 ** 32))) \
+            .uniform(0.01, 5.0, len(sets))
+    probes = np.array(draw(st.lists(st.tuples(c, c), min_size=1, max_size=6)))
+    return WeightedCollection(sets=sets, weights=weights, d=2), probes
+
+
+def stream_rows(blocks):
+    return ([tuple(r) for idx, _, _ in blocks for r in idx.tolist()],
+            [tuple(r) for _, exps, _ in blocks for r in exps.tolist()],
+            np.vstack([costs for _, _, costs in blocks]))
+
+
+# set 1 repeats set 0 at a weight one ulp higher: its deviation is lower by
+# one ulp, which is not enough to take the lead from set 0
+NEAR_TIE = (WeightedCollection(sets=(np.zeros((1, 2)), np.zeros((1, 2)),
+                                     np.array([[2.5, 0.0]])),
+                               weights=np.array([1.0, 1.0 + 2.0 ** -52, 1.0])),
+            np.array([[3.0, 0.0]]))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@example(NEAR_TIE, 1, 0, 0.5, 2 ** 17, 0.5)
+@given(scored_collection(), st.integers(1, 3), st.sampled_from([0, 1, 3]),
+       st.sampled_from([0.5, 0.3, 0.1]), st.sampled_from([1, 7, 24, 2 ** 17]),
+       st.sampled_from([0.5, 0.1, 0.03, 0.01]))
+def test_candidate_stream_screen_and_band_equal_loop(case, M, L_exp, eps,
+                                                     chunk, band_eps):
+    S, probes = case
+    K = S.maxima(_distances(S.points, probes))
+    with mock.patch.object(gkm, "CHUNK_ELEMENTS", chunk):
+        blocks = list(candidate_costs(S, K, M, L_exp, eps))
+        core, dev = _screen(S, K, M, L_exp, eps)
+    ref = list(loop_candidate_stream(S, M, L_exp, eps))
+    indices, exponents, costs = stream_rows(blocks)
+    assert indices == [idx for idx, _, _ in ref]
+    assert exponents == [exps for _, exps, _ in ref]
+    assert np.array_equal(costs, [loop_candidate_cost(K, idx, weights)
+                                  for idx, _, weights in ref])
+    assert all(c.size <= max(chunk, K.shape[1]) for _, _, c in blocks)
+    ref_indices, ref_weights, ref_dev = loop_screen(S, K, M, L_exp, eps)
+    assert core.indices == ref_indices
+    assert core.weights.tolist() == ref_weights.tolist()
+    assert dev == ref_dev
+    # criterion 8's band verdict, on the nonempty sets; a narrow band makes
+    # "no candidate" common
+    keep = [i for i, s in enumerate(S.sets) if s.shape[0]]
+    if keep:
+        T = WeightedCollection(sets=tuple(S.sets[i] for i in keep),
+                               weights=S.weights[keep])
+        with mock.patch.object(gkm, "CHUNK_ELEMENTS", chunk):
+            found = _c8_found(T, probes, band_eps)
+        assert found == loop_band_found(T, probes, band_eps)
+
+
+def test_candidate_costs_split_one_combination_into_exponent_blocks():
+    # 4 probes and CHUNK_ELEMENTS = 8 give 2 rows per block, fewer than the
+    # 16 exponent pairs of one 2-set combination
+    S = WeightedCollection(sets=tuple(np.array([[float(i), 1.0]])
+                                      for i in range(3)),
+                           weights=np.array([1.0, 0.5, 2.0]))
+    K = S.maxima(_distances(S.points, np.eye(4, 2)))
+    with mock.patch.object(gkm, "CHUNK_ELEMENTS", 8):
+        blocks = list(candidate_costs(S, K, 2, 3, 0.5))
+    pairs = [idx for idx, _, _ in blocks if idx.shape[1] == 2]
+    assert len(pairs) == 3 * 8
+    assert all(len(idx) == 2 and len(np.unique(idx, axis=0)) == 1
+               for idx in pairs)
+    assert all(c.size <= 8 for _, _, c in blocks)
+    ref = list(loop_candidate_stream(S, 2, 3, 0.5))
+    indices, exponents, costs = stream_rows(blocks)
+    assert indices == [idx for idx, _, _ in ref]
+    assert exponents == [exps for _, exps, _ in ref]
+    assert np.array_equal(costs, [loop_candidate_cost(K, idx, weights)
+                                  for idx, _, weights in ref])
 
 
 # ---------------------------------------------------------------------------
