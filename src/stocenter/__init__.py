@@ -21,10 +21,8 @@ from .jflat import (ConvexKSpec, LinearizationMap, SJFCCoreset, build_S1,
                     build_S2, build_sjfc_coreset, case1_coreset, estimate_J,
                     sjfc_pipeline, solve_jflat, sweep_convexK)
 from .model import (CenterSet, ExistentialInstance, Flat, Instance,
-                    LocationalInstance, Realization, enumerate_realizations,
-                    instance_from_dict, instance_to_dict, load_instance,
-                    load_shape, realization_probability, sample_realization,
-                    shape_from_dict, shape_to_dict)
+                    LocationalInstance, instance_from_dict, instance_to_dict,
+                    load_instance, load_shape, shape_from_dict, shape_to_dict)
 from .objective import (ObjectiveValue, expected_flatcenter_exact,
                         expected_objective_exact, expected_objective_mc,
                         flat_distance, kcenter_value, shape_distances)

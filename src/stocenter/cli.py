@@ -149,6 +149,9 @@ def cmd_oracle(args) -> int:
 def generate_instance(kind: str, model: str, n: int, d: int, seed: int,
                       m: int = 4) -> Instance:
     """Uniform, clustered, or annulus point layouts in either model."""
+    for flag, value in (("n", n), ("m", m), ("d", d)):
+        if value < 1:
+            raise StocenterError(f"--{flag} must be at least 1")
     rng = np.random.default_rng(seed)
     count = n if model == "existential" else m
     if kind == "uniform":

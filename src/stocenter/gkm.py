@@ -365,6 +365,21 @@ def _best_polished(instance: Instance, k: int,
     return best[0], best[1], len(starts), unconverged
 
 
+def _check_skc_args(k: int, eps: float, strategy: str, M, L_exp):
+    """Raise up front what an instance with mass raises downstream."""
+    if not 0.0 < eps < 1.0:
+        raise ValueError("eps must lie in (0, 1)")
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    if strategy not in ("full", "sampling", "enumerate"):
+        raise ValueError(f"unknown strategy {strategy!r}")
+    if strategy == "sampling" and M is not None and M < 1:
+        raise ValueError("M must be >= 1")
+    if strategy == "enumerate" and ((M is not None and M < 1)
+                                    or (L_exp is not None and L_exp < 0)):
+        raise ValueError("candidate enumeration needs M >= 1 and L_exp >= 0")
+
+
 def skc_pipeline(instance: Instance, k: int, eps: float,
                  strategy: str = "full", seed: int = 0,
                  M: int | None = None, L_exp: int | None = None):
@@ -381,6 +396,7 @@ def skc_pipeline(instance: Instance, k: int, eps: float,
     >= 21 for eps < 1: on a 256-set image with M=2 that would stream
     C(256, 2)·22² ≈ 1.58e7 candidates, past ``MAX_CANDIDATE_STREAM``.
     """
+    _check_skc_args(k, eps, strategy, M, L_exp)
     if isinstance(instance, ExistentialInstance) and float(instance.probs.max(initial=0.0)) == 0.0:
         F = CenterSet(centers=np.zeros((k, instance.d)))
         return F, 0.0, {"strategy": strategy, "candidates_evaluated": 0,
@@ -409,8 +425,6 @@ def skc_pipeline(instance: Instance, k: int, eps: float,
                           min(S.size, 2) if M is None else M,
                           6 if L_exp is None else L_exp, eps)
         collections.append(core.as_collection(S))
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
     starts = [F_S if coll is S and F_S is not None else solve_gkm(coll, k)[0]
               for coll in collections if coll.points.shape[0]]
     F, value, evaluated, unconverged = _best_polished(instance, k, starts)

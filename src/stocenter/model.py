@@ -5,25 +5,24 @@ Point ids are 0-based input-file positions and are never reassigned; every
 All types are immutable after construction and safe to share across threads;
 random state is always caller-owned and passed explicitly.
 
-This module is the only owner of exhaustive realization enumeration:
-``realization_chunks`` walks every realization of either model in chunks
-(bit masks from ``mask_rows``, node -> location assignments from
-``assignment_rows``), applies both enumeration guards and the
-zero-probability filter, and takes each probability from
-``realization_probabilities``, the one product rule per model.
-``enumerate_realizations``, ``realization_probability``, the exhaustive
-weighted image and acceptance criterion 1 all read these.
+A realization is one row: a boolean presence mask over the n points
+(existential) or the n nodes' location indices (locational).  This module
+is the only owner of those rows.  ``realize`` maps caller-drawn uniforms to
+sampled rows; ``realization_chunks`` walks every row of either model in
+chunks (bit masks from ``mask_rows``, node -> location assignments from
+``assignment_rows``), applies both enumeration guards, drops
+zero-probability rows, and takes each probability from
+``realization_probabilities``, the one product rule per model.  The
+exhaustive weighted image and the exact oracle read these.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import numbers
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import compress
 
 import numpy as np
 
@@ -145,27 +144,6 @@ Instance = ExistentialInstance | LocationalInstance
 
 
 @dataclass(frozen=True)
-class Realization:
-    """One concrete draw from a stochastic instance.
-
-    Existential draws carry the sorted tuple of present point ids; locational
-    draws carry the node -> location-id assignment (length n).
-    """
-
-    ids: tuple[int, ...] = ()
-    assignment: tuple[int, ...] | None = None
-
-    def point_ids(self) -> tuple[int, ...]:
-        """Distinct support-point ids realized, ascending."""
-        if self.assignment is not None:
-            return tuple(sorted(set(self.assignment)))
-        return self.ids
-
-    def points(self, instance: Instance) -> np.ndarray:
-        return instance.support_points[list(self.point_ids())]
-
-
-@dataclass(frozen=True)
 class CenterSet:
     """Exactly k centers; stored in lexicographic order for determinism."""
 
@@ -196,6 +174,8 @@ class Flat:
     basis: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
 
     def __post_init__(self):
+        if isinstance(self.j, bool) or not isinstance(self.j, numbers.Integral):
+            raise SchemaError(f"flat j {self.j!r} is not an integer")
         base = _freeze(np.atleast_1d(self.base))
         d = base.shape[0]
         basis = np.asarray(self.basis, dtype=float)
@@ -218,7 +198,7 @@ class Flat:
 
 
 # ---------------------------------------------------------------------------
-# Realization enumeration / sampling / probability
+# Realizations: mask rows and assignment rows
 
 
 def mask_rows(n: int, start: int = 0, stop: int | None = None) -> np.ndarray:
@@ -262,38 +242,39 @@ def realization_probabilities(instance: Instance,
     return out
 
 
-def id_mask(ids, n: int) -> np.ndarray:
-    """Boolean (n,) mask of a set of point ids.
+def _integer(value, what: str) -> int:
+    """A JSON integer as an int: an integral float reads as the integer
+    (2.0 is 2, as JSON writers may print it); a boolean, a fraction, a
+    non-finite float or a non-number (a string, null) raises SchemaError."""
+    if isinstance(value, (bool, np.bool_)) or not (
+            isinstance(value, numbers.Integral)
+            or isinstance(value, numbers.Real) and float(value).is_integer()):
+        raise SchemaError(f"{what} {value!r} is not an integer")
+    return int(value)
 
-    Every id must be an integer in [0, n).  A float is accepted only when it
-    is integral (2.0 is id 2, as JSON writers may print it); fractional,
-    non-finite, boolean and non-numeric ids raise SchemaError.
-    """
+
+def id_mask(ids, n: int) -> np.ndarray:
+    """Boolean (n,) mask of a set of point ids, each an integer in [0, n)
+    under the rule of ``_integer``."""
     if isinstance(ids, (str, bytes)) or not isinstance(ids, Iterable):
         raise SchemaError("realization ids must be a list of integers")
     mask = np.zeros(n, dtype=bool)
     for i in ids:
-        if type(i) is not int and (
-                isinstance(i, (bool, np.bool_))
-                or not isinstance(i, numbers.Real)
-                or not (isinstance(i, numbers.Integral)
-                        or (math.isfinite(i) and float(i).is_integer()))):
-            raise SchemaError(f"realization id {i!r} is not an integer")
+        i = _integer(i, "realization id")
         if not 0 <= i < n:
             raise SchemaError(f"realization ids must lie in [0, {n})")
-        mask[int(i)] = True
+        mask[i] = True
     return mask
 
 
-def realization_chunks(instance: Instance, rows: int | None = None,
-                       keep_zero: bool = False):
+def realization_chunks(instance: Instance, rows: int | None = None):
     """Every realization with its probability, in enumeration order, as
     (realization rows, probabilities) chunks.
 
     The rows are ``mask_rows`` (existential) or ``assignment_rows``
     (locational).  A chunk has at most ``rows`` rows and at most
     ``CHUNK_ELEMENTS`` realization entries (at least one row).
-    Zero-probability realizations are dropped unless keep_zero is set.
+    Zero-probability realizations are dropped.
     Raises InstanceTooLarge past the enumeration guards, before any row
     is built.
     """
@@ -315,30 +296,8 @@ def realization_chunks(instance: Instance, rows: int | None = None,
         block = mask_rows(n, lo, hi) if existential \
             else assignment_rows(n, instance.m, lo, hi)
         pr = realization_probabilities(instance, block)
-        if not keep_zero:
-            keep = pr != 0.0
-            block, pr = block[keep], pr[keep]
-        yield block, pr
-
-
-def enumerate_realizations(instance: Instance, keep_zero: bool = False):
-    """All realizations with their probabilities, in the order of
-    ``realization_chunks``.
-
-    Probabilities sum to 1 within 1e-12.  Zero-probability realizations are
-    dropped unless keep_zero is set.
-    """
-    cols = range(instance.n)
-    out = []
-    for block, pr in realization_chunks(instance, keep_zero=keep_zero):
-        if isinstance(instance, ExistentialInstance):
-            reals = [Realization(ids=tuple(compress(cols, row)))
-                     for row in block.tolist()]
-        else:
-            reals = [Realization(assignment=tuple(row))
-                     for row in block.tolist()]
-        out.extend(zip(reals, pr.tolist()))
-    return out
+        keep = pr != 0.0
+        yield block[keep], pr[keep]
 
 
 def realize(instance: Instance, u: np.ndarray) -> np.ndarray:
@@ -361,25 +320,6 @@ def realize(instance: Instance, u: np.ndarray) -> np.ndarray:
     for j in range(instance.n):
         idx[:, j] = np.searchsorted(cum[j], u[:, j], side="right")
     return np.minimum(idx, last, out=idx)
-
-
-def sample_realization(instance: Instance, rng: np.random.Generator) -> Realization:
-    """Draw one realization from n uniforms; rng must be seeded by the caller."""
-    drawn = realize(instance, rng.random((1, instance.n)))[0]
-    if isinstance(instance, ExistentialInstance):
-        return Realization(ids=tuple(np.flatnonzero(drawn)))
-    return Realization(assignment=tuple(drawn.tolist()))
-
-
-def realization_probability(instance: Instance, realization: Realization) -> float:
-    """Pr[|= P]: the one-row call of ``realization_probabilities``."""
-    if isinstance(instance, ExistentialInstance):
-        row = id_mask(realization.ids, instance.n)
-    else:
-        if realization.assignment is None or len(realization.assignment) != instance.n:
-            raise SchemaError("locational realization needs a total assignment")
-        row = np.array(realization.assignment, dtype=np.intp)
-    return float(realization_probabilities(instance, row[None])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -415,8 +355,9 @@ def _floats(values, what: str) -> np.ndarray:
 
 
 def _rows(values, d, what: str) -> list:
-    """A JSON list of coordinate rows, each a list of d entries (so a d
-    that is not a whole number matches no row)."""
+    """A JSON list of coordinate rows, each a list of d entries, where d
+    is the instance's JSON ``d`` read by ``_integer``."""
+    d = _integer(d, "instance d")
     if not isinstance(values, list) or not all(
             isinstance(row, list) for row in values):
         raise SchemaError(f"{what} must be a list of coordinate lists")
@@ -487,7 +428,7 @@ def shape_from_dict(data: dict) -> CenterSet | Flat:
     if data["kind"] == "flat":
         _fields(data, "flat shape", {"kind", "j", "base"},
                 {"kind", "j", "base", "basis"})
-        return Flat(j=data["j"],
+        return Flat(j=_integer(data["j"], "flat j"),
                     base=_floats(data["base"], "flat coordinates"),
                     basis=_floats(data.get("basis", []), "flat coordinates"))
     raise SchemaError(f"unknown shape kind {data['kind']!r}")

@@ -208,8 +208,14 @@ CENTERS = '{"kind": "centers", "points": [[0.0, 0.0]]}'
      ' "nodes": [{"probs": [null, 1.0]}]}', CENTERS),
     (EXISTENTIAL, '{"kind": "centers", "points": [[null, 0.0]]}'),
     (EXISTENTIAL, '{"kind": "flat", "j": 0, "base": [null, 0.0]}'),
+    (EXISTENTIAL.replace('"d": 2', '"d": true'), CENTERS),
+    (EXISTENTIAL, '{"kind": "flat", "j": true, "base": [0.0, 0.0], '
+                  '"basis": [[1.0, 0.0]]}'),
+    (EXISTENTIAL, '{"kind": "flat", "j": 0.5, "base": [0.0, 0.0]}'),
+    (EXISTENTIAL, '{"kind": "flat", "j": null, "base": [0.0, 0.0]}'),
 ], ids=["null-coord", "no-d", "no-coords", "nan-prob", "null-loc-prob",
-        "null-center", "null-flat-base"])
+        "null-center", "null-flat-base", "bool-d", "bool-flat-j",
+        "fraction-flat-j", "null-flat-j"])
 def test_malformed_json_is_usage_error(instance, shape, tmp_path, capsys):
     files = []
     for name, text in (("inst.json", instance), ("shape.json", shape)):
@@ -218,6 +224,34 @@ def test_malformed_json_is_usage_error(instance, shape, tmp_path, capsys):
     code, out = _run(["evaluate", "--instance", str(files[0]),
                       "--shape", str(files[1])], capsys)
     assert (code, out) == (2, "")
+
+
+def test_integral_float_flat_j_reads_as_the_integer(tmp_path, capsys):
+    # a flat with "j": 1.0 used to crash inside np.eye
+    inst = tmp_path / "inst.json"
+    inst.write_text(EXISTENTIAL.replace('"d": 2', '"d": 2.0'))
+    outputs = []
+    for j in ("1", "1.0"):
+        shape = tmp_path / "shape.json"
+        shape.write_text('{"kind": "flat", "j": %s, "base": [0.0, 0.0], '
+                         '"basis": [[1.0, 0.0]]}' % j)
+        outputs.append(_run(["evaluate", "--instance", str(inst),
+                             "--shape", str(shape)], capsys))
+    assert outputs[0] == outputs[1] and outputs[0][0] == 0
+
+
+@pytest.mark.parametrize("args, flag", [
+    (["--n", "0"], "--n"), (["--n", "-3"], "--n"),
+    (["--n", "3", "--model", "locational", "--m", "0"], "--m"),
+    (["--n", "3", "--kind", "annulus", "--d", "0"], "--d")],
+    ids=["n=0", "n=-3", "m=0", "d=0"])
+def test_generate_rejects_empty_sizes(args, flag, capsys):
+    # --n 0 used to write an instance that load_instance rejects, and
+    # --m 0 failed on the row sums
+    code = main(["generate", "--seed", "1"] + args)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert f"{flag} must be at least 1" in captured.err
 
 
 @pytest.mark.parametrize("flag, value", [

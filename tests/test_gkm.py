@@ -205,6 +205,25 @@ def test_skc_pipeline_zero_probability():
     assert value == 0.0
 
 
+@pytest.mark.parametrize("bad", [
+    dict(k=0), dict(eps=0.0), dict(eps=5.0), dict(strategy="bogus"),
+    dict(strategy="sampling", M=0), dict(strategy="enumerate", M=0),
+    dict(strategy="enumerate", L_exp=-1)],
+    ids=["k=0", "eps=0", "eps=5", "bogus", "sampling-M=0", "enumerate-M=0",
+         "enumerate-L_exp=-1"])
+def test_skc_pipeline_checks_arguments_without_mass(bad):
+    # the zero-mass shortcut used to return value 0 for each of these
+    args = dict(k=1, eps=0.5, strategy="full") | bad
+    errors = []
+    for probs in ([0.0, 0.0], [0.5, 0.5]):
+        inst = ExistentialInstance(points=[[1.0, 2.0], [3.0, 4.0]],
+                                   probs=probs)
+        with pytest.raises(ValueError) as info:
+            skc_pipeline(inst, **args)
+        errors.append(str(info.value))
+    assert errors[0] == errors[1]
+
+
 def test_skc_pipeline_deterministic_matches_meb():
     rng = np.random.default_rng(26)
     pts = rng.uniform(-10, 10, (8, 2))

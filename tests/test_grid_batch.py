@@ -5,8 +5,8 @@ The loops below are the reference: they are the library's former
 ``CoresetBuilder.build`` (with its ``_collect_cells`` and the ``math.floor``
 cell of every point), the former single-set membership and probability
 helpers, and the former loops of both ``build_weighted_image`` modes and of
-``enumerate_realizations`` (bit masks, and ``itertools.product`` over node
--> location assignments).  The batched versions must agree with them
+the realization enumeration (bit masks, and ``itertools.product`` over
+node -> location assignments).  The batched versions must agree with them
 exactly (``==``), not within a tolerance, also with the chunk constant
 patched small so that every batch spans many chunks.
 """
@@ -26,10 +26,8 @@ from stocenter.errors import CombinationGuardExceeded, SchemaError
 from stocenter.grid_coreset import (CoresetBuilder, GridSpec, _exponent,
                                     grid_cells)
 from stocenter.model import (ExistentialInstance, LocationalInstance,
-                             Realization, assignment_rows,
-                             enumerate_realizations, mask_rows,
-                             realization_probabilities,
-                             realization_probability)
+                             assignment_rows, mask_rows, realization_chunks,
+                             realization_probabilities)
 from stocenter.partition import (_occupancy_dp, build_weighted_image,
                                  membership_check, prob_existential,
                                  prob_locational)
@@ -168,15 +166,16 @@ def ref_mask_probs(probs):
     return out
 
 
-def ref_realizations(inst, keep_zero=False):
+def ref_realizations(inst, with_zero=False):
     """(ids, probability) of every realization, existential, or
-    (assignment, probability), locational."""
+    (assignment, probability), locational; zero-probability ones only
+    when with_zero is set."""
     out = []
     if isinstance(inst, ExistentialInstance):
         mask_probs = ref_mask_probs(inst.probs)
         for mask in range(2 ** inst.n):
             pr = float(mask_probs[mask])
-            if pr == 0.0 and not keep_zero:
+            if pr == 0.0 and not with_zero:
                 continue
             out.append((tuple(i for i in range(inst.n) if (mask >> i) & 1),
                         pr))
@@ -185,7 +184,7 @@ def ref_realizations(inst, keep_zero=False):
         pr = 1.0
         for node, loc in enumerate(assignment):
             pr *= inst.probs[node, loc]
-        if pr == 0.0 and not keep_zero:
+        if pr == 0.0 and not with_zero:
             continue
         out.append((assignment, float(pr)))
     return out
@@ -426,40 +425,58 @@ def test_assignment_rows_by_range_match_itertools_product(n, m, data):
         [list(a) for a in product(range(m), repeat=n)]
 
 
+def all_rows(inst):
+    """Every realization row, zero-probability ones included."""
+    if isinstance(inst, ExistentialInstance):
+        return mask_rows(inst.n)
+    return assignment_rows(inst.n, inst.m)
+
+
+def enumerated(inst, rows=None):
+    """(ids, probability), existential, or (assignment, probability),
+    locational, of every row ``realization_chunks`` yields."""
+    existential = isinstance(inst, ExistentialInstance)
+    return [(tuple(compress(range(inst.n), row)) if existential
+             else tuple(row), pr)
+            for block, probs in realization_chunks(inst, rows)
+            for row, pr in zip(block.tolist(), probs.tolist())]
+
+
 @SETTINGS
 @given(st.one_of(st.lists(prob, min_size=1, max_size=8).map(
     lambda p: ExistentialInstance(points=np.zeros((len(p), 1)), probs=p)),
-    locational_instances()), chunks)
-def test_enumeration_equals_former_loops(inst, chunk):
-    existential = isinstance(inst, ExistentialInstance)
-    if existential:
-        assert realization_probabilities(inst, mask_rows(inst.n)).tolist() \
-            == ref_mask_probs(inst.probs).tolist()
-    for keep_zero in (False, True):
-        with enumeration_chunked(chunk):
-            got = enumerate_realizations(inst, keep_zero=keep_zero)
-        assert [(r.ids if existential else r.assignment, pr)
-                for r, pr in got] == ref_realizations(inst, keep_zero)
+    locational_instances()), chunks, st.sampled_from([None, 1, 3]))
+def test_enumeration_equals_former_loops(inst, chunk, rows):
+    assert realization_probabilities(inst, all_rows(inst)).tolist() == \
+        [pr for _, pr in ref_realizations(inst, with_zero=True)]
+    with enumeration_chunked(chunk):
+        got = enumerated(inst, rows)
+    assert got == ref_realizations(inst)
 
 
 @SETTINGS
 @given(st.one_of(existential_instances(), locational_instances()))
-def test_realization_probability_is_the_enumerated_probability(inst):
-    for real, pr in enumerate_realizations(inst, keep_zero=True):
-        assert realization_probability(inst, real) == pr
+def test_one_row_probability_is_the_enumerated_probability(inst):
+    # every row on its own, zero-probability ones included, against the
+    # batch and against the enumeration, which drops the zeros
+    rows = all_rows(inst)
+    one = [realization_probabilities(inst, row[None])[0] for row in rows]
+    assert one == realization_probabilities(inst, rows).tolist()
+    kept = [(row, pr) for row, pr in zip(rows.tolist(), one) if pr != 0.0]
+    assert kept == [(row, pr) for block, probs in realization_chunks(inst)
+                    for row, pr in zip(block.tolist(), probs.tolist())]
 
 
 @SETTINGS
 @given(st.lists(prob, min_size=51, max_size=90), st.data())
-def test_realization_probability_of_many_factors_is_sequential(probs, data):
+def test_realization_probabilities_of_many_factors_is_sequential(probs, data):
     present = data.draw(st.lists(st.booleans(), min_size=len(probs),
                                  max_size=len(probs)))
     pr = 1.0
     for p, here in zip(probs, present):
         pr *= p if here else 1.0 - p
     inst = ExistentialInstance(points=np.zeros((len(probs), 1)), probs=probs)
-    real = Realization(ids=tuple(compress(range(len(probs)), present)))
-    assert realization_probability(inst, real) == pr
+    assert realization_probabilities(inst, np.array([present]))[0] == pr
 
 
 # ---------------------------------------------------------------------------
@@ -594,5 +611,5 @@ def test_locational_exhaustive_image_memory_is_bounded_by_the_chunk():
     small, _ = peak(6)
     large, image = peak(8)
     assert len(image.entries) == 15
-    # one Realization per draw took about 300 B: 20 MB at n = 8
+    # one Python object per realization took about 300 B: 20 MB at n = 8
     assert small < 2 ** 18 and large < 2 ** 18

@@ -3,11 +3,17 @@ import pytest
 
 from stocenter.errors import InstanceTooLarge, SchemaError
 from stocenter.model import (CenterSet, ExistentialInstance, Flat,
-                             LocationalInstance, Realization,
-                             enumerate_realizations, instance_from_dict,
-                             instance_to_dict, realization_probability,
-                             sample_realization, shape_from_dict,
-                             shape_to_dict)
+                             LocationalInstance, instance_from_dict,
+                             instance_to_dict, realization_chunks,
+                             realization_probabilities, realize,
+                             shape_from_dict, shape_to_dict)
+
+
+def enumerated(instance, rows=None):
+    """Every row and probability of ``realization_chunks``, as lists."""
+    chunks = list(realization_chunks(instance, rows))
+    return ([row for block, _ in chunks for row in block.tolist()],
+            [p for _, pr in chunks for p in pr.tolist()])
 
 
 def test_existential_basic_properties():
@@ -40,78 +46,98 @@ def test_locational_rows_must_sum_to_one():
 
 def test_enumerate_single_point():
     inst = ExistentialInstance(points=[[0.0]], probs=[0.3])
-    out = enumerate_realizations(inst)
-    assert [(r.ids, pytest.approx(p)) for r, p in out] == \
-        [((), 0.7), ((0,), 0.3)]
+    rows, probs = enumerated(inst)
+    assert rows == [[False], [True]]
+    assert probs == pytest.approx([0.7, 0.3])
 
 
 def test_enumerate_deterministic_drops_zero_mass():
     inst = ExistentialInstance(points=[[0.0], [1.0]], probs=[1.0, 1.0])
-    out = enumerate_realizations(inst)
-    assert len(out) == 1
-    assert out[0][0].ids == (0, 1) and out[0][1] == 1.0
-    kept = enumerate_realizations(inst, keep_zero=True)
-    assert len(kept) == 4
+    assert enumerated(inst) == ([[True, True]], [1.0])
+    loc = LocationalInstance(locations=[[0.0], [1.0]],
+                             probs=[[1.0, 0.0], [0.5, 0.5]])
+    assert enumerated(loc) == ([[0, 0], [0, 1]], [0.5, 0.5])
 
 
 def test_enumerate_locational_product_probs():
     inst = LocationalInstance(locations=[[0.0], [1.0]],
                               probs=[[0.5, 0.5], [0.2, 0.8]])
-    out = enumerate_realizations(inst)
-    probs = sorted(p for _, p in out)
-    assert probs == pytest.approx([0.1, 0.1, 0.4, 0.4])
+    rows, probs = enumerated(inst)
+    assert rows == [[0, 0], [0, 1], [1, 0], [1, 1]]
+    assert probs == pytest.approx([0.1, 0.4, 0.1, 0.4])
     assert sum(probs) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("inst", [
+    ExistentialInstance(points=np.zeros((5, 1)),
+                        probs=[0.1, 0.0, 0.5, 1.0, 0.9]),
+    LocationalInstance(locations=np.zeros((3, 1)),
+                       probs=[[0.2, 0.8, 0.0], [0.3, 0.3, 0.4],
+                              [1.0, 0.0, 0.0]])], ids=["existential",
+                                                       "locational"])
+@pytest.mark.parametrize("cap", [1, 2, 3, 7])
+def test_enumeration_rows_cap(inst, cap):
+    chunks = list(realization_chunks(inst, cap))
+    assert all(len(block) <= cap for block, _ in chunks)
+    assert enumerated(inst, cap) == enumerated(inst)
+
+
 def test_enumeration_guards():
-    big = ExistentialInstance(points=np.zeros((25, 1)), probs=np.full(25, 0.5))
-    with pytest.raises(InstanceTooLarge):
-        enumerate_realizations(big)
-    # 4^13 = 2^26 assignments
-    big = LocationalInstance(locations=np.zeros((4, 1)),
-                             probs=np.full((13, 4), 0.25))
-    with pytest.raises(InstanceTooLarge):
-        enumerate_realizations(big)
+    # 2^25 masks, and 4^13 = 2^26 assignments: no row is built before the
+    # guard raises
+    for big in (ExistentialInstance(points=np.zeros((25, 1)),
+                                    probs=np.full(25, 0.5)),
+                LocationalInstance(locations=np.zeros((4, 1)),
+                                   probs=np.full((13, 4), 0.25))):
+        chunks = realization_chunks(big)
+        with pytest.raises(InstanceTooLarge):
+            next(chunks)
 
 
 def test_enumeration_mass_sums_to_one():
     rng = np.random.default_rng(5)
     inst = ExistentialInstance(points=rng.normal(size=(10, 2)),
                                probs=rng.uniform(0.0, 1.0, 10))
-    total = sum(p for _, p in enumerate_realizations(inst, keep_zero=True))
-    assert total == pytest.approx(1.0, abs=1e-12)
+    assert sum(enumerated(inst)[1]) == pytest.approx(1.0, abs=1e-12)
+    rows = rng.uniform(0.0, 1.0, (4, 5))
+    loc = LocationalInstance(locations=rng.normal(size=(5, 2)),
+                             probs=rows / rows.sum(axis=1, keepdims=True))
+    assert sum(enumerated(loc)[1]) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_realization_probability_hand_values():
+def test_realization_probabilities_hand_values():
     inst = ExistentialInstance(points=np.zeros((3, 1)), probs=[0.1, 0.2, 0.3])
-    pr = realization_probability(inst, Realization(ids=(1, 2)))
-    assert pr == pytest.approx(0.9 * 0.2 * 0.3)
+    pr = realization_probabilities(inst, np.array([[False, True, True]]))
+    assert pr.tolist() == [pytest.approx(0.9 * 0.2 * 0.3)]
     full = ExistentialInstance(points=np.zeros((2, 1)), probs=[1.0, 1.0])
-    assert realization_probability(full, Realization(ids=(0, 1))) == 1.0
+    assert realization_probabilities(full, np.ones((1, 2), bool)).tolist() \
+        == [1.0]
+    loc = LocationalInstance(locations=[[0.0], [1.0]],
+                             probs=[[0.5, 0.5], [0.2, 0.8]])
+    assert realization_probabilities(loc, np.array([[1, 0]])).tolist() == \
+        [pytest.approx(0.5 * 0.2)]
 
 
-def test_realization_probability_matches_enumeration():
+def test_realization_probabilities_one_row_matches_enumeration():
     rng = np.random.default_rng(11)
     inst = ExistentialInstance(points=rng.normal(size=(6, 2)),
                                probs=rng.uniform(0.1, 0.9, 6))
-    for real, pr in enumerate_realizations(inst):
-        assert realization_probability(inst, real) == pr
+    for row, pr in zip(*enumerated(inst)):
+        assert realization_probabilities(inst, np.array([row]))[0] == pr
 
 
-def test_sample_realization_extremes():
+def test_realize_extremes():
     rng = np.random.default_rng(0)
     ones = ExistentialInstance(points=np.zeros((4, 1)), probs=np.ones(4))
     zeros = ExistentialInstance(points=np.zeros((4, 1)), probs=np.zeros(4))
-    for _ in range(20):
-        assert sample_realization(ones, rng).ids == (0, 1, 2, 3)
-        assert sample_realization(zeros, rng).ids == ()
+    assert realize(ones, rng.random((20, 4))).all()
+    assert not realize(zeros, rng.random((20, 4))).any()
 
 
-def test_sample_realization_marginal():
+def test_realize_marginal():
     rng = np.random.default_rng(123)
     inst = ExistentialInstance(points=[[0.0]], probs=[0.5])
-    hits = sum(sample_realization(inst, rng).ids == (0,)
-               for _ in range(100000))
+    hits = realize(inst, rng.random((100000, 1))).sum()
     assert abs(hits / 100000 - 0.5) < 0.01
 
 
@@ -151,3 +177,22 @@ def test_shape_json_round_trip():
     line = Flat(j=1, base=[1.0, 0.0], basis=[[0.0, 1.0]])
     again = shape_from_dict(shape_to_dict(line))
     assert again.j == 1 and np.array_equal(again.basis, line.basis)
+
+
+def test_flat_j_and_instance_d_follow_the_id_rule():
+    flat = {"kind": "flat", "j": 1.0, "base": [0.0, 0.0],
+            "basis": [[1.0, 0.0]]}
+    again = shape_from_dict(flat)
+    assert type(again.j) is int and again.j == 1
+    for j in (True, 0.5, "1", None, float("nan")):
+        with pytest.raises(SchemaError):
+            shape_from_dict({**flat, "j": j})
+    for j in (1.0, True, "1"):
+        with pytest.raises(SchemaError):
+            Flat(j=j, base=[0.0, 0.0], basis=[[1.0, 0.0]])
+    data = {"model": "existential", "d": 2.0,
+            "points": [{"coords": [0.0, 1.0], "p": 0.5}]}
+    assert instance_from_dict(data).d == 2
+    for d in (True, 2.5, "2", None):
+        with pytest.raises(SchemaError):
+            instance_from_dict({**data, "d": d})

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from stocenter.model import (CenterSet, ExistentialInstance, Flat,
-                             LocationalInstance, enumerate_realizations)
+                             LocationalInstance, realization_chunks)
 from stocenter.objective import (expected_flatcenter_exact,
                                  expected_objective_exact,
                                  expected_objective_mc, flat_distance,
@@ -54,9 +54,11 @@ def test_exact_locational_hand_value():
 
 
 def _enum_expected(instance, shape):
+    # a mask row or an assignment row indexes the realized support points
     total = 0.0
-    for real, pr in enumerate_realizations(instance):
-        total += pr * kcenter_value(real.points(instance), shape)
+    for rows, probs in realization_chunks(instance):
+        for row, pr in zip(rows, probs):
+            total += pr * kcenter_value(instance.support_points[row], shape)
     return total
 
 

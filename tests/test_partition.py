@@ -7,7 +7,7 @@ import pytest
 from stocenter.errors import StateSpaceGuardExceeded
 from stocenter.grid_coreset import CoresetBuilder
 from stocenter.model import (CenterSet, ExistentialInstance,
-                             LocationalInstance, enumerate_realizations)
+                             LocationalInstance, realization_chunks)
 from stocenter.objective import expected_objective_exact, kcenter_value
 from stocenter.oracle import oracle_holant_direct
 from stocenter.partition import (build_weighted_image, enumerate_sequences,
@@ -49,14 +49,14 @@ def test_membership_fixed_points_are_full():
     inst = _rand_exist(rng, 10)
     builder = CoresetBuilder(inst.points, 1, 0.5)
     seen_full = False
-    for real, _ in enumerate_realizations(inst):
-        ids = real.point_ids()
-        if not ids:
-            continue
-        core = builder.build(ids).coreset
-        if len(core) > 1:
-            assert membership_check(core, inst, 1, 0.5).kind == "Full"
-            seen_full = True
+    for rows, _ in realization_chunks(inst):
+        for row in rows:
+            if not row.any():
+                continue
+            core = builder.build(np.flatnonzero(row)).coreset
+            if len(core) > 1:
+                assert membership_check(core, inst, 1, 0.5).kind == "Full"
+                seen_full = True
     assert seen_full
 
 

@@ -2,9 +2,8 @@
 against the per-sample loops they replaced.
 
 The loops below are the reference: they are the library's former
-``expected_objective_mc``, ``sample_realization`` and ``build_S1``, which
-drew n uniforms per sample and placed each locational node with its own
-inverse-CDF lookup.  The vectorized versions must agree with them exactly
+``expected_objective_mc`` and ``build_S1``, which drew n uniforms per
+sample and placed each locational node with its own inverse-CDF lookup.  The vectorized versions must agree with them exactly
 (``==``), not within a tolerance.  The locational lookup here is a running
 sum over the row, and a draw past the row's total takes the last location
 of positive probability (the former loops took the last location, which
@@ -23,8 +22,7 @@ from stocenter.errors import SchemaError
 from stocenter.jflat import (ConvexKSpec, LinearizationMap, _kernel,
                              build_S1, direction_net)
 from stocenter.model import (CHUNK_ELEMENTS, CenterSet, ExistentialInstance,
-                             Flat, LocationalInstance, Realization, realize,
-                             sample_realization)
+                             Flat, LocationalInstance, realize)
 from stocenter.objective import (expected_objective_exact,
                                  expected_objective_mc, shape_distances)
 
@@ -74,13 +72,6 @@ def mc_summary(vals):
     mean = float(vals.mean())
     stderr = float(vals.std(ddof=1) / np.sqrt(samples)) if samples > 1 else 0.0
     return mean, stderr
-
-
-def loop_sample_realization(instance, rng):
-    drawn = loop_draw(instance, rng.random(instance.n))
-    if isinstance(instance, ExistentialInstance):
-        return Realization(ids=tuple(np.flatnonzero(drawn)))
-    return Realization(assignment=tuple(int(a) for a in drawn))
 
 
 def loop_build_S1(instance, K, N, seed, kernel_net_size):
@@ -236,15 +227,6 @@ def test_realize_rejects_wrong_shape():
 
 # ---------------------------------------------------------------------------
 # Callers of the sampler
-
-
-@SETTINGS
-@given(instances(), st.integers(0, 2 ** 32 - 1))
-def test_sample_realization_matches_loop(instance, seed):
-    a, b = np.random.default_rng(seed), np.random.default_rng(seed)
-    for _ in range(3):
-        assert sample_realization(instance, a) == \
-            loop_sample_realization(instance, b)
 
 
 @SETTINGS
