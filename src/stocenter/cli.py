@@ -18,7 +18,8 @@ from .errors import GuardExceeded, StocenterError
 from .gkm import skc_pipeline
 from .grid_coreset import CoresetBuilder, coreset_image_size_bound
 from .model import (ExistentialInstance, Instance, LocationalInstance,
-                    instance_to_dict, load_instance, load_shape)
+                    instance_to_dict, load_instance, load_shape,
+                    shape_to_dict)
 from .objective import (expected_objective_exact, expected_objective_mc)
 from .oracle import oracle_expected_objective, oracle_solver_instance
 from .partition import build_weighted_image
@@ -31,12 +32,10 @@ EXIT_VERIFY = 4
 
 
 def _emit(args, obj):
-    text = dumps_json(obj, indent=2)
-    if getattr(args, "output", None):
-        with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text + "\n")
+    if args.output:
+        write_json(args.output, obj)
     else:
-        print(text)
+        print(dumps_json(obj, indent=2))
 
 
 # ---------------------------------------------------------------------------
@@ -110,8 +109,7 @@ def cmd_jflat(args) -> int:
         instance, args.j, args.eps, seed=args.seed, N=args.samples,
         net_size=args.net)
     _emit(args, {
-        "flat": {"kind": "flat", "j": F.j, "base": list(F.base),
-                 "basis": [list(b) for b in F.basis]},
+        "flat": shape_to_dict(F),
         "value": value, "case": info["case"],
         "coreset_sizes": {"s1": info["s1_size"], "s2": info["s2_size"]},
         "polish_unconverged": info["polish_unconverged"],
@@ -161,11 +159,13 @@ def generate_instance(kind: str, model: str, n: int, d: int, seed: int,
         pick = rng.integers(0, centers.shape[0], size=count)
         pts = centers[pick] + rng.normal(0.0, 0.7, size=(count, d))
     elif kind == "annulus":
+        if d < 2:
+            raise StocenterError("--kind annulus needs --d of at least 2")
         theta = rng.uniform(0.0, 2.0 * np.pi, size=count)
         radius = rng.uniform(4.0, 6.0, size=count)
         pts = np.zeros((count, d))
         pts[:, 0] = radius * np.cos(theta)
-        pts[:, 1 % d] = radius * np.sin(theta)
+        pts[:, 1] = radius * np.sin(theta)
         if d > 2:
             pts[:, 2:] = rng.normal(0.0, 0.5, size=(count, d - 2))
     else:

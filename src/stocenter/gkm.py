@@ -285,7 +285,7 @@ def _discrete_pass(S: WeightedCollection, k: int):
     return CenterSet(centers=uniq[best[0]]), best[1]
 
 
-def _alternating(S: WeightedCollection, k: int,
+def _alternating(S: WeightedCollection,
                  F0: CenterSet) -> tuple[CenterSet, float]:
     F = F0
     value = gkm_cost(S, F)
@@ -326,7 +326,7 @@ def solve_gkm(S: WeightedCollection, k: int) -> tuple[CenterSet, float]:
         F0 = CenterSet(centers=pts[np.linspace(0, pts.shape[0] - 1, k).astype(int)])
     else:
         F0 = disc[0]
-    return _alternating(S, k, F0)
+    return _alternating(S, F0)
 
 
 # ---------------------------------------------------------------------------

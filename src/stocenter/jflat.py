@@ -279,8 +279,8 @@ def _kernel(points: np.ndarray, lin: LinearizationMap,
     return points[keep]
 
 
-def build_S1(instance: Instance, K: ConvexKSpec, eps: float, N: int,
-             seed: int, kernel_net_size: int = 64) -> tuple:
+def build_S1(instance: Instance, K: ConvexKSpec, N: int, seed: int,
+             kernel_net_size: int = 64) -> tuple:
     """N sampled realizations of the inside-K sub-instance, each reduced to
     a directional kernel; empty realizations stay empty."""
     inside = K.inside_mask(instance.support_points)
@@ -329,7 +329,7 @@ def build_sjfc_coreset(instance: Instance, j: int, eps: float, seed: int,
         return case1_coreset(instance, j, eps,
                              np.random.default_rng([seed, 1]))
     K = sweep_convexK(instance, j, eps, net_size=net_size)
-    s1 = build_S1(instance, K, eps, N, seed)
+    s1 = build_S1(instance, K, N, seed)
     s2_pts, s2_w = build_S2(instance, K, j, eps,
                             np.random.default_rng([seed, 2]))
     return SJFCCoreset(s1=s1, s2_points=s2_pts, s2_weights=s2_w, j=j,

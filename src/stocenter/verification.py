@@ -382,7 +382,7 @@ def criterion_11(scale: str, seed: int = 111, **_) -> CheckResult:
         K = sweep_convexK(inst, 0, eps, net_size=32)
         inside = K.inside_mask(inst.points)
         max_outside = max(max_outside, float(inst.probs[~inside].sum()))
-        s1 = build_S1(inst, K, eps, c["c11_N"], seed=seed + _i)
+        s1 = build_S1(inst, K, c["c11_N"], seed=seed + _i)
         s2_pts, s2_w = build_S2(inst, K, 0, eps)
         coreset = SJFCCoreset(s1=s1, s2_points=s2_pts, s2_weights=s2_w, j=0,
                               eps=eps, case=2)
@@ -408,7 +408,7 @@ def criterion_11(scale: str, seed: int = 111, **_) -> CheckResult:
                        f"deterministic error {det_err:.2e} (tol 1e-4)")
 
 
-def criterion_12(scale: str, seed: int = 112, **_) -> CheckResult:
+def criterion_12(_scale: str, seed: int = 112, **_) -> CheckResult:
     def pipeline_text():
         # n in {6, 8}, k=1, eps=0.5: a sampled realization, its coreset, the
         # exhaustive image, the full pipeline and its ratio to the oracle

@@ -4,12 +4,14 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stocenter.cli import generate_instance, main
 from stocenter.model import instance_to_dict, shape_to_dict
 from stocenter.model import (CenterSet, ExistentialInstance,
                              LocationalInstance)
-from stocenter.serialize import dumps_json, fmt_float, write_json
+from stocenter.serialize import dumps_json, write_json
 
 
 @pytest.fixture
@@ -186,6 +188,33 @@ def test_instance_kinds(capsys):
         assert inst.n == 5 and inst.d == 3
 
 
+def test_annulus_needs_two_dimensions(capsys):
+    # at d = 1 the sine overwrote the cosine and most points fell inside
+    # the inner radius
+    code = main(["generate", "--kind", "annulus", "--d", "1", "--n", "200",
+                 "--seed", "1"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert "--d of at least 2" in captured.err
+
+
+def test_annulus_d2_output_is_pinned():
+    inst = generate_instance("annulus", "existential", 3, 2, seed=1)
+    assert instance_to_dict(inst)["points"] == [
+        {"coords": [-5.881038258010246, -0.4376337009770877],
+         "p": 0.7949323344383975},
+        {"coords": [4.40150883129733, -1.4159726897194211],
+         "p": 0.4182792227322451},
+        {"coords": [2.9907277507615238, 3.8138683556180926],
+         "p": 0.5446343189057535}]
+    inst = generate_instance("annulus", "locational", 2, 2, seed=1, m=2)
+    assert inst.locations.tolist() == [
+        [-4.276495032641863, -0.3182326429854572],
+        [5.613950173870938, -1.8060170801256448]]
+    assert inst.probs.tolist() == [[0.43366718040658814, 0.5663328195934118],
+                                   [0.6559061264255717, 0.34409387357442844]]
+
+
 def test_missing_instance_is_usage_error(capsys):
     code = main(["evaluate", "--instance", "/nonexistent.json",
                  "--shape", "/nonexistent.json"])
@@ -326,9 +355,89 @@ def test_verify_exit_code_mapping(monkeypatch, capsys):
 
 def test_float_serialization_round_trip():
     x = 0.1 + 0.2
-    assert float(fmt_float(x)) == x
+    assert json.loads(dumps_json(x)).hex() == x.hex()
     text = dumps_json({"a": [1.5, 2], "b": "x,y", "c": None, "d": True})
     assert json.loads(text) == {"a": [1.5, 2], "b": "x,y", "c": None,
                                 "d": True}
     pretty = dumps_json({"a": [1.0]}, indent=2)
     assert json.loads(pretty) == {"a": [1.0]}
+
+
+def _same_floats(got, want):
+    """``got`` holds the same floats as ``want`` bit for bit, still as
+    floats, with ints and bools of the same type; arrays and tuples read
+    back as lists."""
+    if isinstance(want, (np.ndarray, tuple, list)):
+        want = list(want)
+        return isinstance(got, list) and len(got) == len(want) and all(
+            _same_floats(g, w) for g, w in zip(got, want))
+    if isinstance(want, dict):
+        return isinstance(got, dict) and got.keys() == want.keys() and all(
+            _same_floats(got[key], want[key]) for key in want)
+    if isinstance(want, (float, np.floating)):
+        return type(got) is float and got.hex() == float(want).hex()
+    if isinstance(want, (bool, np.bool_)):
+        return type(got) is bool and got == bool(want)
+    return type(got) is int and got == int(want)
+
+
+FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 1.0, -3.0, 2.0 ** 60, 5e-324,
+                     2.2250738585072014e-308, 0.1 + 0.2]))
+LEAVES = st.one_of(
+    FINITE, FINITE.map(np.float64), st.integers(-2 ** 62, 2 ** 62),
+    st.integers(-2 ** 62, 2 ** 62).map(np.int64), st.booleans(),
+    st.booleans().map(np.bool_),
+    st.lists(FINITE, max_size=4).map(lambda xs: np.array(xs, dtype=float)))
+VALUES = st.recursive(LEAVES, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+    st.dictionaries(st.text(max_size=3), inner, max_size=4)), max_leaves=12)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(VALUES, st.sampled_from([None, 2]))
+def test_dumps_json_round_trips_bit_for_bit(value, indent):
+    assert _same_floats(json.loads(dumps_json(value, indent=indent)), value)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"),
+                                 np.float64("inf"), np.array([1.0, np.nan])])
+def test_dumps_json_rejects_non_finite(bad):
+    with pytest.raises(ValueError):
+        dumps_json({"a": [bad]})
+
+
+@pytest.fixture
+def overflow_files(tmp_path):
+    # squared distances of coordinates near 1e200 overflow to inf
+    inst = ExistentialInstance(points=[[1e200, 0.0], [-1e200, 0.0]],
+                               probs=[0.5, 0.5])
+    paths = tmp_path / "inst.json", tmp_path / "shape.json"
+    write_json(paths[0], instance_to_dict(inst))
+    write_json(paths[1], shape_to_dict(CenterSet(centers=[[-1e200, 0.0]])))
+    return [str(p) for p in paths]
+
+
+@pytest.mark.parametrize("command, flag", [
+    (["evaluate"], "--output"), (["oracle", "evaluate"], "--output"),
+    (["oracle", "evaluate"], "--golden")])
+@pytest.mark.parametrize("existing", [False, True])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_output_is_usage_error(command, flag, existing,
+                                          overflow_files, tmp_path, capsys):
+    inst, shape = overflow_files
+    base = command + ["--instance", inst, "--shape", shape]
+    code, out = _run(base, capsys)
+    assert (code, out) == (2, "")
+    target = tmp_path / "out.json"
+    if existing:
+        target.write_text("kept\n")
+    code = main(base + [flag, str(target)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("error: ")
+    if existing:
+        assert target.read_text() == "kept\n"
+    else:
+        assert not target.exists()

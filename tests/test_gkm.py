@@ -176,9 +176,9 @@ def test_solve_gkm_fallback_start(make, monkeypatch):
                                .astype(int)])
     starts, alternating = [], gkm._alternating
 
-    def spy(S_, k_, F):
+    def spy(S_, F):
         starts.append(F)
-        return alternating(S_, k_, F)
+        return alternating(S_, F)
 
     monkeypatch.setattr(gkm, "_alternating", spy)
     F, value = solve_gkm(S, k)

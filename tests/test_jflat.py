@@ -108,7 +108,7 @@ def test_build_S1_deterministic_and_kernel_property():
     pts = rng.uniform(-5, 5, (12, 2))
     inst = ExistentialInstance(points=pts, probs=np.ones(12))
     K = sweep_convexK(inst, 0, 0.2)
-    s1 = build_S1(inst, K, 0.2, 1, seed=0)
+    s1 = build_S1(inst, K, 1, seed=0)
     assert len(s1) == 1
     # deterministic instance: the single sample is a kernel of the full set,
     # exact on every kernel-net direction
@@ -118,7 +118,7 @@ def test_build_S1_deterministic_and_kernel_property():
     for u in direction_net(K.lin.D, 64):
         assert (lifted_ker @ u).max() == pytest.approx(
             (lifted_all @ u).max(), abs=1e-12)
-    again = build_S1(inst, K, 0.2, 1, seed=0)
+    again = build_S1(inst, K, 1, seed=0)
     assert np.array_equal(again[0], kernel)
 
 

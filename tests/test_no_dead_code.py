@@ -24,6 +24,9 @@ also passed by some call in ``src/stocenter``, ``perfbench/*.py`` or
 ``self``), or through ``*args`` or ``**kwargs``.  A call matches a
 definition by name.  A function whose name is also used as a value (passed
 or stored, not called) counts as passing every parameter.
+
+Every parameter of a package function, method or nested function is read
+in its body, except ``self``, ``cls`` and names that start with ``_``.
 """
 
 import ast
@@ -259,6 +262,50 @@ def test_checker_flags_dead_parameters():
     assert dead_parameters(modules, ["f(*xs)", "C().meth(**kw)"]) == ["m.g.a"]
     # used as a value
     assert dead_parameters(modules, ["h = f", "run(g)", "x.meth"]) == []
+
+
+def unread_parameters(modules: dict[str, str]) -> list[str]:
+    """``module.function.param`` of each parameter of a function in
+    ``modules``, nested ones included, that its body never reads; ``self``,
+    ``cls`` and names that start with ``_`` are exempt."""
+    found = []
+    for label, src in modules.items():
+        for fn in ast.walk(ast.parse(src)):
+            if not isinstance(fn, FUNCTIONS):
+                continue
+            args = fn.args
+            params = [p.arg for p in args.posonlyargs + args.args
+                      + [args.vararg] + args.kwonlyargs + [args.kwarg]
+                      if p is not None]
+            read = {n.id for stmt in fn.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            found += [f"{label}.{fn.name}.{name}" for name in params
+                      if name not in read and name not in ("self", "cls")
+                      and not name.startswith("_")]
+    return found
+
+
+def test_every_parameter_is_read():
+    modules = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert unread_parameters(modules) == []
+
+
+def test_checker_flags_unread_parameters():
+    modules = {"m": "def f(a, b, /, c=1, *args, d, e=2, **kw):\n"
+                    "    b = c\n"
+                    "    return lambda: d\n\n"
+                    "def g(_x, y):\n"
+                    "    def inner(z):\n        return y\n"
+                    "    return inner\n\n"
+                    "class C:\n"
+                    "    def meth(self, v):\n        return self\n\n"
+                    "    @classmethod\n"
+                    "    def make(cls, *_):\n        return cls\n"}
+    # assigning is not reading; a nested function or lambda reads for its
+    # enclosing one, but a nested function's own parameters are checked
+    assert unread_parameters(modules) == \
+        ["m.f.a", "m.f.b", "m.f.args", "m.f.e", "m.f.kw", "m.inner.z",
+         "m.meth.v"]
 
 
 def unraised_errors(errors: str, modules: list[str]) -> list[str]:

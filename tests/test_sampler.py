@@ -312,7 +312,7 @@ def test_build_S1_matches_loop(data, seed, N):
     q = data.draw(st.floats(0.0, 1.0))
     K = ConvexKSpec(directions=dirs, thresholds=np.quantile(proj, q, axis=0),
                     lin=lin)
-    s1 = build_S1(instance, K, 0.5, N, seed, kernel_net_size=8)
+    s1 = build_S1(instance, K, N, seed, kernel_net_size=8)
     ref = loop_build_S1(instance, K, N, seed, kernel_net_size=8)
     assert len(s1) == len(ref) == N
     for kernel, expected in zip(s1, ref):
