@@ -8,7 +8,7 @@ and j-flat-center coresets, plus brute-force oracles and a CLI.
 from .errors import (CaseMismatch, CombinationGuardExceeded,
                      DimensionMismatch, EmptyK, EmptyRealization,
                      EnumerationGuardExceeded, GuardExceeded,
-                     InstanceTooLarge, SchemaError,
+                     InstanceTooLarge, NonFiniteValue, SchemaError,
                      StateSpaceGuardExceeded, StocenterError,
                      ZeroCostCandidate)
 from .gkm import (GeneralizedCoreset, SensitivityEstimate, WeightedCollection,

@@ -38,6 +38,10 @@ class EnumerationGuardExceeded(GuardExceeded):
     pass
 
 
+class NonFiniteValue(StocenterError):
+    """An expected objective came out inf or NaN."""
+
+
 class EmptyRealization(StocenterError):
     pass
 

@@ -35,11 +35,6 @@ the evaluators' own arithmetic (``objective._nearest_distances``, then the
 collection cost or ``_exact_value``), with no ``CenterSet`` per
 evaluation, so they equal ``gkm_cost`` and ``expected_objective_exact``
 bit for bit.
-
-Sequential sums.  Weighted sums over sets are taken left to right with
-``np.add.accumulate``, never ``w @ m`` or the pairwise ``np.sum``, so the
-packed cost equals the per-set loop sum(w_i * max_i) bit for bit and
-seeded outputs do not move.  Maxima and minima are exact in any order.
 """
 
 from __future__ import annotations
@@ -54,8 +49,9 @@ from .errors import EnumerationGuardExceeded, ZeroCostCandidate
 from .model import (CHUNK_ELEMENTS, CenterSet, ExistentialInstance, Instance,
                     assignment_rows)
 from .neldermead import minimize
-from .objective import (WeightedCollection, _distances, _exact_value,
-                        _nearest_distances, _subset_minima, shape_distances)
+from .objective import (WeightedCollection, _distances, _exact_value, _finite,
+                        _nearest_distances, _subset_minima, _weighted_sum,
+                        shape_distances)
 from .partition import WeightedImage, build_weighted_image
 
 MAX_CANDIDATE_STREAM = 10 ** 7
@@ -226,7 +222,7 @@ def _screen(S: WeightedCollection, K: np.ndarray, M: int, L_exp: int,
     """The candidate whose largest relative deviation from S's cost, over
     the probes where S costs more than 1e-12, is least, and that deviation:
     a later candidate replaces the kept one only when lower by over 1e-15."""
-    full = S.weights @ K
+    full = _weighted_sum(S.weights, K)
     mask = full > 1e-12
     best, best_dev = None, math.inf
     for idx, exps, costs in candidate_costs(S, K, M, L_exp, eps):
@@ -244,8 +240,8 @@ def _screen(S: WeightedCollection, K: np.ndarray, M: int, L_exp: int,
 
 
 def _lex_key(centers: np.ndarray):
-    return tuple(tuple(float(c) for c in row)
-                 for row in centers[np.lexsort(centers.T[::-1])])
+    """Sort key of a ``CenterSet``'s centers, which it stores sorted."""
+    return tuple(map(tuple, centers.tolist()))
 
 
 def _solve_k1(S: WeightedCollection) -> tuple[np.ndarray, float]:
@@ -275,9 +271,7 @@ def _discrete_pass(S: WeightedCollection, k: int):
     rows = max(CHUNK_ELEMENTS // max(S.points.shape[0], 1), 1)
     best = None
     for subsets, table in _subset_minima(_distances(S.points, uniq), k, rows):
-        terms = S.weights[:, None] * S.maxima(table)      # (sets, chunk)
-        values = np.add.accumulate(terms, axis=0)[-1].tolist()
-        for idx, v in zip(subsets, values):
+        for idx, v in zip(subsets, S._cost(table).tolist()):
             if best is None or v < best[1] - 1e-15:
                 best = (idx, v)
     if best is None:  # fewer unique points than k
@@ -337,7 +331,7 @@ def _best_polished(instance: Instance, k: int,
                    starts: list) -> tuple[CenterSet, float, int, int]:
     """Polish each start center set by one Nelder-Mead run on the exact
     expected objective (cheap: each evaluation is one weight kernel and one
-    dot) and keep the best by (value, lexicographic centers).
+    sum) and keep the best by (value, lexicographic centers).
 
     For k=1 the enclosing-ball center of the support is tried last: it is
     the exact optimum for deterministic instances and a strong start
@@ -428,5 +422,6 @@ def skc_pipeline(instance: Instance, k: int, eps: float,
     starts = [F_S if coll is S and F_S is not None else solve_gkm(coll, k)[0]
               for coll in collections if coll.points.shape[0]]
     F, value, evaluated, unconverged = _best_polished(instance, k, starts)
-    return F, value, {"strategy": strategy, "candidates_evaluated": evaluated,
-                      "polish_unconverged": unconverged}
+    return F, _finite(value), {"strategy": strategy,
+                               "candidates_evaluated": evaluated,
+                               "polish_unconverged": unconverged}

@@ -33,7 +33,7 @@ from .gkm import (SensitivityEstimate, WeightedCollection, _best_polished,
                   importance_sample_coreset, solve_gkm)
 from .model import CenterSet, ExistentialInstance, Flat, Instance, realize
 from .neldermead import minimize
-from .objective import expected_flatcenter_exact, shape_distances
+from .objective import _exact_value, _finite, shape_distances
 
 NET_SEED = 0xC0FFEE
 
@@ -243,7 +243,7 @@ def weighted_flat_median_coreset(points: np.ndarray, weights: np.ndarray,
     S = WeightedCollection(sets=tuple(points[:, None, :]), weights=weights,
                            d=d)
     dists = shape_distances(points, _weighted_median_flat(S, j))
-    cost = float(weights @ dists)
+    cost = float(S._cost(dists))
     W = float(weights.sum())
     if cost > 0.0:
         sigma = SensitivityEstimate(
@@ -337,19 +337,9 @@ def build_sjfc_coreset(instance: Instance, j: int, eps: float, seed: int,
 
 
 def estimate_J(coreset: SJFCCoreset, F: Flat) -> float:
-    """(1/N) sum of kernel maxima plus the weighted outside term.
-
-    The maxima are summed left to right, then divided by N, and the outside
-    term is one dot, as in the per-kernel loop; ``collection.cost`` would
-    sum w_i max_i in one pass and move the last bits."""
-    N = coreset.N
-    maxima = coreset.collection.max_distances(F)
-    total = 0.0
-    if N:
-        total += float(np.add.accumulate(maxima[:N])[-1]) / N
-    if coreset.s2_points.shape[0]:
-        total += float(coreset.s2_weights @ maxima[N:])
-    return total
+    """(1/N) sum of kernel maxima plus the weighted outside term: the cost
+    of the packed collection."""
+    return coreset.collection.cost(F)
 
 
 # ---------------------------------------------------------------------------
@@ -440,12 +430,13 @@ def sjfc_pipeline(instance: Instance, j: int, eps: float, seed: int = 0,
             instance, 1, [CenterSet(centers=F0.base.reshape(1, -1))])
         F = Flat(j=0, base=C.centers[0])
     else:
-        starts = _starts_for(instance.support_points, instance.d)
+        points = instance.support_points
+        starts = _starts_for(points, instance.d)
         starts.insert(0, np.concatenate([F0.base, F0.basis[0]]))
         F, value, unconverged = _optimize_flat(
-            lambda F: expected_flatcenter_exact(instance, F).value,
+            lambda F: _exact_value(instance, shape_distances(points, F)),
             instance.d, starts)
     info = {"case": coreset.case, "s1_size": coreset.N,
             "s2_size": int(coreset.s2_points.shape[0]),
             "polish_unconverged": unconverged}
-    return F, float(value), info
+    return F, _finite(float(value)), info

@@ -1,20 +1,19 @@
 """Exact and Monte-Carlo evaluation of the expected k-center value K(P, F)
 and expected j-flat-center value J(P, F) in both uncertainty models.
 
-Both models' exact value is w . dists over one private kernel,
+Both models' exact value is sum_l w_l d_l over one private kernel,
 ``_farthest_weights``: w_l = Pr[support point l is the farthest realized
 point, ties to the lowest id].  So, for a fixed assignment of points to
 centers, sum_l w_l (c - s_l) / ||c - s_l|| over the points served by c is
 a subgradient of the expected objective.
 
-``_exact_value`` and ``WeightedCollection._cost`` are the one arithmetic
-path of the exact value and of the collection cost over per-point
-distances, and ``_nearest_distances`` of the distance to the nearest
-center; the public evaluators and gkm's Nelder-Mead objectives call them.
-The kernel also takes an (m, shapes) distance matrix, one column per
-shape, which the grid-search oracle screens with; the batched sum
-(w * dists).sum(axis=0) is not ``w @ dists``'s summation, so only
-``_exact_value`` gives the exact value.
+Every weighted sum of a value is ``_weighted_sum``, added left to right:
+a BLAS dot's order depends on the thread count.  ``_exact_value`` and
+``WeightedCollection._cost`` are the one arithmetic path of the exact
+value and of the collection cost, and ``_nearest_distances`` of the
+distance to the nearest center.  Both sums also take an (m, shapes)
+table and score each column bit for bit as alone; the grid-search
+oracles screen with them.
 
 Flat distances are per-row sums along d, never a BLAS product, so a
 point's distance does not depend on the other points scored with it.
@@ -28,12 +27,13 @@ oracle read the point-to-candidate table ``_distances`` through
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import combinations, islice
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, NonFiniteValue
 from .model import (CHUNK_ELEMENTS, CenterSet, ExistentialInstance, Flat,
                     Instance, realize)
 
@@ -68,6 +68,26 @@ def shape_distances(points: np.ndarray, shape: Shape) -> np.ndarray:
         coef = (rel[:, None, :] * shape.basis).sum(axis=2)    # (points, j)
         rel = rel - (coef[:, :, None] * shape.basis).sum(axis=1)
     return np.sqrt((rel ** 2).sum(axis=1))
+
+
+def _weighted_sum(w: np.ndarray, values: np.ndarray):
+    """sum_i w[i] * values[i] along axis 0, added left to right whatever the
+    thread count; one sum per column of an (m, shapes) table, each equal to
+    that column's sum alone.  ``w`` is 1-D or of the table's shape; an
+    empty ``w`` gives 0."""
+    if not len(w):
+        return np.zeros(values.shape[1:])
+    terms = (w if w.ndim == values.ndim else w[:, None]) * values
+    return np.add.accumulate(terms)[-1]
+
+
+def _finite(value: float) -> float:
+    """``value``, or ``NonFiniteValue`` when it is inf or NaN (squared
+    distances of points about 1e154 apart overflow)."""
+    if not math.isfinite(value):
+        raise NonFiniteValue(f"the expected objective is {value}: distances "
+                             f"overflow, or the input is not finite")
+    return value
 
 
 def _squared_distances(points: np.ndarray,
@@ -187,20 +207,13 @@ class WeightedCollection:
         return self.maxima(shape_distances(self.points, shape))
 
     def cost(self, shape: Shape) -> float:
-        """sum_i w_i max_{s in S_i} d(s, shape), summed left to right."""
-        return self._cost(shape_distances(self.points, shape))
+        """sum_i w_i max_{s in S_i} d(s, shape)."""
+        return float(self._cost(shape_distances(self.points, shape)))
 
-    def _cost(self, dists: np.ndarray) -> float:
-        """sum_i w_i max_{s in S_i} dists[s] for the per-point distances
-        ``dists`` (shape (total,)), summed left to right.
-
-        ``np.add.accumulate`` adds in set order like a Python loop; the
-        pairwise ``np.sum`` or a BLAS dot would move the last bits.
-        """
-        if not self.size:
-            return 0.0
-        terms = self.weights * self.maxima(dists)
-        return float(np.add.accumulate(terms)[-1])
+    def _cost(self, dists: np.ndarray):
+        """sum_i w_i max_{s in S_i} dists[s] for per-point distances of
+        shape (total,), or one such sum per column of a (total, m) table."""
+        return _weighted_sum(self.weights, self.maxima(dists))
 
 
 def kcenter_value(P: np.ndarray, shape: Shape) -> float:
@@ -250,10 +263,11 @@ def _farthest_weights(instance: Instance, dists: np.ndarray) -> np.ndarray:
     return w
 
 
-def _exact_value(instance: Instance, dists: np.ndarray) -> float:
-    """E[max over the realized points of dists]: w . dists over the
-    farthest-point weights w of ``_farthest_weights``."""
-    return float(_farthest_weights(instance, dists) @ dists)
+def _exact_value(instance: Instance, dists: np.ndarray):
+    """E[max over the realized points of dists]: sum_l w_l dists[l] over the
+    farthest-point weights w of ``_farthest_weights``; for an (m, shapes)
+    ``dists``, the value of each column."""
+    return _weighted_sum(_farthest_weights(instance, dists), dists)
 
 
 def expected_objective_exact(instance: Instance, shape: Shape) -> ObjectiveValue:
@@ -264,9 +278,8 @@ def expected_objective_exact(instance: Instance, shape: Shape) -> ObjectiveValue
     """
     method = "ExactSorted" if isinstance(instance, ExistentialInstance) \
         else "ExactCDF"
-    return ObjectiveValue(
-        _exact_value(instance, shape_distances(instance.support_points,
-                                               shape)), method)
+    return ObjectiveValue(_finite(float(_exact_value(
+        instance, shape_distances(instance.support_points, shape)))), method)
 
 
 def expected_flatcenter_exact(instance: Instance, F: Flat) -> ObjectiveValue:
@@ -306,7 +319,7 @@ def expected_objective_mc(instance: Instance, shape: Shape, samples: int,
         else:
             chunk = dists[drawn].max(axis=1)
         vals[start:start + len(chunk)] = chunk
-    mean = float(vals.mean())
+    mean = _finite(float(vals.mean()))
     stderr = float(vals.std(ddof=1) / np.sqrt(samples)) if samples > 1 else 0.0
     return ObjectiveValue(mean, "MonteCarlo", samples=samples, seed=seed,
                           stderr=stderr)

@@ -17,8 +17,9 @@ import numpy as np
 from .gkm import WeightedCollection, gkm_cost
 from .model import (CHUNK_ELEMENTS, CenterSet, ExistentialInstance, Flat,
                     Instance, LocationalInstance, realization_chunks)
-from .objective import (_distances, _farthest_weights, _subset_minima,
-                        expected_objective_exact, shape_distances)
+from .objective import (_distances, _exact_value, _finite, _subset_minima,
+                        _weighted_sum, expected_objective_exact,
+                        shape_distances)
 
 
 @dataclass(frozen=True)
@@ -42,7 +43,7 @@ def oracle_expected_values(instance: Instance,
             # distances are >= 0: an absent point's 0 never wins, and the
             # empty realization scores 0
             vals = np.where(rows, dists, 0.0) if existential else dists[rows]
-            out[f] += pr @ vals.max(axis=1, initial=0.0)
+            out[f] += _weighted_sum(pr, vals.max(axis=1, initial=0.0))
     return out, count
 
 
@@ -50,7 +51,8 @@ def oracle_expected_objective(instance: Instance, shape) -> OracleReport:
     """Expected objective by summing over every realization."""
     dists = shape_distances(instance.support_points, shape)
     values, count = oracle_expected_values(instance, dists[:, None])
-    return OracleReport(value=float(values[0]), method="FullEnumeration",
+    return OracleReport(value=_finite(float(values[0])),
+                        method="FullEnumeration",
                         enumeration_size=count)
 
 
@@ -96,42 +98,33 @@ def center_grid(points: np.ndarray, resolution: int,
 def _grid_search(points: np.ndarray, k: int, resolution: int, width: int,
                  screen, value) -> tuple[CenterSet, float] | None:
     """The first k-subset, in ``combinations`` order of the sorted grid and
-    support candidates, with the least ``value(CenterSet)``; None when
-    there are fewer candidates than k.
+    support candidates, with the least ``value(CenterSet)``, and that value;
+    None when there are fewer candidates than k.
 
     ``screen(table)`` scores a chunk of subsets at once from their
-    point-to-nearest-center table (points, subsets), within rounding of
-    ``value``, with temporaries of at most ``width`` elements per subset,
-    so a chunk holds ``CHUNK_ELEMENTS // width`` subsets (at least one).
-    The chunks stream: a subset is scored by ``value``, in
-    ``combinations`` order, only if its screen score is within 1e-9
-    relative of the least screen score so far.  The least so far is never
-    below the final least, so every subset a ``value`` call per subset
-    could pick is scored, and the pick is the same; memory stays at one
-    chunk."""
+    point-to-nearest-center table (points, subsets), equal to ``value`` bit
+    for bit, with temporaries of at most ``width`` elements per subset, so
+    a chunk holds ``CHUNK_ELEMENTS // width`` subsets (at least one)."""
     cand = np.unique(np.vstack([center_grid(points, resolution), points]),
                      axis=0)
     rows = max(CHUNK_ELEMENTS // max(width, 1), 1)
     best, low = None, np.inf
     for subsets, table in _subset_minima(_distances(points, cand), k, rows):
         scores = screen(table)
-        low = min(low, scores.min())
-        for idx in subsets[scores <= low + 1e-9 * abs(low)]:
-            F = CenterSet(centers=cand[idx])
-            v = value(F)
-            if best is None or v < best[1]:
-                best = (F, v)
-    return best
+        i = int(scores.argmin())
+        if best is None or scores[i] < low:
+            best, low = subsets[i], scores[i]
+    if best is None:
+        return None
+    F = CenterSet(centers=cand[best])
+    return F, value(F)
 
 
 def oracle_solver_gkm(S: WeightedCollection, k: int,
                       resolution: int = 21) -> tuple[CenterSet, float]:
     """Grid search over center tuples plus all k-subsets of union points."""
-    return _grid_search(
-        S.points, k, resolution, S.points.shape[0],
-        lambda table: np.add.accumulate(S.weights[:, None] * S.maxima(table),
-                                        axis=0)[-1],
-        lambda F: gkm_cost(S, F))
+    return _grid_search(S.points, k, resolution, S.points.shape[0], S._cost,
+                        lambda F: gkm_cost(S, F))
 
 
 def oracle_solver_instance(instance: Instance, k: int,
@@ -142,7 +135,7 @@ def oracle_solver_instance(instance: Instance, k: int,
     nodes = instance.n if isinstance(instance, LocationalInstance) else 1
     return _grid_search(
         points, k, resolution, points.shape[0] * max(nodes, 1),
-        lambda table: (_farthest_weights(instance, table) * table).sum(axis=0),
+        lambda table: _exact_value(instance, table),
         lambda F: expected_objective_exact(instance, F).value)
 
 
@@ -151,19 +144,19 @@ def oracle_sensitivities(S: WeightedCollection, k: int,
     """Brute-force lower bounds over the maximal feasible family, every
     k-subset of union points plus grid centers of positive cost: the values
     of ``gkm.sensitivity_bruteforce`` on it, a chunk of subsets at a time,
-    with each cost summed left to right as ``gkm_cost`` sums it."""
+    with each cost summed as ``gkm_cost`` sums it."""
     pts = np.unique(S.points, axis=0)
     cand = np.unique(np.vstack([center_grid(pts, resolution, margin=1.0), pts]),
                      axis=0)
     rows = max(CHUNK_ELEMENTS // max(S.points.shape[0], 1), 1)
     values, feasible = np.zeros(S.size), False
     for _, table in _subset_minima(_distances(S.points, cand), k, rows):
-        terms = S.weights[:, None] * S.maxima(table)       # (sets, chunk)
-        total = np.add.accumulate(terms, axis=0)[-1]
+        maxima = S.maxima(table)                            # (sets, chunk)
+        total = _weighted_sum(S.weights, maxima)
         good = total > 0.0
         if good.any():
             feasible = True
-            shares = terms[:, good] / total[good]
+            shares = S.weights[:, None] * maxima[:, good] / total[good]
             values = np.maximum(values, shares.max(axis=1))
     if not feasible:
         raise ValueError("candidate family must be nonempty")

@@ -17,7 +17,7 @@ from .jflat import (SJFCCoreset, build_S1, build_S2, estimate_J,
                     sjfc_pipeline, sweep_convexK)
 from .model import (CenterSet, ExistentialInstance, Flat, LocationalInstance,
                     realize)
-from .objective import (_distances, _squared_distances,
+from .objective import (_distances, _squared_distances, _weighted_sum,
                         expected_flatcenter_exact, expected_objective_exact,
                         shape_distances)
 from .oracle import (center_grid, minimum_enclosing_ball,
@@ -284,7 +284,7 @@ def criterion_7(scale: str, seed: int = 107, **_) -> CheckResult:
 def _c8_found(S: WeightedCollection, cand: np.ndarray, eps: float) -> bool:
     """Whether an M=2, L_exp=6 candidate is in S's (1 +- 3 eps) band."""
     K = S.maxima(_distances(S.points, cand))  # (sets, F)
-    cost_full = S.weights @ K
+    cost_full = _weighted_sum(S.weights, K)
     lo = (1.0 - 3 * eps) * cost_full - 1e-9
     hi = (1.0 + 3 * eps) * cost_full + 1e-9
     return any(((costs >= lo) & (costs <= hi)).all(axis=1).any()
@@ -359,7 +359,7 @@ def criterion_10(scale: str, seed: int = 110, **_) -> CheckResult:
         for _f in range(c["c10_F"]):
             F = _rand_flat(rng, j, d)
             dists = shape_distances(inst.points, F)
-            surrogate = float(inst.probs @ dists)
+            surrogate = float(_weighted_sum(inst.probs, dists))
             exact = expected_flatcenter_exact(inst, F).value
             if not ((1 - eps) * exact - 1e-12 <= surrogate
                     <= (1 + eps) * exact + 1e-12):

@@ -1,12 +1,23 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from stocenter.errors import NonFiniteValue
+from stocenter.gkm import skc_pipeline
+from stocenter.jflat import sjfc_pipeline
 from stocenter.model import (CenterSet, ExistentialInstance, Flat,
                              LocationalInstance, realization_chunks)
 from stocenter.objective import (expected_flatcenter_exact,
                                  expected_objective_exact,
                                  expected_objective_mc, flat_distance,
                                  kcenter_value)
+from stocenter.oracle import oracle_expected_objective
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_kcenter_value_hand_cases():
@@ -136,3 +147,56 @@ def test_monte_carlo_deterministic_and_converging():
     dead = ExistentialInstance(points=[[4.0]], probs=[0.0])
     assert expected_objective_mc(dead, F, 10,
                                  np.random.default_rng(3)).value == 0.0
+
+
+# squared distances of coordinates near 1e200 overflow to inf; an absent
+# point then scores 0 * inf = NaN in the Monte-Carlo estimate
+OVERFLOW = ExistentialInstance(points=[[1e200, 0.0], [-1e200, 0.0]],
+                               probs=[0.5, 0.5])
+FAR_CENTER = CenterSet(centers=[[-1e200, 0.0]])
+
+
+@pytest.mark.parametrize("evaluate", [
+    lambda: expected_objective_exact(OVERFLOW, FAR_CENTER),
+    lambda: expected_objective_mc(OVERFLOW, FAR_CENTER, 20,
+                                  np.random.default_rng(0)),
+    lambda: oracle_expected_objective(OVERFLOW, FAR_CENTER),
+    lambda: skc_pipeline(OVERFLOW, 1, 0.5),
+    lambda: sjfc_pipeline(OVERFLOW, 0, 0.3, N=10)],
+    ids=["exact", "mc", "oracle", "skc-k1", "sjfc-j0"])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_value_raises(evaluate):
+    with pytest.raises(NonFiniteValue, match="inf|nan"):
+        evaluate()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_nelder_mead_objectives_do_not_check():
+    # a center on each point costs 0 exactly; the polish steps through
+    # overflowing simplices on its way there
+    assert skc_pipeline(OVERFLOW, 2, 0.5)[1] == 0.0
+
+
+THREADS_SCRIPT = """
+import numpy as np
+from stocenter import CenterSet, ExistentialInstance, expected_objective_exact
+for n in (10 ** 5, 10 ** 6):
+    rng = np.random.default_rng(3)
+    inst = ExistentialInstance(points=rng.uniform(-10, 10, (n, 2)),
+                               probs=rng.uniform(0.0, 1.0, n) * 10.0 / n)
+    F = CenterSet(centers=[[0.0, 0.0]])
+    print(expected_objective_exact(inst, F).value.hex())
+"""
+
+
+def test_exact_value_does_not_depend_on_the_blas_thread_count():
+    """A BLAS dot splits a sum of 10^5 terms across threads; these values
+    (probabilities of order 1/n, so that no weight underflows to 0) moved
+    in their last bits at 2 OpenBLAS threads when the exact value was one."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    out = [subprocess.run([sys.executable, "-c", THREADS_SCRIPT],
+                          env={**env, "OPENBLAS_NUM_THREADS": threads},
+                          capture_output=True, text=True, check=True).stdout
+           for threads in ("1", "2")]
+    assert len(out[0].split()) == 2 and out[0] == out[1]

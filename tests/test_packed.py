@@ -22,7 +22,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stocenter import gkm, oracle
+from stocenter import gkm, objective, oracle
 from stocenter.errors import DimensionMismatch
 from stocenter.gkm import (WeightedCollection, _discrete_pass, _lex_key,
                            _screen, candidate_costs, collection_from_image,
@@ -59,15 +59,12 @@ def loop_gkm_cost(sets, weights, F):
 
 
 def loop_estimate_J(s1, s2_points, s2_weights, F):
+    """sum_i w_i max_i left to right: the kernels at weight 1/N, then S2."""
     total = 0.0
-    if len(s1):
-        acc = 0.0
-        for E in s1:
-            if E.shape[0]:
-                acc += float(shape_distances(E, F).max())
-        total += acc / len(s1)
-    if s2_points.shape[0]:
-        total += float(s2_weights @ shape_distances(s2_points, F))
+    for E in s1:
+        total += 1.0 / len(s1) * loop_set_cost(E, F)
+    for p, w in zip(s2_points, s2_weights):
+        total += w * loop_set_cost(p[None], F)
     return total
 
 
@@ -153,7 +150,7 @@ def loop_candidate_cost(K, idx, weights):
 def loop_screen(S, K, M, L_exp, eps):
     """The former ``enumerate`` screen: (indices, weights, deviation) of the
     first candidate not beaten by more than 1e-15 later in the stream."""
-    full_cost = S.weights @ K
+    full_cost = loop_candidate_cost(K, range(S.size), S.weights)
     mask = full_cost > 1e-12
     best, best_dev = None, math.inf
     for idx, _, weights in loop_candidate_stream(S, M, L_exp, eps):
@@ -171,7 +168,7 @@ def loop_band_found(S, cand, eps):
     K = np.stack([
         np.sqrt(((s[:, None, :] - cand[None, :, :]) ** 2).sum(axis=2))
         .max(axis=0) for s in S.sets])
-    cost_full = S.weights @ K
+    cost_full = loop_candidate_cost(K, range(S.size), S.weights)
     for idx, _, weights in loop_candidate_stream(S, 2, 6, eps):
         w = np.zeros(S.size)
         for i, wi in zip(idx, weights):
@@ -409,8 +406,8 @@ def assert_same_pick(got, ref):
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(small_instances(), st.integers(1, 2), st.sampled_from([3, 40]))
 def test_grid_search_on_the_instance_equals_loop(inst, k, chunk):
-    """The batched screen, then exact scores of the near-minimal subsets,
-    picks what one exact evaluation per subset picks."""
+    """The batched screen picks what one exact evaluation per subset
+    picks."""
     with mock.patch.object(oracle, "CHUNK_ELEMENTS", chunk):
         got = oracle_solver_instance(inst, k, resolution=4)
     assert_same_pick(got, loop_grid_search(
@@ -429,6 +426,66 @@ def test_grid_search_on_a_collection_equals_loop(case, k, chunk):
         got = oracle_solver_gkm(S, k, resolution=4)
     assert_same_pick(got, loop_grid_search(S.points, k, 4,
                                            lambda F: gkm_cost(S, F)))
+
+
+@st.composite
+def grid_cases(draw, kind):
+    """An existential or locational instance, or a weighted collection, on
+    integer coordinates in d = 1..3, where distances tie often."""
+    d = draw(st.integers(1, 3))
+    c = st.integers(-2, 2).map(float)
+    pts = np.array(draw(st.lists(st.tuples(*[c] * d), min_size=1,
+                                 max_size=5)), dtype=float)
+    n = len(pts)
+    if kind == "existential":
+        probs = draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0])
+                              | st.floats(0.0, 1.0), min_size=n, max_size=n))
+        return ExistentialInstance(points=pts, probs=np.array(probs))
+    if kind == "locational":
+        rows = [np.array(draw(st.lists(st.integers(0, 3), min_size=n,
+                                       max_size=n).filter(any)), dtype=float)
+                for _ in range(draw(st.integers(1, 3)))]
+        return LocationalInstance(locations=pts,
+                                  probs=np.array([r / r.sum() for r in rows]))
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    sets = tuple(pts[draw(st.lists(st.integers(0, n - 1), min_size=m,
+                                   max_size=m))] for m in sizes)
+    weights = draw(st.lists(st.sampled_from([0.5, 1.0, 2.0])
+                            | st.floats(0.1, 3.0), min_size=len(sets),
+                            max_size=len(sets)))
+    return WeightedCollection(sets=sets, weights=np.array(weights), d=d)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("kind", ["existential", "locational", "collection"])
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), chunk=st.sampled_from([5, 64]))
+def test_grid_screens_equal_the_value_of_every_subset(kind, k, data, chunk):
+    """Both grid oracles' screens give every subset of every chunk the
+    score ``value(CenterSet(cand[idx]))`` bit for bit."""
+    case = data.draw(grid_cases(kind))
+    grid_search, chunks = oracle._grid_search, []
+
+    def search(points, k, resolution, width, screen, value):
+        def scored(table):
+            chunks.append(screen(table))
+            return chunks[-1]
+
+        found = grid_search(points, k, resolution, width, scored, value)
+        cand = np.unique(np.vstack([center_grid(points, resolution),
+                                    points]), axis=0)
+        values = [value(CenterSet(centers=cand[list(idx)]))
+                  for idx in combinations(range(len(cand)), k)]
+        assert len(chunks) == -(-len(values) // max(chunk // width, 1))
+        assert [s for scores in chunks for s in scores.tolist()] == values
+        return found
+
+    with mock.patch.object(oracle, "CHUNK_ELEMENTS", chunk), \
+            mock.patch.object(oracle, "_grid_search", search):
+        if kind == "collection":
+            oracle_solver_gkm(case, k, resolution=4)
+        else:
+            oracle_solver_instance(case, k, resolution=4)
 
 
 @pytest.mark.parametrize("inst", [
@@ -452,7 +509,7 @@ def test_grid_search_streams_one_bounded_chunk(inst):
     with mock.patch.object(oracle, "CHUNK_ELEMENTS", chunk):
         # the first call also makes numpy's one-time allocations (about
         # 1 MB), so only the second one is measured
-        with mock.patch.object(oracle, "_farthest_weights", spy):
+        with mock.patch.object(objective, "_farthest_weights", spy):
             ref = oracle_solver_instance(inst, 3, resolution=9)
         tracemalloc.start()
         try:
