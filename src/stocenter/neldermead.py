@@ -23,6 +23,12 @@ So for the same objective it returns the same ``x``, ``fun``, ``nfev``,
 ``fatol=FATOL`` and ``maxiter=MAXITER``, bit for bit, without importing
 scipy.  Those three module constants are the only options; ``minimize``
 reads them at call time.
+
+The one departure: when no value of the initial simplex is finite (inf or
+NaN), no comparison of values holds, so scipy shrinks the simplex at every
+iteration and, unless a shrunk vertex scores a finite value, stops only at
+``MAXITER``.  ``minimize`` stops after the N+1 initial evaluations instead
+and returns x0, ``np.min`` of those values and ``success=False``.
 """
 
 from __future__ import annotations
@@ -41,7 +47,7 @@ class NelderMeadResult(NamedTuple):
     fun: float
     nfev: int
     nit: int
-    success: bool  # False when the run stopped at ``MAXITER``
+    success: bool  # False at ``MAXITER`` or after a non-finite start
 
 
 def _sorted(sim: list, fsim: list) -> tuple[list, list]:
@@ -69,6 +75,9 @@ def minimize(fun, x0) -> NelderMeadResult:
         y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
         sim.append(y)
     fsim = [f(x) for x in sim]
+    if not np.isfinite(fsim).any():
+        return NelderMeadResult(x=np.array(x0), fun=float(np.min(fsim)),
+                                nfev=nfev, nit=1, success=False)
     sim, fsim = _sorted(*_sorted(sim, fsim))
 
     nit = 1

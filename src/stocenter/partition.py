@@ -22,11 +22,13 @@ Exhaustive mode reads the realizations and their probabilities from
 zero-probability filter; a locational assignment becomes the mask of the
 locations its nodes took.  Memory is one chunk plus the classes, in both
 models.  In subsets mode the existential masses and tails come out of the
-same batch; locational classes then go one at a time through
-``prob_locational``, whose occupancy DP is per class.
-``membership_check`` (through ``CoresetBuilder.build``, carrying the tail
-on its verdict) and ``prob_existential`` are one-row calls of the batched
-code.
+same batch.  n nodes occupy at most n locations, so locational candidates
+stop at n points, and a class of more than n points has mass 0; the
+in-image locational classes then go one at a time through the occupancy
+DP, which drops every state with more unoccupied points of S than nodes
+left to place.  ``membership_check`` (through ``CoresetBuilder.build``,
+carrying the tail on its verdict) and ``prob_existential`` are one-row
+calls of the batched code.
 """
 
 from __future__ import annotations
@@ -121,20 +123,26 @@ def _existential_masses(builder: CoresetBuilder, probs: np.ndarray,
     return w
 
 
-def membership_check(S_ids, instance: Instance, k: int, eps: float,
-                     builder: CoresetBuilder | None = None) -> MembershipVerdict:
-    """Classify S as NotInImage, Singleton, or Full by running the grid
-    construction on S itself (``build``, the one-row call)."""
-    S_ids = _checked_ids(S_ids, instance.support_points.shape[0])
-    if len(S_ids) <= k:
+def _verdict(S: tuple[int, ...], instance: Instance, k: int, eps: float,
+             builder: CoresetBuilder | None) -> MembershipVerdict:
+    """``membership_check`` of ascending ids S; ``build`` validates them."""
+    if len(S) <= k:
         # Includes the empty set: the only realization mapping to S is S.
         return MembershipVerdict(kind="Singleton")
     if builder is None:
         builder = _builder(instance, k, eps)
-    out = builder.build(S_ids)
-    if out.coreset != S_ids:
+    out = builder.build(S)
+    if out.coreset != S:
         return MembershipVerdict(kind="NotInImage")
     return MembershipVerdict(kind="Full", grid=out.grid, tail=out.tail)
+
+
+def membership_check(S_ids, instance: Instance, k: int, eps: float,
+                     builder: CoresetBuilder | None = None) -> MembershipVerdict:
+    """Classify S as NotInImage, Singleton, or Full by running the grid
+    construction on S itself (``build``, the one-row call)."""
+    return _verdict(_checked_ids(S_ids, instance.support_points.shape[0]),
+                    instance, k, eps, builder)
 
 
 def prob_existential(S_ids, instance: ExistentialInstance, k: int, eps: float,
@@ -191,6 +199,12 @@ def _occupancy_dp(instance: LocationalInstance, S_ids, tail, cap: int):
     for i in range(n):
         nxt: dict[tuple, float] = {}
         for state, mass in dp.items():
+            # With counts saturating at 1, a state with more unoccupied
+            # points of S than nodes left cannot reach the full state, nor
+            # can its successors; every source of a state that can is kept,
+            # in order, so the full state's sum does not change.
+            if cap == 1 and len(state) - sum(state) > n - i:
+                continue
             for j, w in enumerate(w_s[i]):
                 if w > 0.0:
                     s2 = state
@@ -215,17 +229,26 @@ def holant_value(instance: LocationalInstance, S_ids, tail, sequence) -> float:
     return float(dp.get(tuple(ls), 0.0))
 
 
+def _locational_mass(S: tuple[int, ...], instance: LocationalInstance, k: int,
+                     eps: float, builder: CoresetBuilder | None) -> float:
+    """``prob_locational`` of ascending ids S of at most n points."""
+    verdict = _verdict(S, instance, k, eps, builder)
+    if verdict.kind == "NotInImage":
+        return 0.0
+    dp = _occupancy_dp(instance, S, verdict.tail, 1)
+    return float(dp.get((1,) * len(S), 0.0))
+
+
 def prob_locational(S_ids, instance: LocationalInstance, k: int, eps: float,
                     builder: CoresetBuilder | None = None) -> float:
     """Pr over realizations of [coreset = S]: the occupancy DP's mass on
     every point of S occupied, with T(S) free (empty for a Singleton).
-    Counts saturate at 1, so the DP tracks which points of S are occupied."""
+    Counts saturate at 1, so the DP tracks which points of S are occupied.
+    n nodes occupy at most n points, so S of more than n points has mass 0."""
     S_ids = _checked_ids(S_ids, instance.m)
-    verdict = membership_check(S_ids, instance, k, eps, builder)
-    if verdict.kind == "NotInImage":
+    if len(S_ids) > instance.n:
         return 0.0
-    dp = _occupancy_dp(instance, S_ids, verdict.tail, 1)
-    return float(dp.get((1,) * len(S_ids), 0.0))
+    return _locational_mass(S_ids, instance, k, eps, builder)
 
 
 def _index_masks(idx: np.ndarray, width: int) -> np.ndarray:
@@ -252,8 +275,9 @@ def build_weighted_image(instance: Instance, k: int, eps: float,
     exhaustive: group every realization by its coreset (small instances).
     This is the brute-force reference: acceptance criteria 4 and 5 check
     subsets mode against it.  Masses add up per class in enumeration order.
-    subsets: iterate candidate subsets up to the size bound, filter by the
-    fixed-point membership test, attach closed-form/DP probabilities.
+    subsets: iterate candidate subsets up to the size bound (and, for a
+    locational instance, up to n points), filter by the fixed-point
+    membership test, attach closed-form/DP probabilities.
     """
     builder = _builder(instance, k, eps)
     rows = builder.chunk_rows
@@ -275,14 +299,16 @@ def build_weighted_image(instance: Instance, k: int, eps: float,
         raise ValueError(f"unknown mode {mode!r}")
     n = instance.support_points.shape[0]
     bound = min(coreset_image_size_bound(k, instance.d, eps), n)
-    total = sum(math.comb(n, s) for s in range(bound + 1))
+    first = 0
+    if isinstance(instance, LocationalInstance):
+        # a node always realizes somewhere, so with nodes a locational S is
+        # nonempty; n nodes occupy at most n locations
+        first = 1 if instance.n else 0
+        bound = min(bound, instance.n)
+    total = sum(math.comb(n, s) for s in range(first, bound + 1))
     if total > MAX_SUBSET_ENUMERATION:
         raise EnumerationGuardExceeded(
             f"{total} candidate subsets exceed {MAX_SUBSET_ENUMERATION}")
-    # a node always realizes somewhere, so with nodes a locational S is
-    # nonempty
-    first = 1 if isinstance(instance, LocationalInstance) and instance.n \
-        else 0
     entries = []
     for masks in _candidate_chunks(n, range(first, bound + 1), rows):
         if isinstance(instance, ExistentialInstance):
@@ -290,11 +316,10 @@ def build_weighted_image(instance: Instance, k: int, eps: float,
             keep = w > 0.0
             entries.extend(zip(_ids(masks[keep]), w[keep].tolist()))
             continue
-        # Locational classes go one by one through prob_locational: the
-        # occupancy DP behind each costs far more than its construction.
+        # Locational classes go one by one: the occupancy DP is per class.
         in_image, _ = _classify(builder, masks)
         for S in _ids(masks[in_image]):
-            w = prob_locational(S, instance, k, eps, builder)
+            w = _locational_mass(S, instance, k, eps, builder)
             if w > 0.0:
                 entries.append((S, w))
     entries.sort()

@@ -4,11 +4,13 @@ replaced.
 The loops below are the reference: they are the library's former
 ``CoresetBuilder.build`` (with its ``_collect_cells`` and the ``math.floor``
 cell of every point), the former single-set membership and probability
-helpers, and the former loops of both ``build_weighted_image`` modes and of
-the realization enumeration (bit masks, and ``itertools.product`` over
-node -> location assignments).  The batched versions must agree with them
-exactly (``==``), not within a tolerance, also with the chunk constant
-patched small so that every batch spans many chunks.
+helpers (the locational one with its occupancy DP, which kept every state
+and tried candidates of every size), and the former loops of both
+``build_weighted_image`` modes and of the realization enumeration (bit
+masks, and ``itertools.product`` over node -> location assignments).  The
+batched versions must agree with them exactly (``==``), not within a
+tolerance, also with the chunk constant patched small so that every batch
+spans many chunks.
 """
 
 import math
@@ -28,9 +30,8 @@ from stocenter.grid_coreset import (CoresetBuilder, GridSpec, _exponent,
 from stocenter.model import (ExistentialInstance, LocationalInstance,
                              assignment_rows, mask_rows, realization_chunks,
                              realization_probabilities)
-from stocenter.partition import (_occupancy_dp, build_weighted_image,
-                                 membership_check, prob_existential,
-                                 prob_locational)
+from stocenter.partition import (build_weighted_image, membership_check,
+                                 prob_existential, prob_locational)
 
 SETTINGS = settings(max_examples=120, deadline=None, derandomize=True,
                     database=None)
@@ -147,16 +148,42 @@ def ref_prob_existential(builder, inst, S, k):
     return float(result)
 
 
+def ref_occupied(inst, S, tail):
+    """The former occupancy DP with counts saturating at 1, every state
+    kept: the distribution over which points of S the nodes occupy, each
+    node at a point of S or in the tail bucket (forbidden points carry no
+    mass)."""
+    S = list(S)
+    tail = sorted(tail)
+    w_s = inst.probs[:, S].tolist()
+    w_t = (inst.probs[:, tail].sum(axis=1) if tail
+           else np.zeros(inst.n)).tolist()
+    dp = {tuple([0] * len(S)): 1.0}
+    for i in range(inst.n):
+        nxt = {}
+        for state, mass in dp.items():
+            for j, w in enumerate(w_s[i]):
+                if w > 0.0:
+                    s2 = state
+                    if state[j] < 1:
+                        s2 = list(state)
+                        s2[j] += 1
+                        s2 = tuple(s2)
+                    nxt[s2] = nxt.get(s2, 0.0) + mass * w
+            if w_t[i] > 0.0:
+                nxt[state] = nxt.get(state, 0.0) + mass * w_t[i]
+        dp = nxt
+    return dp
+
+
 def ref_prob_locational(builder, inst, S, k):
     kind, side, cells = ref_verdict(builder, S, k)
     if kind == "NotInImage":
         return 0.0
     tail = () if kind == "Singleton" else \
         ref_tail(inst.locations, S, side, cells)[1]
-    # the library's DP, with counts saturating at 1 as prob_locational runs
-    # it; test_partition checks its masses against exact rationals
-    dp = _occupancy_dp(inst, S, tail, 1)
-    return float(dp.get((1,) * len(S), 0.0))
+    # test_partition checks these masses against exact rationals
+    return float(ref_occupied(inst, S, tail).get((1,) * len(S), 0.0))
 
 
 def ref_mask_probs(probs):
@@ -385,6 +412,42 @@ def test_single_set_helpers_equal_former_loops(inst, k, eps):
                 tuple(sorted(ref_tail(support, S, side, cells)[1]))
         else:
             assert verdict.tail == ()
+
+
+def seeded_locational(rng, kind):
+    """m = 5..7 locations and n = 2..5 nodes: uniform rows, sparse rows
+    (zero entries), or sparse rows over integer-grid locations (tied
+    distances, duplicate points)."""
+    m, n = int(rng.integers(5, 8)), int(rng.integers(2, 6))
+    locs = rng.integers(-3, 4, (m, 2)).astype(float) if kind == "ties" \
+        else rng.uniform(-10, 10, (m, 2))
+    rows = rng.uniform(0.0, 1.0, (n, m))
+    if kind != "random":
+        rows *= rng.random((n, m)) < 0.6
+        rows[np.arange(n), rng.integers(0, m, n)] += 0.05
+    rows /= rows.sum(axis=1, keepdims=True)
+    return LocationalInstance(locations=locs, probs=rows)
+
+
+@pytest.mark.parametrize("kind", ["random", "sparse", "ties"])
+def test_locational_masses_equal_the_unpruned_dp(kind):
+    # m > n: every candidate of more than n points has mass 0, and the
+    # occupancy DP drops the states that cannot fill S
+    rng = np.random.default_rng(["random", "sparse", "ties"].index(kind))
+    for _ in range(4):
+        inst = seeded_locational(rng, kind)
+        k, eps = int(rng.integers(1, 3)), float(rng.choice([0.3, 0.5, 0.9]))
+        builder = CoresetBuilder(inst.locations, k, eps)
+        ref = RefBuilder(inst.locations, k, eps)
+        want = []
+        for row in mask_rows(inst.m)[1:].tolist():
+            S = tuple(compress(range(inst.m), row))
+            w = ref_prob_locational(ref, inst, S, k)
+            assert prob_locational(S, inst, k, eps, builder) == w, S
+            if w > 0.0:
+                want.append((S, w))
+        assert build_weighted_image(inst, k, eps, mode="subsets").entries \
+            == tuple(sorted(want))
 
 
 def test_duplicate_points_have_full_classes_without_a_grid():

@@ -6,7 +6,9 @@ Each run must return the same ``x`` (to the bit), ``fun``, ``nfev``,
 are gkm's exact objective for k=1 and k=2 in both models, gkm's coreset
 cost, and the j=1 line objectives of ``jflat`` (coreset estimate and
 exact value).  Integer-grid instances and starts make values tie, so the
-simplex order of tied vertices matters; one case stops at ``maxiter``.
+simplex order of tied vertices matters; one case stops at ``maxiter``,
+and one starts with a vertex whose value is infinite.  When every initial
+value is non-finite the run stops at once, where scipy does not.
 scipy is a test dependency only, so the comparison skips without it.  The
 library itself must not load scipy.
 """
@@ -124,6 +126,31 @@ def test_maxiter_stop_matches_scipy():
         res = assert_same_run(gkm._exact_objective(inst),
                               np.array([5.0, 5.0, -4.0, 0.0]))
     assert not res.success and res.nit == 25
+
+
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+def test_non_finite_start_stops_after_the_initial_simplex(value):
+    # scipy would shrink the simplex until maxiter, comparing values that
+    # never order it
+    calls = []
+
+    def fun(x):
+        calls.append(x)
+        return value
+
+    res = neldermead.minimize(fun, [1.0, 0.0, -2.0])
+    assert len(calls) == res.nfev == 4
+    assert res.x.tolist() == [1.0, 0.0, -2.0] and not res.success
+    assert res.fun == value or np.isnan(value) and np.isnan(res.fun)
+
+
+def test_partly_finite_start_matches_scipy():
+    # one vertex of the initial simplex is off the line y = 0, where the
+    # objective is finite, so the run goes on as scipy's does
+    res = assert_same_run(
+        lambda x: (x[0] - 1.0) ** 2 if x[1] == 0.0 else np.inf,
+        np.array([3.0, 0.0]))
+    assert np.isfinite(res.fun)
 
 
 def test_library_does_not_import_scipy():

@@ -175,6 +175,10 @@ def test_nelder_mead_objectives_do_not_check():
     # a center on each point costs 0 exactly; the polish steps through
     # overflowing simplices on its way there
     assert skc_pipeline(OVERFLOW, 2, 0.5)[1] == 0.0
+    # two of the line polishes start where every vertex scores inf; they
+    # stop after the initial simplex instead of at maxiter (seconds)
+    _, value, info = sjfc_pipeline(OVERFLOW, 1, 0.3, N=10)
+    assert value == 0.0 and info["polish_unconverged"] == 2
 
 
 THREADS_SCRIPT = """

@@ -3,8 +3,10 @@ from itertools import combinations, product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from stocenter.errors import StateSpaceGuardExceeded
+from stocenter.errors import EnumerationGuardExceeded, StateSpaceGuardExceeded
 from stocenter.grid_coreset import CoresetBuilder
 from stocenter.model import (CenterSet, ExistentialInstance,
                              LocationalInstance, realization_chunks)
@@ -224,6 +226,65 @@ def test_image_modes_agree_and_sum_to_one(model, k):
     dex, dsu = dict(ex.entries), dict(su.entries)
     for S in set(dex) | set(dsu):
         assert dex.get(S, 0.0) == pytest.approx(dsu.get(S, 0.0), abs=1e-12)
+
+
+def test_subset_guard_counts_candidates():
+    # every subset of 21 points is a candidate: 2^21 of them
+    inst = _rand_exist(np.random.default_rng(11), 21)
+    with pytest.raises(EnumerationGuardExceeded, match="2097152"):
+        build_weighted_image(inst, 1, 0.5, mode="subsets")
+
+
+def test_locational_candidates_stop_at_n_points():
+    # 2^24 candidates over 24 locations, but 3 nodes fill at most 3 of them:
+    # 2324 candidates of 1..3 points
+    inst = _rand_loc(np.random.default_rng(12), 3, 24)
+    su = dict(build_weighted_image(inst, 1, 0.5, mode="subsets").entries)
+    ex = dict(build_weighted_image(inst, 1, 0.5, mode="exhaustive").entries)
+    assert set(su) == set(ex) and max(map(len, su)) == 3
+    assert max(abs(su[S] - ex[S]) for S in su) <= 1e-12
+
+
+def test_classes_of_more_than_n_points_have_no_mass():
+    rng = np.random.default_rng(13)
+    for inst in (_rand_loc(rng, 2, 5), _sparse_loc(rng, 3, 5)):
+        for size in range(inst.n + 1, inst.m + 1):
+            for S in combinations(range(inst.m), size):
+                assert prob_locational(S, inst, 1, 0.5) == 0.0
+                assert prob_locational(S, inst, 2, 0.5) == 0.0
+
+
+@st.composite
+def small_instances(draw):
+    """Existential instances of up to 7 points, or locational ones of up to
+    3 nodes over up to 5 locations (often more locations than nodes), on
+    integer or free coordinates, with some zero probabilities."""
+    coord = st.one_of(st.integers(-3, 3).map(float),
+                      st.floats(-8, 8, allow_nan=False))
+    existential = draw(st.booleans())
+    m = draw(st.integers(1, 7 if existential else 5))
+    pts = np.array(draw(st.lists(st.tuples(coord, coord), min_size=m,
+                                 max_size=m)))
+    if existential:
+        probs = draw(st.lists(st.one_of(st.sampled_from([0.0, 1.0]),
+                                        st.floats(0.0, 1.0)),
+                              min_size=m, max_size=m))
+        return ExistentialInstance(points=pts, probs=np.array(probs))
+    rows = [np.array(draw(st.lists(st.integers(0, 3), min_size=m,
+                                   max_size=m).filter(any)), dtype=float)
+            for _ in range(draw(st.integers(1, 3)))]
+    return LocationalInstance(locations=pts,
+                              probs=np.array([r / r.sum() for r in rows]))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(small_instances(), st.integers(1, 2),
+       st.sampled_from([0.3, 0.5, 0.9]))
+def test_image_weights_sum_to_one(inst, k, eps):
+    su = build_weighted_image(inst, k, eps, mode="subsets")
+    ex = build_weighted_image(inst, k, eps, mode="exhaustive")
+    assert abs(su.total_weight - 1.0) <= 1e-12
+    assert {S for S, _ in su.entries} == {S for S, _ in ex.entries}
 
 
 @pytest.mark.parametrize("model", ["existential", "locational"])
