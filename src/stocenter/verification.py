@@ -408,39 +408,43 @@ def criterion_11(scale: str, seed: int = 111, **_) -> CheckResult:
                        f"deterministic error {det_err:.2e} (tol 1e-4)")
 
 
+def _c12_pipeline_text(seed: int) -> str:
+    """n in {6, 8}, k=1, eps=0.5: a sampled realization, its coreset, the
+    exhaustive image, the full pipeline and its ratio to the oracle."""
+    out = []
+    for n in (6, 8):
+        rng = np.random.default_rng([seed, n])
+        inst = _rand_exist(rng, n, 2)
+        ids = tuple(np.flatnonzero(
+            realize(inst, rng.random((1, inst.n)))[0])) or (0,)
+        core = CoresetBuilder(inst.points, 1, 0.5).build(ids)
+        image = build_weighted_image(inst, 1, 0.5, mode="exhaustive")
+        F, value, _ = skc_pipeline(inst, 1, 0.5, strategy="full")
+        _oF, oracle_v = oracle_solver_instance(inst, 1, resolution=9)
+        out.append({
+            "n": n, "realization": ids, "coreset": core.coreset,
+            "size_bound": coreset_image_size_bound(1, 2, 0.5),
+            "image": image.entries, "centers": F.centers, "value": value,
+            "ratio": value / oracle_v if oracle_v > 0 else 1.0})
+    return dumps_json(out)
+
+
+def _c12_verify_text(seed: int) -> str:
+    """The sampling pipeline and the j=0 flat pipeline on one instance."""
+    rng = np.random.default_rng(seed)
+    inst = _rand_exist(rng, 8, 2)
+    F, value, info = skc_pipeline(inst, 1, 0.5, strategy="sampling",
+                                  seed=seed)
+    jF, jvalue, jinfo = sjfc_pipeline(inst, 0, 0.3, seed=seed, N=60)
+    return dumps_json({
+        "centers": F.centers, "value": value, "info": info,
+        "flat_base": jF.base, "jvalue": jvalue, "jinfo": jinfo,
+    })
+
+
 def criterion_12(_scale: str, seed: int = 112, **_) -> CheckResult:
-    def pipeline_text():
-        # n in {6, 8}, k=1, eps=0.5: a sampled realization, its coreset, the
-        # exhaustive image, the full pipeline and its ratio to the oracle
-        out = []
-        for n in (6, 8):
-            rng = np.random.default_rng([seed, n])
-            inst = _rand_exist(rng, n, 2)
-            ids = tuple(np.flatnonzero(
-                realize(inst, rng.random((1, inst.n)))[0])) or (0,)
-            core = CoresetBuilder(inst.points, 1, 0.5).build(ids)
-            image = build_weighted_image(inst, 1, 0.5, mode="exhaustive")
-            F, value, _ = skc_pipeline(inst, 1, 0.5, strategy="full")
-            _oF, oracle_v = oracle_solver_instance(inst, 1, resolution=9)
-            out.append({
-                "n": n, "realization": ids, "coreset": core.coreset,
-                "size_bound": coreset_image_size_bound(1, 2, 0.5),
-                "image": image.entries, "centers": F.centers, "value": value,
-                "ratio": value / oracle_v if oracle_v > 0 else 1.0})
-        return dumps_json(out)
-
-    def verify_text():
-        rng = np.random.default_rng(seed)
-        inst = _rand_exist(rng, 8, 2)
-        F, value, info = skc_pipeline(inst, 1, 0.5, strategy="sampling",
-                                      seed=seed)
-        jF, jvalue, jinfo = sjfc_pipeline(inst, 0, 0.3, seed=seed, N=60)
-        return dumps_json({
-            "centers": F.centers, "value": value, "info": info,
-            "flat_base": jF.base, "jvalue": jvalue, "jinfo": jinfo,
-        })
-
-    ok = pipeline_text() == pipeline_text() and verify_text() == verify_text()
+    ok = _c12_pipeline_text(seed) == _c12_pipeline_text(seed) \
+        and _c12_verify_text(seed) == _c12_verify_text(seed)
     return CheckResult("criterion 12 determinism of seeded runs", ok,
                        "byte-identical" if ok else "outputs differ between runs")
 
