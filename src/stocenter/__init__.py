@@ -31,7 +31,7 @@ from .oracle import (minimum_enclosing_ball, oracle_expected_objective,
                      oracle_sensitivities, oracle_solver_gkm,
                      oracle_solver_instance)
 from .partition import (MembershipVerdict, WeightedImage,
-                        build_weighted_image, holant_value, image_cost,
-                        membership_check, prob_existential, prob_locational)
+                        build_weighted_image, holant_value, membership_check,
+                        prob_existential, prob_locational)
 
 __version__ = "0.1.0"

@@ -16,7 +16,7 @@ import numpy as np
 from . import jflat as jflat_mod
 from .errors import GuardExceeded, StocenterError
 from .gkm import skc_pipeline
-from .grid_coreset import CoresetBuilder, coreset_image_size_bound
+from .grid_coreset import CoresetBuilder, coreset_image_size_bound, grid_cells
 from .model import (ExistentialInstance, Instance, LocationalInstance,
                     instance_to_dict, load_instance, load_shape,
                     shape_to_dict)
@@ -47,8 +47,7 @@ def cmd_evaluate(args) -> int:
     shape = load_shape(args.shape)
     if args.mc is not None:
         rng = np.random.default_rng(args.seed)
-        res = expected_objective_mc(instance, shape, args.mc, rng,
-                                    seed=args.seed)
+        res = expected_objective_mc(instance, shape, args.mc, rng)
         _emit(args, {"value": res.value, "method": res.method,
                      "stderr": res.stderr, "samples": res.samples,
                      "seed": args.seed})
@@ -59,6 +58,15 @@ def cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
+def _coreset_cells(support: np.ndarray, out) -> list[dict]:
+    """The grid cell of every coreset point, with the point as its
+    representative, sorted by cell index; none under the sentinel grid."""
+    cells = [] if out.grid.stage == 0 else \
+        grid_cells(support[list(out.coreset)], out.grid.side).tolist()
+    return [{"index": list(map(int, c)), "representative": rep}
+            for c, rep in sorted(zip(cells, out.coreset))]
+
+
 def cmd_grid_coreset(args) -> int:
     instance = load_instance(args.instance)
     import json
@@ -66,12 +74,11 @@ def cmd_grid_coreset(args) -> int:
         ids = json.load(fh)
     out = CoresetBuilder(instance.support_points, args.k,
                          args.eps).build(ids)
-    cells = sorted((list(c), rep) for c, rep in out.cells.items())
     _emit(args, {
         "coreset": list(out.coreset),
         "grid": {"side": out.grid.side, "d": out.grid.d,
                  "stage": out.grid.stage},
-        "cells": [{"index": c, "representative": rep} for c, rep in cells],
+        "cells": _coreset_cells(instance.support_points, out),
         "size_bound": coreset_image_size_bound(args.k, instance.d, args.eps),
     })
     return EXIT_OK
@@ -131,13 +138,11 @@ def cmd_oracle(args) -> int:
         out = {"source": image.source,
                "entries": [{"subset": list(ids), "weight": w}
                            for ids, w in image.entries]}
-    elif args.oracle_cmd == "solve":
+    else:  # solve
         F, value = oracle_solver_instance(instance, args.k,
                                           resolution=args.resolution)
         out = {"centers": [list(c) for c in F.centers], "value": value,
                "resolution": args.resolution}
-    else:
-        raise StocenterError(f"unknown oracle subcommand {args.oracle_cmd}")
     if args.golden:
         write_json(args.golden, out)
     _emit(args, out)

@@ -391,7 +391,7 @@ def skc_pipeline(instance: Instance, k: int, eps: float,
     C(256, 2)·22² ≈ 1.58e7 candidates, past ``MAX_CANDIDATE_STREAM``.
     """
     _check_skc_args(k, eps, strategy, M, L_exp)
-    if isinstance(instance, ExistentialInstance) and float(instance.probs.max(initial=0.0)) == 0.0:
+    if not instance.probs.any():
         F = CenterSet(centers=np.zeros((k, instance.d)))
         return F, 0.0, {"strategy": strategy, "candidates_evaluated": 0,
                         "polish_unconverged": 0}

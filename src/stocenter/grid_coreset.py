@@ -18,7 +18,8 @@ holds a smaller-index point of the row.  For a row S that is its own
 coreset this is the tail T(S) of its class, which ``partition`` reads from
 the batch.  Rows go through in chunks whose largest temporary holds at
 most ``CHUNK_ELEMENTS`` float64 entries.  ``build(ids)`` is the one-row
-call.
+call; it returns the coreset, grid and tail, and a cell of the grid is
+``grid_cells`` of a point at the grid's side.
 """
 
 from __future__ import annotations
@@ -59,17 +60,11 @@ class GridSpec:
     def __hash__(self):
         return hash((self.side, self.d))
 
-    def cell_of(self, x: np.ndarray) -> tuple[int, ...]:
-        """Boundary coordinates fall to the floor cell."""
-        return tuple(int(c) for c in grid_cells(np.asarray(x, dtype=float),
-                                                self.side).tolist())
-
 
 @dataclass(frozen=True)
 class CoresetOutput:
     coreset: tuple[int, ...]                       # ids, ascending
     grid: GridSpec
-    cells: dict[tuple[int, ...], int]              # cell index -> representative id
     tail: tuple[int, ...]                          # ids, ascending
 
     @property
@@ -221,19 +216,13 @@ class CoresetBuilder:
         return CoresetBatch(core=core, side=side, a=a, stage=stage, tail=tail)
 
     def output(self, batch: CoresetBatch, row: int) -> CoresetOutput:
-        """One row of a batch as a CoresetOutput, with its cells and tail."""
-        coreset = tuple(np.flatnonzero(batch.core[row]).tolist())
-        tail = tuple(np.flatnonzero(batch.tail[row]).tolist())
-        if batch.stage[row] == 0:
-            return CoresetOutput(coreset=coreset, grid=SENTINEL_GRID, cells={},
-                                 tail=tail)
-        grid = GridSpec(side=float(batch.side[row]), d=self.d,
-                        a=int(batch.a[row]), stage=int(batch.stage[row]))
-        cells = grid_cells(self.support[list(coreset)], grid.side).tolist()
-        return CoresetOutput(coreset=coreset, grid=grid,
-                             cells={tuple(map(int, cell)): pid
-                                    for cell, pid in zip(cells, coreset)},
-                             tail=tail)
+        """One row of a batch as a CoresetOutput, with its grid and tail."""
+        grid = SENTINEL_GRID if batch.stage[row] == 0 else GridSpec(
+            side=float(batch.side[row]), d=self.d, a=int(batch.a[row]),
+            stage=int(batch.stage[row]))
+        return CoresetOutput(
+            coreset=tuple(np.flatnonzero(batch.core[row]).tolist()),
+            grid=grid, tail=tuple(np.flatnonzero(batch.tail[row]).tolist()))
 
     def build(self, P_ids) -> CoresetOutput:
         mask = id_mask(P_ids, self.n)

@@ -124,14 +124,6 @@ class ConvexKSpec:
         return np.all(proj <= self.thresholds + tol, axis=1)
 
 
-def _point_masses(instance: Instance) -> np.ndarray:
-    """Per-support-point probability mass; locational rows summed per
-    location (may exceed 1, used only as sweep surrogates and weights)."""
-    if isinstance(instance, ExistentialInstance):
-        return instance.probs.copy()
-    return instance.probs.sum(axis=0)
-
-
 def _prefix_mass(instance: Instance, order: np.ndarray) -> np.ndarray:
     """Mass surrogate of each sweep prefix order[:i+1].
 
@@ -186,8 +178,6 @@ class SJFCCoreset:
     s1: tuple               # tuple of (n_i, d) arrays, each weight 1/N
     s2_points: np.ndarray   # (m, d)
     s2_weights: np.ndarray  # (m,)
-    j: int
-    eps: float
     case: int               # 1 or 2
     collection: WeightedCollection = field(init=False, repr=False,
                                            compare=False)
@@ -265,8 +255,7 @@ def case1_coreset(instance: ExistentialInstance, j: int, eps: float,
     keep = instance.probs > 0.0
     pts, w = weighted_flat_median_coreset(
         instance.points[keep], instance.probs[keep], j, eps, rng)
-    return SJFCCoreset(s1=(), s2_points=pts, s2_weights=w, j=j, eps=eps,
-                       case=1)
+    return SJFCCoreset(s1=(), s2_points=pts, s2_weights=w, case=1)
 
 
 def _kernel(points: np.ndarray, lin: LinearizationMap,
@@ -307,7 +296,9 @@ def build_S2(instance: Instance, K: ConvexKSpec, j: int, eps: float,
     if rng is None:
         rng = np.random.default_rng(NET_SEED)
     inside = K.inside_mask(instance.support_points)
-    masses = _point_masses(instance)
+    # a location's mass is its column summed over the nodes (it may exceed 1)
+    masses = instance.probs if isinstance(instance, ExistentialInstance) \
+        else instance.probs.sum(axis=0)
     outside = (~inside) & (masses > 0.0)
     return weighted_flat_median_coreset(
         instance.support_points[outside], masses[outside], j, eps, rng)
@@ -332,8 +323,7 @@ def build_sjfc_coreset(instance: Instance, j: int, eps: float, seed: int,
     s1 = build_S1(instance, K, N, seed)
     s2_pts, s2_w = build_S2(instance, K, j, eps,
                             np.random.default_rng([seed, 2]))
-    return SJFCCoreset(s1=s1, s2_points=s2_pts, s2_weights=s2_w, j=j,
-                       eps=eps, case=2)
+    return SJFCCoreset(s1=s1, s2_points=s2_pts, s2_weights=s2_w, case=2)
 
 
 def estimate_J(coreset: SJFCCoreset, F: Flat) -> float:
@@ -416,8 +406,7 @@ def sjfc_pipeline(instance: Instance, j: int, eps: float, seed: int = 0,
     if j not in (0, 1):
         raise SchemaError("only j in {0, 1} is supported")
     _check_sjfc_args(eps, N, net_size)
-    masses = _point_masses(instance)
-    if float(masses.max(initial=0.0)) == 0.0:
+    if not instance.probs.any():
         F = _flat_from_params(np.zeros(instance.d if j == 0 else 2 * instance.d),
                               j, instance.d)
         return F, 0.0, {"case": 1, "s1_size": 0, "s2_size": 0,

@@ -43,7 +43,6 @@ class ObjectiveValue:
     value: float
     method: str
     samples: int | None = None
-    seed: int | None = None
     stderr: float | None = None
 
 
@@ -131,17 +130,17 @@ class WeightedCollection:
 
     ``sets`` are (n_i, d) arrays (a 1-D array is one point), ``weights``
     positive, 1 each by default, and ``d`` is taken from the sets (an empty
-    ``(0, d)`` array counts) unless given.  Set i becomes the read-only view
-    ``points[offsets[i]:offsets[i + 1]]``.  Every per-set maximum is one
-    ``np.maximum.reduceat`` over the starts of the ``nonempty`` sets, and
-    ``max_distances`` and ``cost`` take ``shape_distances`` once.
+    ``(0, d)`` array counts) unless given.  ``points`` holds the sets'
+    rows in order, and set i becomes a read-only view of its rows.  Every
+    per-set maximum is one ``np.maximum.reduceat`` over the starts of the
+    ``nonempty`` sets, and ``max_distances`` and ``cost`` take
+    ``shape_distances`` once.
     """
 
     sets: tuple
     weights: np.ndarray | None = None
     d: int | None = None
     points: np.ndarray = field(init=False, repr=False)   # (total, d)
-    offsets: np.ndarray = field(init=False, repr=False)  # (size + 1,)
     nonempty: np.ndarray = field(init=False, repr=False)  # set indices
     _starts: np.ndarray = field(init=False, repr=False)
 
@@ -174,7 +173,6 @@ class WeightedCollection:
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "d", int(d))
         object.__setattr__(self, "points", points)
-        object.__setattr__(self, "offsets", offsets)
         object.__setattr__(self, "nonempty", nonempty)
         object.__setattr__(self, "_starts", offsets[nonempty])
 
@@ -288,8 +286,7 @@ def expected_flatcenter_exact(instance: Instance, F: Flat) -> ObjectiveValue:
 
 
 def expected_objective_mc(instance: Instance, shape: Shape, samples: int,
-                          rng: np.random.Generator,
-                          seed: int | None = None) -> ObjectiveValue:
+                          rng: np.random.Generator) -> ObjectiveValue:
     """Monte-Carlo estimate with standard error of the mean.
 
     Sample i consumes the i-th block of n uniforms from ``rng`` (see
@@ -303,8 +300,7 @@ def expected_objective_mc(instance: Instance, shape: Shape, samples: int,
     if samples < 1:
         raise ValueError("samples must be >= 1")
     if instance.n == 0:  # every realization is empty
-        return ObjectiveValue(0.0, "MonteCarlo", samples=samples, seed=seed,
-                              stderr=0.0)
+        return ObjectiveValue(0.0, "MonteCarlo", samples=samples, stderr=0.0)
     dists = shape_distances(instance.support_points, shape)
     rows = max(CHUNK_ELEMENTS // instance.n, 1)
     vals = np.empty(samples)
@@ -321,5 +317,4 @@ def expected_objective_mc(instance: Instance, shape: Shape, samples: int,
         vals[start:start + len(chunk)] = chunk
     mean = _finite(float(vals.mean()))
     stderr = float(vals.std(ddof=1) / np.sqrt(samples)) if samples > 1 else 0.0
-    return ObjectiveValue(mean, "MonteCarlo", samples=samples, seed=seed,
-                          stderr=stderr)
+    return ObjectiveValue(mean, "MonteCarlo", samples=samples, stderr=stderr)

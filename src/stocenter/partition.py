@@ -43,7 +43,6 @@ from .errors import EnumerationGuardExceeded, StateSpaceGuardExceeded
 from .grid_coreset import CoresetBuilder, GridSpec, coreset_image_size_bound
 from .model import (ExistentialInstance, Instance, LocationalInstance,
                     id_mask, realization_chunks)
-from .objective import WeightedCollection
 
 MAX_SUBSET_ENUMERATION = 10 ** 6
 MAX_HOLANT_STATES = 10 ** 7
@@ -156,21 +155,13 @@ def prob_existential(S_ids, instance: ExistentialInstance, k: int, eps: float,
 
 def enumerate_sequences(n: int, slots: int):
     """Integer sequences (l_1..l_slots, l_t) with all l_i >= 1, l_t >= 0,
-    summing to n; lexicographic order."""
-    out = []
-
-    def rec(prefix, remaining):
-        if len(prefix) == slots:
-            out.append(tuple(prefix) + (remaining,))
-            return
-        left = slots - len(prefix) - 1
-        for v in range(1, remaining - left + 1):
-            rec(prefix + [v], remaining - v)
-
-    if slots == 0:
-        return [(n,)] if n >= 0 else []
-    rec([], n)
-    return out
+    summing to n; lexicographic order.  The prefix sums of l_1..l_slots
+    are ``slots`` increasing cut points in 1..n."""
+    if n < 0:
+        return []
+    ends = ((0,) + cuts for cuts in combinations(range(1, n + 1), slots))
+    return [tuple(b - a for a, b in zip(e, e[1:])) + (n - e[-1],)
+            for e in ends]
 
 
 def _occupancy_dp(instance: LocationalInstance, S_ids, tail, cap: int):
@@ -325,10 +316,3 @@ def build_weighted_image(instance: Instance, k: int, eps: float,
     entries.sort()
     return WeightedImage(entries=tuple(entries), source="SubsetEnumeration")
 
-
-def image_cost(image: WeightedImage, instance: Instance, shape) -> float:
-    """Sum over classes of weight times the class's plain objective."""
-    support = instance.support_points
-    entries = [(ids, w) for ids, w in image.entries if ids]
-    return WeightedCollection([support[list(ids)] for ids, _ in entries],
-                              [w for _, w in entries], instance.d).cost(shape)

@@ -66,6 +66,42 @@ def test_grid_coreset_command(inst_file, tmp_path, capsys):
     assert data["size_bound"] >= len(data["coreset"])
 
 
+# A 1-D support at k = 1, eps = 0.9.  Row [0, 2, 3, 4]: r_P = 1.02 (center
+# 1.0), so a = 0 and the side is 0.9 / 4 = 0.225; 0.1 shares cell 0 with
+# 0.05, and the kept points' r stays 1.02 >= 1.  Row [0, 1, 2, 4]: the same
+# r_P and side, but 1.9 and 2.02 share cell 8, the kept {0.05, 1.9} have
+# r 0.95 < 1, and the grid refines to 0.1125.  A one-point row has r_P = 0.
+GRID_POINTS = [[0.05], [1.9], [2.02], [1.0], [0.1]]
+GRID_ROWS = [
+    ([4], [4], {"side": 0.0, "d": 0, "stage": 0}, []),
+    ([0, 2, 3, 4], [0, 2, 3], {"side": 0.225, "d": 1, "stage": 1},
+     [([0], 0), ([4], 3), ([8], 2)]),
+    ([0, 1, 2, 4], [0, 1, 2], {"side": 0.1125, "d": 1, "stage": 2},
+     [([0], 0), ([16], 1), ([17], 2)]),
+]
+
+
+@pytest.mark.parametrize("ids, coreset, grid, cells", GRID_ROWS,
+                         ids=["sentinel", "stage1", "stage2"])
+def test_grid_coreset_prints_the_cells(ids, coreset, grid, cells, tmp_path,
+                                       capsys):
+    inst = tmp_path / "inst.json"
+    write_json(inst, instance_to_dict(ExistentialInstance(
+        points=GRID_POINTS, probs=[0.5] * 5)))
+    rfile = tmp_path / "real.json"
+    rfile.write_text(json.dumps(ids))
+    code, out = _run(["grid-coreset", "--instance", str(inst),
+                      "--realization", str(rfile), "--k", "1",
+                      "--eps", "0.9"], capsys)
+    assert code == 0
+    data = json.loads(out)
+    assert (data["coreset"], data["grid"]) == (coreset, grid)
+    assert data["cells"] == [{"index": index, "representative": rep}
+                             for index, rep in cells]
+    assert all(type(c) is int for cell in data["cells"]
+               for c in cell["index"])
+
+
 @pytest.mark.parametrize("ids", ["[0, 7]", "[-1, 0]"])
 def test_grid_coreset_rejects_ids_outside_instance(ids, tmp_path, capsys):
     inst = str(tmp_path / "inst.json")

@@ -25,8 +25,8 @@ from hypothesis import strategies as st
 
 from stocenter import grid_coreset, model
 from stocenter.errors import CombinationGuardExceeded, SchemaError
-from stocenter.grid_coreset import (CoresetBuilder, GridSpec, _exponent,
-                                    grid_cells)
+from stocenter.cli import _coreset_cells
+from stocenter.grid_coreset import CoresetBuilder, _exponent, grid_cells
 from stocenter.model import (ExistentialInstance, LocationalInstance,
                              assignment_rows, mask_rows, realization_chunks,
                              realization_probabilities)
@@ -324,7 +324,11 @@ def test_batched_construction_equals_former_loop(support, k, eps, chunk):
         ids = tuple(compress(range(n), masks[row]))
         core, side, a, stage, cells = ref.build(ids)
         out = builder.output(batch, row)
-        assert out.coreset == core and out.cells == cells
+        assert out.coreset == core
+        # the cells stocenter grid-coreset prints
+        assert _coreset_cells(support, out) == [
+            {"index": list(c), "representative": rep}
+            for c, rep in sorted(cells.items())]
         assert (batch.side[row], batch.a[row], batch.stage[row]) == \
             (side, a, stage)
         assert (out.grid.side, out.grid.a, out.grid.stage) == \
@@ -572,18 +576,20 @@ def test_cell_of_and_batched_cells_agree_on_boundaries(side, ms):
         xs += [x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf)]
     xs.append(-0.0)
     batched = grid_cells(np.array(xs)[:, None], side)
-    grid = GridSpec(side=side, d=1, a=0, stage=1)
+
+    def cell_of(x):
+        """The cell of one point alone, as ints."""
+        return tuple(map(int, grid_cells(np.array([x]), side).tolist()))
+
     for x, cell in zip(xs, batched.tolist()):
-        assert grid.cell_of(np.array([x])) == (int(cell[0]),) == \
-            ref_cell([x], side)
-    assert grid.cell_of(np.array([-0.0])) == (0,)
+        assert cell_of(x) == (int(cell[0]),) == ref_cell([x], side)
+    assert cell_of(-0.0) == (0,)
     if math.frexp(side)[0] == 0.5:  # side a power of two: m * side is exact
         for m in filter(None, ms):  # below 0 the ulp underflows to -0.0
             x = m * side
-            assert grid.cell_of(np.array([x])) == (m,)
-            assert grid.cell_of(np.array([np.nextafter(x, -np.inf)])) == \
-                (m - 1,)
-            assert grid.cell_of(np.array([np.nextafter(x, np.inf)])) == (m,)
+            assert cell_of(x) == (m,)
+            assert cell_of(np.nextafter(x, -np.inf)) == (m - 1,)
+            assert cell_of(np.nextafter(x, np.inf)) == (m,)
 
 
 # ---------------------------------------------------------------------------

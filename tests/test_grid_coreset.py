@@ -3,7 +3,7 @@ import pytest
 
 from stocenter.errors import CombinationGuardExceeded, EmptyRealization
 from stocenter.grid_coreset import (SENTINEL_GRID, CoresetBuilder, GridSpec,
-                                    coreset_image_size_bound)
+                                    coreset_image_size_bound, grid_cells)
 from stocenter.model import CenterSet
 from stocenter.objective import kcenter_value
 
@@ -50,8 +50,8 @@ def test_single_cell_collapses_to_smallest_id():
     support = np.vstack([[[0.0, 0.0]], cluster])
     out = CoresetBuilder(support, 1, 0.5).build((0, 1, 2, 3))
     assert out.coreset == (0, 1)
-    cluster_cell = out.grid.cell_of(cluster[0])
-    assert out.cells[cluster_cell] == 1
+    cells = grid_cells(cluster, out.grid.side)
+    assert (cells == cells[0]).all()
 
 
 def test_empty_realization_rejected():
@@ -60,9 +60,8 @@ def test_empty_realization_rejected():
 
 
 def test_boundary_point_goes_to_floor_cell():
-    grid = GridSpec(side=1.0, d=2, a=0, stage=1)
-    assert grid.cell_of(np.array([2.0, -3.0])) == (2, -3)
-    assert grid.cell_of(np.array([1.999999, -0.5])) == (1, -1)
+    assert grid_cells(np.array([2.0, -3.0]), 1.0).tolist() == [2, -3]
+    assert grid_cells(np.array([1.999999, -0.5]), 1.0).tolist() == [1, -1]
 
 
 def test_grid_equality_ignores_bookkeeping():
@@ -113,7 +112,6 @@ def test_rerun_is_fixed_point():
         rerun = builder.build(out.coreset)
         assert rerun.coreset == out.coreset
         assert rerun.grid == out.grid
-        assert rerun.cells == out.cells
 
 
 def test_determinism():

@@ -175,6 +175,34 @@ def test_pipeline_zero_mass():
     assert value == 0.0 and info["case"] == 1
 
 
+ZERO_MASS = {
+    "existential": ExistentialInstance(points=[[1.0, 2.0], [3.0, 4.0]],
+                                       probs=[0.0, 0.0]),
+    "no-nodes": LocationalInstance(locations=[[1.0, 2.0], [3.0, 4.0]],
+                                   probs=np.zeros((0, 2))),
+    "no-locations": LocationalInstance(locations=np.zeros((0, 2)),
+                                       probs=np.zeros((0, 0))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ZERO_MASS))
+def test_both_pipelines_skip_an_instance_without_mass(name):
+    # one rule for both pipelines: no probability mass, no solve; at k = 1
+    # skc_pipeline used to raise IndexError on no locations and to polish
+    # a center on locations without nodes
+    inst = ZERO_MASS[name]
+    for k in (1, 2):
+        F, value, info = skc_pipeline(inst, k, 0.5)
+        assert F.centers.shape == (k, 2) and not F.centers.any()
+        assert value == 0.0
+        assert info["candidates_evaluated"] == info["polish_unconverged"] == 0
+    for j in (0, 1):
+        F, value, info = sjfc_pipeline(inst, j, 0.3)
+        assert F.j == j and not F.base.any() and value == 0.0
+        assert info == {"case": 1, "s1_size": 0, "s2_size": 0,
+                        "polish_unconverged": 0}
+
+
 def test_pipeline_deterministic_matches_meb():
     rng = np.random.default_rng(38)
     pts = rng.uniform(-8, 8, (10, 2))

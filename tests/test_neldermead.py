@@ -98,7 +98,7 @@ def test_coreset_cost_runs_match_scipy(sets, k, data):
 def test_line_objectives_run_match_scipy(inst, x0, exact):
     core = jflat.SJFCCoreset(s1=(inst.points[:2],), s2_points=inst.points,
                              s2_weights=np.maximum(inst.probs, 0.125),
-                             j=1, eps=0.3, case=2)
+                             case=2)
     fval = (lambda F: expected_objective_exact(inst, F).value) if exact \
         else (lambda F: jflat.estimate_J(core, F))
     assert_same_run(lambda x: fval(jflat._flat_from_params(x, 1, 2)),

@@ -7,8 +7,8 @@ A top-level definition passes when code in ``src/stocenter`` or
 outside the definition itself, or when ``stocenter/__init__`` exports it.
 A public method or property passes when code in ``src/stocenter``,
 ``perfbench/*.py`` or ``tests/*.py`` refers to it outside its own
-definition: some members (``GridSpec.cell_of``,
-``LinearizationMap.flat_coeffs``) exist to be tested.  A constant passes
+definition: some members (``LinearizationMap.flat_coeffs``) exist to be
+tested.  A constant passes
 on the same terms as a method.  Import statements do not count as
 references, and the package ``__init__`` is not scanned.
 

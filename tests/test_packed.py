@@ -37,7 +37,7 @@ from stocenter.objective import (_distances, _farthest_weights,
                                  shape_distances)
 from stocenter.oracle import (center_grid, oracle_sensitivities,
                               oracle_solver_gkm, oracle_solver_instance)
-from stocenter.partition import WeightedImage, image_cost
+from stocenter.partition import WeightedImage
 from stocenter.verification import _c8_found
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True,
@@ -289,8 +289,7 @@ def test_argmax_equals_loop_first_occurrence(case):
                .reshape(1, 2))))
 def test_estimate_J_equals_loop(case):
     s1, s2, w2, F = case
-    core = SJFCCoreset(s1=s1, s2_points=s2, s2_weights=w2, j=F.j, eps=0.3,
-                       case=2)
+    core = SJFCCoreset(s1=s1, s2_points=s2, s2_weights=w2, case=2)
     assert estimate_J(core, F) == loop_estimate_J(s1, s2, w2, F)
 
 
@@ -531,8 +530,7 @@ def test_sjfc_coreset_with_an_empty_part(n_s1, n_s2):
                for _ in range(n_s1))
     s2 = rng.uniform(-3, 3, (n_s2, 2))
     w2 = rng.uniform(0.1, 1.0, n_s2)
-    core = SJFCCoreset(s1=s1, s2_points=s2, s2_weights=w2, j=0, eps=0.3,
-                       case=2)
+    core = SJFCCoreset(s1=s1, s2_points=s2, s2_weights=w2, case=2)
     assert core.N == n_s1 and core.collection.size == n_s1 + n_s2
     assert all(np.array_equal(a, b) for a, b in zip(core.s1, s1))
     for F in (Flat(j=0, base=[0.5, -1.0]),
@@ -555,7 +553,7 @@ def test_image_cost_equals_loop():
     for ids, w in image.entries:
         if ids:
             ref += w * float(shape_distances(inst.points[list(ids)], F).max())
-    assert image_cost(image, inst, F) == ref
+    assert collection_from_image(image, inst).cost(F) == ref
 
 
 # ---------------------------------------------------------------------------

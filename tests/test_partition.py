@@ -7,13 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stocenter.errors import EnumerationGuardExceeded, StateSpaceGuardExceeded
-from stocenter.grid_coreset import CoresetBuilder
+from stocenter.gkm import collection_from_image
+from stocenter.grid_coreset import CoresetBuilder, grid_cells
 from stocenter.model import (CenterSet, ExistentialInstance,
                              LocationalInstance, realization_chunks)
 from stocenter.objective import expected_objective_exact, kcenter_value
 from stocenter.oracle import oracle_holant_direct
 from stocenter.partition import (build_weighted_image, enumerate_sequences,
-                                 holant_value, image_cost, membership_check,
+                                 holant_value, membership_check,
                                  prob_existential, prob_locational)
 
 
@@ -93,11 +94,13 @@ def test_forbidden_tail_partition_property():
         pytest.skip("sampled instance produced no Full class")
     # forbidden: the points in unoccupied cells and the smaller-index
     # cellmates of a point of S; everything else outside S is the tail
+    cells = [tuple(c) for c in
+             grid_cells(inst.points, verdict.grid.side).tolist()]
     rep = {}
     for i in core:
-        rep.setdefault(verdict.grid.cell_of(inst.points[i]), i)
+        rep.setdefault(cells[i], i)
     forbidden = {i for i in range(12) if i not in core
-                 and i < rep.get(verdict.grid.cell_of(inst.points[i]), 12)}
+                 and i < rep.get(cells[i], 12)}
     assert set(core).isdisjoint(verdict.tail)
     assert forbidden == set(range(12)) - set(core) - set(verdict.tail)
 
@@ -314,7 +317,7 @@ def test_image_cost_sandwich():
     image = build_weighted_image(inst, 1, eps, mode="subsets")
     for _ in range(200):
         F = CenterSet(centers=rng.uniform(-12, 12, (1, 2)))
-        approx = image_cost(image, inst, F)
+        approx = collection_from_image(image, inst).cost(F)
         exact = expected_objective_exact(inst, F).value
         assert (1 - eps) * exact - 1e-9 <= approx <= (1 + eps) * exact + 1e-9
 
@@ -325,4 +328,5 @@ def test_image_cost_definition():
     F = CenterSet(centers=[[0.0]])
     manual = sum(w * kcenter_value(inst.points[list(ids)], F)
                  for ids, w in image.entries if ids)
-    assert image_cost(image, inst, F) == pytest.approx(manual)
+    assert collection_from_image(image, inst).cost(F) == \
+        pytest.approx(manual)
