@@ -48,7 +48,7 @@ CORPUS = Path(__file__).with_name("corpus.json")
 REL_TOL = 1e-12
 
 
-def build() -> str:
+def build_name() -> str:
     """The numpy version, BLAS library and machine the digests hold for."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return (f"numpy {np.__version__}; BLAS {blas['name']} "
@@ -227,7 +227,7 @@ def _cases():
 def plain(obj):
     """``obj`` as nested tuples, lists, dicts and Python scalars; a
     dataclass becomes its class name and the dict of its fields."""
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+    if dataclasses.is_dataclass(obj):
         return (type(obj).__name__,
                 {f.name: plain(getattr(obj, f.name))
                  for f in dataclasses.fields(obj)})
@@ -243,14 +243,7 @@ def plain(obj):
 
 
 def floats(obj) -> list[float]:
-    """Every float in a plain value, in order; a JSON text is parsed."""
-    if isinstance(obj, str):
-        try:
-            return floats(json.loads(obj))
-        except ValueError:
-            return []
-    if isinstance(obj, bool):
-        return []
+    """Every float in a plain value, in order."""
     if isinstance(obj, float):
         return [obj]
     if isinstance(obj, dict):
@@ -261,9 +254,11 @@ def floats(obj) -> list[float]:
 
 
 def record(output) -> dict:
+    """A case's digest and floats; a text output is a JSON text."""
     value = plain(output)
     return {"sha256": hashlib.sha256(repr(value).encode()).hexdigest(),
-            "values": [x.hex() for x in floats(value)]}
+            "values": [x.hex() for x in floats(
+                json.loads(value) if isinstance(value, str) else value)]}
 
 
 def compute() -> dict:
@@ -294,10 +289,10 @@ def moved_cases(stored: dict, now: dict, exact: bool) -> list[str]:
 
 def test_seeded_outputs_keep_their_bits():
     stored = json.loads(CORPUS.read_text())
-    exact = stored["build"] == build()
+    exact = stored["build"] == build_name()
     if not exact:
         warnings.warn(f"corpus recorded on {stored['build']}, running on "
-                      f"{build()}: comparing values within {REL_TOL} "
+                      f"{build_name()}: comparing values within {REL_TOL} "
                       f"relative, not digests")
     moved = moved_cases(stored["cases"], compute(), exact)
     assert not moved, f"{len(moved)} seeded outputs moved: {moved}"
@@ -319,6 +314,6 @@ def test_corpus_names_every_moved_case():
 if __name__ == "__main__":
     if sys.argv[1:] != ["--rewrite"]:
         sys.exit("usage: PYTHONPATH=src python tests/test_corpus.py --rewrite")
-    CORPUS.write_text(json.dumps({"build": build(), "cases": compute()},
+    CORPUS.write_text(json.dumps({"build": build_name(), "cases": compute()},
                                  indent=1, sort_keys=True) + "\n")
     print(f"wrote {CORPUS}")
