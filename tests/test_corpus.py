@@ -33,8 +33,11 @@ from pathlib import Path
 import numpy as np
 
 from stocenter.cli import main
-from stocenter.gkm import candidate_costs, collection_from_image, skc_pipeline
-from stocenter.jflat import sjfc_pipeline
+from stocenter.gkm import (candidate_costs, collection_from_image,
+                           importance_sample_coreset,
+                           sensitivity_projection_upper, skc_pipeline,
+                           solve_gkm)
+from stocenter.jflat import build_sjfc_coreset, sjfc_pipeline
 from stocenter.model import (CenterSet, ExistentialInstance, Flat,
                              LocationalInstance, instance_to_dict, realize)
 from stocenter.objective import (_distances, expected_objective_exact,
@@ -170,6 +173,18 @@ def _candidates(name):
     return list(candidate_costs(S, K, 2, 1, 0.5))
 
 
+def _sampled(name):
+    """The importance-sampled sub-collection of the image at k = 1, with
+    F_hat from ``solve_gkm``: 48 draws of its 64 classes, so draws repeat
+    and merge."""
+    inst = INSTANCES[name]()
+    S = collection_from_image(build_weighted_image(inst, 1, 0.5, "subsets"),
+                              inst)
+    est = sensitivity_projection_upper(S, 1, solve_gkm(S, 1)[0])
+    core = importance_sample_coreset(S, est, 48, np.random.default_rng(6))
+    return list(core.indices), core.as_collection(S)
+
+
 def _cases():
     cases = {}
     for name in INSTANCES:
@@ -182,6 +197,11 @@ def _cases():
     for name, (make, j) in SJFC.items():
         cases[f"sjfc/{name}"] = lambda make=make, j=j: sjfc_pipeline(
             make(), j, 0.3, seed=4, N=20)
+    # Case 1 past its size cap of 8: the flat-median sampler keeps 6 of 8
+    # draws
+    cases["sjfc_coreset/low-mass30/j0"] = lambda: build_sjfc_coreset(
+        _low_mass(15, 30), 0, 0.5, seed=4)
+    cases["sampled/E6/k1"] = lambda: _sampled("E6")
     for name in INSTANCES:
         for mode in ("exhaustive", "subsets"):
             cases[f"image/{name}/{mode}"] = (
