@@ -2,7 +2,7 @@
 
 An instance is a weighted collection of finite point sets; the cost of a
 k-point center set F is sum_i w_i * max_{s in S_i} d(s, F).  The module
-provides sensitivity estimates, importance-sampling coresets, the scored
+provides per-set sensitivity scores, an importance sampler, the scored
 candidate-coreset stream, numerical solvers, and the end-to-end
 stochastic k-center pipeline built on the partition module.
 
@@ -40,7 +40,6 @@ bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations, islice
 
 import numpy as np
@@ -65,28 +64,6 @@ def collection_from_image(image: WeightedImage,
     return WeightedCollection(
         sets=tuple(support[list(ids)] for ids, _ in entries),
         weights=np.array([w for _, w in entries]), d=instance.d)
-
-
-@dataclass(frozen=True)
-class SensitivityEstimate:
-    values: np.ndarray
-    kind: str  # "BruteForceLower" | "ProjectionUpper" | "Uniform"
-
-    @property
-    def q(self) -> np.ndarray:
-        """Sampling scores: sensitivity estimate plus the 1/N floor."""
-        return self.values + 1.0 / len(self.values)
-
-
-@dataclass(frozen=True)
-class GeneralizedCoreset:
-    indices: tuple[int, ...]
-    weights: np.ndarray
-
-    def as_collection(self, S: WeightedCollection) -> WeightedCollection:
-        return WeightedCollection(
-            sets=tuple(S.sets[i] for i in self.indices),
-            weights=np.asarray(self.weights, dtype=float), d=S.d)
 
 
 def gkm_cost(S: WeightedCollection, F: CenterSet) -> float:
@@ -116,8 +93,8 @@ def _farthest_nearest(S: WeightedCollection, F: CenterSet) -> np.ndarray:
 
 
 def sensitivity_bruteforce(S: WeightedCollection,
-                           candidate_family) -> SensitivityEstimate:
-    """Max over the explicit family of each set's cost share.
+                           candidate_family) -> np.ndarray:
+    """Max over the explicit family of each set's cost share, one per set.
 
     A certified lower bound on the true sensitivities (the supremum ranges
     over all center sets, the family over finitely many).
@@ -131,24 +108,22 @@ def sensitivity_bruteforce(S: WeightedCollection,
             raise ZeroCostCandidate("candidate with zero total cost")
         values = np.maximum(values,
                             S.weights * S.max_distances(F) / total)
-    return SensitivityEstimate(values=values, kind="BruteForceLower")
+    return values
 
 
-def sensitivity_projection_upper(S: WeightedCollection, k: int,
-                                 F_hat: CenterSet | None = None) -> SensitivityEstimate:
-    """Heuristic upper bound from an approximate optimum F_hat.
+def sensitivity_projection(S: WeightedCollection,
+                           F_hat: CenterSet) -> np.ndarray:
+    """Sensitivity scores from an approximate optimum F_hat, one per set.
 
-    Each set is reduced to its farthest point, projected to its nearest
-    center of F_hat; the projected weighted k-median instance has the usual
-    distance-share plus cluster-mass sensitivity bound.  Falls back to the
-    uniform estimate when F_hat fits every set exactly.
+    A heuristic, not a certified upper bound: each set is reduced to its
+    farthest point, projected to its nearest center of F_hat, and scored by
+    its cost share under F_hat plus the projected instance's cluster-mass
+    term, clipped to [0, 1].  Uniform 1/N when F_hat fits every set exactly.
     """
-    if F_hat is None:
-        F_hat, _ = solve_gkm(S, k)
     total = gkm_cost(S, F_hat)
     N = S.size
     if total <= 0.0:
-        return SensitivityEstimate(values=np.full(N, 1.0 / N), kind="Uniform")
+        return np.full(N, 1.0 / N)
     # Nearest reference center of each set's farthest point; the projected
     # points coincide with centers, so their distance share vanishes and
     # only the cluster-mass term survives.
@@ -161,26 +136,25 @@ def sensitivity_projection_upper(S: WeightedCollection, k: int,
     # Each set adds its own positive weight, so every cluster mass used here
     # is positive.
     mass_term = 2.0 * S.weights / cluster_mass[nearest]
-    values = np.minimum(np.maximum(share + mass_term, 0.0), 1.0)
-    return SensitivityEstimate(values=values, kind="ProjectionUpper")
+    return np.minimum(np.maximum(share + mass_term, 0.0), 1.0)
 
 
-def importance_sample_coreset(S: WeightedCollection, q: SensitivityEstimate,
-                              M: int, rng: np.random.Generator) -> GeneralizedCoreset:
-    """M draws proportional to q, duplicates merged by summing weights."""
+def importance_sample_coreset(weights: np.ndarray, sensitivities: np.ndarray,
+                              M: int, rng: np.random.Generator
+                              ) -> tuple[np.ndarray, np.ndarray]:
+    """M draws of the sets in proportion to their sensitivity plus the 1/N
+    floor, each weighted w_i * total / (score_i * M).  Returns the drawn
+    set indices, ascending, and their weights; the draws of one set are
+    summed in draw order."""
     if M < 1:
         raise ValueError("M must be >= 1")
-    scores = q.q
+    scores = sensitivities + 1.0 / len(sensitivities)
     total_q = float(scores.sum())
-    probs = scores / total_q
-    draws = rng.choice(S.size, size=M, p=probs)
-    acc: dict[int, float] = {}
-    for i in draws:
-        i = int(i)
-        acc[i] = acc.get(i, 0.0) + total_q * S.weights[i] / (scores[i] * M)
-    indices = tuple(sorted(acc))
-    return GeneralizedCoreset(indices=indices,
-                              weights=np.array([acc[i] for i in indices]))
+    draws = rng.choice(len(scores), size=M, p=scores / total_q)
+    acc = np.zeros(len(scores))
+    np.add.at(acc, draws, total_q * weights[draws] / (scores[draws] * M))
+    indices = np.unique(draws)
+    return indices, acc[indices]
 
 
 def candidate_costs(S: WeightedCollection, K: np.ndarray, M: int,
@@ -218,10 +192,11 @@ def candidate_costs(S: WeightedCollection, K: np.ndarray, M: int,
 
 
 def _screen(S: WeightedCollection, K: np.ndarray, M: int, L_exp: int,
-            eps: float) -> tuple[GeneralizedCoreset, float]:
+            eps: float) -> tuple[np.ndarray, np.ndarray, float]:
     """The candidate whose largest relative deviation from S's cost, over
-    the probes where S costs more than 1e-12, is least, and that deviation:
-    a later candidate replaces the kept one only when lower by over 1e-15."""
+    the probes where S costs more than 1e-12, is least, as (set indices,
+    weights, deviation): a later candidate replaces the kept one only when
+    lower by over 1e-15."""
     full = _weighted_sum(S.weights, K)
     mask = full > 1e-12
     best, best_dev = None, math.inf
@@ -231,8 +206,8 @@ def _screen(S: WeightedCollection, K: np.ndarray, M: int, L_exp: int,
         for r in np.flatnonzero(dev < best_dev - 1e-15).tolist():
             if dev[r] < best_dev - 1e-15:
                 best, best_dev = (idx[r].tolist(), exps[r].tolist()), float(dev[r])
-    return GeneralizedCoreset(indices=tuple(best[0]), weights=np.array(
-        [(1.0 + eps) ** a * S.weights[i] / M for i, a in zip(*best)])), best_dev
+    return np.array(best[0]), np.array(
+        [(1.0 + eps) ** a * S.weights[i] / M for i, a in zip(*best)]), best_dev
 
 
 # ---------------------------------------------------------------------------
@@ -288,9 +263,7 @@ def _alternating(S: WeightedCollection,
         new_centers = F.centers.copy()
         for j in np.unique(nearest):
             members = S.nonempty[nearest == j]
-            sub = WeightedCollection(sets=tuple(S.sets[i] for i in members),
-                                     weights=S.weights[members], d=S.d)
-            c, _ = _solve_k1(sub)
+            c, _ = _solve_k1(S.subset(members, S.weights[members]))
             new_centers[j] = c
         F2 = CenterSet(centers=new_centers)
         v2 = gkm_cost(S, F2)
@@ -406,19 +379,19 @@ def skc_pipeline(instance: Instance, k: int, eps: float,
     elif strategy == "sampling":
         M_eff = M if M is not None else max(2 * S.size // 3, 1)
         F_S = solve_gkm(S, k)[0]
-        est = sensitivity_projection_upper(S, k, F_S)
-        rng = np.random.default_rng(seed)
-        core = importance_sample_coreset(S, est, M_eff, rng)
-        collections.append(core.as_collection(S))
+        idx, w = importance_sample_coreset(
+            S.weights, sensitivity_projection(S, F_S), M_eff,
+            np.random.default_rng(seed))
+        collections.append(S.subset(idx, w))
         collections.append(S)  # keep the safe fallback candidate
     elif strategy == "enumerate":
         from .oracle import center_grid
         support = instance.support_points
         probes = np.unique(np.vstack([center_grid(support, 5), support]), axis=0)
-        core, _ = _screen(S, S.maxima(_distances(S.points, probes)),
-                          min(S.size, 2) if M is None else M,
-                          6 if L_exp is None else L_exp, eps)
-        collections.append(core.as_collection(S))
+        idx, w, _ = _screen(S, S.maxima(_distances(S.points, probes)),
+                            min(S.size, 2) if M is None else M,
+                            6 if L_exp is None else L_exp, eps)
+        collections.append(S.subset(idx, w))
     starts = [F_S if coll is S and F_S is not None else solve_gkm(coll, k)[0]
               for coll in collections if coll.points.shape[0]]
     F, value, evaluated, unconverged = _best_polished(instance, k, starts)

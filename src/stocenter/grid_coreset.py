@@ -41,15 +41,15 @@ MAX_COMBO_ENTRIES = 10 ** 7
 class GridSpec:
     """An axis-aligned grid with the origin as a vertex.
 
-    Two specs describe the same grid iff side and dimension agree; the a and
-    stage fields are bookkeeping (re-running the construction on its own
-    output can reach the identical grid as stage 1 of exponent a-1 instead
-    of stage 2 of exponent a), so equality ignores them.
+    Two specs describe the same grid iff side and dimension agree; the
+    stage is bookkeeping (re-running the construction on its own output can
+    reach the identical grid at stage 1 of exponent a-1 instead of stage 2
+    of exponent a, where side = eps 2^a / (4d) or eps 2^a / (8d)), so
+    equality ignores it.
     """
 
     side: float
     d: int
-    a: int
     stage: int  # 1 or 2; 0 for the r_P = 0 sentinel
 
     def __eq__(self, other):
@@ -78,14 +78,13 @@ class CoresetBatch:
 
     core: np.ndarray   # (rows, n) bool: the coreset of each row
     side: np.ndarray   # (rows,) final grid side; 0.0 for the sentinel
-    a: np.ndarray      # (rows,) exponent a; 0 for the sentinel
     stage: np.ndarray  # (rows,) 1 or 2; 0 for the r_P = 0 sentinel
     # (rows, n) bool: the support points outside the coreset whose cell
     # holds a smaller-index coreset point; empty under the sentinel grid
     tail: np.ndarray
 
 
-SENTINEL_GRID = GridSpec(side=0.0, d=0, a=0, stage=0)
+SENTINEL_GRID = GridSpec(side=0.0, d=0, stage=0)
 
 
 def _exponent(r):
@@ -202,8 +201,7 @@ class CoresetBuilder:
         masks = np.asarray(masks, dtype=bool)
         r = self._r_rows(masks)
         live = r > 0.0
-        a = np.where(live, _exponent(r), 0)
-        two_a = np.ldexp(1.0, a)
+        two_a = np.ldexp(1.0, np.where(live, _exponent(r), 0))
         side = np.where(live, self.eps * two_a / (4 * self.d), 0.0)
         tail = shadowed(self.support, masks, side)
         core = masks & ~tail
@@ -213,12 +211,12 @@ class CoresetBuilder:
             tail[refine] = shadowed(self.support, masks[refine], side[refine])
             core[refine] = masks[refine] & ~tail[refine]
         stage = np.where(live, np.where(refine, 2, 1), 0)
-        return CoresetBatch(core=core, side=side, a=a, stage=stage, tail=tail)
+        return CoresetBatch(core=core, side=side, stage=stage, tail=tail)
 
     def output(self, batch: CoresetBatch, row: int) -> CoresetOutput:
         """One row of a batch as a CoresetOutput, with its grid and tail."""
         grid = SENTINEL_GRID if batch.stage[row] == 0 else GridSpec(
-            side=float(batch.side[row]), d=self.d, a=int(batch.a[row]),
+            side=float(batch.side[row]), d=self.d,
             stage=int(batch.stage[row]))
         return CoresetOutput(
             coreset=tuple(np.flatnonzero(batch.core[row]).tolist()),

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CaseMismatch, EmptyK, SchemaError
-from .gkm import (SensitivityEstimate, WeightedCollection, _best_polished,
+from .gkm import (WeightedCollection, _best_polished,
                   importance_sample_coreset, solve_gkm)
 from .model import CenterSet, ExistentialInstance, Flat, Instance, realize
 from .neldermead import minimize
@@ -236,13 +236,11 @@ def weighted_flat_median_coreset(points: np.ndarray, weights: np.ndarray,
     cost = float(S._cost(dists))
     W = float(weights.sum())
     if cost > 0.0:
-        sigma = SensitivityEstimate(
-            values=weights * dists / cost + 2.0 * (d + 1) ** 1.5 * weights / W,
-            kind="ProjectionUpper")
+        sigma = weights * dists / cost + 2.0 * (d + 1) ** 1.5 * weights / W
     else:
-        sigma = SensitivityEstimate(values=np.full(n, 1.0 / n), kind="Uniform")
-    core = importance_sample_coreset(S, sigma, cap, rng)
-    return points[list(core.indices)], core.weights
+        sigma = np.full(n, 1.0 / n)
+    idx, w = importance_sample_coreset(weights, sigma, cap, rng)
+    return points[idx], w
 
 
 def case1_coreset(instance: ExistentialInstance, j: int, eps: float,
@@ -373,12 +371,12 @@ def _starts_for(support: np.ndarray, d: int):
     return [np.concatenate([base, v]) for v in dirs]
 
 
-def solve_jflat(coreset: SJFCCoreset, j: int, d: int) -> tuple[Flat, float]:
+def solve_jflat(coreset: SJFCCoreset, j: int) -> tuple[Flat, float]:
     """Minimize the coreset estimator over flats; deterministic multi-start
     for j=1.  Returns the flat and its ``estimate_J``."""
     if j not in (0, 1):
         raise SchemaError("only j in {0, 1} is supported")
-    support = coreset.collection.points
+    support, d = coreset.collection.points, coreset.collection.d
     if support.shape[0] == 0:
         return _flat_from_params(np.zeros(d if j == 0 else 2 * d), j, d), 0.0
     if j == 0:
@@ -413,7 +411,7 @@ def sjfc_pipeline(instance: Instance, j: int, eps: float, seed: int = 0,
                         "polish_unconverged": 0}
     coreset = build_sjfc_coreset(instance, j, eps, seed, N=N,
                                  net_size=net_size)
-    F0, _ = solve_jflat(coreset, j, instance.d)
+    F0, _ = solve_jflat(coreset, j)
     if j == 0:
         C, value, _, unconverged = _best_polished(
             instance, 1, [CenterSet(centers=F0.base.reshape(1, -1))])

@@ -180,6 +180,12 @@ class WeightedCollection:
     def size(self) -> int:
         return len(self.weights)
 
+    def subset(self, indices: np.ndarray,
+               weights: np.ndarray) -> WeightedCollection:
+        """Sets ``indices`` of this collection, with new weights."""
+        return WeightedCollection(sets=tuple(self.sets[i] for i in indices),
+                                  weights=weights, d=self.d)
+
     def maxima(self, values: np.ndarray) -> np.ndarray:
         """Per-set maximum of per-point values, shape (total,) or
         (total, m); an empty set gives 0."""

@@ -34,9 +34,8 @@ import numpy as np
 
 from stocenter.cli import main
 from stocenter.gkm import (candidate_costs, collection_from_image,
-                           importance_sample_coreset,
-                           sensitivity_projection_upper, skc_pipeline,
-                           solve_gkm)
+                           importance_sample_coreset, sensitivity_projection,
+                           skc_pipeline, solve_gkm)
 from stocenter.jflat import build_sjfc_coreset, sjfc_pipeline
 from stocenter.model import (CenterSet, ExistentialInstance, Flat,
                              LocationalInstance, instance_to_dict, realize)
@@ -180,9 +179,10 @@ def _sampled(name):
     inst = INSTANCES[name]()
     S = collection_from_image(build_weighted_image(inst, 1, 0.5, "subsets"),
                               inst)
-    est = sensitivity_projection_upper(S, 1, solve_gkm(S, 1)[0])
-    core = importance_sample_coreset(S, est, 48, np.random.default_rng(6))
-    return list(core.indices), core.as_collection(S)
+    idx, w = importance_sample_coreset(
+        S.weights, sensitivity_projection(S, solve_gkm(S, 1)[0]), 48,
+        np.random.default_rng(6))
+    return idx.tolist(), S.subset(idx, w)
 
 
 def _cases():

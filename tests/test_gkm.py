@@ -5,8 +5,7 @@ from stocenter.errors import EnumerationGuardExceeded, ZeroCostCandidate
 from stocenter.gkm import (WeightedCollection, candidate_costs,
                            collection_from_image, gkm_cost,
                            importance_sample_coreset, sensitivity_bruteforce,
-                           sensitivity_projection_upper, skc_pipeline,
-                           solve_gkm)
+                           sensitivity_projection, skc_pipeline, solve_gkm)
 from stocenter.model import CenterSet, ExistentialInstance
 from stocenter.objective import expected_objective_exact
 from stocenter.oracle import (minimum_enclosing_ball, oracle_sensitivities,
@@ -34,13 +33,13 @@ def test_sensitivity_bruteforce_basics():
     one = _coll([[[1.0, 1.0]]], [1.0])
     fam = [CenterSet(centers=[[0.0, 0.0]]), CenterSet(centers=[[5.0, 5.0]])]
     est = sensitivity_bruteforce(one, fam)
-    assert est.values == pytest.approx([1.0])
+    assert est == pytest.approx([1.0])
     # mirror-symmetric pair gets equal sensitivities
     sym = _coll([[[1.0, 0.0]], [[-1.0, 0.0]]], [1.0, 1.0])
     fam = [CenterSet(centers=[[0.0, 0.5]]), CenterSet(centers=[[2.0, 0.0]]),
            CenterSet(centers=[[-2.0, 0.0]])]
     est = sensitivity_bruteforce(sym, fam)
-    assert est.values[0] == pytest.approx(est.values[1])
+    assert est[0] == pytest.approx(est[1])
     with pytest.raises(ZeroCostCandidate):
         sensitivity_bruteforce(one, [CenterSet(centers=[[1.0, 1.0]])])
 
@@ -64,7 +63,7 @@ def test_projection_upper_dominates_lower():
         sets = [rng.uniform(-10, 10, (int(rng.integers(1, 4)), 2))
                 for _ in range(n_sets)]
         S = _coll(sets, rng.uniform(0.1, 2.0, n_sets))
-        upper = sensitivity_projection_upper(S, 1).values
+        upper = sensitivity_projection(S, solve_gkm(S, 1)[0])
         lower = oracle_sensitivities(S, 1, resolution=5)
         assert np.all(lower <= upper + 1e-9)
         assert np.all(upper <= 1.0 + 1e-12)
@@ -72,34 +71,35 @@ def test_projection_upper_dominates_lower():
 
 def test_projection_upper_uniform_fallback():
     same = _coll([[[1.0, 1.0]], [[1.0, 1.0]], [[1.0, 1.0]]], [1.0, 1.0, 1.0])
-    est = sensitivity_projection_upper(same, 1)
-    assert est.kind == "Uniform"
-    assert est.values == pytest.approx([1 / 3] * 3)
+    est = sensitivity_projection(same, solve_gkm(same, 1)[0])
+    assert est == pytest.approx([1 / 3] * 3)
 
 
 def test_importance_sampling_single_set_and_merging():
     one = _coll([[[2.0, 0.0]]], [3.0])
-    est = sensitivity_projection_upper(one, 1)
-    core = importance_sample_coreset(one, est, 1, np.random.default_rng(0))
-    assert core.indices == (0,)
-    assert core.weights == pytest.approx([3.0])
+    est = sensitivity_projection(one, solve_gkm(one, 1)[0])
+    idx, w = importance_sample_coreset(one.weights, est, 1,
+                                       np.random.default_rng(0))
+    assert idx.tolist() == [0]
+    assert w == pytest.approx([3.0])
     # M draws of the only set merge to weight M * (q_tot*w/(q*M)) = w
-    core = importance_sample_coreset(one, est, 7, np.random.default_rng(0))
-    assert core.weights == pytest.approx([3.0])
+    _, w = importance_sample_coreset(one.weights, est, 7,
+                                     np.random.default_rng(0))
+    assert w == pytest.approx([3.0])
 
 
 def test_importance_sampling_unbiased_cost():
     rng = np.random.default_rng(23)
     sets = [rng.uniform(-5, 5, (2, 2)) for _ in range(5)]
     S = _coll(sets, rng.uniform(0.5, 1.5, 5))
-    est = sensitivity_projection_upper(S, 1)
+    est = sensitivity_projection(S, solve_gkm(S, 1)[0])
     F = CenterSet(centers=[[0.0, 0.0]])
     target = gkm_cost(S, F)
     vals = []
     for seed in range(3000):
-        core = importance_sample_coreset(S, est, 3,
-                                         np.random.default_rng(seed))
-        vals.append(gkm_cost(core.as_collection(S), F))
+        idx, w = importance_sample_coreset(S.weights, est, 3,
+                                           np.random.default_rng(seed))
+        vals.append(gkm_cost(S.subset(idx, w), F))
     mean = np.mean(vals)
     se = np.std(vals, ddof=1) / np.sqrt(len(vals))
     assert abs(mean - target) <= 3 * se

@@ -322,17 +322,16 @@ def test_batched_construction_equals_former_loop(support, k, eps, chunk):
     assert not batch.core[0].any() and batch.stage[0] == 0
     for row, single in zip(range(1, 2 ** n), singles):
         ids = tuple(compress(range(n), masks[row]))
-        core, side, a, stage, cells = ref.build(ids)
+        core, side, _, stage, cells = ref.build(ids)
         out = builder.output(batch, row)
         assert out.coreset == core
         # the cells stocenter grid-coreset prints
         assert _coreset_cells(support, out) == [
             {"index": list(c), "representative": rep}
             for c, rep in sorted(cells.items())]
-        assert (batch.side[row], batch.a[row], batch.stage[row]) == \
-            (side, a, stage)
-        assert (out.grid.side, out.grid.a, out.grid.stage) == \
-            (side, a, stage)
+        # side and stage fix the exponent a: side = eps 2^a / (4d) or /(8d)
+        assert (batch.side[row], batch.stage[row]) == (side, stage)
+        assert (out.grid.side, out.grid.stage) == (side, stage)
         assert single == out
         assert builder.r_of(ids) == ref.r_of(ids)
 
@@ -363,7 +362,8 @@ def test_constructed_inputs_reach_stage_2():
     out = CoresetBuilder(STAGE2, 1, 0.9).build((0, 1, 2))
     assert out.grid.stage == 2 and out.coreset == (0, 1, 2)
     out = CoresetBuilder(SNAPPED, 1, 0.5).build((0, 1))
-    assert out.grid.stage == 2 and out.grid.a == 1
+    # exponent 1 at stage 2: side 0.5 * 2^1 / 8 (exponent 0 gives 0.0625)
+    assert out.grid.stage == 2 and out.grid.side == 0.125
 
 
 # ---------------------------------------------------------------------------

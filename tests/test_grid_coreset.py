@@ -65,10 +65,10 @@ def test_boundary_point_goes_to_floor_cell():
 
 
 def test_grid_equality_ignores_bookkeeping():
-    g1 = GridSpec(side=0.25, d=2, a=3, stage=1)
-    g2 = GridSpec(side=0.25, d=2, a=4, stage=2)
+    g1 = GridSpec(side=0.25, d=2, stage=1)
+    g2 = GridSpec(side=0.25, d=2, stage=2)
     assert g1 == g2 and hash(g1) == hash(g2)
-    assert g1 != GridSpec(side=0.5, d=2, a=3, stage=1)
+    assert g1 != GridSpec(side=0.5, d=2, stage=1)
 
 
 def test_coverage_on_random_instances():

@@ -158,7 +158,7 @@ def test_solve_jflat_symmetric_pair():
     core = build_sjfc_coreset(
         ExistentialInstance(points=[[1.0, 0.0], [-1.0, 0.0]],
                             probs=[1.0, 1.0]), 0, 0.3, seed=0, N=1)
-    F, value = solve_jflat(core, 0, 2)
+    F, value = solve_jflat(core, 0)
     assert F.base == pytest.approx([0.0, 0.0], abs=1e-6)
     assert value == pytest.approx(1.0, abs=1e-6)
 
@@ -282,6 +282,6 @@ def test_solve_jflat_j0_is_the_k1_center_solve():
             weights=np.array([1.0 / core.N for _ in core.s1]
                              + list(core.s2_weights)), d=2)
         C, _ = solve_gkm(S, 1)
-        F, value = solve_jflat(core, 0, 2)
+        F, value = solve_jflat(core, 0)
         assert np.array_equal(F.base, C.centers[0])
         assert value == estimate_J(core, F)

@@ -67,7 +67,7 @@ def test_oracle_sensitivities_dominate_and_single_set():
     maximal = oracle_sensitivities(S, 1, resolution=5)
     small_family = [CenterSet(centers=S.points[i].reshape(1, -1))
                     for i in range(3)]
-    smaller = sensitivity_bruteforce(S, small_family).values
+    smaller = sensitivity_bruteforce(S, small_family)
     assert np.all(smaller <= maximal + 1e-12)
     one = WeightedCollection(sets=(np.array([[1.0, 1.0]]),),
                              weights=np.array([2.0]))

@@ -4,10 +4,10 @@ the per-set and per-subset loops they replaced.
 The loops below are the reference: they are the library's former
 implementations of the gkm cost, the j-flat estimator, the per-set
 farthest point, the discrete k-subset pass, the sensitivity oracle's
-per-candidate family, the grid-search oracles' per-subset scan, and the
-per-candidate walks of the candidate-coreset stream (the ``enumerate``
-screen and acceptance criterion 8).  The
-packed versions must agree with them exactly
+per-candidate family, the grid-search oracles' per-subset scan, the
+importance sampler's per-draw merge, and the per-candidate walks of the
+candidate-coreset stream (the ``enumerate`` screen and acceptance
+criterion 8).  The packed versions must agree with them exactly
 (``==``), not within a tolerance, also with the chunk constant patched
 small so that every table spans many chunks.
 """
@@ -26,9 +26,9 @@ from stocenter import gkm, objective, oracle
 from stocenter.errors import DimensionMismatch
 from stocenter.gkm import (WeightedCollection, _discrete_pass, _lex_key,
                            _screen, candidate_costs, collection_from_image,
-                           gkm_cost,
-                           sensitivity_bruteforce,
-                           sensitivity_projection_upper, solve_gkm)
+                           gkm_cost, importance_sample_coreset,
+                           sensitivity_bruteforce, sensitivity_projection,
+                           solve_gkm)
 from stocenter.jflat import SJFCCoreset, estimate_J, solve_jflat
 from stocenter.model import (CenterSet, ExistentialInstance, Flat,
                              LocationalInstance)
@@ -98,7 +98,7 @@ def loop_oracle_sensitivities(S, k, resolution):
         F = CenterSet(centers=cand[list(idx)])
         if gkm_cost(S, F) > 0.0:
             family.append(F)
-    return sensitivity_bruteforce(S, family).values
+    return sensitivity_bruteforce(S, family)
 
 
 def loop_grid_search(points, k, resolution, value):
@@ -179,6 +179,20 @@ def loop_band_found(S, cand, eps):
         if np.all((cost_c >= lo) & (cost_c <= hi)):
             return True
     return False
+
+
+def loop_importance_sample(weights, sensitivities, M, rng):
+    """The former sampler: M draws in proportion to the sensitivities plus
+    the 1/N floor, merged per set by a dict in draw order."""
+    scores = sensitivities + 1.0 / len(sensitivities)
+    total_q = float(scores.sum())
+    draws = rng.choice(len(scores), size=M, p=scores / total_q)
+    acc = {}
+    for i in draws:
+        i = int(i)
+        acc[i] = acc.get(i, 0.0) + total_q * weights[i] / (scores[i] * M)
+    indices = sorted(acc)
+    return indices, [acc[i] for i in indices]
 
 
 # ---------------------------------------------------------------------------
@@ -312,10 +326,10 @@ def test_sensitivities_equal_loop(case):
     if total <= 0.0:
         return
     est = sensitivity_bruteforce(S, [F])
-    assert est.values.tolist() == \
+    assert est.tolist() == \
         [w * loop_set_cost(s, F) / total for s, w in zip(sets, weights)]
     # projection upper bound: farthest point, nearest center, cluster mass
-    up = sensitivity_projection_upper(S, F.k, F_hat=F).values
+    up = sensitivity_projection(S, F)
     nearest = np.zeros(len(sets), dtype=int)
     for i, s in enumerate(sets):
         if s.shape[0]:
@@ -328,6 +342,25 @@ def test_sensitivities_equal_loop(case):
                    + 2.0 * w / mass[nearest[i]], 0.0), 1.0)
            for i, (s, w) in enumerate(zip(sets, weights))]
     assert up.tolist() == ref
+
+
+def test_importance_sample_merge_equals_dict_loop():
+    # M up to 60 draws of at most 11 sets, so most sets are drawn repeatedly
+    for seed in range(60):
+        rng = np.random.default_rng(seed)
+        N = int(rng.integers(1, 12))
+        S = WeightedCollection(
+            sets=tuple(rng.uniform(-5, 5, (int(rng.integers(1, 4)), 2))
+                       for _ in range(N)), weights=rng.uniform(0.1, 2.0, N))
+        F = CenterSet(centers=rng.uniform(-5, 5, (int(rng.integers(1, 3)), 2)))
+        sens = sensitivity_projection(S, F)
+        for M in (1, 3, 17, 60):
+            idx, w = importance_sample_coreset(
+                S.weights, sens, M, np.random.default_rng([seed, M]))
+            ref_idx, ref_w = loop_importance_sample(
+                S.weights, sens, M, np.random.default_rng([seed, M]))
+            assert idx.tolist() == ref_idx
+            assert w.tolist() == ref_w
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -536,7 +569,7 @@ def test_sjfc_coreset_with_an_empty_part(n_s1, n_s2):
     for F in (Flat(j=0, base=[0.5, -1.0]),
               Flat(j=1, base=[0.0, 1.0], basis=[[0.6, 0.8]])):
         assert estimate_J(core, F) == loop_estimate_J(s1, s2, w2, F)
-    F, value = solve_jflat(core, 0, 2)
+    F, value = solve_jflat(core, 0)
     assert value == estimate_J(core, F)
     if not core.collection.points.shape[0]:
         assert (F.base == 0.0).all() and value == 0.0
@@ -610,7 +643,7 @@ def test_candidate_stream_screen_and_band_equal_loop(case, M, L_exp, eps,
     K = S.maxima(_distances(S.points, probes))
     with mock.patch.object(gkm, "CHUNK_ELEMENTS", chunk):
         blocks = list(candidate_costs(S, K, M, L_exp, eps))
-        core, dev = _screen(S, K, M, L_exp, eps)
+        core_idx, core_w, dev = _screen(S, K, M, L_exp, eps)
     ref = list(loop_candidate_stream(S, M, L_exp, eps))
     indices, exponents, costs = stream_rows(blocks)
     assert indices == [idx for idx, _, _ in ref]
@@ -619,8 +652,8 @@ def test_candidate_stream_screen_and_band_equal_loop(case, M, L_exp, eps,
                                   for idx, _, weights in ref])
     assert all(c.size <= max(chunk, K.shape[1]) for _, _, c in blocks)
     ref_indices, ref_weights, ref_dev = loop_screen(S, K, M, L_exp, eps)
-    assert core.indices == ref_indices
-    assert core.weights.tolist() == ref_weights.tolist()
+    assert core_idx.tolist() == list(ref_indices)
+    assert core_w.tolist() == ref_weights.tolist()
     assert dev == ref_dev
     # criterion 8's band verdict, on the nonempty sets; a narrow band makes
     # "no candidate" common
