@@ -132,19 +132,11 @@ def cmd_oracle(args) -> int:
         rep = oracle_expected_objective(instance, shape)
         out = {"value": rep.value, "method": rep.method,
                "enumeration_size": rep.enumeration_size}
-    elif args.oracle_cmd == "partition":
-        image = build_weighted_image(instance, args.k, args.eps,
-                                     mode="exhaustive")
-        out = {"source": image.source,
-               "entries": [{"subset": list(ids), "weight": w}
-                           for ids, w in image.entries]}
     else:  # solve
         F, value = oracle_solver_instance(instance, args.k,
                                           resolution=args.resolution)
         out = {"centers": [list(c) for c in F.centers], "value": value,
                "resolution": args.resolution}
-    if args.golden:
-        write_json(args.golden, out)
     _emit(args, out)
     return EXIT_OK
 
@@ -266,18 +258,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="brute-force reference computations")
     osub = p.add_subparsers(dest="oracle_cmd", required=True)
-    for name in ("evaluate", "partition", "solve"):
+    for name in ("evaluate", "solve"):
         op = osub.add_parser(name)
         op.add_argument("--instance", required=True)
         if name == "evaluate":
             op.add_argument("--shape", required=True)
-        if name in ("partition",):
-            op.add_argument("--k", type=int, required=True)
-            op.add_argument("--eps", type=float, required=True)
         if name == "solve":
             op.add_argument("--k", type=int, required=True)
             op.add_argument("--resolution", type=int, default=21)
-        op.add_argument("--golden", default=None)
         op.add_argument("--output")
         op.set_defaults(func=cmd_oracle)
 

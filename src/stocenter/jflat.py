@@ -5,9 +5,10 @@ B < eps the objective is within (1 +- eps) of the linear surrogate
 sum_i p_i d(s_i, F), so a weighted flat-median coreset suffices (Case 1).
 Otherwise (Case 2) the points are lifted so squared flat distance becomes
 affine, a convex region K cutting off at most eps probability mass is swept
-out, sampled realizations inside K are reduced to directional kernels (S1),
-and the outside points get a Case-1 style weighted coreset (S2).  Only
-j in {0, 1} is supported; the lift dimension grows too fast beyond that.
+out as a mask over the support, sampled realizations inside K are reduced
+to directional kernels (S1), and the outside points get the weighted
+coreset (S2).  Case 1 is S2 of an empty K.  Only j in {0, 1} is
+supported; the lift dimension grows too fast beyond that.
 
 The locational model always takes Case 2 with per-location masses
 p_i = sum over nodes of probs[node, i].
@@ -69,28 +70,6 @@ class LinearizationMap:
         cols.extend(prods)
         return np.hstack(cols)
 
-    def flat_coeffs(self, F: Flat) -> tuple[np.ndarray, float]:
-        """(a, b) with d(x, F)^2 = a . lift(x) + b."""
-        if F.j != self.j or F.d != self.d:
-            raise SchemaError("flat does not match the linearization")
-        if self.j == 0:
-            c = F.base
-            a = np.concatenate([-2.0 * c, [1.0]])
-            return a, float(c @ c)
-        t, v = F.base, F.basis[0]
-        tv = float(t @ v)
-        a = np.empty(self.D)
-        a[:self.d] = -2.0 * t + 2.0 * tv * v
-        idx = self.d
-        for p in range(self.d):
-            for q in range(p, self.d):
-                if p == q:
-                    a[idx] = 1.0 - v[p] * v[p]
-                else:
-                    a[idx] = -2.0 * v[p] * v[q]
-                idx += 1
-        return a, float(t @ t - tv * tv)
-
 
 # ---------------------------------------------------------------------------
 # Direction nets and the convex region K
@@ -109,21 +88,6 @@ def direction_net(D: int, size: int) -> np.ndarray:
     return np.vstack([u, -u])
 
 
-@dataclass(frozen=True)
-class ConvexKSpec:
-    directions: np.ndarray   # (m, D)
-    thresholds: np.ndarray   # (m,)
-    lin: LinearizationMap
-
-    def inside_mask(self, points: np.ndarray) -> np.ndarray:
-        """Membership of original-space points, with a small slack so the
-        sweep's own boundary points count as inside."""
-        lifted = self.lin.lift(points)
-        proj = lifted @ self.directions.T
-        tol = 1e-12 * (1.0 + np.abs(self.thresholds))
-        return np.all(proj <= self.thresholds + tol, axis=1)
-
-
 def _prefix_mass(instance: Instance, order: np.ndarray) -> np.ndarray:
     """Mass surrogate of each sweep prefix order[:i+1].
 
@@ -138,27 +102,32 @@ def _prefix_mass(instance: Instance, order: np.ndarray) -> np.ndarray:
 
 
 def sweep_convexK(instance: Instance, j: int, eps: float,
-                  net_size: int = 32) -> ConvexKSpec:
-    """Intersect halfspaces cutting off at most eps' = eps / (2 * net_size)
-    mass per direction, so the union bound puts at most eps/2 total mass
-    outside K.
+                  net_size: int = 32) -> np.ndarray:
+    """Which support points lie in K, the intersection of halfspaces cutting
+    off at most eps' = eps / (2 * net_size) mass per direction, so the union
+    bound puts at most eps/2 total mass outside K.
+
+    Each direction's threshold is the lifted projection at which a sweep
+    from its far side (ties to the lower id) first reaches eps' mass.  The
+    thresholds come from the same projections that the membership test
+    reads, so a point on a boundary is inside exactly.
     """
     if isinstance(instance, ExistentialInstance) and instance.total_prob < eps:
         raise CaseMismatch("total probability below eps; use the Case 1 path")
     lin = LinearizationMap(j=j, d=instance.d)
     dirs = direction_net(lin.D, net_size)
     eps_prime = eps / (2 * dirs.shape[0])
-    lifted = lin.lift(instance.support_points)
+    proj = lin.lift(instance.support_points) @ dirs.T
+    ids = np.arange(proj.shape[0])
     thresholds = np.empty(dirs.shape[0])
-    for i, u in enumerate(dirs):
-        proj = lifted @ u
-        order = np.lexsort((np.arange(len(proj)), -proj))
+    for i, column in enumerate(proj.T):
+        order = np.lexsort((ids, -column))
         mass = _prefix_mass(instance, order)
         hit = np.flatnonzero(mass >= eps_prime)
         if hit.size == 0:
             raise EmptyK(f"sweep mass never reaches eps'={eps_prime}")
-        thresholds[i] = proj[order[hit[0]]]
-    return ConvexKSpec(directions=dirs, thresholds=thresholds, lin=lin)
+        thresholds[i] = column[order[hit[0]]]
+    return (proj <= thresholds).all(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -243,19 +212,6 @@ def weighted_flat_median_coreset(points: np.ndarray, weights: np.ndarray,
     return points[idx], w
 
 
-def case1_coreset(instance: ExistentialInstance, j: int, eps: float,
-                  rng: np.random.Generator | None = None) -> SJFCCoreset:
-    """Weighted flat-median coreset for the low-mass regime."""
-    if instance.total_prob >= eps:
-        raise CaseMismatch("total probability at least eps; use Case 2")
-    if rng is None:
-        rng = np.random.default_rng(NET_SEED)
-    keep = instance.probs > 0.0
-    pts, w = weighted_flat_median_coreset(
-        instance.points[keep], instance.probs[keep], j, eps, rng)
-    return SJFCCoreset(s1=(), s2_points=pts, s2_weights=w, case=1)
-
-
 def _kernel(points: np.ndarray, lin: LinearizationMap,
             kernel_dirs: np.ndarray) -> np.ndarray:
     """Directional-extent kernel: the argmax point per net direction."""
@@ -266,12 +222,13 @@ def _kernel(points: np.ndarray, lin: LinearizationMap,
     return points[keep]
 
 
-def build_S1(instance: Instance, K: ConvexKSpec, N: int, seed: int,
-             kernel_net_size: int = 64) -> tuple:
-    """N sampled realizations of the inside-K sub-instance, each reduced to
-    a directional kernel; empty realizations stay empty."""
-    inside = K.inside_mask(instance.support_points)
-    kernel_dirs = direction_net(K.lin.D, kernel_net_size)
+def build_S1(instance: Instance, inside: np.ndarray, j: int, N: int,
+             seed: int, kernel_net_size: int = 64) -> tuple:
+    """N sampled realizations of the sub-instance on the support points
+    ``inside`` K, each reduced to a directional kernel; empty realizations
+    stay empty."""
+    lin = LinearizationMap(j=j, d=instance.d)
+    kernel_dirs = direction_net(lin.D, kernel_net_size)
     if isinstance(instance, ExistentialInstance):
         # Only the points inside K are drawn, one uniform each.
         instance = ExistentialInstance(points=instance.points[inside],
@@ -285,15 +242,15 @@ def build_S1(instance: Instance, K: ConvexKSpec, N: int, seed: int,
     else:
         realized = (instance.locations[np.unique(idx[inside[idx]])]
                     for idx in drawn)
-    return tuple(_kernel(P, K.lin, kernel_dirs) for P in realized)
+    return tuple(_kernel(P, lin, kernel_dirs) for P in realized)
 
 
-def build_S2(instance: Instance, K: ConvexKSpec, j: int, eps: float,
+def build_S2(instance: Instance, inside: np.ndarray, j: int, eps: float,
              rng: np.random.Generator | None = None):
-    """Weighted flat-median coreset of the points left outside K."""
+    """Weighted flat-median coreset of the support points of positive mass
+    that are not ``inside`` K."""
     if rng is None:
         rng = np.random.default_rng(NET_SEED)
-    inside = K.inside_mask(instance.support_points)
     # a location's mass is its column summed over the nodes (it may exceed 1)
     masses = instance.probs if isinstance(instance, ExistentialInstance) \
         else instance.probs.sum(axis=0)
@@ -302,7 +259,9 @@ def build_S2(instance: Instance, K: ConvexKSpec, j: int, eps: float,
         instance.support_points[outside], masses[outside], j, eps, rng)
 
 
-def _check_sjfc_args(eps: float, N: int, net_size: int):
+def _check_sjfc_args(j: int, eps: float, N: int, net_size: int):
+    if j not in (0, 1):
+        raise SchemaError("only j in {0, 1} is supported")
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
     if N < 1:
@@ -313,13 +272,15 @@ def _check_sjfc_args(eps: float, N: int, net_size: int):
 
 def build_sjfc_coreset(instance: Instance, j: int, eps: float, seed: int,
                        N: int = 500, net_size: int = 32) -> SJFCCoreset:
-    _check_sjfc_args(eps, N, net_size)
+    _check_sjfc_args(j, eps, N, net_size)
     if isinstance(instance, ExistentialInstance) and instance.total_prob < eps:
-        return case1_coreset(instance, j, eps,
-                             np.random.default_rng([seed, 1]))
-    K = sweep_convexK(instance, j, eps, net_size=net_size)
-    s1 = build_S1(instance, K, N, seed)
-    s2_pts, s2_w = build_S2(instance, K, j, eps,
+        # Case 1 is S2 of an empty K
+        s2_pts, s2_w = build_S2(instance, np.zeros(instance.n, dtype=bool),
+                                j, eps, np.random.default_rng([seed, 1]))
+        return SJFCCoreset(s1=(), s2_points=s2_pts, s2_weights=s2_w, case=1)
+    inside = sweep_convexK(instance, j, eps, net_size=net_size)
+    s1 = build_S1(instance, inside, j, N, seed)
+    s2_pts, s2_w = build_S2(instance, inside, j, eps,
                             np.random.default_rng([seed, 2]))
     return SJFCCoreset(s1=s1, s2_points=s2_pts, s2_weights=s2_w, case=2)
 
@@ -401,9 +362,7 @@ def sjfc_pipeline(instance: Instance, j: int, eps: float, seed: int = 0,
     ``polish_unconverged``, the number of polish runs that stopped at
     ``maxiter``.
     """
-    if j not in (0, 1):
-        raise SchemaError("only j in {0, 1} is supported")
-    _check_sjfc_args(eps, N, net_size)
+    _check_sjfc_args(j, eps, N, net_size)
     if not instance.probs.any():
         F = _flat_from_params(np.zeros(instance.d if j == 0 else 2 * instance.d),
                               j, instance.d)

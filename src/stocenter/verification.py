@@ -378,11 +378,10 @@ def criterion_11(scale: str, seed: int = 111, **_) -> CheckResult:
         # a few near-zero probabilities so the sweep leaves points outside K
         # and the weighted outside coreset is exercised
         inst = _rand_exist(rng, n, 2, prob_lo=0.0005)
-        K = sweep_convexK(inst, 0, eps, net_size=32)
-        inside = K.inside_mask(inst.points)
+        inside = sweep_convexK(inst, 0, eps, net_size=32)
         max_outside = max(max_outside, float(inst.probs[~inside].sum()))
-        s1 = build_S1(inst, K, c["c11_N"], seed=seed + _i)
-        s2_pts, s2_w = build_S2(inst, K, 0, eps)
+        s1 = build_S1(inst, inside, 0, c["c11_N"], seed=seed + _i)
+        s2_pts, s2_w = build_S2(inst, inside, 0, eps)
         coreset = SJFCCoreset(s1=s1, s2_points=s2_pts, s2_weights=s2_w,
                               case=2)
         for _f in range(c["c11_F"]):

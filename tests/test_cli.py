@@ -187,16 +187,6 @@ def test_solve_enumerate_empty_stream_is_usage_error(k, flag, tmp_path,
     assert "M >= 1 and L_exp >= 0" in captured.err
 
 
-def test_oracle_command_with_golden(inst_file, shape_file, tmp_path, capsys):
-    golden = tmp_path / "golden.json"
-    code, out = _run(["oracle", "evaluate", "--instance", inst_file,
-                      "--shape", shape_file, "--golden", str(golden)], capsys)
-    assert code == 0
-    data = json.loads(out)
-    assert data["method"] == "FullEnumeration"
-    assert json.loads(golden.read_text())["value"] == data["value"]
-
-
 def test_generate_deterministic(capsys):
     code, out1 = _run(["generate", "--kind", "clustered", "--n", "6",
                        "--seed", "5"], capsys)
@@ -456,8 +446,7 @@ def overflow_files(tmp_path):
 
 
 @pytest.mark.parametrize("command, flag", [
-    (["evaluate"], "--output"), (["oracle", "evaluate"], "--output"),
-    (["oracle", "evaluate"], "--golden")])
+    (["evaluate"], "--output"), (["oracle", "evaluate"], "--output")])
 @pytest.mark.parametrize("existing", [False, True])
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_output_is_usage_error(command, flag, existing,

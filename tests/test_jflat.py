@@ -1,15 +1,19 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from stocenter.errors import CaseMismatch, SchemaError
+from stocenter import jflat
+from stocenter.errors import CaseMismatch, EmptyK, SchemaError
 from stocenter.gkm import WeightedCollection, skc_pipeline, solve_gkm
-from stocenter.jflat import (LinearizationMap, build_S1, build_S2,
-                             build_sjfc_coreset, case1_coreset,
-                             case1_size_cap, direction_net, estimate_J,
-                             sjfc_pipeline, solve_jflat, sweep_convexK)
+from stocenter.jflat import (LinearizationMap, _prefix_mass, build_S1,
+                             build_S2, build_sjfc_coreset, case1_size_cap,
+                             direction_net, estimate_J, sjfc_pipeline,
+                             solve_jflat, sweep_convexK)
 from stocenter.model import ExistentialInstance, Flat, LocationalInstance
-from stocenter.objective import (expected_flatcenter_exact, flat_distance,
-                                 shape_distances)
+from stocenter.objective import expected_flatcenter_exact, shape_distances
 from stocenter.oracle import minimum_enclosing_ball, oracle_min_flat
 
 
@@ -23,17 +27,20 @@ def _rand_flat(rng, j, d):
 
 
 def test_lift_reproduces_squared_distance():
+    # d(x, F)^2 is affine in lift(x): a least-squares fit on [lift(x), 1]
+    # over random x leaves no residual beyond rounding
     rng = np.random.default_rng(31)
     for j in (0, 1):
         for d in (2, 3):
             lin = LinearizationMap(j=j, d=d)
-            for _ in range(200):
-                x = rng.uniform(-5, 5, d)
+            for _ in range(20):
                 F = _rand_flat(rng, j, d)
-                a, b = lin.flat_coeffs(F)
-                linearized = float(a @ lin.lift(x)[0]) + b
-                assert linearized == pytest.approx(
-                    flat_distance(x, F) ** 2, abs=1e-9)
+                x = rng.uniform(-5, 5, (50, d))
+                A = np.hstack([lin.lift(x), np.ones((50, 1))])
+                y = shape_distances(x, F) ** 2
+                coef = np.linalg.lstsq(A, y, rcond=None)[0]
+                assert np.linalg.norm(A @ coef - y) <= \
+                    1e-9 * np.linalg.norm(y)
     with pytest.raises(SchemaError):
         LinearizationMap(j=2, d=4)
 
@@ -57,8 +64,7 @@ def test_sweep_deterministic_instance_keeps_all_points():
     rng = np.random.default_rng(32)
     pts = rng.uniform(-5, 5, (10, 2))
     inst = ExistentialInstance(points=pts, probs=np.ones(10))
-    K = sweep_convexK(inst, 0, 0.2)
-    assert K.inside_mask(pts).all()
+    assert sweep_convexK(inst, 0, 0.2).all()
 
 
 def test_sweep_outside_mass_bounded():
@@ -68,20 +74,87 @@ def test_sweep_outside_mass_bounded():
         inst = ExistentialInstance(points=rng.uniform(-8, 8, (n, 2)),
                                    probs=rng.uniform(0.001, 0.9, n))
         eps = 0.3
-        K = sweep_convexK(inst, 0, eps)
-        outside = ~K.inside_mask(inst.points)
+        outside = ~sweep_convexK(inst, 0, eps)
         assert inst.probs[outside].sum() <= eps
 
 
-def test_case1_coreset_tiny_instance_verbatim():
+def frozen_inside(instance, j, eps, net_size):
+    """The sweep and membership test as they were before the sweep returned
+    its mask: one matrix-vector product per direction for the thresholds,
+    then one matrix product over all directions, read with a 1e-12 relative
+    slack."""
+    if isinstance(instance, ExistentialInstance) and instance.total_prob < eps:
+        raise CaseMismatch("total probability below eps; use the Case 1 path")
+    lin = LinearizationMap(j=j, d=instance.d)
+    dirs = direction_net(lin.D, net_size)
+    eps_prime = eps / (2 * dirs.shape[0])
+    lifted = lin.lift(instance.support_points)
+    thresholds = np.empty(dirs.shape[0])
+    for i, u in enumerate(dirs):
+        proj = lifted @ u
+        order = np.lexsort((np.arange(len(proj)), -proj))
+        mass = _prefix_mass(instance, order)
+        hit = np.flatnonzero(mass >= eps_prime)
+        if hit.size == 0:
+            raise EmptyK(f"sweep mass never reaches eps'={eps_prime}")
+        thresholds[i] = proj[order[hit[0]]]
+    proj = lifted @ dirs.T
+    tol = 1e-12 * (1.0 + np.abs(thresholds))
+    return np.all(proj <= thresholds + tol, axis=1)
+
+
+@st.composite
+def sweep_cases(draw):
+    """Seeded instances of either model; integer coordinates give ties, tiny
+    masses leave points outside K, and low total mass or a locational
+    instance without nodes gives the sweep's two errors."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    d = draw(st.sampled_from([2, 3]))
+    m = draw(st.integers(1, 12))
+    pts = rng.uniform(-4, 4, (m, d))
+    if draw(st.booleans()):
+        pts = np.round(pts)
+    scale = draw(st.sampled_from([1e-3, 0.1, 1.0]))
+    if draw(st.booleans()):
+        probs = rng.uniform(0.0, 1.0, m) * rng.choice([scale, 1.0], m)
+        inst = ExistentialInstance(points=pts, probs=probs)
+    else:
+        nodes = draw(st.sampled_from([3, 1, 4, 2, 0]))
+        rows = rng.uniform(0.0, 1.0, (nodes, m))
+        rows *= rng.choice([scale, 1.0], m)
+        inst = LocationalInstance(locations=pts,
+                                  probs=rows / rows.sum(axis=1, keepdims=True))
+    return (inst, draw(st.sampled_from([0, 1])),
+            draw(st.sampled_from([0.1, 0.3, 0.5])),
+            draw(st.sampled_from([1, 8, 32])))
+
+
+def _outcome(sweep, *args):
+    try:
+        return sweep(*args)
+    except (CaseMismatch, EmptyK) as err:
+        return type(err)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(sweep_cases())
+def test_sweep_mask_matches_the_frozen_sweep(case):
+    # the thresholds and the test read the same projections, so the mask
+    # needs no slack to keep every point the old sweep kept
+    mask = _outcome(sweep_convexK, *case)
+    expected = _outcome(frozen_inside, *case)
+    if isinstance(expected, type):
+        assert mask is expected
+    else:
+        assert mask.dtype == bool and np.array_equal(mask, expected)
+
+
+def test_case1_tiny_instance_verbatim():
     inst = ExistentialInstance(points=[[1.0, 2.0]], probs=[0.5])
-    core = case1_coreset(inst, 0, 0.6)
+    core = build_sjfc_coreset(inst, 0, 0.6, seed=0)
     assert core.case == 1 and core.N == 0
     assert np.array_equal(core.s2_points, [[1.0, 2.0]])
     assert core.s2_weights == pytest.approx([0.5])
-    with pytest.raises(CaseMismatch):
-        case1_coreset(ExistentialInstance(points=[[0.0, 0.0]], probs=[0.9]),
-                      0, 0.5)
     assert case1_size_cap(0, 2, 0.5) == 8
 
 
@@ -94,7 +167,8 @@ def test_case1_surrogate_sandwich():
         probs *= 0.8 * eps / probs.sum()
         inst = ExistentialInstance(points=rng.uniform(-5, 5, (n, 2)),
                                    probs=probs)
-        core = case1_coreset(inst, 0, eps)
+        core = build_sjfc_coreset(inst, 0, eps, seed=0)
+        assert core.case == 1
         for _ in range(50):
             F = _rand_flat(rng, 0, 2)
             est = estimate_J(core, F)
@@ -107,18 +181,19 @@ def test_build_S1_deterministic_and_kernel_property():
     rng = np.random.default_rng(35)
     pts = rng.uniform(-5, 5, (12, 2))
     inst = ExistentialInstance(points=pts, probs=np.ones(12))
-    K = sweep_convexK(inst, 0, 0.2)
-    s1 = build_S1(inst, K, 1, seed=0)
+    inside = sweep_convexK(inst, 0, 0.2)
+    s1 = build_S1(inst, inside, 0, 1, seed=0)
     assert len(s1) == 1
     # deterministic instance: the single sample is a kernel of the full set,
     # exact on every kernel-net direction
     kernel = s1[0]
-    lifted_all = K.lin.lift(pts)
-    lifted_ker = K.lin.lift(kernel)
-    for u in direction_net(K.lin.D, 64):
+    lin = LinearizationMap(j=0, d=2)
+    lifted_all = lin.lift(pts)
+    lifted_ker = lin.lift(kernel)
+    for u in direction_net(lin.D, 64):
         assert (lifted_ker @ u).max() == pytest.approx(
             (lifted_all @ u).max(), abs=1e-12)
-    again = build_S1(inst, K, 1, seed=0)
+    again = build_S1(inst, inside, 0, 1, seed=0)
     assert np.array_equal(again[0], kernel)
 
 
@@ -126,8 +201,8 @@ def test_build_S2_empty_outside():
     rng = np.random.default_rng(36)
     pts = rng.uniform(-5, 5, (8, 2))
     inst = ExistentialInstance(points=pts, probs=np.ones(8))
-    K = sweep_convexK(inst, 0, 0.2)
-    s2_pts, s2_w = build_S2(inst, K, 0, 0.2)
+    inside = sweep_convexK(inst, 0, 0.2)
+    s2_pts, s2_w = build_S2(inst, inside, 0, 0.2)
     assert s2_pts.shape[0] == 0 and s2_w.shape[0] == 0
 
 
@@ -167,6 +242,23 @@ def test_pipeline_rejects_large_j():
     inst = ExistentialInstance(points=np.eye(4), probs=np.full(4, 0.5))
     with pytest.raises(SchemaError):
         sjfc_pipeline(inst, 2, 0.3)
+
+
+@pytest.mark.parametrize("p", [0.05, 0.5])
+@pytest.mark.parametrize("j", [-1, 2])
+def test_sjfc_rejects_unsupported_j_before_any_work(j, p):
+    # p = 0.05 is Case 1 (total mass 0.3 < eps), p = 0.5 is Case 2; Case 1
+    # used to return a coreset at j = 2 and fail in the sampler at j = -1
+    inst = ExistentialInstance(
+        points=np.random.default_rng(43).uniform(-5, 5, (6, 3)),
+        probs=np.full(6, p))
+    with mock.patch.object(jflat, "sweep_convexK") as sweep, \
+            mock.patch.object(jflat, "build_S2") as s2:
+        with pytest.raises(SchemaError):
+            build_sjfc_coreset(inst, j, 0.5, seed=0)
+        with pytest.raises(SchemaError):
+            sjfc_pipeline(inst, j, 0.5)
+    assert not sweep.called and not s2.called
 
 
 def test_pipeline_zero_mass():

@@ -5,11 +5,9 @@ constant is reached.
 A top-level definition passes when code in ``src/stocenter`` or
 ``perfbench/*.py`` refers to its name (as a bare name or an attribute)
 outside the definition itself, or when ``stocenter/__init__`` exports it.
-A public method or property passes when code in ``src/stocenter``,
-``perfbench/*.py`` or ``tests/*.py`` refers to it outside its own
-definition: some members (``LinearizationMap.flat_coeffs``) exist to be
-tested.  A constant passes
-on the same terms as a method.  Import statements do not count as
+A public method or property passes on the same terms, but an export does
+not cover it; a member that only tests reach fails.  A constant passes
+like a top-level definition.  Import statements do not count as
 references, and the package ``__init__`` is not scanned.
 
 Every name an import statement of a package module binds is read
@@ -71,24 +69,20 @@ def _constants(node) -> list[str]:
 
 
 def unreached(modules: dict[str, str], others: list[str],
-              exported: set[str], tests: list[str] = ()) -> list[str]:
-    """``module.name`` of each top-level def or class in ``modules``
-    (label -> source) that no code in ``modules`` or ``others`` refers to
-    outside its own definition, unless its name is in ``exported``, and
-    ``module.NAME`` of each ALL_CAPS constant that no code in ``modules``,
-    ``others`` or ``tests`` reads outside its own assignment, unless
-    exported; then ``module.Class.name`` of each public method or property
-    that no code in ``modules``, ``others`` or ``tests`` refers to outside
+              exported: set[str]) -> list[str]:
+    """``module.name`` of each top-level def, class or ALL_CAPS constant in
+    ``modules`` (label -> source) that no code in ``modules`` or ``others``
+    refers to outside its own definition or assignment, unless its name is
+    in ``exported``; then ``module.Class.name`` of each public method or
+    property that no code in ``modules`` or ``others`` refers to outside
     its own definition."""
     trees = {label: ast.parse(src) for label, src in modules.items()}
-    library = list(trees.values()) + [ast.parse(s) for s in others]
-    counts = _counts(library)
-    everywhere = _counts(library + [ast.parse(s) for s in tests])
+    counts = _counts(list(trees.values()) + [ast.parse(s) for s in others])
     found, members = [], []
     for label, tree in trees.items():
         for node in tree.body:
             found += [f"{label}.{name}" for name in _constants(node)
-                      if _unused(node, everywhere, name)
+                      if _unused(node, counts, name)
                       and name not in exported]
             if not isinstance(node, FUNCTIONS + (ast.ClassDef,)):
                 continue
@@ -99,7 +93,7 @@ def unreached(modules: dict[str, str], others: list[str],
                             for member in node.body
                             if isinstance(member, FUNCTIONS)
                             and not member.name.startswith("_")
-                            and _unused(member, everywhere)]
+                            and _unused(member, counts)]
     return found + members
 
 
@@ -177,8 +171,7 @@ def test_every_definition_is_reached():
     modules = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))
                if p.name != "__init__.py"}
     others = [p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py"))]
-    tests = [p.read_text() for p in sorted((ROOT / "tests").glob("*.py"))]
-    assert unreached(modules, others, _package_exports(), tests) == []
+    assert unreached(modules, others, _package_exports()) == []
 
 
 def test_checker_flags_unreached_definitions():
@@ -194,11 +187,11 @@ def test_checker_flags_unreached_definitions():
                "n": "import m\nx = m.used\n"}
     assert unreached(modules, [], set()) == \
         ["m.dead", "m.Kept", "m.STALE", "m.Kept.size", "m.Kept.called"]
-    assert unreached(modules, ["y = Kept", "z = Kept().size"], {"dead"},
-                     ["Kept().called()", "m.STALE"]) == []
-    # a test reaches a method or a constant, but not a top-level definition
-    assert unreached(modules, [], set(), ["Kept().size + dead() + STALE"]) \
-        == ["m.dead", "m.Kept", "m.Kept.called"]
+    assert unreached(modules, ["y = Kept", "z = Kept().size",
+                               "Kept().called()", "m.STALE"], {"dead"}) == []
+    # an export covers a top-level definition or a constant, not a member
+    assert unreached(modules, [], {"dead", "Kept", "STALE"}) == \
+        ["m.Kept.size", "m.Kept.called"]
 
 
 def unused_imports(modules: dict[str, str]) -> list[str]:

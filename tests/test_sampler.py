@@ -19,8 +19,8 @@ from hypothesis import strategies as st
 
 from stocenter import objective
 from stocenter.errors import SchemaError
-from stocenter.jflat import (ConvexKSpec, LinearizationMap, _kernel,
-                             build_S1, direction_net)
+from stocenter.jflat import (LinearizationMap, _kernel, build_S1,
+                             direction_net)
 from stocenter.model import (CHUNK_ELEMENTS, CenterSet, ExistentialInstance,
                              Flat, LocationalInstance, realize)
 from stocenter.objective import (expected_objective_exact,
@@ -74,9 +74,8 @@ def mc_summary(vals):
     return mean, stderr
 
 
-def loop_build_S1(instance, K, N, seed, kernel_net_size):
-    inside = K.inside_mask(instance.support_points)
-    kernel_dirs = direction_net(K.lin.D, kernel_net_size)
+def loop_build_S1(instance, inside, lin, N, seed, kernel_net_size):
+    kernel_dirs = direction_net(lin.D, kernel_net_size)
     out = []
     if isinstance(instance, ExistentialInstance):
         pts = instance.points[inside]
@@ -84,7 +83,7 @@ def loop_build_S1(instance, K, N, seed, kernel_net_size):
         for i in range(N):
             rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
             mask = rng.random(len(probs)) < probs
-            out.append(_kernel(pts[mask], K.lin, kernel_dirs))
+            out.append(_kernel(pts[mask], lin, kernel_dirs))
     else:
         for i in range(N):
             rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
@@ -93,7 +92,7 @@ def loop_build_S1(instance, K, N, seed, kernel_net_size):
                    for r in range(instance.n)]
             idx = np.array(sorted(set(v for v in idx if inside[v])),
                            dtype=int)
-            out.append(_kernel(instance.locations[idx], K.lin, kernel_dirs))
+            out.append(_kernel(instance.locations[idx], lin, kernel_dirs))
     return out
 
 
@@ -310,10 +309,9 @@ def test_build_S1_matches_loop(data, seed, N):
     # anything from none to all of the support inside K.
     proj = lin.lift(instance.support_points) @ dirs.T
     q = data.draw(st.floats(0.0, 1.0))
-    K = ConvexKSpec(directions=dirs, thresholds=np.quantile(proj, q, axis=0),
-                    lin=lin)
-    s1 = build_S1(instance, K, N, seed, kernel_net_size=8)
-    ref = loop_build_S1(instance, K, N, seed, kernel_net_size=8)
+    inside = (proj <= np.quantile(proj, q, axis=0)).all(axis=1)
+    s1 = build_S1(instance, inside, j, N, seed, kernel_net_size=8)
+    ref = loop_build_S1(instance, inside, lin, N, seed, kernel_net_size=8)
     assert len(s1) == len(ref) == N
     for kernel, expected in zip(s1, ref):
         assert kernel.shape == expected.shape
