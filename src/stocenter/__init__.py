@@ -16,8 +16,7 @@ from .gkm import (WeightedCollection, candidate_costs, collection_from_image,
                   sensitivity_projection, skc_pipeline, solve_gkm)
 from .grid_coreset import (CoresetBuilder, CoresetOutput, GridSpec,
                            coreset_image_size_bound)
-from .jflat import (LinearizationMap, SJFCCoreset, build_S1, build_S2,
-                    build_sjfc_coreset, estimate_J, sjfc_pipeline,
+from .jflat import (build_S1, build_S2, build_sjfc_coreset, sjfc_pipeline,
                     solve_jflat, sweep_convexK)
 from .model import (CenterSet, ExistentialInstance, Flat, Instance,
                     LocationalInstance, instance_from_dict, instance_to_dict,

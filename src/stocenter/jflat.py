@@ -17,15 +17,14 @@ A 0-flat is one center, so j=0 (coreset solve, S2 sensitivity seed and
 exact polish) runs through the k=1 code of ``gkm``; only j=1 uses the
 Nelder-Mead line search of this module, ``neldermead.minimize``, as in
 ``gkm``.
-An ``SJFCCoreset`` packs S1 and S2 once, into one ``WeightedCollection``:
-the estimator reads its per-set maxima, and the j=0 solve runs on it as it
-is.
+The coreset is one ``WeightedCollection``: the N kernels of S1 at weight
+1/N each, then every S2 point as a singleton set.  Its ``cost`` is the
+estimator, and the j=0 solve runs on it as it is.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,38 +36,31 @@ from .neldermead import minimize
 from .objective import _exact_value, _finite, shape_distances
 
 NET_SEED = 0xC0FFEE
+KERNEL_NET_SIZE = 64  # directions of the S1 kernel net
 
 
 # ---------------------------------------------------------------------------
 # Linearization
 
 
-@dataclass(frozen=True)
-class LinearizationMap:
-    """Coordinate lift making d(x, F)^2 affine in the lifted coordinates."""
+def _check_j(j: int, d: int):
+    """Only j in {0, 1} is supported, and a j-flat in R^d needs j <= d-1."""
+    if j not in (0, 1):
+        raise SchemaError("only j in {0, 1} is supported")
+    if j > d - 1:
+        raise SchemaError(f"a {j}-flat needs d >= {j + 1}, got d = {d}")
 
-    j: int
-    d: int
 
-    def __post_init__(self):
-        if self.j not in (0, 1):
-            raise SchemaError("only j in {0, 1} is supported")
-
-    @property
-    def D(self) -> int:
-        if self.j == 0:
-            return self.d + 1
-        return self.d + self.d * (self.d + 1) // 2
-
-    def lift(self, points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if self.j == 0:
-            return np.hstack([pts, (pts ** 2).sum(axis=1, keepdims=True)])
-        cols = [pts]
-        prods = [pts[:, a:a + 1] * pts[:, b:b + 1]
-                 for a in range(self.d) for b in range(a, self.d)]
-        cols.extend(prods)
-        return np.hstack(cols)
+def lift(points: np.ndarray, j: int) -> np.ndarray:
+    """Coordinate lift making d(x, F)^2 affine in the lifted coordinates:
+    x and |x|^2 for j=0, x and every product x_a x_b (a <= b) for j=1."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    d = pts.shape[1]
+    _check_j(j, d)
+    if j == 0:
+        return np.hstack([pts, (pts ** 2).sum(axis=1, keepdims=True)])
+    return np.hstack([pts] + [pts[:, a:a + 1] * pts[:, b:b + 1]
+                              for a in range(d) for b in range(a, d)])
 
 
 # ---------------------------------------------------------------------------
@@ -104,20 +96,23 @@ def _prefix_mass(instance: Instance, order: np.ndarray) -> np.ndarray:
 def sweep_convexK(instance: Instance, j: int, eps: float,
                   net_size: int = 32) -> np.ndarray:
     """Which support points lie in K, the intersection of halfspaces cutting
-    off at most eps' = eps / (2 * net_size) mass per direction, so the union
-    bound puts at most eps/2 total mass outside K.
+    off at most eps' = eps / (2 * M) mass per direction, where M is the
+    number of directions in the net (``direction_net`` rounds an odd
+    ``net_size`` up to even), so the union bound puts at most eps/2 total
+    mass outside K.
 
     Each direction's threshold is the lifted projection at which a sweep
     from its far side (ties to the lower id) first reaches eps' mass.  The
     thresholds come from the same projections that the membership test
     reads, so a point on a boundary is inside exactly.
     """
+    _check_j(j, instance.d)
     if isinstance(instance, ExistentialInstance) and instance.total_prob < eps:
         raise CaseMismatch("total probability below eps; use the Case 1 path")
-    lin = LinearizationMap(j=j, d=instance.d)
-    dirs = direction_net(lin.D, net_size)
+    lifted = lift(instance.support_points, j)
+    dirs = direction_net(lifted.shape[1], net_size)
     eps_prime = eps / (2 * dirs.shape[0])
-    proj = lin.lift(instance.support_points) @ dirs.T
+    proj = lifted @ dirs.T
     ids = np.arange(proj.shape[0])
     thresholds = np.empty(dirs.shape[0])
     for i, column in enumerate(proj.T):
@@ -134,35 +129,16 @@ def sweep_convexK(instance: Instance, j: int, eps: float,
 # Coresets
 
 
-@dataclass(frozen=True)
-class SJFCCoreset:
-    """S1 kernels (each weight 1/N) and the weighted outside points S2.
-
-    Both are packed once, at construction, into one ``collection``: the N
-    kernels first, each of weight 1/N, then every S2 point as a singleton
-    set of its S2 weight (d from ``s2_points``).  ``s1`` then holds
-    read-only views into it.
-    """
-
-    s1: tuple               # tuple of (n_i, d) arrays, each weight 1/N
-    s2_points: np.ndarray   # (m, d)
-    s2_weights: np.ndarray  # (m,)
-    case: int               # 1 or 2
-    collection: WeightedCollection = field(init=False, repr=False,
-                                           compare=False)
-
-    def __post_init__(self):
-        N = len(self.s1)
-        collection = WeightedCollection(
-            sets=tuple(self.s1) + tuple(self.s2_points[:, None, :]),
-            weights=np.concatenate([np.ones(N) / N, self.s2_weights]),
-            d=self.s2_points.shape[1])
-        object.__setattr__(self, "collection", collection)
-        object.__setattr__(self, "s1", collection.sets[:N])
-
-    @property
-    def N(self) -> int:
-        return len(self.s1)
+def _pack(s1: tuple, s2_points: np.ndarray,
+          s2_weights: np.ndarray) -> WeightedCollection:
+    """The coreset: the N kernels of S1 first, each of weight 1/N, then
+    every S2 point as a singleton set of its S2 weight (d from
+    ``s2_points``)."""
+    N = len(s1)
+    return WeightedCollection(
+        sets=tuple(s1) + tuple(s2_points[:, None, :]),
+        weights=np.concatenate([np.ones(N) / N, s2_weights]),
+        d=s2_points.shape[1])
 
 
 def case1_size_cap(j: int, d: int, eps: float) -> int:
@@ -196,6 +172,7 @@ def weighted_flat_median_coreset(points: np.ndarray, weights: np.ndarray,
     points = np.atleast_2d(np.asarray(points, dtype=float))
     weights = np.asarray(weights, dtype=float)
     n, d = points.shape
+    _check_j(j, d)
     cap = case1_size_cap(j, d, eps)
     if n <= cap:
         return points, weights
@@ -212,23 +189,23 @@ def weighted_flat_median_coreset(points: np.ndarray, weights: np.ndarray,
     return points[idx], w
 
 
-def _kernel(points: np.ndarray, lin: LinearizationMap,
+def _kernel(points: np.ndarray, j: int,
             kernel_dirs: np.ndarray) -> np.ndarray:
     """Directional-extent kernel: the argmax point per net direction."""
     if points.shape[0] == 0:
         return points
-    proj = lin.lift(points) @ kernel_dirs.T
+    proj = lift(points, j) @ kernel_dirs.T
     keep = sorted(set(int(i) for i in proj.argmax(axis=0)))
     return points[keep]
 
 
 def build_S1(instance: Instance, inside: np.ndarray, j: int, N: int,
-             seed: int, kernel_net_size: int = 64) -> tuple:
+             seed: int) -> tuple:
     """N sampled realizations of the sub-instance on the support points
-    ``inside`` K, each reduced to a directional kernel; empty realizations
-    stay empty."""
-    lin = LinearizationMap(j=j, d=instance.d)
-    kernel_dirs = direction_net(lin.D, kernel_net_size)
+    ``inside`` K, each reduced to a directional kernel over
+    ``KERNEL_NET_SIZE`` directions; empty realizations stay empty."""
+    kernel_dirs = direction_net(lift(np.zeros(instance.d), j).shape[1],
+                                KERNEL_NET_SIZE)
     if isinstance(instance, ExistentialInstance):
         # Only the points inside K are drawn, one uniform each.
         instance = ExistentialInstance(points=instance.points[inside],
@@ -242,13 +219,14 @@ def build_S1(instance: Instance, inside: np.ndarray, j: int, N: int,
     else:
         realized = (instance.locations[np.unique(idx[inside[idx]])]
                     for idx in drawn)
-    return tuple(_kernel(P, lin, kernel_dirs) for P in realized)
+    return tuple(_kernel(P, j, kernel_dirs) for P in realized)
 
 
 def build_S2(instance: Instance, inside: np.ndarray, j: int, eps: float,
              rng: np.random.Generator | None = None):
     """Weighted flat-median coreset of the support points of positive mass
     that are not ``inside`` K."""
+    _check_j(j, instance.d)
     if rng is None:
         rng = np.random.default_rng(NET_SEED)
     # a location's mass is its column summed over the nodes (it may exceed 1)
@@ -259,9 +237,9 @@ def build_S2(instance: Instance, inside: np.ndarray, j: int, eps: float,
         instance.support_points[outside], masses[outside], j, eps, rng)
 
 
-def _check_sjfc_args(j: int, eps: float, N: int, net_size: int):
-    if j not in (0, 1):
-        raise SchemaError("only j in {0, 1} is supported")
+def _check_sjfc_args(instance: Instance, j: int, eps: float, N: int,
+                     net_size: int):
+    _check_j(j, instance.d)
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
     if N < 1:
@@ -271,24 +249,20 @@ def _check_sjfc_args(j: int, eps: float, N: int, net_size: int):
 
 
 def build_sjfc_coreset(instance: Instance, j: int, eps: float, seed: int,
-                       N: int = 500, net_size: int = 32) -> SJFCCoreset:
-    _check_sjfc_args(j, eps, N, net_size)
+                       N: int = 500,
+                       net_size: int = 32) -> tuple[WeightedCollection, int]:
+    """The packed coreset of S1 and S2 (see ``_pack``) and its case, 1 or
+    2; in Case 1, S1 is empty."""
+    _check_sjfc_args(instance, j, eps, N, net_size)
     if isinstance(instance, ExistentialInstance) and instance.total_prob < eps:
         # Case 1 is S2 of an empty K
-        s2_pts, s2_w = build_S2(instance, np.zeros(instance.n, dtype=bool),
-                                j, eps, np.random.default_rng([seed, 1]))
-        return SJFCCoreset(s1=(), s2_points=s2_pts, s2_weights=s2_w, case=1)
+        s2 = build_S2(instance, np.zeros(instance.n, dtype=bool), j, eps,
+                      np.random.default_rng([seed, 1]))
+        return _pack((), *s2), 1
     inside = sweep_convexK(instance, j, eps, net_size=net_size)
     s1 = build_S1(instance, inside, j, N, seed)
-    s2_pts, s2_w = build_S2(instance, inside, j, eps,
-                            np.random.default_rng([seed, 2]))
-    return SJFCCoreset(s1=s1, s2_points=s2_pts, s2_weights=s2_w, case=2)
-
-
-def estimate_J(coreset: SJFCCoreset, F: Flat) -> float:
-    """(1/N) sum of kernel maxima plus the weighted outside term: the cost
-    of the packed collection."""
-    return coreset.collection.cost(F)
+    return _pack(s1, *build_S2(instance, inside, j, eps,
+                               np.random.default_rng([seed, 2]))), 2
 
 
 # ---------------------------------------------------------------------------
@@ -332,21 +306,19 @@ def _starts_for(support: np.ndarray, d: int):
     return [np.concatenate([base, v]) for v in dirs]
 
 
-def solve_jflat(coreset: SJFCCoreset, j: int) -> tuple[Flat, float]:
-    """Minimize the coreset estimator over flats; deterministic multi-start
-    for j=1.  Returns the flat and its ``estimate_J``."""
-    if j not in (0, 1):
-        raise SchemaError("only j in {0, 1} is supported")
-    support, d = coreset.collection.points, coreset.collection.d
+def solve_jflat(S: WeightedCollection, j: int) -> tuple[Flat, float]:
+    """Minimize the coreset estimator ``S.cost`` over j-flats;
+    deterministic multi-start for j=1.  Returns the flat and its cost."""
+    _check_j(j, S.d)
+    support, d = S.points, S.d
     if support.shape[0] == 0:
         return _flat_from_params(np.zeros(d if j == 0 else 2 * d), j, d), 0.0
     if j == 0:
         # gkm's k=1 solve on the packed kernels and S2 singletons
-        C, _ = solve_gkm(coreset.collection, 1)
+        C, _ = solve_gkm(S, 1)
         F = Flat(j=0, base=C.centers[0])
-        return F, estimate_J(coreset, F)
-    F, value, _ = _optimize_flat(lambda F: estimate_J(coreset, F), d,
-                                 _starts_for(support, d))
+        return F, S.cost(F)
+    F, value, _ = _optimize_flat(S.cost, d, _starts_for(support, d))
     return F, value
 
 
@@ -362,15 +334,15 @@ def sjfc_pipeline(instance: Instance, j: int, eps: float, seed: int = 0,
     ``polish_unconverged``, the number of polish runs that stopped at
     ``maxiter``.
     """
-    _check_sjfc_args(j, eps, N, net_size)
+    _check_sjfc_args(instance, j, eps, N, net_size)
     if not instance.probs.any():
         F = _flat_from_params(np.zeros(instance.d if j == 0 else 2 * instance.d),
                               j, instance.d)
         return F, 0.0, {"case": 1, "s1_size": 0, "s2_size": 0,
                         "polish_unconverged": 0}
-    coreset = build_sjfc_coreset(instance, j, eps, seed, N=N,
+    S, case = build_sjfc_coreset(instance, j, eps, seed, N=N,
                                  net_size=net_size)
-    F0, _ = solve_jflat(coreset, j)
+    F0, _ = solve_jflat(S, j)
     if j == 0:
         C, value, _, unconverged = _best_polished(
             instance, 1, [CenterSet(centers=F0.base.reshape(1, -1))])
@@ -382,7 +354,7 @@ def sjfc_pipeline(instance: Instance, j: int, eps: float, seed: int = 0,
         F, value, unconverged = _optimize_flat(
             lambda F: _exact_value(instance, shape_distances(points, F)),
             instance.d, starts)
-    info = {"case": coreset.case, "s1_size": coreset.N,
-            "s2_size": int(coreset.s2_points.shape[0]),
+    s1_size = N if case == 2 else 0
+    info = {"case": case, "s1_size": s1_size, "s2_size": S.size - s1_size,
             "polish_unconverged": unconverged}
     return F, _finite(float(value)), info

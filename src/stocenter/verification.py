@@ -13,8 +13,7 @@ import numpy as np
 
 from .gkm import WeightedCollection, candidate_costs, skc_pipeline
 from .grid_coreset import CoresetBuilder, coreset_image_size_bound
-from .jflat import (SJFCCoreset, build_S1, build_S2, estimate_J,
-                    sjfc_pipeline, sweep_convexK)
+from .jflat import _pack, build_S1, build_S2, sjfc_pipeline, sweep_convexK
 from .model import (CenterSet, ExistentialInstance, Flat, LocationalInstance,
                     realize)
 from .objective import (_distances, _squared_distances, _weighted_sum,
@@ -381,13 +380,11 @@ def criterion_11(scale: str, seed: int = 111, **_) -> CheckResult:
         inside = sweep_convexK(inst, 0, eps, net_size=32)
         max_outside = max(max_outside, float(inst.probs[~inside].sum()))
         s1 = build_S1(inst, inside, 0, c["c11_N"], seed=seed + _i)
-        s2_pts, s2_w = build_S2(inst, inside, 0, eps)
-        coreset = SJFCCoreset(s1=s1, s2_points=s2_pts, s2_weights=s2_w,
-                              case=2)
+        S = _pack(s1, *build_S2(inst, inside, 0, eps))
         for _f in range(c["c11_F"]):
             F = _rand_flat(rng, 0, 2)
             exact = expected_flatcenter_exact(inst, F).value
-            est = estimate_J(coreset, F)
+            est = S.cost(F)
             if exact > 0:
                 max_delta = max(max_delta,
                                 abs(est / exact - 1.0) - 4 * eps)

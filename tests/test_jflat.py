@@ -6,15 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stocenter import jflat
+from stocenter.cli import main
 from stocenter.errors import CaseMismatch, EmptyK, SchemaError
 from stocenter.gkm import WeightedCollection, skc_pipeline, solve_gkm
-from stocenter.jflat import (LinearizationMap, _prefix_mass, build_S1,
+from stocenter.jflat import (KERNEL_NET_SIZE, _prefix_mass, build_S1,
                              build_S2, build_sjfc_coreset, case1_size_cap,
-                             direction_net, estimate_J, sjfc_pipeline,
-                             solve_jflat, sweep_convexK)
-from stocenter.model import ExistentialInstance, Flat, LocationalInstance
+                             direction_net, lift, sjfc_pipeline, solve_jflat,
+                             sweep_convexK, weighted_flat_median_coreset)
+from stocenter.model import (ExistentialInstance, Flat, LocationalInstance,
+                             instance_to_dict)
 from stocenter.objective import expected_flatcenter_exact, shape_distances
 from stocenter.oracle import minimum_enclosing_ball, oracle_min_flat
+from stocenter.serialize import write_json
 
 
 def _rand_flat(rng, j, d):
@@ -32,17 +35,17 @@ def test_lift_reproduces_squared_distance():
     rng = np.random.default_rng(31)
     for j in (0, 1):
         for d in (2, 3):
-            lin = LinearizationMap(j=j, d=d)
             for _ in range(20):
                 F = _rand_flat(rng, j, d)
                 x = rng.uniform(-5, 5, (50, d))
-                A = np.hstack([lin.lift(x), np.ones((50, 1))])
+                A = np.hstack([lift(x, j), np.ones((50, 1))])
                 y = shape_distances(x, F) ** 2
                 coef = np.linalg.lstsq(A, y, rcond=None)[0]
                 assert np.linalg.norm(A @ coef - y) <= \
                     1e-9 * np.linalg.norm(y)
-    with pytest.raises(SchemaError):
-        LinearizationMap(j=2, d=4)
+    for j, d in ((2, 4), (-1, 2), (1, 1)):
+        with pytest.raises(SchemaError):
+            lift(np.zeros((1, d)), j)
 
 
 def test_direction_net_symmetric_and_deterministic():
@@ -85,10 +88,9 @@ def frozen_inside(instance, j, eps, net_size):
     slack."""
     if isinstance(instance, ExistentialInstance) and instance.total_prob < eps:
         raise CaseMismatch("total probability below eps; use the Case 1 path")
-    lin = LinearizationMap(j=j, d=instance.d)
-    dirs = direction_net(lin.D, net_size)
+    lifted = lift(instance.support_points, j)
+    dirs = direction_net(lifted.shape[1], net_size)
     eps_prime = eps / (2 * dirs.shape[0])
-    lifted = lin.lift(instance.support_points)
     thresholds = np.empty(dirs.shape[0])
     for i, u in enumerate(dirs):
         proj = lifted @ u
@@ -151,10 +153,10 @@ def test_sweep_mask_matches_the_frozen_sweep(case):
 
 def test_case1_tiny_instance_verbatim():
     inst = ExistentialInstance(points=[[1.0, 2.0]], probs=[0.5])
-    core = build_sjfc_coreset(inst, 0, 0.6, seed=0)
-    assert core.case == 1 and core.N == 0
-    assert np.array_equal(core.s2_points, [[1.0, 2.0]])
-    assert core.s2_weights == pytest.approx([0.5])
+    S, case = build_sjfc_coreset(inst, 0, 0.6, seed=0)
+    assert case == 1 and S.size == 1
+    assert np.array_equal(S.points, [[1.0, 2.0]])
+    assert S.weights == pytest.approx([0.5])
     assert case1_size_cap(0, 2, 0.5) == 8
 
 
@@ -167,11 +169,11 @@ def test_case1_surrogate_sandwich():
         probs *= 0.8 * eps / probs.sum()
         inst = ExistentialInstance(points=rng.uniform(-5, 5, (n, 2)),
                                    probs=probs)
-        core = build_sjfc_coreset(inst, 0, eps, seed=0)
-        assert core.case == 1
+        S, case = build_sjfc_coreset(inst, 0, eps, seed=0)
+        assert case == 1
         for _ in range(50):
             F = _rand_flat(rng, 0, 2)
-            est = estimate_J(core, F)
+            est = S.cost(F)
             exact = expected_flatcenter_exact(inst, F).value
             assert (1 - eps) * exact - 1e-12 <= est <= \
                 (1 + eps) * exact + 1e-12
@@ -187,10 +189,9 @@ def test_build_S1_deterministic_and_kernel_property():
     # deterministic instance: the single sample is a kernel of the full set,
     # exact on every kernel-net direction
     kernel = s1[0]
-    lin = LinearizationMap(j=0, d=2)
-    lifted_all = lin.lift(pts)
-    lifted_ker = lin.lift(kernel)
-    for u in direction_net(lin.D, 64):
+    lifted_all = lift(pts, 0)
+    lifted_ker = lift(kernel, 0)
+    for u in direction_net(lifted_all.shape[1], KERNEL_NET_SIZE):
         assert (lifted_ker @ u).max() == pytest.approx(
             (lifted_all @ u).max(), abs=1e-12)
     again = build_S1(inst, inside, 0, 1, seed=0)
@@ -207,13 +208,13 @@ def test_build_S2_empty_outside():
 
 
 def test_estimate_J_hand_value():
-    core = build_sjfc_coreset(
+    S, _ = build_sjfc_coreset(
         ExistentialInstance(points=[[3.0, 4.0], [0.0, 1.0]],
                             probs=[1.0, 1.0]), 0, 0.5, seed=0, N=1)
     F = Flat(j=0, base=[0.0, 0.0])
-    pts = np.vstack([E for E in core.s1 if E.shape[0]])
-    expected = shape_distances(pts, F).max()
-    assert estimate_J(core, F) == pytest.approx(float(expected))
+    assert S.size == 1
+    expected = shape_distances(S.sets[0], F).max()
+    assert S.cost(F) == pytest.approx(float(expected))
 
 
 def test_estimator_tracks_exact_value():
@@ -221,19 +222,19 @@ def test_estimator_tracks_exact_value():
     eps = 0.2
     inst = ExistentialInstance(points=rng.uniform(-6, 6, (15, 2)),
                                probs=rng.uniform(0.05, 0.95, 15))
-    core = build_sjfc_coreset(inst, 0, eps, seed=1, N=800)
+    S, _ = build_sjfc_coreset(inst, 0, eps, seed=1, N=800)
     for _ in range(50):
         F = _rand_flat(rng, 0, 2)
-        est = estimate_J(core, F)
+        est = S.cost(F)
         exact = expected_flatcenter_exact(inst, F).value
         assert abs(est / exact - 1.0) <= 4 * eps + eps
 
 
 def test_solve_jflat_symmetric_pair():
-    core = build_sjfc_coreset(
+    S, _ = build_sjfc_coreset(
         ExistentialInstance(points=[[1.0, 0.0], [-1.0, 0.0]],
                             probs=[1.0, 1.0]), 0, 0.3, seed=0, N=1)
-    F, value = solve_jflat(core, 0)
+    F, value = solve_jflat(S, 0)
     assert F.base == pytest.approx([0.0, 0.0], abs=1e-6)
     assert value == pytest.approx(1.0, abs=1e-6)
 
@@ -259,6 +260,44 @@ def test_sjfc_rejects_unsupported_j_before_any_work(j, p):
         with pytest.raises(SchemaError):
             sjfc_pipeline(inst, j, 0.5)
     assert not sweep.called and not s2.called
+
+
+@pytest.mark.parametrize("j", [-1, 2])
+def test_flat_median_coresets_reject_unsupported_j(j):
+    # at j = 2 build_S2 used to sample 167 points scored against a line,
+    # and at j = -1 it failed in the sampler on a size cap of 0
+    inst = ExistentialInstance(
+        points=np.random.default_rng(44).uniform(-5, 5, (500, 2)),
+        probs=np.full(500, 0.001))
+    with mock.patch.object(jflat, "importance_sample_coreset") as sample:
+        with pytest.raises(SchemaError):
+            build_S2(inst, np.zeros(500, dtype=bool), j, 0.9)
+        with pytest.raises(SchemaError):
+            weighted_flat_median_coreset(inst.points, inst.probs, j, 0.9,
+                                         np.random.default_rng(0))
+    assert not sample.called
+
+
+def test_sjfc_rejects_a_line_in_one_dimension_before_any_work(tmp_path,
+                                                               capsys):
+    # a 1-flat needs d >= 2; build_sjfc_coreset used to return a Case-2
+    # coreset here, and the pipeline failed in Flat after the sweep
+    inst = ExistentialInstance(
+        points=np.random.default_rng(45).uniform(-5, 5, (20, 1)),
+        probs=np.full(20, 0.5))
+    path = tmp_path / "line.json"
+    write_json(path, instance_to_dict(inst))
+    with mock.patch.object(jflat, "sweep_convexK") as sweep, \
+            mock.patch.object(jflat, "build_S1") as s1, \
+            mock.patch.object(jflat, "build_S2") as s2:
+        with pytest.raises(SchemaError):
+            build_sjfc_coreset(inst, 1, 0.3, seed=0, N=40)
+        with pytest.raises(SchemaError):
+            sjfc_pipeline(inst, 1, 0.3, N=40)
+        assert main(["jflat", "--instance", str(path), "--j", "1",
+                     "--eps", "0.3", "--samples", "40"]) == 2
+    assert not (sweep.called or s1.called or s2.called)
+    assert "1-flat needs d >= 2" in capsys.readouterr().err
 
 
 def test_pipeline_zero_mass():
@@ -366,14 +405,74 @@ def test_solve_jflat_j0_is_the_k1_center_solve():
     for probs, eps in ((low * 0.2 / low.sum(), 0.3), (high, 0.2)):
         inst = ExistentialInstance(points=rng.uniform(-5, 5, (30, 2)),
                                    probs=probs)
-        core = build_sjfc_coreset(inst, 0, eps, seed=3, N=25)
-        assert core.s2_points.shape[0] and core.N == (0 if core.case == 1
-                                                      else 25)
-        S = WeightedCollection(
-            sets=core.s1 + tuple(p.reshape(1, -1) for p in core.s2_points),
-            weights=np.array([1.0 / core.N for _ in core.s1]
-                             + list(core.s2_weights)), d=2)
+        S, case = build_sjfc_coreset(inst, 0, eps, seed=3, N=25)
+        # S2 is not empty in either case
+        assert S.size > (0 if case == 1 else 25)
         C, _ = solve_gkm(S, 1)
-        F, value = solve_jflat(core, 0)
+        F, value = solve_jflat(S, 0)
         assert np.array_equal(F.base, C.centers[0])
-        assert value == estimate_J(core, F)
+        assert value == S.cost(F)
+
+
+def frozen_packing(s1, s2_points, s2_weights):
+    """The collection of the former ``SJFCCoreset``: the N kernels first,
+    each of weight 1/N, then every S2 point as a singleton set of its S2
+    weight, d from ``s2_points``."""
+    N = len(s1)
+    return WeightedCollection(
+        sets=tuple(s1) + tuple(s2_points[:, None, :]),
+        weights=np.concatenate([np.ones(N) / N, s2_weights]),
+        d=s2_points.shape[1])
+
+
+def _packing_instances():
+    """(instance, j, eps) covering Case 1 under and past its size cap, Case
+    2 with and without S2, kernels that come out empty, and both models."""
+    rng = np.random.default_rng(46)
+    pts = rng.uniform(-5, 5, (30, 2))
+    low = rng.uniform(0.01, 1.0, 30)
+    rows = rng.uniform(0.0, 1.0, (3, 12)) * rng.choice([1e-4, 1.0], 12)
+    locational = LocationalInstance(
+        locations=rng.uniform(-5, 5, (12, 2)),
+        probs=rows / rows.sum(axis=1, keepdims=True))
+    return [
+        (ExistentialInstance(points=pts[:5], probs=low[:5] * 0.05), 0, 0.5),
+        (ExistentialInstance(points=pts, probs=low * 0.2 / low.sum()), 0,
+         0.3),
+        (ExistentialInstance(points=pts[:12], probs=np.ones(12)), 0, 0.3),
+        (ExistentialInstance(points=pts, probs=np.concatenate(
+            [rng.uniform(0.05, 0.3, 10), rng.uniform(1e-4, 1e-3, 20)])),
+         0, 0.2),
+        (ExistentialInstance(points=pts[:10], probs=np.full(10, 0.2)), 1,
+         0.3),
+        (locational, 0, 0.3),
+        (locational, 1, 0.3),
+    ]
+
+
+def test_coreset_packs_as_the_former_coreset_type():
+    seen = set()
+    for inst, j, eps in _packing_instances():
+        S, case = build_sjfc_coreset(inst, j, eps, seed=7, N=20)
+        if case == 1:
+            s1 = ()
+            s2 = build_S2(inst, np.zeros(inst.n, dtype=bool), j, eps,
+                          np.random.default_rng([7, 1]))
+        else:
+            inside = sweep_convexK(inst, j, eps)
+            s1 = build_S1(inst, inside, j, 20, seed=7)
+            s2 = build_S2(inst, inside, j, eps,
+                          np.random.default_rng([7, 2]))
+        expected = frozen_packing(s1, *s2)
+        assert S.d == expected.d and len(S.sets) == len(expected.sets)
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(S.sets, expected.sets))
+        assert np.array_equal(S.weights, expected.weights)
+        seen |= {f"case {case}", type(inst).__name__}
+        seen |= {"empty S2"} if not s2[0].shape[0] else set()
+        seen |= {"empty kernel"} if any(not E.shape[0] for E in s1) else set()
+        seen |= {"sampled S2"} if case == 1 and s2[0].shape[0] < inst.n \
+            else set()
+    assert seen == {"case 1", "case 2", "ExistentialInstance",
+                    "LocationalInstance", "empty S2", "empty kernel",
+                    "sampled S2"}

@@ -96,11 +96,10 @@ def test_coreset_cost_runs_match_scipy(sets, k, data):
 @given(existential(), st.lists(coord, min_size=4, max_size=4),
        st.booleans())
 def test_line_objectives_run_match_scipy(inst, x0, exact):
-    core = jflat.SJFCCoreset(s1=(inst.points[:2],), s2_points=inst.points,
-                             s2_weights=np.maximum(inst.probs, 0.125),
-                             case=2)
+    S = jflat._pack((inst.points[:2],), inst.points,
+                    np.maximum(inst.probs, 0.125))
     fval = (lambda F: expected_objective_exact(inst, F).value) if exact \
-        else (lambda F: jflat.estimate_J(core, F))
+        else S.cost
     assert_same_run(lambda x: fval(jflat._flat_from_params(x, 1, 2)),
                     np.array(x0))
 

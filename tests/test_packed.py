@@ -29,7 +29,7 @@ from stocenter.gkm import (WeightedCollection, _discrete_pass, _lex_key,
                            gkm_cost, importance_sample_coreset,
                            sensitivity_bruteforce, sensitivity_projection,
                            solve_gkm)
-from stocenter.jflat import SJFCCoreset, estimate_J, solve_jflat
+from stocenter.jflat import _pack, solve_jflat
 from stocenter.model import (CenterSet, ExistentialInstance, Flat,
                              LocationalInstance)
 from stocenter.objective import (_distances, _farthest_weights,
@@ -303,8 +303,7 @@ def test_argmax_equals_loop_first_occurrence(case):
                .reshape(1, 2))))
 def test_estimate_J_equals_loop(case):
     s1, s2, w2, F = case
-    core = SJFCCoreset(s1=s1, s2_points=s2, s2_weights=w2, case=2)
-    assert estimate_J(core, F) == loop_estimate_J(s1, s2, w2, F)
+    assert _pack(s1, s2, w2).cost(F) == loop_estimate_J(s1, s2, w2, F)
 
 
 @SETTINGS
@@ -563,15 +562,15 @@ def test_sjfc_coreset_with_an_empty_part(n_s1, n_s2):
                for _ in range(n_s1))
     s2 = rng.uniform(-3, 3, (n_s2, 2))
     w2 = rng.uniform(0.1, 1.0, n_s2)
-    core = SJFCCoreset(s1=s1, s2_points=s2, s2_weights=w2, case=2)
-    assert core.N == n_s1 and core.collection.size == n_s1 + n_s2
-    assert all(np.array_equal(a, b) for a, b in zip(core.s1, s1))
+    S = _pack(s1, s2, w2)
+    assert S.size == n_s1 + n_s2
+    assert all(np.array_equal(a, b) for a, b in zip(S.sets, s1))
     for F in (Flat(j=0, base=[0.5, -1.0]),
               Flat(j=1, base=[0.0, 1.0], basis=[[0.6, 0.8]])):
-        assert estimate_J(core, F) == loop_estimate_J(s1, s2, w2, F)
-    F, value = solve_jflat(core, 0)
-    assert value == estimate_J(core, F)
-    if not core.collection.points.shape[0]:
+        assert S.cost(F) == loop_estimate_J(s1, s2, w2, F)
+    F, value = solve_jflat(S, 0)
+    assert value == S.cost(F)
+    if not S.points.shape[0]:
         assert (F.base == 0.0).all() and value == 0.0
 
 

@@ -19,8 +19,8 @@ from hypothesis import strategies as st
 
 from stocenter import objective
 from stocenter.errors import SchemaError
-from stocenter.jflat import (LinearizationMap, _kernel, build_S1,
-                             direction_net)
+from stocenter.jflat import (KERNEL_NET_SIZE, _kernel, build_S1,
+                             direction_net, lift)
 from stocenter.model import (CHUNK_ELEMENTS, CenterSet, ExistentialInstance,
                              Flat, LocationalInstance, realize)
 from stocenter.objective import (expected_objective_exact,
@@ -74,8 +74,9 @@ def mc_summary(vals):
     return mean, stderr
 
 
-def loop_build_S1(instance, inside, lin, N, seed, kernel_net_size):
-    kernel_dirs = direction_net(lin.D, kernel_net_size)
+def loop_build_S1(instance, inside, j, N, seed):
+    kernel_dirs = direction_net(lift(instance.support_points, j).shape[1],
+                                KERNEL_NET_SIZE)
     out = []
     if isinstance(instance, ExistentialInstance):
         pts = instance.points[inside]
@@ -83,7 +84,7 @@ def loop_build_S1(instance, inside, lin, N, seed, kernel_net_size):
         for i in range(N):
             rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
             mask = rng.random(len(probs)) < probs
-            out.append(_kernel(pts[mask], lin, kernel_dirs))
+            out.append(_kernel(pts[mask], j, kernel_dirs))
     else:
         for i in range(N):
             rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
@@ -92,7 +93,7 @@ def loop_build_S1(instance, inside, lin, N, seed, kernel_net_size):
                    for r in range(instance.n)]
             idx = np.array(sorted(set(v for v in idx if inside[v])),
                            dtype=int)
-            out.append(_kernel(instance.locations[idx], lin, kernel_dirs))
+            out.append(_kernel(instance.locations[idx], j, kernel_dirs))
     return out
 
 
@@ -303,15 +304,15 @@ def test_exact_on_a_locational_instance_without_nodes():
 def test_build_S1_matches_loop(data, seed, N):
     instance = data.draw(instances())
     j = data.draw(st.sampled_from([0, 1] if instance.d > 1 else [0]))
-    lin = LinearizationMap(j=j, d=instance.d)
-    dirs = direction_net(lin.D, 6)
+    lifted = lift(instance.support_points, j)
+    dirs = direction_net(lifted.shape[1], 6)
     # Thresholds at a random quantile of the support's projections put
     # anything from none to all of the support inside K.
-    proj = lin.lift(instance.support_points) @ dirs.T
+    proj = lifted @ dirs.T
     q = data.draw(st.floats(0.0, 1.0))
     inside = (proj <= np.quantile(proj, q, axis=0)).all(axis=1)
-    s1 = build_S1(instance, inside, j, N, seed, kernel_net_size=8)
-    ref = loop_build_S1(instance, inside, lin, N, seed, kernel_net_size=8)
+    s1 = build_S1(instance, inside, j, N, seed)
+    ref = loop_build_S1(instance, inside, j, N, seed)
     assert len(s1) == len(ref) == N
     for kernel, expected in zip(s1, ref):
         assert kernel.shape == expected.shape

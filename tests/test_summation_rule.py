@@ -4,8 +4,7 @@ to right, so no value depends on the BLAS thread count.
 The lint flags a BLAS product (``@``, ``np.dot``, ``.dot(``, ``np.inner``,
 ``np.vdot``) anywhere in ``objective`` and ``gkm``, and in the functions of
 ``SCOPE`` that add up a value.  Geometry products are out of scope: the
-sweep and kernel projections of ``jflat``, its linearization coefficients
-and canonical line base, ``shadowed``'s float32 count product in
+sweep and kernel projections of ``jflat`` and its canonical line base, ``shadowed``'s float32 count product in
 ``grid_coreset``, the ``eigh`` input of the j=1 starts, ``Flat``'s Gram
 check, Welzl's circumsphere and ``oracle_min_flat``'s direction scan.
 They place points or count them, and sum no objective.
@@ -24,7 +23,7 @@ PRODUCTS = {"dot", "inner", "vdot"}
 SCOPE = {
     "objective": None,
     "gkm": None,
-    "jflat": {"estimate_J", "weighted_flat_median_coreset"},
+    "jflat": {"weighted_flat_median_coreset"},
     "oracle": {"oracle_expected_values", "_grid_search", "oracle_solver_gkm",
                "oracle_solver_instance", "oracle_sensitivities"},
     "verification": {"_c8_found", "criterion_10"},
