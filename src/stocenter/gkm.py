@@ -48,9 +48,9 @@ from .errors import EnumerationGuardExceeded, ZeroCostCandidate
 from .model import (CHUNK_ELEMENTS, CenterSet, ExistentialInstance, Instance,
                     assignment_rows)
 from .neldermead import minimize
-from .objective import (WeightedCollection, _distances, _exact_value, _finite,
-                        _nearest_distances, _subset_minima, _weighted_sum,
-                        shape_distances)
+from .objective import (WeightedCollection, _check_k, _distances,
+                        _exact_value, _finite, _nearest_distances,
+                        _subset_minima, _weighted_sum, shape_distances)
 from .partition import WeightedImage, build_weighted_image
 
 MAX_CANDIDATE_STREAM = 10 ** 7
@@ -280,6 +280,7 @@ def solve_gkm(S: WeightedCollection, k: int) -> tuple[CenterSet, float]:
     the discrete pass's best k-subset of the support, or from k evenly
     spaced packed points when there is none (fewer unique points than k, or
     more than ``MAX_DISCRETE_SUBSETS`` k-subsets)."""
+    _check_k(k)
     if S.size == 0:
         raise ValueError("collection must be nonempty")
     if S.points.shape[0] == 0:
@@ -336,8 +337,7 @@ def _check_skc_args(k: int, eps: float, strategy: str, M, L_exp):
     """Raise up front what an instance with mass raises downstream."""
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    _check_k(k)
     if strategy not in ("full", "sampling", "enumerate"):
         raise ValueError(f"unknown strategy {strategy!r}")
     if strategy == "sampling" and M is not None and M < 1:

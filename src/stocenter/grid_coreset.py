@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import CombinationGuardExceeded, EmptyRealization
 from .model import CHUNK_ELEMENTS, id_mask
-from .objective import _distances, _subset_minima
+from .objective import _check_k, _distances, _subset_minima
 
 # Cap on the entries of the C(n,k) x n combo_min table (80 MB of float64).
 MAX_COMBO_ENTRIES = 10 ** 7
@@ -138,8 +138,7 @@ class CoresetBuilder:
     def __init__(self, support: np.ndarray, k: int, eps: float):
         if not (0.0 < eps < 1.0):
             raise ValueError("eps must lie in (0, 1)")
-        if k < 1:
-            raise ValueError("k must be at least 1")
+        _check_k(k)
         support = np.atleast_2d(np.asarray(support, dtype=float))
         n = support.shape[0]
         n_combos = math.comb(n, k)

@@ -210,16 +210,13 @@ def build_S1(instance: Instance, inside: np.ndarray, j: int, N: int,
         # Only the points inside K are drawn, one uniform each.
         instance = ExistentialInstance(points=instance.points[inside],
                                        probs=instance.probs[inside])
+        inside = np.ones(instance.n, dtype=bool)
     # One generator per sample, so sample i does not depend on N.
     u = np.array([np.random.default_rng(np.random.SeedSequence([seed, i]))
                   .random(instance.n) for i in range(N)])
-    drawn = realize(instance, u.reshape(N, instance.n))
-    if isinstance(instance, ExistentialInstance):
-        realized = (instance.points[mask] for mask in drawn)
-    else:
-        realized = (instance.locations[np.unique(idx[inside[idx]])]
-                    for idx in drawn)
-    return tuple(_kernel(P, j, kernel_dirs) for P in realized)
+    masks = realize(instance, u.reshape(N, instance.n)) & inside
+    return tuple(_kernel(instance.support_points[mask], j, kernel_dirs)
+                 for mask in masks)
 
 
 def build_S2(instance: Instance, inside: np.ndarray, j: int, eps: float,

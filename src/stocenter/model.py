@@ -5,15 +5,14 @@ Point ids are 0-based input-file positions and are never reassigned; every
 All types are immutable after construction and safe to share across threads;
 random state is always caller-owned and passed explicitly.
 
-A realization is one row: a boolean presence mask over the n points
-(existential) or the n nodes' location indices (locational).  This module
-is the only owner of those rows.  ``realize`` maps caller-drawn uniforms to
-sampled rows; ``realization_chunks`` walks every row of either model in
-chunks (bit masks from ``mask_rows``, node -> location assignments from
-``assignment_rows``), applies both enumeration guards, drops
-zero-probability rows, and takes each probability from
-``realization_probabilities``, the one product rule per model.  The
-exhaustive weighted image and the exact oracle read these.
+A realization is one boolean mask over the support: the points present
+(existential) or the locations the nodes took (locational).  ``realize``
+maps caller-drawn uniforms to sampled masks; ``realization_chunks`` walks
+every realization in chunks (bit masks from ``mask_rows``, or node ->
+location assignments from ``assignment_rows`` as location masks), applies
+both enumeration guards, drops zero-probability rows, and takes each
+probability from ``realization_probabilities``, the one product rule per
+model.  Node assignments stay in this module; its callers read masks.
 """
 
 from __future__ import annotations
@@ -33,8 +32,8 @@ MAX_EXISTENTIAL_N = 24
 MAX_LOCATIONAL_STATES = 2 ** 24
 
 # Entries of the largest temporary of one chunk (2**17 float64 values are
-# 1 MiB): in the realization enumeration and Monte-Carlo sampling (rows x n)
-# and in the batched grid construction.
+# 1 MiB): in the realization enumeration and Monte-Carlo sampling
+# (rows x max(n, support)) and in the batched grid construction.
 CHUNK_ELEMENTS = 2 ** 17
 
 
@@ -145,14 +144,15 @@ Instance = ExistentialInstance | LocationalInstance
 
 @dataclass(frozen=True)
 class CenterSet:
-    """Exactly k centers; stored in lexicographic order for determinism."""
+    """Exactly k centers; stored in lexicographic order for determinism.
+    A (d,) vector is one center."""
 
     centers: np.ndarray  # (k, d)
 
     def __post_init__(self):
         c = np.atleast_2d(np.asarray(self.centers, dtype=float))
-        if c.shape[0] < 1:
-            raise SchemaError("need k >= 1 centers")
+        if c.ndim != 2 or c.shape[0] < 1 or c.shape[1] < 1:
+            raise SchemaError("centers must be a (k, d) array, k, d >= 1")
         order = np.lexsort(c.T[::-1])
         object.__setattr__(self, "centers", _freeze(c[order]))
 
@@ -177,6 +177,8 @@ class Flat:
         if isinstance(self.j, bool) or not isinstance(self.j, numbers.Integral):
             raise SchemaError(f"flat j {self.j!r} is not an integer")
         base = _freeze(np.atleast_1d(self.base))
+        if base.ndim != 1:
+            raise SchemaError("flat base must be a (d,) vector")
         d = base.shape[0]
         basis = np.asarray(self.basis, dtype=float)
         if basis.size == 0:
@@ -198,7 +200,7 @@ class Flat:
 
 
 # ---------------------------------------------------------------------------
-# Realizations: mask rows and assignment rows
+# Realizations: masks over the support, from mask rows or assignment rows
 
 
 def mask_rows(n: int, start: int = 0, stop: int | None = None) -> np.ndarray:
@@ -267,14 +269,21 @@ def id_mask(ids, n: int) -> np.ndarray:
     return mask
 
 
+def _index_masks(idx: np.ndarray, width: int) -> np.ndarray:
+    """Boolean (rows, width) masks, row r set at the columns idx[r]."""
+    masks = np.zeros((idx.shape[0], width), dtype=bool)
+    masks[np.arange(idx.shape[0])[:, None], idx] = True
+    return masks
+
+
 def realization_chunks(instance: Instance, rows: int | None = None):
     """Every realization with its probability, in enumeration order, as
-    (realization rows, probabilities) chunks.
+    (boolean (rows, support) masks, probabilities) chunks.
 
-    The rows are ``mask_rows`` (existential) or ``assignment_rows``
-    (locational).  A chunk has at most ``rows`` rows and at most
-    ``CHUNK_ELEMENTS`` realization entries (at least one row).
-    Zero-probability realizations are dropped.
+    The masks are ``mask_rows`` (existential) or the locations taken in
+    each of ``assignment_rows`` (locational).  A chunk has at most ``rows``
+    rows and at most ``CHUNK_ELEMENTS`` entries per temporary (at least one
+    row).  Zero-probability realizations are dropped.
     Raises InstanceTooLarge past the enumeration guards, before any row
     is built.
     """
@@ -288,7 +297,8 @@ def realization_chunks(instance: Instance, rows: int | None = None):
         total = instance.m ** n
         if total > MAX_LOCATIONAL_STATES:
             raise InstanceTooLarge(f"locational m^n={total} exceeds {MAX_LOCATIONAL_STATES}")
-    step = max(CHUNK_ELEMENTS // max(n, 1), 1)
+    width = max(n, instance.support_points.shape[0], 1)
+    step = max(CHUNK_ELEMENTS // width, 1)
     if rows is not None:
         step = min(step, rows)
     for lo in range(0, total, step):
@@ -297,18 +307,19 @@ def realization_chunks(instance: Instance, rows: int | None = None):
             else assignment_rows(n, instance.m, lo, hi)
         pr = realization_probabilities(instance, block)
         keep = pr != 0.0
-        yield block[keep], pr[keep]
+        yield (block[keep] if existential
+               else _index_masks(block[keep], instance.m)), pr[keep]
 
 
 def realize(instance: Instance, u: np.ndarray) -> np.ndarray:
     """Map a caller-drawn (samples, n) matrix of uniforms in [0, 1) to
-    realizations, one per row; u[i, j] decides node (or point) j of draw i.
+    (samples, support) masks; u[i, j] decides node (or point) j of draw i.
 
-    Existential: a boolean presence mask, ``u < probs``.  Locational: the
-    location index of every node by inverse CDF, the first location whose
-    cumulative probability exceeds u.  A row may sum to 1 only within 1e-9,
-    so u can lie past its last cumulative value; such a draw takes the
-    row's last location of positive probability.
+    Existential: the presence mask ``u < probs``.  Locational: the
+    locations the nodes took, each the first location whose cumulative
+    probability exceeds u (inverse CDF).  A row may sum to 1 only within
+    1e-9, so u can lie past its last cumulative value; such a draw takes
+    the row's last location of positive probability.
     """
     u = np.asarray(u, dtype=float)
     if u.ndim != 2 or u.shape[1] != instance.n:
@@ -319,7 +330,7 @@ def realize(instance: Instance, u: np.ndarray) -> np.ndarray:
     idx = np.empty(u.shape, dtype=np.intp)
     for j in range(instance.n):
         idx[:, j] = np.searchsorted(cum[j], u[:, j], side="right")
-    return np.minimum(idx, last, out=idx)
+    return _index_masks(np.minimum(idx, last, out=idx), instance.m)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,8 @@ oracles screen with them.
 
 Flat distances are per-row sums along d, never a BLAS product, so a
 point's distance does not depend on the other points scored with it.
+A Monte-Carlo sample's value is the largest distance under its
+realization mask from ``model.realize``, the same rule in both models.
 
 ``WeightedCollection``, the one weighted point-set type, is the one place
 that takes K(S, F) = max_{s in S} d(s, F) for every set S.  The grid
@@ -107,6 +109,12 @@ def _nearest_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     rounded, so it is taken once per point, after the minimum."""
     return np.sqrt(np.minimum.reduce(_squared_distances(points, centers),
                                      axis=1))
+
+
+def _check_k(k: int):
+    """A center set has k >= 1 centers."""
+    if k < 1:
+        raise ValueError("k must be at least 1")
 
 
 def _subset_minima(D: np.ndarray, k: int, rows: int):
@@ -298,28 +306,24 @@ def expected_objective_mc(instance: Instance, shape: Shape, samples: int,
     Sample i consumes the i-th block of n uniforms from ``rng`` (see
     ``model.realize``), so a seed gives the same value and stderr as
     drawing the samples one at a time.  Uniforms are drawn and scored in
-    chunks of ``model.CHUNK_ELEMENTS // n`` rows (at least one), which
-    keeps each chunk temporary at 1 MiB, or at one row of n values when n
-    exceeds ``CHUNK_ELEMENTS``; the per-sample values take 8 bytes
-    per sample.
+    chunks of ``CHUNK_ELEMENTS // max(n, support)`` rows (at least one):
+    each chunk temporary holds at most 1 MiB, or one row when n or the
+    support exceeds ``CHUNK_ELEMENTS``; the values take 8 bytes per sample.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     if instance.n == 0:  # every realization is empty
         return ObjectiveValue(0.0, "MonteCarlo", samples=samples, stderr=0.0)
     dists = shape_distances(instance.support_points, shape)
-    rows = max(CHUNK_ELEMENTS // instance.n, 1)
+    rows = max(CHUNK_ELEMENTS // max(instance.n, len(dists)), 1)
     vals = np.empty(samples)
     for start in range(0, samples, rows):
-        drawn = realize(instance, rng.random((min(rows, samples - start),
+        masks = realize(instance, rng.random((min(rows, samples - start),
                                               instance.n)))
-        if isinstance(instance, ExistentialInstance):
-            # Distances are finite and nonnegative, so an absent point's 0.0
-            # never exceeds a present one's: this is the max over the
-            # present points, and 0 when none is present.
-            chunk = (drawn * dists).max(axis=1)
-        else:
-            chunk = dists[drawn].max(axis=1)
+        # Distances are finite and nonnegative, so an unrealized point's
+        # 0.0 never exceeds a realized one's: this is the max over the
+        # realized points, and 0 when none is realized.
+        chunk = (masks * dists).max(axis=1)
         vals[start:start + len(chunk)] = chunk
     mean = _finite(float(vals.mean()))
     stderr = float(vals.std(ddof=1) / np.sqrt(samples)) if samples > 1 else 0.0

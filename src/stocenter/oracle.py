@@ -10,16 +10,22 @@ of ``partition.build_weighted_image``.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import EnumerationGuardExceeded
 from .gkm import WeightedCollection, gkm_cost
-from .model import (CHUNK_ELEMENTS, CenterSet, ExistentialInstance, Flat,
-                    Instance, LocationalInstance, realization_chunks)
-from .objective import (_distances, _exact_value, _finite, _subset_minima,
-                        _weighted_sum, expected_objective_exact,
-                        shape_distances)
+from .model import (CHUNK_ELEMENTS, CenterSet, Flat, Instance,
+                    LocationalInstance, realization_chunks)
+from .objective import (_check_k, _distances, _exact_value, _finite,
+                        _subset_minima, _weighted_sum,
+                        expected_objective_exact, shape_distances)
+
+# Cap on the point-to-subset entries a grid search scores: k-subsets of the
+# candidates times the points.
+MAX_GRID_ENTRIES = 10 ** 8
 
 
 @dataclass(frozen=True)
@@ -34,15 +40,14 @@ def oracle_expected_values(instance: Instance,
     """Expected max distance by full enumeration, for every column of the
     (support, shapes) distance matrix ``dmat``, and the number of
     realizations enumerated (those of nonzero probability)."""
-    existential = isinstance(instance, ExistentialInstance)
     out = np.zeros(dmat.shape[1])
     count = 0
-    for rows, pr in realization_chunks(instance):
+    for masks, pr in realization_chunks(instance):
         count += len(pr)
         for f, dists in enumerate(dmat.T):
-            # distances are >= 0: an absent point's 0 never wins, and the
-            # empty realization scores 0
-            vals = np.where(rows, dists, 0.0) if existential else dists[rows]
+            # distances are >= 0: an unrealized point's 0 never wins, and
+            # the empty realization scores 0
+            vals = np.where(masks, dists, 0.0)
             out[f] += _weighted_sum(pr, vals.max(axis=1, initial=0.0))
     return out, count
 
@@ -104,9 +109,16 @@ def _grid_search(points: np.ndarray, k: int, resolution: int, width: int,
     ``screen(table)`` scores a chunk of subsets at once from their
     point-to-nearest-center table (points, subsets), equal to ``value`` bit
     for bit, with temporaries of at most ``width`` elements per subset, so
-    a chunk holds ``CHUNK_ELEMENTS // width`` subsets (at least one)."""
+    a chunk holds ``CHUNK_ELEMENTS // width`` subsets (at least one).
+    Raises EnumerationGuardExceeded, before any scoring, past
+    ``MAX_GRID_ENTRIES`` subsets times points."""
+    _check_k(k)
     cand = np.unique(np.vstack([center_grid(points, resolution), points]),
                      axis=0)
+    entries = math.comb(len(cand), k) * points.shape[0]
+    if entries > MAX_GRID_ENTRIES:
+        raise EnumerationGuardExceeded(
+            f"{entries} subset-point entries exceed {MAX_GRID_ENTRIES}")
     rows = max(CHUNK_ELEMENTS // max(width, 1), 1)
     best, low = None, np.inf
     for subsets, table in _subset_minima(_distances(points, cand), k, rows):
@@ -145,6 +157,7 @@ def oracle_sensitivities(S: WeightedCollection, k: int,
     k-subset of union points plus grid centers of positive cost: the values
     of ``gkm.sensitivity_bruteforce`` on it, a chunk of subsets at a time,
     with each cost summed as ``gkm_cost`` sums it."""
+    _check_k(k)
     pts = np.unique(S.points, axis=0)
     cand = np.unique(np.vstack([center_grid(pts, resolution, margin=1.0), pts]),
                      axis=0)

@@ -17,18 +17,17 @@ with counts up to n.
 Both modes of ``build_weighted_image`` run the batched construction
 (``CoresetBuilder.build_masks``) over chunks of ``chunk_rows`` mask rows:
 every realization (exhaustive) or every candidate subset (subsets).
-Exhaustive mode reads the realizations and their probabilities from
-``model.realization_chunks``, which owns the enumeration order, guards and
-zero-probability filter; a locational assignment becomes the mask of the
-locations its nodes took.  Memory is one chunk plus the classes, in both
-models.  In subsets mode the existential masses and tails come out of the
-same batch.  n nodes occupy at most n locations, so locational candidates
-stop at n points, and a class of more than n points has mass 0; the
-in-image locational classes then go one at a time through the occupancy
-DP, which drops every state with more unoccupied points of S than nodes
-left to place.  ``membership_check`` (through ``CoresetBuilder.build``,
-carrying the tail on its verdict) and ``prob_existential`` are one-row
-calls of the batched code.
+Exhaustive mode passes the realization masks of either model and their
+probabilities from ``model.realization_chunks``, which owns the enumeration
+order, guards and zero-probability filter, straight to the construction.
+Memory is one chunk plus the classes, in both models.  In subsets mode the
+existential masses and tails come out of the same batch.  n nodes occupy at
+most n locations, so locational candidates stop at n points, and a class of
+more than n points has mass 0; the in-image locational classes then go one
+at a time through the occupancy DP, which drops every state with more
+unoccupied points of S than nodes left to place.  ``membership_check``
+(through ``CoresetBuilder.build``, carrying the tail on its verdict) and
+``prob_existential`` are one-row calls of the batched code.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ import numpy as np
 from .errors import EnumerationGuardExceeded, StateSpaceGuardExceeded
 from .grid_coreset import CoresetBuilder, GridSpec, coreset_image_size_bound
 from .model import (ExistentialInstance, Instance, LocationalInstance,
-                    id_mask, realization_chunks)
+                    _index_masks, id_mask, realization_chunks)
 
 MAX_SUBSET_ENUMERATION = 10 ** 6
 MAX_HOLANT_STATES = 10 ** 7
@@ -242,13 +241,6 @@ def prob_locational(S_ids, instance: LocationalInstance, k: int, eps: float,
     return _locational_mass(S_ids, instance, k, eps, builder)
 
 
-def _index_masks(idx: np.ndarray, width: int) -> np.ndarray:
-    """Boolean (rows, width) masks, row r set at the columns idx[r]."""
-    masks = np.zeros((idx.shape[0], width), dtype=bool)
-    masks[np.arange(idx.shape[0])[:, None], idx] = True
-    return masks
-
-
 def _candidate_chunks(n: int, sizes, rows: int):
     """Masks of every subset of range(n) with a size in ``sizes``, by size
     and then lexicographically, in chunks of at most ``rows`` rows."""
@@ -274,10 +266,7 @@ def build_weighted_image(instance: Instance, k: int, eps: float,
     rows = builder.chunk_rows
     if mode == "exhaustive":
         groups: dict[tuple[int, ...], float] = {}
-        for real, pr in realization_chunks(instance, rows):
-            # a locational realization's support: the locations its nodes took
-            masks = real if isinstance(instance, ExistentialInstance) \
-                else _index_masks(real, instance.m)
+        for masks, pr in realization_chunks(instance, rows):
             classes, inverse = _group_rows(builder.build_masks(masks).core)
             keys = _ids(classes)
             mass = np.array([groups.get(key, 0.0) for key in keys])

@@ -1,12 +1,14 @@
 import json
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stocenter import oracle
 from stocenter.cli import generate_instance, main
 from stocenter.model import instance_to_dict, shape_to_dict
 from stocenter.model import (CenterSet, ExistentialInstance,
@@ -252,6 +254,9 @@ EXISTENTIAL = ('{"model": "existential", "d": 2, "points": '
                '[{"coords": [0.0, 0.0], "p": 0.5}, '
                '{"coords": [1.0, 2.0], "p": 0.5}]}')
 CENTERS = '{"kind": "centers", "points": [[0.0, 0.0]]}'
+# points 0 and 3 on a line, both certain
+ONE_D = ('{"model": "existential", "d": 1, "points": '
+         '[{"coords": [0.0], "p": 1.0}, {"coords": [3.0], "p": 1.0}]}')
 
 
 @pytest.mark.parametrize("instance, shape", [
@@ -268,9 +273,14 @@ CENTERS = '{"kind": "centers", "points": [[0.0, 0.0]]}'
                   '"basis": [[1.0, 0.0]]}'),
     (EXISTENTIAL, '{"kind": "flat", "j": 0.5, "base": [0.0, 0.0]}'),
     (EXISTENTIAL, '{"kind": "flat", "j": null, "base": [0.0, 0.0]}'),
+    # a (1, 2) base would read as a flat in d = 1 and score 2.236
+    (ONE_D, '{"kind": "flat", "j": 0, "base": [[1.0, 2.0]]}'),
+    (ONE_D, '{"kind": "centers", "points": []}'),
+    (ONE_D, '{"kind": "centers", "points": [[[1.0]], [[2.0]]]}'),
 ], ids=["null-coord", "no-d", "no-coords", "nan-prob", "null-loc-prob",
         "null-center", "null-flat-base", "bool-d", "bool-flat-j",
-        "fraction-flat-j", "null-flat-j"])
+        "fraction-flat-j", "null-flat-j", "matrix-flat-base", "no-centers",
+        "3-d-centers"])
 def test_malformed_json_is_usage_error(instance, shape, tmp_path, capsys):
     files = []
     for name, text in (("inst.json", instance), ("shape.json", shape)):
@@ -333,6 +343,20 @@ def test_guard_exit_code(tmp_path, capsys):
                  "--eps", "0.5", "--mode", "exhaustive"])
     capsys.readouterr()
     assert code == 3
+
+
+@pytest.mark.parametrize("k, code", [("0", 2), ("7", 3)])
+def test_oracle_solve_rejects_k_before_scoring(k, code, tmp_path, capsys):
+    # --k 0 would end in an IndexError traceback, and --k 7 on five points
+    # would scan C(446, 7), about 5e14, subsets of the grid candidates
+    path = tmp_path / "inst.json"
+    write_json(path, instance_to_dict(generate_instance(
+        "uniform", "existential", 5, 2, 1)))
+    stop = mock.Mock(side_effect=AssertionError("scoring started"))
+    with mock.patch.object(oracle, "_subset_minima", stop):
+        got = _run(["oracle", "solve", "--instance", str(path), "--k", k],
+                   capsys)
+    assert got == (code, "") and not stop.called
 
 
 def test_locational_classes_past_the_count_guard(tmp_path, capsys):

@@ -500,11 +500,9 @@ def all_rows(inst):
 
 
 def enumerated(inst, rows=None):
-    """(ids, probability), existential, or (assignment, probability),
-    locational, of every row ``realization_chunks`` yields."""
-    existential = isinstance(inst, ExistentialInstance)
-    return [(tuple(compress(range(inst.n), row)) if existential
-             else tuple(row), pr)
+    """(ids, probability) of every mask ``realization_chunks`` yields: the
+    points present, or the locations the nodes took."""
+    return [(tuple(compress(range(len(row)), row)), pr)
             for block, probs in realization_chunks(inst, rows)
             for row, pr in zip(block.tolist(), probs.tolist())]
 
@@ -518,7 +516,9 @@ def test_enumeration_equals_former_loops(inst, chunk, rows):
         [pr for _, pr in ref_realizations(inst, with_zero=True)]
     with enumeration_chunked(chunk):
         got = enumerated(inst, rows)
-    assert got == ref_realizations(inst)
+    # a locational assignment realizes the set of locations it names
+    assert got == [(tuple(sorted(set(real))), pr)
+                   for real, pr in ref_realizations(inst)]
 
 
 @SETTINGS
@@ -529,7 +529,9 @@ def test_one_row_probability_is_the_enumerated_probability(inst):
     rows = all_rows(inst)
     one = [realization_probabilities(inst, row[None])[0] for row in rows]
     assert one == realization_probabilities(inst, rows).tolist()
-    kept = [(row, pr) for row, pr in zip(rows.tolist(), one) if pr != 0.0]
+    masks = rows if isinstance(inst, ExistentialInstance) \
+        else model._index_masks(rows, inst.m)
+    kept = [(row, pr) for row, pr in zip(masks.tolist(), one) if pr != 0.0]
     assert kept == [(row, pr) for block, probs in realization_chunks(inst)
                     for row, pr in zip(block.tolist(), probs.tolist())]
 

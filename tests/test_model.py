@@ -56,14 +56,16 @@ def test_enumerate_deterministic_drops_zero_mass():
     assert enumerated(inst) == ([[True, True]], [1.0])
     loc = LocationalInstance(locations=[[0.0], [1.0]],
                              probs=[[1.0, 0.0], [0.5, 0.5]])
-    assert enumerated(loc) == ([[0, 0], [0, 1]], [0.5, 0.5])
+    # node 0 sits at location 0; node 1 adds nothing, or location 1
+    assert enumerated(loc) == ([[True, False], [True, True]], [0.5, 0.5])
 
 
 def test_enumerate_locational_product_probs():
     inst = LocationalInstance(locations=[[0.0], [1.0]],
                               probs=[[0.5, 0.5], [0.2, 0.8]])
     rows, probs = enumerated(inst)
-    assert rows == [[0, 0], [0, 1], [1, 0], [1, 1]]
+    # the locations taken by the assignments (0, 0), (0, 1), (1, 0), (1, 1)
+    assert rows == [[True, False], [True, True], [True, True], [False, True]]
     assert probs == pytest.approx([0.1, 0.4, 0.1, 0.4])
     assert sum(probs) == pytest.approx(1.0, abs=1e-12)
 
@@ -148,6 +150,33 @@ def test_center_set_sorted_and_flat_validation():
         Flat(j=1, base=[0.0, 0.0], basis=[[2.0, 0.0]])  # not unit length
     line = Flat(j=1, base=[0.0, 0.0], basis=[[1.0, 0.0]])
     assert line.d == 2
+
+
+@pytest.mark.parametrize("base", [[[1.0, 2.0]], [[1.0], [2.0]]],
+                         ids=["row", "column"])
+def test_flat_base_must_be_a_vector(base):
+    # a (1, 2) base would read as d = 1 and broadcast against the points
+    with pytest.raises(SchemaError, match="base"):
+        Flat(j=0, base=base)
+    with pytest.raises(SchemaError, match="base"):
+        shape_from_dict({"kind": "flat", "j": 0, "base": base})
+
+
+@pytest.mark.parametrize("points", [[], [[]], np.zeros((0, 2)),
+                                    [[[1.0]], [[2.0]]]],
+                         ids=["no-centers", "no-coordinates", "no-rows", "3-d"])
+def test_centers_must_form_a_k_by_d_array(points):
+    # no centers would reach np.lexsort and raise TypeError, and the
+    # (2, 1, 1) array would become (1, 2, 1, 1) centers
+    with pytest.raises(SchemaError, match="centers"):
+        CenterSet(centers=points)
+    with pytest.raises(SchemaError, match="centers"):
+        shape_from_dict({"kind": "centers", "points": points})
+
+
+def test_a_center_vector_is_one_center():
+    F = CenterSet(centers=[3.0, 1.0])
+    assert (F.k, F.d, F.centers.tolist()) == (1, 2, [[3.0, 1.0]])
 
 
 def test_instance_json_round_trip():

@@ -65,7 +65,7 @@ def test_exact_locational_hand_value():
 
 
 def _enum_expected(instance, shape):
-    # a mask row or an assignment row indexes the realized support points
+    # a mask row picks the realized support points, in both models
     total = 0.0
     for rows, probs in realization_chunks(instance):
         for row, pr in zip(rows, probs):

@@ -1,13 +1,20 @@
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from stocenter import gkm, oracle
+from stocenter.errors import EnumerationGuardExceeded
 from stocenter.model import (CenterSet, ExistentialInstance,
                              LocationalInstance)
 from stocenter.objective import expected_objective_exact, flat_distance
 from stocenter.oracle import (_ball_from, center_grid, minimum_enclosing_ball,
                               oracle_expected_objective, oracle_min_flat,
-                              oracle_sensitivities, oracle_solver_instance)
-from stocenter.gkm import WeightedCollection, sensitivity_bruteforce
+                              oracle_sensitivities, oracle_solver_gkm,
+                              oracle_solver_instance)
+from stocenter.gkm import (WeightedCollection, sensitivity_bruteforce,
+                           solve_gkm)
 from stocenter.partition import build_weighted_image
 
 
@@ -143,3 +150,44 @@ def test_oracle_min_flat():
     F, r = oracle_min_flat(diag, 1)
     assert r <= 0.1
     assert max(flat_distance(x, F) for x in diag) == pytest.approx(r, abs=1e-6)
+
+
+FIVE = ExistentialInstance(points=[[0, 0], [3, 1], [1, 4], [-2, 2], [2, -1]],
+                           probs=[0.9, 0.3, 0.6, 1.0, 0.5])
+
+
+@pytest.mark.parametrize("k", [0, -1])
+@pytest.mark.parametrize("solve", [
+    lambda S, k: solve_gkm(S, k),
+    lambda S, k: oracle_solver_gkm(S, k),
+    lambda S, k: oracle_solver_instance(FIVE, k),
+    lambda S, k: oracle_sensitivities(S, k)],
+    ids=["solve_gkm", "oracle_solver_gkm", "oracle_solver_instance",
+         "oracle_sensitivities"])
+def test_k_below_one_is_rejected_before_any_work(solve, k):
+    # k = 0 would reach the subset tables and raise IndexError
+    S = WeightedCollection(sets=(FIVE.points[:3], FIVE.points[3:]))
+    stop = mock.Mock(side_effect=AssertionError("work started"))
+    with mock.patch.object(oracle, "center_grid", stop), \
+            mock.patch.object(gkm, "_discrete_pass", stop), \
+            pytest.raises(ValueError, match="k must be at least 1"):
+        solve(S, k)
+    assert not stop.called
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_grid_search_guard_counts_subsets_times_points(k):
+    """The guard passes at exactly its cap and raises one entry past it,
+    before any subset is scored."""
+    cand = np.unique(np.vstack([center_grid(FIVE.points, 4), FIVE.points]),
+                     axis=0)
+    entries = math.comb(len(cand), k) * 5
+    with mock.patch.object(oracle, "MAX_GRID_ENTRIES", entries):
+        F, _ = oracle_solver_instance(FIVE, k, resolution=4)
+    assert F.k == k
+    stop = mock.Mock(side_effect=AssertionError("scoring started"))
+    with mock.patch.object(oracle, "MAX_GRID_ENTRIES", entries - 1), \
+            mock.patch.object(oracle, "_subset_minima", stop), \
+            pytest.raises(EnumerationGuardExceeded):
+        oracle_solver_instance(FIVE, k, resolution=4)
+    assert not stop.called

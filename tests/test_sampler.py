@@ -8,6 +8,8 @@ sample and placed each locational node with its own inverse-CDF lookup.  The vec
 sum over the row, and a draw past the row's total takes the last location
 of positive probability (the former loops took the last location, which
 can have probability 0; see ``test_clamp_skips_zero_probability_tail``).
+``realize`` returns masks over the support, so the loop's present points
+or taken locations are set in a mask before the comparison.
 """
 
 from unittest import mock
@@ -181,13 +183,21 @@ def instance_and_uniforms(draw):
     return instance, u
 
 
+def taken(masks):
+    """The locations set in every mask row, ascending."""
+    return [np.flatnonzero(mask).tolist() for mask in masks]
+
+
 @SETTINGS
 @given(instance_and_uniforms())
 def test_realize_matches_loop(case):
     instance, u = case
     drawn = realize(instance, u)
-    expected = np.array([loop_draw(instance, row) for row in u])
-    assert drawn.shape == u.shape and drawn.dtype == expected.dtype
+    expected = np.zeros((len(u), instance.support_points.shape[0]), bool)
+    for mask, row in zip(expected, u):
+        # the points present, or the locations the nodes took
+        mask[loop_draw(instance, row)] = True
+    assert drawn.shape == expected.shape and drawn.dtype == expected.dtype
     assert np.array_equal(drawn, expected)
 
 
@@ -201,8 +211,8 @@ def test_realize_boundaries_by_hand():
                              probs=np.array([[0.0, 0.5, 0.0, 0.5]]))
     u = np.array([[0.0], [0.25], [0.5], [0.75]])
     # u == 0 skips the zero-probability head; u == 0.5 lands past location 1
-    # and its zero-probability neighbour.
-    assert realize(loc, u)[:, 0].tolist() == [1, 1, 3, 3]
+    # and its zero-probability neighbour.  One node: its mask has one location.
+    assert taken(realize(loc, u)) == [[1], [1], [3], [3]]
 
 
 def test_clamp_skips_zero_probability_tail():
@@ -213,7 +223,8 @@ def test_clamp_skips_zero_probability_tail():
     inst = LocationalInstance(locations=np.arange(3.0)[:, None],
                               probs=np.vstack([row, [0.0, 0.0, 1.0]]))
     u = np.array([[1.0 - 1e-10, 1.0 - 1e-10], [0.2, 0.2]])
-    assert realize(inst, u).tolist() == [[1, 2], [0, 2]]
+    # the nodes' rows are disjoint, so node 0 took the first location taken
+    assert taken(realize(inst, u)) == [[1, 2], [0, 2]]
     assert loop_locate(row, 1.0 - 1e-10) == 1
 
 
@@ -237,7 +248,8 @@ def test_mc_matches_loop_across_chunk_boundaries(data, seed, rows):
     shape = data.draw(shapes(instance.d))
     samples = data.draw(st.sampled_from(
         [s for s in (1, 2, rows - 1, rows, rows + 1, 3 * rows + 1) if s >= 1]))
-    with mock.patch.object(objective, "CHUNK_ELEMENTS", rows * instance.n):
+    width = max(instance.n, instance.support_points.shape[0])
+    with mock.patch.object(objective, "CHUNK_ELEMENTS", rows * width):
         res = expected_objective_mc(instance, shape, samples,
                                     np.random.default_rng(seed))
     ref = loop_mc_values(instance, shape, samples, np.random.default_rng(seed))
@@ -268,7 +280,7 @@ def test_mc_matches_loop_at_the_chunk_size(model, n):
     reference loop serves every count."""
     instance = _large_instance(model, n, seed=n)
     shape = CenterSet(centers=[[1.0, -2.0], [-3.0, 4.0]])
-    rows = max(CHUNK_ELEMENTS // n, 1)
+    rows = max(CHUNK_ELEMENTS // max(n, instance.support_points.shape[0]), 1)
     counts = (1, 2, rows - 1, rows, rows + 1, 2 * rows + 3)
     ref = loop_mc_values(instance, shape, counts[-1],
                          np.random.default_rng(n))
