@@ -28,8 +28,7 @@ from .oracle import (minimum_enclosing_ball, oracle_expected_objective,
                      oracle_holant_direct, oracle_min_flat,
                      oracle_sensitivities, oracle_solver_gkm,
                      oracle_solver_instance)
-from .partition import (MembershipVerdict, WeightedImage,
-                        build_weighted_image, holant_value, membership_check,
-                        prob_existential, prob_locational)
+from .partition import (WeightedImage, build_weighted_image, class_mass,
+                        holant_value)
 
 __version__ = "0.1.0"

@@ -212,20 +212,16 @@ class CoresetBuilder:
         stage = np.where(live, np.where(refine, 2, 1), 0)
         return CoresetBatch(core=core, side=side, stage=stage, tail=tail)
 
-    def output(self, batch: CoresetBatch, row: int) -> CoresetOutput:
-        """One row of a batch as a CoresetOutput, with its grid and tail."""
-        grid = SENTINEL_GRID if batch.stage[row] == 0 else GridSpec(
-            side=float(batch.side[row]), d=self.d,
-            stage=int(batch.stage[row]))
-        return CoresetOutput(
-            coreset=tuple(np.flatnonzero(batch.core[row]).tolist()),
-            grid=grid, tail=tuple(np.flatnonzero(batch.tail[row]).tolist()))
-
     def build(self, P_ids) -> CoresetOutput:
         mask = id_mask(P_ids, self.n)
         if not mask.any():
             raise EmptyRealization("realization has no points")
-        return self.output(self.build_masks(mask[None]), 0)
+        batch = self.build_masks(mask[None])
+        grid = SENTINEL_GRID if batch.stage[0] == 0 else GridSpec(
+            side=float(batch.side[0]), d=self.d, stage=int(batch.stage[0]))
+        return CoresetOutput(
+            coreset=tuple(np.flatnonzero(batch.core[0]).tolist()),
+            grid=grid, tail=tuple(np.flatnonzero(batch.tail[0]).tolist()))
 
 
 def coreset_image_size_bound(k: int, d: int, eps: float) -> int:

@@ -15,16 +15,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EnumerationGuardExceeded
+from .errors import EnumerationGuardExceeded, InstanceTooLarge
 from .gkm import WeightedCollection, gkm_cost
-from .model import (CHUNK_ELEMENTS, CenterSet, Flat, Instance,
-                    LocationalInstance, realization_chunks)
+from .model import (CHUNK_ELEMENTS, MAX_LOCATIONAL_STATES, CenterSet, Flat,
+                    Instance, LocationalInstance, realization_chunks)
 from .objective import (_check_k, _distances, _exact_value, _finite,
                         _subset_minima, _weighted_sum,
                         expected_objective_exact, shape_distances)
+from .partition import _holant_inputs
 
-# Cap on the point-to-subset entries a grid search scores: k-subsets of the
-# candidates times the points.
+# Cap on the point-to-subset entries a grid search or the sensitivity oracle
+# scores: k-subsets of the candidates times the points.
 MAX_GRID_ENTRIES = 10 ** 8
 
 
@@ -67,16 +68,20 @@ def oracle_holant_direct(instance: LocationalInstance, S_ids, tail,
 
     Each node picks one alternative (a point of S or the tail bucket); the
     term survives iff the occupancy counts match the sequence exactly.
+    The inputs are checked as ``holant_value`` checks them, and the
+    (|S| + 1)^n assignments are counted before the first term: past
+    ``MAX_LOCATIONAL_STATES`` they raise InstanceTooLarge.
     """
-    S_ids = tuple(sorted(int(i) for i in S_ids))
-    tail = sorted(tail)
+    S_ids, tail, target = _holant_inputs(instance, S_ids, tail, sequence)
     slots = len(S_ids) + 1  # last slot is the tail bucket
     n = instance.n
+    if slots ** n > MAX_LOCATIONAL_STATES:
+        raise InstanceTooLarge(f"{slots}^{n} = {slots ** n} assignments "
+                               f"exceed {MAX_LOCATIONAL_STATES}")
     w = np.zeros((n, slots))
     w[:, :len(S_ids)] = instance.probs[:, list(S_ids)]
     if tail:
-        w[:, -1] = instance.probs[:, tail].sum(axis=1)
-    target = tuple(sequence)
+        w[:, -1] = instance.probs[:, list(tail)].sum(axis=1)
     total = 0.0
     for assign in itertools.product(range(slots), repeat=n):
         counts = [0] * slots
@@ -100,6 +105,16 @@ def center_grid(points: np.ndarray, resolution: int,
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
+def _check_entries(candidates: int, k: int, points: int) -> None:
+    """Raise EnumerationGuardExceeded when the k-subsets of ``candidates``
+    times ``points`` exceed ``MAX_GRID_ENTRIES``; called before any subset
+    is scored."""
+    entries = math.comb(candidates, k) * points
+    if entries > MAX_GRID_ENTRIES:
+        raise EnumerationGuardExceeded(
+            f"{entries} subset-point entries exceed {MAX_GRID_ENTRIES}")
+
+
 def _grid_search(points: np.ndarray, k: int, resolution: int, width: int,
                  screen, value) -> tuple[CenterSet, float] | None:
     """The first k-subset, in ``combinations`` order of the sorted grid and
@@ -115,10 +130,7 @@ def _grid_search(points: np.ndarray, k: int, resolution: int, width: int,
     _check_k(k)
     cand = np.unique(np.vstack([center_grid(points, resolution), points]),
                      axis=0)
-    entries = math.comb(len(cand), k) * points.shape[0]
-    if entries > MAX_GRID_ENTRIES:
-        raise EnumerationGuardExceeded(
-            f"{entries} subset-point entries exceed {MAX_GRID_ENTRIES}")
+    _check_entries(len(cand), k, points.shape[0])
     rows = max(CHUNK_ELEMENTS // max(width, 1), 1)
     best, low = None, np.inf
     for subsets, table in _subset_minima(_distances(points, cand), k, rows):
@@ -156,11 +168,14 @@ def oracle_sensitivities(S: WeightedCollection, k: int,
     """Brute-force lower bounds over the maximal feasible family, every
     k-subset of union points plus grid centers of positive cost: the values
     of ``gkm.sensitivity_bruteforce`` on it, a chunk of subsets at a time,
-    with each cost summed as ``gkm_cost`` sums it."""
+    with each cost summed as ``gkm_cost`` sums it.  Raises
+    EnumerationGuardExceeded, before any scoring, past ``MAX_GRID_ENTRIES``
+    subsets times packed points."""
     _check_k(k)
     pts = np.unique(S.points, axis=0)
     cand = np.unique(np.vstack([center_grid(pts, resolution, margin=1.0), pts]),
                      axis=0)
+    _check_entries(len(cand), k, S.points.shape[0])
     rows = max(CHUNK_ELEMENTS // max(S.points.shape[0], 1), 1)
     values, feasible = np.zeros(S.size), False
     for _, table in _subset_minima(_distances(S.points, cand), k, rows):

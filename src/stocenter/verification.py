@@ -22,8 +22,7 @@ from .objective import (_distances, _squared_distances, _weighted_sum,
 from .oracle import (center_grid, minimum_enclosing_ball,
                      oracle_expected_values, oracle_holant_direct,
                      oracle_sensitivities, oracle_solver_instance)
-from .partition import (build_weighted_image, enumerate_sequences,
-                        holant_value, membership_check)
+from .partition import build_weighted_image, enumerate_sequences, holant_value
 from .serialize import dumps_json
 
 
@@ -212,14 +211,15 @@ def criterion_5(scale: str, seed: int = 105, **_) -> CheckResult:
                                           mode="exhaustive").entries)
         for key in set(algo) | set(brute):
             worst = max(worst, abs(algo.get(key, 0.0) - brute.get(key, 0.0)))
-        # per-sequence holant values on one Full class, if any
+        # per-sequence holant values on the first class of more than k
+        # points, if any
         for S in sorted(algo):
-            verdict = membership_check(S, inst, k, eps)
-            if verdict.kind != "Full":
+            if len(S) <= k:
                 continue
+            tail = CoresetBuilder(inst.locations, k, eps).build(S).tail
             for seq in enumerate_sequences(n, len(S)):
-                z_dp = holant_value(inst, S, verdict.tail, seq)
-                z_direct = oracle_holant_direct(inst, S, verdict.tail, seq)
+                z_dp = holant_value(inst, S, tail, seq)
+                z_direct = oracle_holant_direct(inst, S, tail, seq)
                 z_worst = max(z_worst, abs(z_dp - z_direct))
             break
     ok = worst <= 1e-12 and z_worst <= 1e-12

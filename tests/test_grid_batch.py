@@ -5,7 +5,8 @@ The loops below are the reference: they are the library's former
 ``CoresetBuilder.build`` (with its ``_collect_cells`` and the ``math.floor``
 cell of every point), the former single-set membership and probability
 helpers (the locational one with its occupancy DP, which kept every state
-and tried candidates of every size), and the former loops of both
+and tried candidates of every size), frozen copies of the one-row mass
+calls that ``class_mass`` replaced, and the former loops of both
 ``build_weighted_image`` modes and of the realization enumeration (bit
 masks, and ``itertools.product`` over node -> location assignments).  The
 batched versions must agree with them exactly (``==``), not within a
@@ -26,12 +27,13 @@ from hypothesis import strategies as st
 from stocenter import grid_coreset, model
 from stocenter.errors import CombinationGuardExceeded, SchemaError
 from stocenter.cli import _coreset_cells
-from stocenter.grid_coreset import CoresetBuilder, _exponent, grid_cells
+from stocenter.grid_coreset import (SENTINEL_GRID, CoresetBuilder, _exponent,
+                                    grid_cells)
 from stocenter.model import (ExistentialInstance, LocationalInstance,
-                             assignment_rows, mask_rows, realization_chunks,
-                             realization_probabilities)
-from stocenter.partition import (build_weighted_image, membership_check,
-                                 prob_existential, prob_locational)
+                             assignment_rows, id_mask, mask_rows,
+                             realization_chunks, realization_probabilities)
+from stocenter.partition import (_occupancy_dp, build_weighted_image,
+                                 class_mass)
 
 SETTINGS = settings(max_examples=120, deadline=None, derandomize=True,
                     database=None)
@@ -320,10 +322,9 @@ def test_batched_construction_equals_former_loop(support, k, eps, chunk):
     ref = RefBuilder(support, k, eps)
     assert np.array_equal(builder.combo_min, ref.combo_min.T)
     assert not batch.core[0].any() and batch.stage[0] == 0
-    for row, single in zip(range(1, 2 ** n), singles):
+    for row, out in zip(range(1, 2 ** n), singles):
         ids = tuple(compress(range(n), masks[row]))
         core, side, _, stage, cells = ref.build(ids)
-        out = builder.output(batch, row)
         assert out.coreset == core
         # the cells stocenter grid-coreset prints
         assert _coreset_cells(support, out) == [
@@ -332,7 +333,9 @@ def test_batched_construction_equals_former_loop(support, k, eps, chunk):
         # side and stage fix the exponent a: side = eps 2^a / (4d) or /(8d)
         assert (batch.side[row], batch.stage[row]) == (side, stage)
         assert (out.grid.side, out.grid.stage) == (side, stage)
-        assert single == out
+        # the batch row holds the one-row call's coreset and tail
+        assert tuple(np.flatnonzero(batch.core[row]).tolist()) == out.coreset
+        assert tuple(np.flatnonzero(batch.tail[row]).tolist()) == out.tail
         assert builder.r_of(ids) == ref.r_of(ids)
 
 
@@ -396,26 +399,79 @@ def test_locational_image_equals_former_loops(inst, k, eps, chunk):
        eps_values)
 def test_single_set_helpers_equal_former_loops(inst, k, eps):
     support = inst.support_points
-    existential = isinstance(inst, ExistentialInstance)
+    prob = ref_prob_existential if isinstance(inst, ExistentialInstance) \
+        else ref_prob_locational
     builder = CoresetBuilder(support, k, eps)
     ref = RefBuilder(support, k, eps)
     for row in mask_rows(support.shape[0]).tolist():
         S = tuple(compress(range(len(row)), row))
         kind, side, cells = ref_verdict(ref, S, k)
-        verdict = membership_check(S, inst, k, eps, builder)
-        assert verdict.kind == kind
-        if existential:
-            assert prob_existential(S, inst, k, eps, builder) == \
-                ref_prob_existential(ref, inst, S, k)
-        elif S:
-            assert prob_locational(S, inst, k, eps, builder) == \
-                ref_prob_locational(ref, inst, S, k)
+        assert class_mass(S, inst, k, eps) == prob(ref, inst, S, k)
+        if not S:
+            continue
+        out = builder.build(S)
+        assert (out.coreset == S) == (kind != "NotInImage")
         if kind == "Full":
-            assert verdict.grid.side == side
-            assert verdict.tail == \
+            assert out.grid.side == side
+            assert out.tail == \
                 tuple(sorted(ref_tail(support, S, side, cells)[1]))
-        else:
-            assert verdict.tail == ()
+        elif kind == "Singleton":
+            assert out.tail == ()
+
+
+def parent_prob_existential(S_ids, instance, k, eps):
+    """The former ``prob_existential``, frozen: the closed-form product over
+    the one-row batch of the construction."""
+    builder = CoresetBuilder(instance.support_points, k, eps)
+    masks = id_mask(S_ids, instance.n)[None]
+    batch = builder.build_masks(masks)
+    w = np.zeros(1)
+    rows = np.flatnonzero((batch.core == masks).all(axis=1))
+    factors = np.where(masks[rows], instance.probs,
+                       np.where(batch.tail[rows], 1.0, 1.0 - instance.probs))
+    w[rows] = np.multiply.accumulate(factors, axis=1)[:, -1] \
+        if masks.shape[1] else 1.0
+    return float(w[0])
+
+
+def parent_prob_locational(S_ids, instance, k, eps):
+    """The former ``prob_locational``, frozen: its three-kind verdict and
+    the occupancy DP (the library's) with counts saturating at 1."""
+    S = tuple(np.flatnonzero(id_mask(S_ids, instance.m)).tolist())
+    if len(S) > instance.n:
+        return 0.0
+    tail = ()
+    if len(S) > k:
+        out = CoresetBuilder(instance.locations, k, eps).build(S)
+        if out.coreset != S:
+            return 0.0
+        tail = out.tail
+    dp = _occupancy_dp(instance, S, tail, 1)
+    return float(dp.get((1,) * len(S), 0.0))
+
+
+# Coincident points: {0, 1, 2} has r_S = 0 at k=2, a class of more than k
+# points under the sentinel grid; 3 nodes can fill it.
+DUPLICATES = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [5.0, 0.0]])
+
+
+@SETTINGS
+@given(st.one_of(existential_instances(), locational_instances()), k_values,
+       eps_values)
+@example(ExistentialInstance(points=DUPLICATES, probs=np.full(4, 0.5)), 2,
+         0.5)
+@example(LocationalInstance(locations=DUPLICATES,
+                           probs=[[0.5, 0.5, 0.0, 0.0], [0.25] * 4,
+                                  [0.0, 0.2, 0.3, 0.5]]), 2, 0.5)
+def test_class_mass_equals_the_former_one_row_calls(inst, k, eps):
+    # every subset of the support: the empty set, sets outside the image,
+    # and locational sets of more than n points
+    parent = parent_prob_existential if isinstance(inst, ExistentialInstance) \
+        else parent_prob_locational
+    for row in mask_rows(inst.support_points.shape[0]).tolist():
+        S = tuple(compress(range(len(row)), row))
+        assert class_mass(S, inst, k, eps).hex() == \
+            parent(S, inst, k, eps).hex(), S
 
 
 def seeded_locational(rng, kind):
@@ -441,13 +497,12 @@ def test_locational_masses_equal_the_unpruned_dp(kind):
     for _ in range(4):
         inst = seeded_locational(rng, kind)
         k, eps = int(rng.integers(1, 3)), float(rng.choice([0.3, 0.5, 0.9]))
-        builder = CoresetBuilder(inst.locations, k, eps)
         ref = RefBuilder(inst.locations, k, eps)
         want = []
         for row in mask_rows(inst.m)[1:].tolist():
             S = tuple(compress(range(inst.m), row))
             w = ref_prob_locational(ref, inst, S, k)
-            assert prob_locational(S, inst, k, eps, builder) == w, S
+            assert class_mass(S, inst, k, eps) == w, S
             if w > 0.0:
                 want.append((S, w))
         assert build_weighted_image(inst, k, eps, mode="subsets").entries \
@@ -459,7 +514,8 @@ def test_duplicate_points_have_full_classes_without_a_grid():
     # under the sentinel grid (subsets mode raised here before)
     inst = ExistentialInstance(points=[[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]],
                                probs=[0.5, 0.5, 0.5])
-    assert membership_check((0, 1, 2), inst, 2, 0.5).kind == "Full"
+    out = CoresetBuilder(inst.points, 2, 0.5).build((0, 1, 2))
+    assert (out.coreset, out.grid) == ((0, 1, 2), SENTINEL_GRID)
     assert build_weighted_image(inst, 2, 0.5, mode="subsets").entries == \
         build_weighted_image(inst, 2, 0.5, mode="exhaustive").entries
 
@@ -608,9 +664,8 @@ def test_non_integral_ids_raise_schema_error(bad):
                              probs=np.full((2, 5), 0.2))
     builder = CoresetBuilder(inst.points, 1, 0.5)
     calls = [lambda: builder.build(bad), lambda: builder.r_of(bad),
-             lambda: membership_check(bad, inst, 1, 0.5),
-             lambda: prob_existential(bad, inst, 1, 0.5),
-             lambda: prob_locational(bad, loc, 1, 0.5)]
+             lambda: class_mass(bad, inst, 1, 0.5),
+             lambda: class_mass(bad, loc, 1, 0.5)]
     for call in calls:
         with pytest.raises(SchemaError):
             call()

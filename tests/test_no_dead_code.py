@@ -25,11 +25,26 @@ or stored, not called) counts as passing every parameter.
 
 Every parameter of a package function, method or nested function is read
 in its body, except ``self``, ``cls`` and names that start with ``_``.
+
+Every backticked identifier of ``README.md`` outside its fenced blocks that
+holds an underscore or an inner capital names something the package
+defines: a module, a module attribute, a class attribute or a dataclass
+field.  The pipelines' info keys and ``README_ALLOWED`` are exempt.
 """
 
 import ast
+import dataclasses
+import importlib
+import pkgutil
 import re
 from pathlib import Path
+
+import numpy as np
+
+import stocenter
+from stocenter.gkm import skc_pipeline
+from stocenter.jflat import sjfc_pipeline
+from stocenter.model import ExistentialInstance
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "stocenter"
@@ -345,3 +360,82 @@ def test_checker_flags_unraised_error_classes():
                                     "    raise\n"]) == ["Unused", "Caught"]
     assert unraised_errors(errors, ["raise errors.Unused",
                                     "raise Deep from None"]) == ["Caught"]
+
+
+# README names that are not package names, each with its reason.
+README_ALLOWED = {
+    "NaN": "a float value that the JSON reader rejects",
+    "ValueError": "a Python built-in exception that the package raises",
+}
+IDENTIFIER = re.compile(r"([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)(?:\([^()]*\))?")
+
+
+def _names(obj, part):
+    """Whether ``part`` is an attribute or a dataclass field of ``obj``."""
+    return hasattr(obj, part) or dataclasses.is_dataclass(obj) and \
+        part in {f.name for f in dataclasses.fields(obj)}
+
+
+def unknown_names(text: str, modules: dict, allowed) -> list[str]:
+    """Each backticked identifier of the markdown ``text``, outside fenced
+    blocks, that holds an underscore or an inner capital, is not in
+    ``allowed`` and names nothing in ``modules`` (name -> module): a
+    module, an attribute of one, or an attribute or dataclass field of
+    what a dotted prefix names.  A call's arguments are dropped."""
+    text = re.sub(r"^```.*?^```", "", text, flags=re.S | re.M)
+    found = []
+    for token in re.findall(r"`([^`]+)`", text):
+        match = IDENTIFIER.fullmatch(token)
+        if match is None:
+            continue
+        name = match.group(1)
+        if "_" not in name and not re.search(r"\w[A-Z]", name) \
+                or name in allowed:
+            continue
+        head, *rest = name.split(".")
+        objs = [modules[head]] if head in modules else \
+            [getattr(m, head) for m in modules.values() if hasattr(m, head)]
+        for part in rest:
+            objs = [getattr(o, part, None) for o in objs if _names(o, part)]
+        if not objs:
+            found.append(name)
+    return found
+
+
+def _package_modules() -> dict:
+    modules = {"stocenter": stocenter}
+    for info in pkgutil.iter_modules(stocenter.__path__):
+        modules[info.name] = importlib.import_module(f"stocenter.{info.name}")
+    return modules
+
+
+def test_readme_names_only_what_exists():
+    # an instance without probability mass returns the info keys at once
+    inst = ExistentialInstance(points=np.zeros((1, 2)), probs=np.zeros(1))
+    info_keys = set(skc_pipeline(inst, 1, 0.5)[2]) \
+        | set(sjfc_pipeline(inst, 0, 0.5)[2])
+    text = (ROOT / "README.md").read_text()
+    assert unknown_names(text, _package_modules(),
+                         info_keys | set(README_ALLOWED)) == []
+
+
+@dataclasses.dataclass(frozen=True)
+class _Verdict:
+    tail: tuple
+
+
+def test_checker_flags_names_that_are_gone():
+    text = ("`CoresetBatch.tail` of `MembershipVerdict.tail`, through\n"
+            "`CoresetBuilder.build(ids)` and `oracle.MAX_GRID_ENTRIES` in\n"
+            "`grid_coreset`; `plain`, `np.add.accumulate`, `NaN`, `--k 7`\n"
+            "and `K(P,F) <= (1+eps) K(E(P),F)` are no package names.\n"
+            "```sh\nrun `Fenced_name`\n```\n`partition.Gone_name(S)`\n")
+    modules = _package_modules()
+    assert unknown_names(text, modules, {"NaN"}) == \
+        ["MembershipVerdict.tail", "partition.Gone_name"]
+    # a dataclass field resolves; an attribute under it does not
+    kept = dict(modules, verdicts=type("M", (), {
+        "MembershipVerdict": _Verdict}))
+    assert unknown_names(text, kept, {"NaN"}) == ["partition.Gone_name"]
+    assert unknown_names("`MembershipVerdict.tail.side_x`", kept, ()) == \
+        ["MembershipVerdict.tail.side_x"]

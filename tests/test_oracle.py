@@ -5,17 +5,17 @@ import numpy as np
 import pytest
 
 from stocenter import gkm, oracle
-from stocenter.errors import EnumerationGuardExceeded
+from stocenter.errors import EnumerationGuardExceeded, InstanceTooLarge
 from stocenter.model import (CenterSet, ExistentialInstance,
                              LocationalInstance)
 from stocenter.objective import expected_objective_exact, flat_distance
 from stocenter.oracle import (_ball_from, center_grid, minimum_enclosing_ball,
-                              oracle_expected_objective, oracle_min_flat,
-                              oracle_sensitivities, oracle_solver_gkm,
-                              oracle_solver_instance)
+                              oracle_expected_objective, oracle_holant_direct,
+                              oracle_min_flat, oracle_sensitivities,
+                              oracle_solver_gkm, oracle_solver_instance)
 from stocenter.gkm import (WeightedCollection, sensitivity_bruteforce,
                            solve_gkm)
-from stocenter.partition import build_weighted_image
+from stocenter.partition import build_weighted_image, holant_value
 
 
 def test_oracle_objective_matches_exact_evaluators():
@@ -190,4 +190,44 @@ def test_grid_search_guard_counts_subsets_times_points(k):
             mock.patch.object(oracle, "_subset_minima", stop), \
             pytest.raises(EnumerationGuardExceeded):
         oracle_solver_instance(FIVE, k, resolution=4)
+    assert not stop.called
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_sensitivity_oracle_guard_counts_subsets_times_points(k):
+    """The guard passes at exactly its cap and raises one entry past it,
+    before any subset is scored; k = 8 at the default resolution is
+    C(54, 8) x 5, about 5.2e9 entries, past the shipped cap."""
+    S = WeightedCollection(sets=(FIVE.points[:3], FIVE.points[3:]))
+    pts = np.unique(S.points, axis=0)
+    cand = np.unique(np.vstack([center_grid(pts, 4, margin=1.0), pts]),
+                     axis=0)
+    entries = math.comb(len(cand), k) * 5
+    with mock.patch.object(oracle, "MAX_GRID_ENTRIES", entries):
+        assert oracle_sensitivities(S, k, resolution=4).shape == (2,)
+    stop = mock.Mock(side_effect=AssertionError("scoring started"))
+    with mock.patch.object(oracle, "_subset_minima", stop):
+        with mock.patch.object(oracle, "MAX_GRID_ENTRIES", entries - 1), \
+                pytest.raises(EnumerationGuardExceeded, match=str(entries)):
+            oracle_sensitivities(S, k, resolution=4)
+        with pytest.raises(EnumerationGuardExceeded):
+            oracle_sensitivities(S, 8)
+    assert not stop.called
+
+
+def test_direct_holant_guard_counts_assignments():
+    """(|S| + 1)^n = 3^4 assignments pass at exactly the cap and raise one
+    past it, before the first term."""
+    rows = np.full((4, 3), 1 / 3)
+    inst = LocationalInstance(locations=np.arange(6.0).reshape(3, 2),
+                              probs=rows)
+    args = (inst, (0, 1), (2,), (1, 2, 1))
+    with mock.patch.object(oracle, "MAX_LOCATIONAL_STATES", 3 ** 4):
+        assert oracle_holant_direct(*args) == \
+            pytest.approx(holant_value(*args), abs=1e-15)
+    stop = mock.Mock(side_effect=AssertionError("summation started"))
+    with mock.patch.object(oracle, "MAX_LOCATIONAL_STATES", 3 ** 4 - 1), \
+            mock.patch.object(oracle.itertools, "product", stop), \
+            pytest.raises(InstanceTooLarge, match="81"):
+        oracle_holant_direct(*args)
     assert not stop.called

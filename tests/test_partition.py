@@ -1,21 +1,24 @@
 from fractions import Fraction
 from itertools import combinations, product
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stocenter.errors import EnumerationGuardExceeded, StateSpaceGuardExceeded
+from stocenter import oracle, partition
+from stocenter.errors import (EnumerationGuardExceeded, SchemaError,
+                              StateSpaceGuardExceeded)
 from stocenter.gkm import collection_from_image
-from stocenter.grid_coreset import CoresetBuilder, grid_cells
+from stocenter.grid_coreset import SENTINEL_GRID, CoresetBuilder, grid_cells
 from stocenter.model import (CenterSet, ExistentialInstance,
-                             LocationalInstance, realization_chunks)
+                             LocationalInstance, id_mask, realization_chunks,
+                             realization_probabilities)
 from stocenter.objective import expected_objective_exact, kcenter_value
 from stocenter.oracle import oracle_holant_direct
-from stocenter.partition import (build_weighted_image, enumerate_sequences,
-                                 holant_value, membership_check,
-                                 prob_existential, prob_locational)
+from stocenter.partition import (build_weighted_image, class_mass,
+                                 enumerate_sequences, holant_value)
 
 
 def _rand_exist(rng, n, d=2):
@@ -31,11 +34,17 @@ def _rand_loc(rng, n, m, d=2):
 
 
 def test_membership_small_sets_are_singletons():
+    # a set of at most k points is its own coreset under the sentinel grid,
+    # with an empty tail, so the only realization mapping to it is itself
     rng = np.random.default_rng(1)
     inst = _rand_exist(rng, 8)
-    assert membership_check((), inst, 2, 0.5).kind == "Singleton"
-    assert membership_check((3,), inst, 2, 0.5).kind == "Singleton"
-    assert membership_check((0, 5), inst, 2, 0.5).kind == "Singleton"
+    builder = CoresetBuilder(inst.points, 2, 0.5)
+    for S in [(), (3,), (0, 5)]:
+        assert class_mass(S, inst, 2, 0.5) == \
+            realization_probabilities(inst, id_mask(S, 8)[None])[0]
+        if S:
+            out = builder.build(S)
+            assert (out.coreset, out.grid, out.tail) == (S, SENTINEL_GRID, ())
 
 
 def test_membership_cellmates_not_in_image():
@@ -43,8 +52,7 @@ def test_membership_cellmates_not_in_image():
     # construction drops one of them, so the pair is not a fixed point
     pts = np.array([[0.0, 0.0], [100.0, 100.0], [100.0001, 100.0]])
     inst = ExistentialInstance(points=pts, probs=np.full(3, 0.5))
-    verdict = membership_check((0, 1, 2), inst, 1, 0.5)
-    assert verdict.kind == "NotInImage"
+    assert CoresetBuilder(pts, 1, 0.5).build((0, 1, 2)).coreset != (0, 1, 2)
 
 
 def test_membership_fixed_points_are_full():
@@ -58,7 +66,8 @@ def test_membership_fixed_points_are_full():
                 continue
             core = builder.build(np.flatnonzero(row)).coreset
             if len(core) > 1:
-                assert membership_check(core, inst, 1, 0.5).kind == "Full"
+                assert builder.build(core).coreset == core
+                assert class_mass(core, inst, 1, 0.5) > 0.0
                 seen_full = True
     assert seen_full
 
@@ -70,18 +79,17 @@ def test_prob_existential_matches_grouping_oracle():
         k, eps = 1, 0.5
         brute = dict(build_weighted_image(inst, k, eps,
                                           mode="exhaustive").entries)
-        builder = CoresetBuilder(inst.points, k, eps)
         for S, mass in brute.items():
             if not S:
                 continue
-            algo = prob_existential(S, inst, k, eps, builder)
+            algo = class_mass(S, inst, k, eps)
             assert algo == pytest.approx(mass, abs=1e-12)
 
 
 def test_prob_existential_not_in_image_is_zero():
     pts = np.array([[0.0, 0.0], [100.0, 100.0], [100.0001, 100.0]])
     inst = ExistentialInstance(points=pts, probs=np.full(3, 0.5))
-    assert prob_existential((0, 1, 2), inst, 1, 0.5) == 0.0
+    assert class_mass((0, 1, 2), inst, 1, 0.5) == 0.0
 
 
 def test_forbidden_tail_partition_property():
@@ -89,20 +97,20 @@ def test_forbidden_tail_partition_property():
     inst = _rand_exist(rng, 12)
     builder = CoresetBuilder(inst.points, 1, 0.5)
     core = builder.build(tuple(range(12))).coreset
-    verdict = membership_check(core, inst, 1, 0.5, builder)
-    if verdict.kind != "Full":
-        pytest.skip("sampled instance produced no Full class")
+    out = builder.build(core)
+    if len(core) <= 1 or out.coreset != core:
+        pytest.skip("sampled instance produced no class of more than k points")
     # forbidden: the points in unoccupied cells and the smaller-index
     # cellmates of a point of S; everything else outside S is the tail
     cells = [tuple(c) for c in
-             grid_cells(inst.points, verdict.grid.side).tolist()]
+             grid_cells(inst.points, out.grid.side).tolist()]
     rep = {}
     for i in core:
         rep.setdefault(cells[i], i)
     forbidden = {i for i in range(12) if i not in core
                  and i < rep.get(cells[i], 12)}
-    assert set(core).isdisjoint(verdict.tail)
-    assert forbidden == set(range(12)) - set(core) - set(verdict.tail)
+    assert set(core).isdisjoint(out.tail)
+    assert forbidden == set(range(12)) - set(core) - set(out.tail)
 
 
 def test_enumerate_sequences():
@@ -122,6 +130,33 @@ def test_holant_dp_matches_direct_summation():
         assert dp == pytest.approx(direct, abs=1e-12)
 
 
+HOLANT = LocationalInstance(locations=[[0, 0], [1, 0], [5, 5], [9, 1]],
+                            probs=[[0.5, 0.5, 0, 0], [0.25, 0.25, 0.25, 0.25]])
+
+
+@pytest.mark.parametrize("holant", [holant_value, oracle_holant_direct])
+@pytest.mark.parametrize("S,tail,seq,error", [
+    ((0, 1), (-1,), (1, 1, 0), SchemaError),  # a negative tail id
+    ((0, 1), (7,), (1, 1, 0), SchemaError),   # a tail id past m
+    ((-1,), (), (1, 1), SchemaError),         # a negative id in S
+    ((0, 1), (1, 3), (1, 1, 0), ValueError),  # the tail meets S
+    ((0, 1), (3,), (2,), ValueError),         # fewer than |S| + 1 entries
+    ((0, 1), (3,), (1, 0, 0, 1), ValueError),  # more than |S| + 1
+    ((0, 1), (3,), (1, 2, -1), ValueError),   # a negative count
+    ((0, 1), (3,), (1, 0.5, 0.5), ValueError),  # not integers
+    ((0, 1), (3,), (1, 1, 1), ValueError),    # not summing to n
+])
+def test_holant_inputs_are_checked_before_any_work(holant, S, tail, seq,
+                                                   error):
+    stop = mock.Mock(side_effect=AssertionError("work started"))
+    with mock.patch.object(partition, "_occupancy_dp", stop), \
+            mock.patch.object(oracle.itertools, "product", stop), \
+            pytest.raises(error):
+        holant(HOLANT, S, tail, seq)
+    assert not stop.called
+    assert holant(HOLANT, (0, 1), (3,), (1, 1, 0)) == 0.25
+
+
 def test_holant_guard():
     rows = np.full((30, 6), 1 / 6)
     inst = LocationalInstance(locations=np.arange(12.0).reshape(6, 2),
@@ -139,10 +174,10 @@ def test_prob_locational_matches_grouping_oracle():
         brute = dict(build_weighted_image(inst, k, eps,
                                           mode="exhaustive").entries)
         for S, mass in brute.items():
-            algo = prob_locational(S, inst, k, eps)
+            algo = class_mass(S, inst, k, eps)
             assert algo == pytest.approx(mass, abs=1e-12)
         for S in [(0,), tuple(range(inst.m))]:
-            algo = prob_locational(S, inst, k, eps)
+            algo = class_mass(S, inst, k, eps)
             assert algo == pytest.approx(brute.get(S, 0.0), abs=1e-12)
 
 
@@ -174,7 +209,7 @@ def _sparse_loc(rng, n, m):
 
 def test_class_masses_match_exact_rationals():
     # every candidate S, in the image or not, through the subsets image and
-    # prob_locational; an inclusion-exclusion sum over subsets of S for a
+    # class_mass; an inclusion-exclusion sum over subsets of S for a
     # class of at most k points cancelled on the first instance (relative
     # error 2.2e-5)
     rng = np.random.default_rng(21)
@@ -198,7 +233,7 @@ def test_class_masses_match_exact_rationals():
         for size in range(1, inst.m + 1):
             for S in combinations(range(inst.m), size):
                 want = exact.get(S, Fraction(0))
-                for got in (prob_locational(S, inst, k, 0.5),
+                for got in (class_mass(S, inst, k, 0.5),
                             image.get(S, 0.0)):
                     assert abs(Fraction(got) - want) <= want * 1e-12, \
                         (S, got, float(want))
@@ -248,13 +283,24 @@ def test_locational_candidates_stop_at_n_points():
     assert max(abs(su[S] - ex[S]) for S in su) <= 1e-12
 
 
+def test_location_ids_at_or_past_n_are_class_ids():
+    # 2 nodes over 5 locations: a locational class is a set of location ids
+    # in [0, m), of at most n of them
+    inst = _rand_loc(np.random.default_rng(14), 2, 5)
+    image = dict(build_weighted_image(inst, 1, 0.5, mode="exhaustive").entries)
+    assert {(3,), (2, 4)} <= set(image)
+    for S in [(3,), (4,), (2, 4), (0, 3, 4)]:
+        assert class_mass(S, inst, 1, 0.5) == \
+            pytest.approx(image.get(S, 0.0), abs=1e-12)
+
+
 def test_classes_of_more_than_n_points_have_no_mass():
     rng = np.random.default_rng(13)
     for inst in (_rand_loc(rng, 2, 5), _sparse_loc(rng, 3, 5)):
         for size in range(inst.n + 1, inst.m + 1):
             for S in combinations(range(inst.m), size):
-                assert prob_locational(S, inst, 1, 0.5) == 0.0
-                assert prob_locational(S, inst, 2, 0.5) == 0.0
+                assert class_mass(S, inst, 1, 0.5) == 0.0
+                assert class_mass(S, inst, 2, 0.5) == 0.0
 
 
 @st.composite
