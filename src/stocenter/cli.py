@@ -113,8 +113,7 @@ def cmd_solve(args) -> int:
 def cmd_jflat(args) -> int:
     instance = load_instance(args.instance)
     F, value, info = jflat_mod.sjfc_pipeline(
-        instance, args.j, args.eps, seed=args.seed, N=args.samples,
-        net_size=args.net)
+        instance, args.j, args.eps, seed=args.seed, N=args.samples)
     _emit(args, {
         "flat": shape_to_dict(F),
         "value": value, "case": info["case"],
@@ -251,7 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--j", type=int, required=True, choices=[0, 1])
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--net", type=int, default=32)
     p.add_argument("--samples", type=int, default=500)
     p.add_argument("--output")
     p.set_defaults(func=cmd_jflat)

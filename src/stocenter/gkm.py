@@ -48,7 +48,7 @@ from .errors import EnumerationGuardExceeded, ZeroCostCandidate
 from .model import (CHUNK_ELEMENTS, CenterSet, ExistentialInstance, Instance,
                     assignment_rows)
 from .neldermead import minimize
-from .objective import (WeightedCollection, _check_k, _distances,
+from .objective import (WeightedCollection, _check_eps, _check_k, _distances,
                         _exact_value, _finite, _nearest_distances,
                         _subset_minima, _weighted_sum, shape_distances)
 from .partition import WeightedImage, build_weighted_image
@@ -335,8 +335,7 @@ def _best_polished(instance: Instance, k: int,
 
 def _check_skc_args(k: int, eps: float, strategy: str, M, L_exp):
     """Raise up front what an instance with mass raises downstream."""
-    if not 0.0 < eps < 1.0:
-        raise ValueError("eps must lie in (0, 1)")
+    _check_eps(eps)
     _check_k(k)
     if strategy not in ("full", "sampling", "enumerate"):
         raise ValueError(f"unknown strategy {strategy!r}")

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import CombinationGuardExceeded, EmptyRealization
 from .model import CHUNK_ELEMENTS, id_mask
-from .objective import _check_k, _distances, _subset_minima
+from .objective import _check_eps, _check_k, _distances, _subset_minima
 
 # Cap on the entries of the C(n,k) x n combo_min table (80 MB of float64).
 MAX_COMBO_ENTRIES = 10 ** 7
@@ -136,8 +136,7 @@ class CoresetBuilder:
     """
 
     def __init__(self, support: np.ndarray, k: int, eps: float):
-        if not (0.0 < eps < 1.0):
-            raise ValueError("eps must lie in (0, 1)")
+        _check_eps(eps)
         _check_k(k)
         support = np.atleast_2d(np.asarray(support, dtype=float))
         n = support.shape[0]

@@ -5,9 +5,10 @@ B < eps the objective is within (1 +- eps) of the linear surrogate
 sum_i p_i d(s_i, F), so a weighted flat-median coreset suffices (Case 1).
 Otherwise (Case 2) the points are lifted so squared flat distance becomes
 affine, a convex region K cutting off at most eps probability mass is swept
-out as a mask over the support, sampled realizations inside K are reduced
-to directional kernels (S1), and the outside points get the weighted
-coreset (S2).  Case 1 is S2 of an empty K.  Only j in {0, 1} is
+out along the ``NET_SIZE`` directions of a fixed net as a mask over the
+support, sampled realizations inside K are reduced to kernels along the
+``KERNEL_NET_SIZE`` directions of another (S1), and the outside points get
+the weighted coreset (S2).  Case 1 is S2 of an empty K.  Only j in {0, 1} is
 supported; the lift dimension grows too fast beyond that.
 
 The locational model always takes Case 2 with per-location masses
@@ -33,9 +34,10 @@ from .gkm import (WeightedCollection, _best_polished,
                   importance_sample_coreset, solve_gkm)
 from .model import CenterSet, ExistentialInstance, Flat, Instance, realize
 from .neldermead import minimize
-from .objective import _exact_value, _finite, shape_distances
+from .objective import _check_eps, _exact_value, _finite, shape_distances
 
 NET_SEED = 0xC0FFEE
+NET_SIZE = 32  # directions of the sweep net that cuts out K
 KERNEL_NET_SIZE = 64  # directions of the S1 kernel net
 
 
@@ -93,13 +95,11 @@ def _prefix_mass(instance: Instance, order: np.ndarray) -> np.ndarray:
     return 1.0 - np.prod(1.0 - tail, axis=0)
 
 
-def sweep_convexK(instance: Instance, j: int, eps: float,
-                  net_size: int = 32) -> np.ndarray:
+def sweep_convexK(instance: Instance, j: int, eps: float) -> np.ndarray:
     """Which support points lie in K, the intersection of halfspaces cutting
     off at most eps' = eps / (2 * M) mass per direction, where M is the
-    number of directions in the net (``direction_net`` rounds an odd
-    ``net_size`` up to even), so the union bound puts at most eps/2 total
-    mass outside K.
+    number of directions in the net (``NET_SIZE``), so the union bound puts
+    at most eps/2 total mass outside K.
 
     Each direction's threshold is the lifted projection at which a sweep
     from its far side (ties to the lower id) first reaches eps' mass.  The
@@ -107,10 +107,11 @@ def sweep_convexK(instance: Instance, j: int, eps: float,
     reads, so a point on a boundary is inside exactly.
     """
     _check_j(j, instance.d)
+    _check_eps(eps)
     if isinstance(instance, ExistentialInstance) and instance.total_prob < eps:
         raise CaseMismatch("total probability below eps; use the Case 1 path")
     lifted = lift(instance.support_points, j)
-    dirs = direction_net(lifted.shape[1], net_size)
+    dirs = direction_net(lifted.shape[1], NET_SIZE)
     eps_prime = eps / (2 * dirs.shape[0])
     proj = lifted @ dirs.T
     ids = np.arange(proj.shape[0])
@@ -173,6 +174,7 @@ def weighted_flat_median_coreset(points: np.ndarray, weights: np.ndarray,
     weights = np.asarray(weights, dtype=float)
     n, d = points.shape
     _check_j(j, d)
+    _check_eps(eps)
     cap = case1_size_cap(j, d, eps)
     if n <= cap:
         return points, weights
@@ -220,12 +222,11 @@ def build_S1(instance: Instance, inside: np.ndarray, j: int, N: int,
 
 
 def build_S2(instance: Instance, inside: np.ndarray, j: int, eps: float,
-             rng: np.random.Generator | None = None):
+             rng: np.random.Generator):
     """Weighted flat-median coreset of the support points of positive mass
     that are not ``inside`` K."""
     _check_j(j, instance.d)
-    if rng is None:
-        rng = np.random.default_rng(NET_SEED)
+    _check_eps(eps)
     # a location's mass is its column summed over the nodes (it may exceed 1)
     masses = instance.probs if isinstance(instance, ExistentialInstance) \
         else instance.probs.sum(axis=0)
@@ -234,29 +235,24 @@ def build_S2(instance: Instance, inside: np.ndarray, j: int, eps: float,
         instance.support_points[outside], masses[outside], j, eps, rng)
 
 
-def _check_sjfc_args(instance: Instance, j: int, eps: float, N: int,
-                     net_size: int):
+def _check_sjfc_args(instance: Instance, j: int, eps: float, N: int):
     _check_j(j, instance.d)
-    if not 0.0 < eps < 1.0:
-        raise ValueError("eps must lie in (0, 1)")
+    _check_eps(eps)
     if N < 1:
         raise ValueError("N must be at least 1")
-    if net_size < 1:
-        raise ValueError("net_size must be at least 1")
 
 
 def build_sjfc_coreset(instance: Instance, j: int, eps: float, seed: int,
-                       N: int = 500,
-                       net_size: int = 32) -> tuple[WeightedCollection, int]:
+                       N: int = 500) -> tuple[WeightedCollection, int]:
     """The packed coreset of S1 and S2 (see ``_pack``) and its case, 1 or
     2; in Case 1, S1 is empty."""
-    _check_sjfc_args(instance, j, eps, N, net_size)
+    _check_sjfc_args(instance, j, eps, N)
     if isinstance(instance, ExistentialInstance) and instance.total_prob < eps:
         # Case 1 is S2 of an empty K
         s2 = build_S2(instance, np.zeros(instance.n, dtype=bool), j, eps,
                       np.random.default_rng([seed, 1]))
         return _pack((), *s2), 1
-    inside = sweep_convexK(instance, j, eps, net_size=net_size)
+    inside = sweep_convexK(instance, j, eps)
     s1 = build_S1(instance, inside, j, N, seed)
     return _pack(s1, *build_S2(instance, inside, j, eps,
                                np.random.default_rng([seed, 2]))), 2
@@ -320,7 +316,7 @@ def solve_jflat(S: WeightedCollection, j: int) -> tuple[Flat, float]:
 
 
 def sjfc_pipeline(instance: Instance, j: int, eps: float, seed: int = 0,
-                  N: int = 500, net_size: int = 32):
+                  N: int = 500):
     """Coreset, solve, then re-optimize on the exact expected objective.
 
     Returns (Flat, value, info).  The exact evaluator is cheap (one sort per
@@ -331,14 +327,13 @@ def sjfc_pipeline(instance: Instance, j: int, eps: float, seed: int = 0,
     ``polish_unconverged``, the number of polish runs that stopped at
     ``maxiter``.
     """
-    _check_sjfc_args(instance, j, eps, N, net_size)
+    _check_sjfc_args(instance, j, eps, N)
     if not instance.probs.any():
         F = _flat_from_params(np.zeros(instance.d if j == 0 else 2 * instance.d),
                               j, instance.d)
         return F, 0.0, {"case": 1, "s1_size": 0, "s2_size": 0,
                         "polish_unconverged": 0}
-    S, case = build_sjfc_coreset(instance, j, eps, seed, N=N,
-                                 net_size=net_size)
+    S, case = build_sjfc_coreset(instance, j, eps, seed, N=N)
     F0, _ = solve_jflat(S, j)
     if j == 0:
         C, value, _, unconverged = _best_polished(

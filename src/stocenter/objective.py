@@ -117,6 +117,12 @@ def _check_k(k: int):
         raise ValueError("k must be at least 1")
 
 
+def _check_eps(eps: float):
+    """Every coreset takes an eps in (0, 1); NaN is not in it."""
+    if not 0.0 < eps < 1.0:
+        raise ValueError("eps must lie in (0, 1)")
+
+
 def _subset_minima(D: np.ndarray, k: int, rows: int):
     """Every k-subset of the columns of ``D``, in ``combinations`` order,
     as (subsets, table) chunks of at most ``rows`` subsets: ``subsets`` is

@@ -97,6 +97,8 @@ def oracle_holant_direct(instance: LocationalInstance, S_ids, tail,
 def center_grid(points: np.ndarray, resolution: int,
                 margin: float = 0.0) -> np.ndarray:
     """Axis-aligned grid of candidate centers over the bounding box."""
+    if resolution < 1:
+        raise ValueError("resolution must be at least 1")
     points = np.atleast_2d(points)
     lo = points.min(axis=0) - margin
     hi = points.max(axis=0) + margin

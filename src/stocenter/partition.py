@@ -20,13 +20,14 @@ every realization (exhaustive) or every candidate subset (subsets).
 Exhaustive mode passes the realization masks of either model and their
 probabilities from ``model.realization_chunks``, which owns the enumeration
 order, guards and zero-probability filter, straight to the construction.
-Memory is one chunk plus the classes, in both models.  In subsets mode the
-existential masses and tails come out of the same batch.  n nodes occupy at
-most n locations, so locational candidates stop at n points, and a class of
-more than n points has mass 0; the in-image locational classes then go one
-at a time through the occupancy DP, which drops every state with more
-unoccupied points of S than nodes left to place.  ``class_mass`` is the
-one-row call of the same per-chunk rule, ``_class_masses``, in both models.
+Memory is one chunk plus the classes, in both models.  In subsets mode one
+function, ``_class_masses``, gives a chunk its masses in both models: one
+batch of the construction tells which rows are in the image, and gives the
+existential tails.  n nodes occupy at most n locations, so locational
+candidates stop at n points, and a class of more than n points has mass 0;
+the in-image locational classes then go one at a time through the
+occupancy DP, which drops every state with more unoccupied points of S than
+nodes left to place.  ``class_mass`` is its one-row call.
 """
 
 from __future__ import annotations
@@ -56,10 +57,6 @@ class WeightedImage:
         return float(sum(w for _, w in self.entries))
 
 
-def _builder(instance: Instance, k: int, eps: float) -> CoresetBuilder:
-    return CoresetBuilder(instance.support_points, k, eps)
-
-
 def _ids(masks: np.ndarray) -> list[tuple[int, ...]]:
     """Ascending point ids of every mask row."""
     cols = range(masks.shape[1])
@@ -79,46 +76,33 @@ def _group_rows(masks: np.ndarray):
     return ordered[first], inverse
 
 
-def _classify(builder: CoresetBuilder, masks: np.ndarray):
-    """Whether every candidate row S is in the image, that is, whether the
-    construction run on S returns S; and the construction's batch.
-
-    A row of at most k points (the empty row included) has r_S = 0, so it
-    is its own coreset under the sentinel grid, with an empty tail.
-    """
-    batch = builder.build_masks(masks)
-    return (batch.core == masks).all(axis=1), batch
-
-
-def _existential_masses(builder: CoresetBuilder, probs: np.ndarray,
-                        masks: np.ndarray) -> np.ndarray:
-    """Pr over realizations P of [coreset(P) = S] for every row S, in closed
-    form; 0 for rows not in the image."""
-    in_image, batch = _classify(builder, masks)
-    w = np.zeros(masks.shape[0])
-    # One factor per support point, in index order: p at a point of S, 1 for
-    # a point of T(S) (unconstrained), and 1 - p for a smaller-index
-    # cellmate of a point of S or a point in an unoccupied cell (both must
-    # be absent).
-    rows = np.flatnonzero(in_image)
-    factors = np.where(masks[rows], probs,
-                       np.where(batch.tail[rows], 1.0, 1.0 - probs))
-    # the empty product of a support of no points is 1
-    w[rows] = np.multiply.accumulate(factors, axis=1)[:, -1] \
-        if masks.shape[1] else 1.0
-    return w
-
-
 def _class_masses(builder: CoresetBuilder, instance: Instance,
                   masks: np.ndarray) -> np.ndarray:
     """Pr over realizations P of [coreset(P) = S] for every candidate row S,
-    in either model; 0 for rows not in the image."""
+    in either model; 0 for rows not in the image.
+
+    S is in the image when the construction run on S returns S.  A row of
+    at most k points (the empty row included) has r_S = 0, so it is its own
+    coreset under the sentinel grid, with an empty tail.
+    """
+    batch = builder.build_masks(masks)
+    in_image = (batch.core == masks).all(axis=1)
+    w = np.zeros(masks.shape[0])
     if isinstance(instance, ExistentialInstance):
-        return _existential_masses(builder, instance.probs, masks)
-    in_image, _ = _classify(builder, masks)
+        # One factor per support point, in index order: p at a point of S, 1
+        # for a point of T(S) (unconstrained), and 1 - p for a smaller-index
+        # cellmate of a point of S or a point in an unoccupied cell (both
+        # must be absent).
+        rows = np.flatnonzero(in_image)
+        factors = np.where(masks[rows], instance.probs,
+                           np.where(batch.tail[rows], 1.0,
+                                    1.0 - instance.probs))
+        # the empty product of a support of no points is 1
+        w[rows] = np.multiply.accumulate(factors, axis=1)[:, -1] \
+            if masks.shape[1] else 1.0
+        return w
     # n nodes occupy at most n locations; the occupancy DP is per class
     rows = np.flatnonzero(in_image & (masks.sum(axis=1) <= instance.n))
-    w = np.zeros(masks.shape[0])
     for row, S in zip(rows.tolist(), _ids(masks[rows])):
         w[row] = _locational_mass(S, instance, builder)
     return w
@@ -128,8 +112,8 @@ def class_mass(S_ids, instance: Instance, k: int, eps: float) -> float:
     """Pr over realizations P of [coreset(P) = S] for one set S of support
     ids (points, or locations), in either model; 0 when S is not a class."""
     masks = id_mask(S_ids, instance.support_points.shape[0])[None]
-    return float(_class_masses(_builder(instance, k, eps), instance,
-                               masks)[0])
+    builder = CoresetBuilder(instance.support_points, k, eps)
+    return float(_class_masses(builder, instance, masks)[0])
 
 
 def enumerate_sequences(n: int, slots: int):
@@ -251,7 +235,7 @@ def build_weighted_image(instance: Instance, k: int, eps: float,
     locational instance, up to n points), filter by the fixed-point
     membership test, attach closed-form/DP probabilities.
     """
-    builder = _builder(instance, k, eps)
+    builder = CoresetBuilder(instance.support_points, k, eps)
     rows = builder.chunk_rows
     if mode == "exhaustive":
         groups: dict[tuple[int, ...], float] = {}

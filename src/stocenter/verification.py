@@ -13,7 +13,7 @@ import numpy as np
 
 from .gkm import WeightedCollection, candidate_costs, skc_pipeline
 from .grid_coreset import CoresetBuilder, coreset_image_size_bound
-from .jflat import _pack, build_S1, build_S2, sjfc_pipeline, sweep_convexK
+from .jflat import build_sjfc_coreset, sjfc_pipeline, sweep_convexK
 from .model import (CenterSet, ExistentialInstance, Flat, LocationalInstance,
                     realize)
 from .objective import (_distances, _squared_distances, _weighted_sum,
@@ -377,10 +377,9 @@ def criterion_11(scale: str, seed: int = 111, **_) -> CheckResult:
         # a few near-zero probabilities so the sweep leaves points outside K
         # and the weighted outside coreset is exercised
         inst = _rand_exist(rng, n, 2, prob_lo=0.0005)
-        inside = sweep_convexK(inst, 0, eps, net_size=32)
+        inside = sweep_convexK(inst, 0, eps)
         max_outside = max(max_outside, float(inst.probs[~inside].sum()))
-        s1 = build_S1(inst, inside, 0, c["c11_N"], seed=seed + _i)
-        S = _pack(s1, *build_S2(inst, inside, 0, eps))
+        S, _ = build_sjfc_coreset(inst, 0, eps, seed + _i, N=c["c11_N"])
         for _f in range(c["c11_F"]):
             F = _rand_flat(rng, 0, 2)
             exact = expected_flatcenter_exact(inst, F).value

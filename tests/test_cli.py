@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -14,6 +16,8 @@ from stocenter.model import instance_to_dict, shape_to_dict
 from stocenter.model import (CenterSet, ExistentialInstance,
                              LocationalInstance)
 from stocenter.serialize import dumps_json, write_json
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture
@@ -320,16 +324,20 @@ def test_generate_rejects_empty_sizes(args, flag, capsys):
 
 
 @pytest.mark.parametrize("flag, value", [
-    ("--eps", "0"), ("--eps", "-0.5"), ("--eps", "1.5"), ("--net", "0"),
-    ("--samples", "0"), ("--samples", "-2")])
+    ("--eps", "0"), ("--eps", "-0.5"), ("--eps", "1.5"),
+    ("--samples", "0"), ("--samples", "-2"), ("--net", "32")])
 def test_jflat_out_of_range_is_usage_error(flag, value, tmp_path, capsys):
     path = tmp_path / "inst.json"
     write_json(path, instance_to_dict(
         generate_instance("uniform", "existential", 12, 2, 3)))
-    args = {"--eps": "0.3", "--net": "32", "--samples": "500", flag: value}
-    code, out = _run(["jflat", "--instance", str(path), "--j", "0"]
-                     + [item for pair in args.items() for item in pair],
-                     capsys)
+    # the sweep net is the constant jflat.NET_SIZE, so --net is no option
+    args = {"--eps": "0.3", "--samples": "500", flag: value}
+    argv = ["jflat", "--instance", str(path), "--j", "0"] \
+        + [item for pair in args.items() for item in pair]
+    try:
+        code, out = _run(argv, capsys)
+    except SystemExit as exc:  # argparse rejects an unknown flag
+        code, out = exc.code, capsys.readouterr().out
     assert (code, out) == (2, "")
 
 
@@ -359,6 +367,23 @@ def test_oracle_solve_rejects_k_before_scoring(k, code, tmp_path, capsys):
     assert got == (code, "") and not stop.called
 
 
+@pytest.mark.parametrize("resolution", ["0", "-1"])
+def test_oracle_solve_rejects_resolution_before_scoring(resolution, tmp_path,
+                                                        capsys):
+    # --resolution 0 printed a search over the support points alone, and
+    # -1 ended in numpy's "Number of samples, -1, must be non-negative"
+    path = tmp_path / "inst.json"
+    write_json(path, instance_to_dict(generate_instance(
+        "uniform", "existential", 5, 2, 1)))
+    stop = mock.Mock(side_effect=AssertionError("scoring started"))
+    with mock.patch.object(oracle, "_subset_minima", stop):
+        code = main(["oracle", "solve", "--instance", str(path), "--k", "1",
+                     "--resolution", resolution])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "") and not stop.called
+    assert "resolution must be at least 1" in captured.err
+
+
 def test_locational_classes_past_the_count_guard(tmp_path, capsys):
     # 300 nodes on two locations: counting occupancies up to n took
     # 300 * 301^2 = 2.7e7 DP states for the class {0, 1}, over the guard
@@ -377,8 +402,10 @@ def test_locational_classes_past_the_count_guard(tmp_path, capsys):
 
 
 def test_cli_entry_point_help():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])}
     proc = subprocess.run([sys.executable, "-m", "stocenter.cli", "--help"],
-                          capture_output=True, text=True)
+                          env=env, capture_output=True, text=True)
     assert proc.returncode == 0
     for cmd in ("evaluate", "grid-coreset", "partition", "solve", "jflat",
                 "oracle", "generate", "verify"):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stocenter import jflat
+from stocenter import jflat, verification
 from stocenter.cli import main
 from stocenter.errors import CaseMismatch, EmptyK, SchemaError
 from stocenter.gkm import WeightedCollection, skc_pipeline, solve_gkm
@@ -143,7 +143,9 @@ def _outcome(sweep, *args):
 def test_sweep_mask_matches_the_frozen_sweep(case):
     # the thresholds and the test read the same projections, so the mask
     # needs no slack to keep every point the old sweep kept
-    mask = _outcome(sweep_convexK, *case)
+    *args, net_size = case
+    with mock.patch.object(jflat, "NET_SIZE", net_size):
+        mask = _outcome(sweep_convexK, *args)
     expected = _outcome(frozen_inside, *case)
     if isinstance(expected, type):
         assert mask is expected
@@ -203,7 +205,8 @@ def test_build_S2_empty_outside():
     pts = rng.uniform(-5, 5, (8, 2))
     inst = ExistentialInstance(points=pts, probs=np.ones(8))
     inside = sweep_convexK(inst, 0, 0.2)
-    s2_pts, s2_w = build_S2(inst, inside, 0, 0.2)
+    s2_pts, s2_w = build_S2(inst, inside, 0, 0.2,
+                            np.random.default_rng(jflat.NET_SEED))
     assert s2_pts.shape[0] == 0 and s2_w.shape[0] == 0
 
 
@@ -271,11 +274,33 @@ def test_flat_median_coresets_reject_unsupported_j(j):
         probs=np.full(500, 0.001))
     with mock.patch.object(jflat, "importance_sample_coreset") as sample:
         with pytest.raises(SchemaError):
-            build_S2(inst, np.zeros(500, dtype=bool), j, 0.9)
+            build_S2(inst, np.zeros(500, dtype=bool), j, 0.9,
+                     np.random.default_rng(jflat.NET_SEED))
         with pytest.raises(SchemaError):
             weighted_flat_median_coreset(inst.points, inst.probs, j, 0.9,
                                          np.random.default_rng(0))
     assert not sample.called
+
+
+@pytest.mark.parametrize("eps", [0.0, -0.5, 1.0, 1.5, float("nan")])
+@pytest.mark.parametrize("build", [
+    lambda inst, eps: sweep_convexK(inst, 0, eps),
+    lambda inst, eps: build_S2(inst, np.zeros(inst.n, dtype=bool), 0, eps,
+                               np.random.default_rng(0)),
+    lambda inst, eps: weighted_flat_median_coreset(
+        inst.points, inst.probs, 0, eps, np.random.default_rng(0))],
+    ids=["sweep_convexK", "build_S2", "weighted_flat_median_coreset"])
+def test_jflat_builders_reject_eps_outside_the_unit_interval(build, eps):
+    # the sweep kept every point at eps 0 and -0.5; the flat-median
+    # coresets divided by zero at 0 and drew 8 points at -0.5, 1 at 1.5
+    rng = np.random.default_rng(3)
+    inst = ExistentialInstance(points=rng.uniform(-5, 5, (60, 2)),
+                               probs=rng.uniform(0.001, 0.9, 60))
+    with mock.patch.object(jflat, "lift") as lifted, \
+            mock.patch.object(jflat, "importance_sample_coreset") as sample:
+        with pytest.raises(ValueError, match=r"eps must lie in \(0, 1\)"):
+            build(inst, eps)
+    assert not (lifted.called or sample.called)
 
 
 def test_sjfc_rejects_a_line_in_one_dimension_before_any_work(tmp_path,
@@ -476,3 +501,35 @@ def test_coreset_packs_as_the_former_coreset_type():
     assert seen == {"case 1", "case 2", "ExistentialInstance",
                     "LocationalInstance", "empty S2", "empty kernel",
                     "sampled S2"}
+
+
+def frozen_criterion_11_coreset(inst, eps, N, seed):
+    """Criterion 11's former assembly: the sweep, S1, S2 drawn with the
+    ``NET_SEED`` generator, then the packing; and the number of support
+    points outside K."""
+    inside = sweep_convexK(inst, 0, eps)
+    s1 = build_S1(inst, inside, 0, N, seed=seed)
+    s2 = build_S2(inst, inside, 0, eps, np.random.default_rng(jflat.NET_SEED))
+    return frozen_packing(s1, *s2), int((~inside).sum())
+
+
+@pytest.mark.parametrize("scale", ["quick", "full"])
+def test_criterion_11_coreset_is_the_built_one(scale):
+    # S2 comes back verbatim while the outside points fit under the Case-1
+    # cap, so its generator is never drawn and either seed gives one S2
+    c, seed, eps = verification.COUNTS[scale], 111, 0.2
+    rng = np.random.default_rng(seed)
+    for i in range(c["c11_inst"]):
+        inst = verification._rand_exist(rng, int(rng.integers(10, 31)), 2,
+                                        prob_lo=0.0005)
+        for _ in range(c["c11_F"]):
+            verification._rand_flat(rng, 0, 2)
+        expected, outside = frozen_criterion_11_coreset(inst, eps,
+                                                        c["c11_N"], seed + i)
+        assert outside <= case1_size_cap(0, 2, eps)
+        S, case = build_sjfc_coreset(inst, 0, eps, seed + i, N=c["c11_N"])
+        assert case == 2 and S.d == expected.d
+        assert len(S.sets) == len(expected.sets)
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(S.sets, expected.sets))
+        assert np.array_equal(S.weights, expected.weights)

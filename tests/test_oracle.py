@@ -67,6 +67,12 @@ def test_center_grid_and_solver_refinement():
     assert v_fine == pytest.approx(2.0, abs=1e-9)  # midpoint radius
 
 
+@pytest.mark.parametrize("resolution", [0, -1])
+def test_center_grid_rejects_resolution_below_one(resolution):
+    with pytest.raises(ValueError, match="resolution must be at least 1"):
+        center_grid(np.array([[0.0, 0.0], [4.0, 0.0]]), resolution)
+
+
 def test_oracle_sensitivities_dominate_and_single_set():
     rng = np.random.default_rng(53)
     sets = tuple(rng.uniform(-5, 5, (2, 2)) for _ in range(4))
