@@ -7,7 +7,9 @@ random state is always caller-owned and passed explicitly.
 
 A realization is one boolean mask over the support: the points present
 (existential) or the locations the nodes took (locational).  ``realize``
-maps caller-drawn uniforms to sampled masks; ``realization_chunks`` walks
+maps caller-drawn uniforms to sampled masks, and ``farthest_realized``
+reads the same draws without building them: the first realized support
+point of each draw in a caller's order.  ``realization_chunks`` walks
 every realization in chunks (bit masks from ``mask_rows``, or node ->
 location assignments from ``assignment_rows`` as location masks), applies
 both enumeration guards, drops zero-probability rows, and takes each
@@ -35,6 +37,12 @@ MAX_LOCATIONAL_STATES = 2 ** 24
 # 1 MiB): in the realization enumeration and Monte-Carlo sampling
 # (rows x max(n, support)) and in the batched grid construction.
 CHUNK_ELEMENTS = 2 ** 17
+
+# ``farthest_realized`` compares an existential draw's uniforms on a prefix
+# of the order, FARTHEST_FIRST_COLUMNS wide and doubling; rows with nothing
+# realized in the first FARTHEST_PREFIX_LIMIT columns compare their whole row.
+FARTHEST_FIRST_COLUMNS = 8
+FARTHEST_PREFIX_LIMIT = 64
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -311,6 +319,27 @@ def realization_chunks(instance: Instance, rows: int | None = None):
                else _index_masks(block[keep], instance.m)), pr[keep]
 
 
+def _uniforms(instance: Instance, u: np.ndarray) -> np.ndarray:
+    """``u`` as a float (samples, n) matrix of uniforms, one row per draw."""
+    u = np.asarray(u, dtype=float)
+    if u.ndim != 2 or u.shape[1] != instance.n:
+        raise SchemaError(f"need a (samples, {instance.n}) uniform matrix")
+    return u
+
+
+def _location_indices(instance: LocationalInstance,
+                      u: np.ndarray) -> np.ndarray:
+    """The location each node took in each draw: the first location whose
+    cumulative probability exceeds u (inverse CDF), or, for a u past the
+    row's last cumulative value, the row's last location of positive
+    probability."""
+    cum, last = instance.inverse_cdf
+    idx = np.empty(u.shape, dtype=np.intp)
+    for j in range(instance.n):
+        idx[:, j] = np.searchsorted(cum[j], u[:, j], side="right")
+    return np.minimum(idx, last, out=idx)
+
+
 def realize(instance: Instance, u: np.ndarray) -> np.ndarray:
     """Map a caller-drawn (samples, n) matrix of uniforms in [0, 1) to
     (samples, support) masks; u[i, j] decides node (or point) j of draw i.
@@ -321,16 +350,48 @@ def realize(instance: Instance, u: np.ndarray) -> np.ndarray:
     1e-9, so u can lie past its last cumulative value; such a draw takes
     the row's last location of positive probability.
     """
-    u = np.asarray(u, dtype=float)
-    if u.ndim != 2 or u.shape[1] != instance.n:
-        raise SchemaError(f"need a (samples, {instance.n}) uniform matrix")
+    u = _uniforms(instance, u)
     if isinstance(instance, ExistentialInstance):
         return u < instance.probs
-    cum, last = instance.inverse_cdf
-    idx = np.empty(u.shape, dtype=np.intp)
-    for j in range(instance.n):
-        idx[:, j] = np.searchsorted(cum[j], u[:, j], side="right")
-    return _index_masks(np.minimum(idx, last, out=idx), instance.m)
+    return _index_masks(_location_indices(instance, u), instance.m)
+
+
+def farthest_realized(instance: Instance, u: np.ndarray,
+                      order: np.ndarray) -> np.ndarray:
+    """Position in ``order``, a permutation of the support, of the first
+    support point realized by each draw of ``realize(instance, u)``, or
+    ``len(order)`` when the draw realizes none: the first True of each row
+    of ``realize(instance, u)[:, order]``, with no mask built.
+
+    Existential: ``u < probs`` is compared on a prefix of ``order``,
+    ``FARTHEST_FIRST_COLUMNS`` columns wide and doubling, until every row
+    has a realized point; past ``FARTHEST_PREFIX_LIMIT`` columns the rows
+    still without one compare their whole row.  Locational: the least
+    rank in ``order`` of the locations the nodes took.
+    """
+    u = _uniforms(instance, u)
+    width = len(order)
+    if not isinstance(instance, ExistentialInstance):
+        rank = np.empty(width, dtype=np.intp)
+        rank[order] = np.arange(width)
+        return rank[_location_indices(instance, u)].min(axis=1,
+                                                         initial=width)
+    pos = np.full(len(u), width, dtype=np.intp)
+    probs = instance.probs[order]
+    pending = np.ones(len(u), dtype=bool)
+    lo, hi = 0, FARTHEST_FIRST_COLUMNS
+    while lo < min(width, FARTHEST_PREFIX_LIMIT) and pending.any():
+        hit = u[:, order[lo:hi]] < probs[lo:hi]
+        found = pending & hit.any(axis=1)
+        pos[found] = lo + hit[found].argmax(axis=1)
+        pending &= ~found
+        lo, hi = hi, 2 * hi
+    if lo < width and pending.any():
+        hit = (u < instance.probs)[pending]
+        found = hit.any(axis=1)
+        pos[np.flatnonzero(pending)[found]] = \
+            hit[found].take(order, axis=1).argmax(axis=1)
+    return pos
 
 
 # ---------------------------------------------------------------------------

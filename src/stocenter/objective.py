@@ -17,8 +17,9 @@ oracles screen with them.
 
 Flat distances are per-row sums along d, never a BLAS product, so a
 point's distance does not depend on the other points scored with it.
-A Monte-Carlo sample's value is the largest distance under its
-realization mask from ``model.realize``, the same rule in both models.
+A Monte-Carlo sample's value is the distance of its farthest realized
+support point, from ``model.farthest_realized``, the same rule in both
+models.
 
 ``WeightedCollection``, the one weighted point-set type, is the one place
 that takes K(S, F) = max_{s in S} d(s, F) for every set S.  The grid
@@ -37,7 +38,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NonFiniteValue
 from .model import (CHUNK_ELEMENTS, CenterSet, ExistentialInstance, Flat,
-                    Instance, realize)
+                    Instance, farthest_realized)
 
 
 @dataclass(frozen=True)
@@ -311,26 +312,34 @@ def expected_objective_mc(instance: Instance, shape: Shape, samples: int,
 
     Sample i consumes the i-th block of n uniforms from ``rng`` (see
     ``model.realize``), so a seed gives the same value and stderr as
-    drawing the samples one at a time.  Uniforms are drawn and scored in
-    chunks of ``CHUNK_ELEMENTS // max(n, support)`` rows (at least one):
-    each chunk temporary holds at most 1 MiB, or one row when n or the
-    support exceeds ``CHUNK_ELEMENTS``; the values take 8 bytes per sample.
+    drawing the samples one at a time.  A sample scores the distance of
+    its first realized support point in farthest-first order (ties to the
+    lowest id), read by ``model.farthest_realized``, or 0 when it realizes
+    none: the largest distance over its realized points.
+    Uniforms are drawn into one reused (rows, n) buffer and scored in
+    chunks of ``rows = CHUNK_ELEMENTS // max(n, support)`` samples (at
+    least one): the buffer and each chunk temporary hold at most 1 MiB, or
+    one row when n or the support exceeds ``CHUNK_ELEMENTS``; the values
+    take 8 bytes per sample.  Any non-finite distance raises
+    ``NonFiniteValue``.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     if instance.n == 0:  # every realization is empty
         return ObjectiveValue(0.0, "MonteCarlo", samples=samples, stderr=0.0)
     dists = shape_distances(instance.support_points, shape)
+    _finite(float(dists.max()))
+    order = (-dists).argsort(kind="stable")
+    # the score at a position in ``order``; the last one, 0, scores a
+    # sample with nothing realized
+    scores = np.append(dists[order], 0.0)
     rows = max(CHUNK_ELEMENTS // max(instance.n, len(dists)), 1)
+    buf = np.empty((min(rows, samples), instance.n))
     vals = np.empty(samples)
     for start in range(0, samples, rows):
-        masks = realize(instance, rng.random((min(rows, samples - start),
-                                              instance.n)))
-        # Distances are finite and nonnegative, so an unrealized point's
-        # 0.0 never exceeds a realized one's: this is the max over the
-        # realized points, and 0 when none is realized.
-        chunk = (masks * dists).max(axis=1)
-        vals[start:start + len(chunk)] = chunk
+        u = rng.random(out=buf[:min(rows, samples - start)])
+        vals[start:start + len(u)] = scores[farthest_realized(instance, u,
+                                                              order)]
     mean = _finite(float(vals.mean()))
     stderr = float(vals.std(ddof=1) / np.sqrt(samples)) if samples > 1 else 0.0
     return ObjectiveValue(mean, "MonteCarlo", samples=samples, stderr=stderr)

@@ -167,15 +167,14 @@ def test_mc_temporaries_stay_within_the_chunk():
     chunks by n alone would hold 512 samples, 256,000 mask entries."""
     instance, chunk = _wide_instance(500), 2 ** 10
     shape = CenterSet(centers=[[1.0, -2.0]])
-    sizes, realize = [], objective.realize
+    sizes, farthest_realized = [], objective.farthest_realized
 
-    def spy(inst, u):
-        masks = realize(inst, u)
-        sizes.append(max(u.size, masks.size))
-        return masks
+    def spy(inst, u, order):
+        sizes.append(max(u.size, model.realize(inst, u).size))
+        return farthest_realized(inst, u, order)
 
     with mock.patch.object(objective, "CHUNK_ELEMENTS", chunk):
-        with mock.patch.object(objective, "realize", spy):
+        with mock.patch.object(objective, "farthest_realized", spy):
             ref = expected_objective_mc(instance, shape, 2000,
                                         np.random.default_rng(3))
         # the first call also makes numpy's one-time allocations, so only
@@ -189,8 +188,8 @@ def test_mc_temporaries_stay_within_the_chunk():
             tracemalloc.stop()
     assert len(sizes) == 1000 and max(sizes) <= chunk
     assert got == ref
-    # 16 KB of per-sample values, 4 KB of distances, and one chunk: a mask
-    # of 1,000 booleans and its 8 KB product with the distances
+    # 16 KB of per-sample values, 4 KB of distances, and one chunk: the
+    # 4 KB scores and location ranks and a draw of two samples
     assert peak < 2 ** 16
 
 
