@@ -263,13 +263,26 @@ def _farthest_weights(instance: Instance, dists: np.ndarray) -> np.ndarray:
         p = instance.probs[order]
         p[1:] *= np.multiply.accumulate(1.0 - p, axis=0)[:-1]
     else:
-        # nearest first, ties to the highest id: cdf[r] = Pr[every node
-        # lands in order[:r + 1]], so its jump at r is Pr[the farthest
-        # realized location is order[r]]
+        # nearest first, ties to the highest id: the farthest realized
+        # location is order[r] with probability prod_i C_i(r) -
+        # prod_i C_i(r - 1), where C_i(r) = Pr[node i lands in
+        # order[:r + 1]].  The difference is telescoped over the nodes into
+        # a sum of non-negative terms, prod_{i<j} C_i(r - 1) * q_j(r) *
+        # prod_{i>j} C_i(r) with q_j(r) node j's entry at order[r], so
+        # nothing cancels when the products are close to 1.
         order = len(dists) - 1 - dists[::-1].argsort(axis=0, kind="stable")
-        cdf = np.multiply.reduce(
-            np.add.accumulate(instance.probs[:, order], axis=1), axis=0)
-        p = np.diff(cdf, axis=0, prepend=0.0)
+        q = instance.probs[:, order]
+        cdf = np.add.accumulate(q, axis=1)
+        # head[j, r] = prod_{i<j} C_i(r - 1), with C_i(-1) = 0, and
+        # tail[j, r] = prod_{i>j} C_i(r)
+        head = np.zeros_like(cdf)
+        head[0] = 1.0
+        np.multiply.accumulate(cdf[:-1, :-1], axis=0, out=head[1:, 1:])
+        tail = np.ones_like(cdf)
+        np.multiply.accumulate(cdf[:0:-1], axis=0, out=tail[-2::-1])
+        head *= q
+        head *= tail
+        p = np.add.reduce(head, axis=0)
     w = np.empty(dists.shape)
     if dists.ndim == 1:
         # the Nelder-Mead objectives' path: put_along_axis builds index

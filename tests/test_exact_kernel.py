@@ -9,7 +9,12 @@ sum_l w_l (c_a(l) - s_l) / ||c_a(l) - s_l|| is a subgradient of
 g_a(C) = E[max_l ||s_l - c_a(l)||].  Integer-grid coordinates force ties
 in distance; probabilities include 0 and 1.  gkm's Nelder-Mead objective
 on the raw center vector equals ``expected_objective_exact`` bit for bit.
+Against exact rational arithmetic on the same floats, with masses down to
+1e-14, every weight is within a rounding bound that holds however close
+to 1 the products of the cumulative masses are.
 """
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -121,6 +126,99 @@ def test_weights_give_a_subgradient(inst, k, flat, moved, assign):
     there = _enumerated(inst, _assigned_dists(support, C2, a))
     assert there >= here + float((g * (C2 - C)).sum()) \
         - 1e-9 * max(1.0, there)
+
+
+# ---------------------------------------------------------------------------
+# Rounding against exact rational arithmetic
+
+U = Fraction(1, 2 ** 53)
+tiny = st.sampled_from([0.0, 1e-14, 3e-13, 1e-12, 1e-9, 1e-6, 1e-3])
+
+
+def gamma(k):
+    """The bound k u / (1 - k u) on the relative error of k roundings."""
+    return k * U / (1 - k * U)
+
+
+def rational_weights(inst, dists):
+    """w_l in exact arithmetic on the floats of ``inst``: point l is the
+    farthest realized one, ties to the lowest id."""
+    key = [(-d, i) for i, d in enumerate(dists)]
+    w = []
+    for l in range(len(dists)):
+        before = [i for i in range(len(dists)) if key[i] < key[l]]
+        if isinstance(inst, ExistentialInstance):
+            p = Fraction(inst.probs[l])
+            for i in before:
+                p *= 1 - Fraction(inst.probs[i])
+        else:
+            # every node lands on l or past it, less every node past it
+            upto, past = Fraction(1), Fraction(1)
+            for row in inst.probs:
+                mass = sum(Fraction(row[i]) for i in range(len(dists))
+                           if i not in before)
+                upto *= mass
+                past *= mass - Fraction(row[l])
+            p = upto - past
+        w.append(p)
+    return w
+
+
+@st.composite
+def tiny_mass_instances(draw):
+    """Rows of masses from 1e-14 up, with one or two large entries taking
+    the rest; existential probabilities from the same masses, 1 - mass and
+    1.  Distances are small integers, so they tie."""
+    m = draw(st.integers(1, 6))
+    dists = np.array(draw(st.lists(st.integers(0, 3), min_size=m,
+                                   max_size=m)), dtype=float)
+    locs = np.zeros((m, 1))
+    if draw(st.booleans()):
+        probs = np.array(draw(st.lists(
+            st.one_of(tiny, tiny.map(lambda t: 1.0 - t)), min_size=m,
+            max_size=m)))
+        return ExistentialInstance(points=locs, probs=probs), dists
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        row = np.array(draw(st.lists(tiny, min_size=m, max_size=m)))
+        big = draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=2,
+                            unique=True))
+        row[big] = 0.0
+        rest = 1.0 - row.sum()
+        share = draw(st.sampled_from([1.0, 0.5, 1e-12])) if len(big) == 2 \
+            else 1.0
+        row[big[0]] = rest * share
+        row[big[-1]] += rest - row[big[0]]
+        rows.append(row)
+    return LocationalInstance(locations=locs, probs=np.array(rows)), dists
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(tiny_mass_instances())
+def test_weights_are_within_a_rounding_bound_of_exact(case):
+    """A locational weight is a sum over the n nodes of products of n - 1
+    cumulative masses (each up to m - 1 additions) and one entry: at most
+    (n - 1)(m + 1) roundings of non-negative terms.  An existential weight
+    takes n - 1 differences 1 - p and n - 1 products: at most 2(n - 1)."""
+    inst, dists = case
+    n, m = inst.n, len(dists)
+    bound = gamma((n - 1) * (m + 1)) \
+        if isinstance(inst, LocationalInstance) else gamma(2 * (n - 1))
+    w = _farthest_weights(inst, dists)
+    for got, exact in zip(w.tolist(), rational_weights(inst, dists)):
+        assert abs(Fraction(got) - exact) <= bound * exact
+
+
+@pytest.mark.parametrize("delta", [1e-6, 1e-9, 1e-12, 1e-14])
+def test_locational_value_with_a_far_location_of_little_mass(delta):
+    """Three nodes, each at distance 0 with mass 1 - delta and at 10 with
+    delta.  The value adds m = 2 products to the weights' bound."""
+    row = [1.0 - delta, delta]
+    inst = LocationalInstance(locations=[[0.0], [10.0]], probs=[row] * 3)
+    got = expected_objective_exact(inst, CenterSet(centers=[[0.0]])).value
+    a, b = Fraction(row[0]), Fraction(row[1])
+    exact = ((a + b) ** 3 - a ** 3) * 10
+    assert abs(Fraction(got) - exact) <= gamma(2 * 3 + 2) * exact
 
 
 def test_zero_node_locational_weights_are_zero():
