@@ -10,9 +10,9 @@ forbidden.  A class of at most k points (a Singleton) is its own coreset
 under the sentinel grid of side 0, so its tail is empty and it needs no rule
 of its own.  Existential instances evaluate the rule as a closed-form
 per-point product; locational instances as an exact dynamic program over
-which points of S the nodes occupy (occupancy counts saturating at 1).
-``holant_value``, the per-sequence value of the paper, runs the same program
-with counts up to n.
+which points of S the nodes occupy, one array of 2^|S| occupied-subset
+states per class.  ``holant_value``, the per-sequence value of the paper,
+runs a dict program over occupancy counts up to n.
 
 Both modes of ``build_weighted_image`` run the batched construction
 (``CoresetBuilder.build_masks``) over chunks of ``chunk_rows`` mask rows:
@@ -25,9 +25,9 @@ function, ``_class_masses``, gives a chunk its masses in both models: one
 batch of the construction tells which rows are in the image, and gives the
 existential tails.  n nodes occupy at most n locations, so locational
 candidates stop at n points, and a class of more than n points has mass 0;
-the in-image locational classes then go one at a time through the
-occupancy DP, which drops every state with more unoccupied points of S than
-nodes left to place.  ``class_mass`` is its one-row call.
+the in-image locational classes of a chunk, all of one size, then go
+through one batched subset-state DP (``_occupied_masses``).
+``class_mass`` is its one-row call.
 """
 
 from __future__ import annotations
@@ -41,8 +41,9 @@ import numpy as np
 
 from .errors import EnumerationGuardExceeded, StateSpaceGuardExceeded
 from .grid_coreset import CoresetBuilder, coreset_image_size_bound
-from .model import (ExistentialInstance, Instance, LocationalInstance,
-                    _index_masks, id_mask, realization_chunks)
+from .model import (CHUNK_ELEMENTS, ExistentialInstance, Instance,
+                    LocationalInstance, _index_masks, id_mask,
+                    realization_chunks)
 
 MAX_SUBSET_ENUMERATION = 10 ** 6
 MAX_HOLANT_STATES = 10 ** 7
@@ -101,10 +102,72 @@ def _class_masses(builder: CoresetBuilder, instance: Instance,
         w[rows] = np.multiply.accumulate(factors, axis=1)[:, -1] \
             if masks.shape[1] else 1.0
         return w
-    # n nodes occupy at most n locations; the occupancy DP is per class
+    # n nodes occupy at most n locations
     rows = np.flatnonzero(in_image & (masks.sum(axis=1) <= instance.n))
-    for row, S in zip(rows.tolist(), _ids(masks[rows])):
-        w[row] = _locational_mass(S, instance, builder)
+    w[rows] = _occupied_masses(builder, instance, masks[rows])
+    return w
+
+
+def _occupied_masses(builder: CoresetBuilder, instance: LocationalInstance,
+                     masks: np.ndarray) -> np.ndarray:
+    """Pr over realizations of [coreset = S] for every row S of a boolean
+    (classes, m) matrix of in-image classes of one size s <= n: the mass of
+    the realizations that occupy every point of S and no forbidden point,
+    with T(S) free.
+
+    One DP over a (classes, 2^s) array of occupied-subset states, where
+    bit j of a state says whether the j-th point of S (ascending ids) is
+    occupied.  Node i moves a state's mass to the same state with its tail
+    weight t_i, the sum of its probabilities over T(S), and to the state
+    with bit j set with its probability w_ij at the j-th point of S (a set
+    bit stays set); the mass of S is the entry of the all-occupied state.
+    Summation order, fixed: node by node; the next array starts as each
+    state's mass times t_i; then for bits j = 0..s-1, and states in
+    ascending order, the state with bit j set gains the state's mass times
+    w_ij.  t_i adds the tail columns left to right from 0.  Every term is
+    non-negative, so nothing cancels, and every operation acts on each
+    class alone, so a class's bits do not depend on the classes that share
+    its batch.  Batches of classes keep each temporary within
+    ``CHUNK_ELEMENTS`` entries.
+    """
+    classes, m = masks.shape
+    s = int(masks[0].sum()) if classes else 0
+    n = instance.n
+    if n * 2 ** s > MAX_HOLANT_STATES:
+        raise StateSpaceGuardExceeded(
+            f"occupancy DP needs about {n * 2 ** s} states, "
+            f"cap {MAX_HOLANT_STATES}")
+    # A class of at most k points is its own coreset under the sentinel
+    # grid, with an empty tail.  The batch of ``_class_masses`` holds every
+    # other tail too; it is built again here because perfbench's traced
+    # smoke run counts ``CoresetBuilder.build`` calls on its ``image``
+    # workload, until the bench reads a library trace (ROADMAP item 10).
+    tails = np.zeros_like(masks)
+    if s > builder.k:
+        for row, ids in enumerate(_ids(masks)):
+            tails[row, list(builder.build(ids).tail)] = True
+    cols = np.nonzero(masks)[1].reshape(classes, s)
+    probs = instance.probs
+    w = np.empty(classes)
+    step = max(CHUNK_ELEMENTS // max(2 ** s, n, m), 1)
+    for lo in range(0, classes, step):
+        S, T = cols[lo:lo + step], tails[lo:lo + step]
+        t = np.zeros((len(S), n))
+        for col in np.flatnonzero(T.any(axis=0)).tolist():
+            t += T[:, col, None] * probs[:, col]
+        dp = np.zeros((len(S), 2 ** s))
+        dp[:, 0] = 1.0
+        for i in range(n):
+            nxt = dp * t[:, i, None]
+            w_i = probs[i, S]
+            for j in range(s):
+                # axis 2 of the views is bit j: 0, then 1
+                src = dp.reshape(len(S), -1, 2, 2 ** j)
+                dst = nxt.reshape(len(S), -1, 2, 2 ** j)
+                dst[:, :, 1] += src[:, :, 0] * w_i[:, j, None, None]
+                dst[:, :, 1] += src[:, :, 1] * w_i[:, j, None, None]
+            dp = nxt
+        w[lo:lo + step] = dp[:, -1]
     return w
 
 
@@ -127,19 +190,17 @@ def enumerate_sequences(n: int, slots: int):
             for e in ends]
 
 
-def _occupancy_dp(instance: LocationalInstance, S_ids, tail, cap: int):
-    """Distribution over occupancy counts of the points of S, each count
-    saturating at ``cap``.
+def _occupancy_dp(instance: LocationalInstance, S_ids, tail):
+    """Distribution over occupancy counts of the points of S.
 
     Each node picks one of the |S| points (its row probability there) or the
     aggregated tail bucket; forbidden locations contribute no mass.  Returns
-    a dict mapping count tuples to probability.  With ``cap`` = n no count
-    saturates, and the tail count is implied (node index minus the sum of
-    counts); with ``cap`` = 1 a state is the set of occupied points of S.
+    a dict mapping count tuples to probability; the tail count is implied
+    (node index minus the sum of counts).
     """
     S_ids = list(S_ids)
     n = instance.n
-    states = n * (cap + 1) ** len(S_ids)
+    states = n * (n + 1) ** len(S_ids)
     if states > MAX_HOLANT_STATES:
         raise StateSpaceGuardExceeded(
             f"occupancy DP needs about {states} states, cap {MAX_HOLANT_STATES}")
@@ -153,19 +214,11 @@ def _occupancy_dp(instance: LocationalInstance, S_ids, tail, cap: int):
     for i in range(n):
         nxt: dict[tuple, float] = {}
         for state, mass in dp.items():
-            # With counts saturating at 1, a state with more unoccupied
-            # points of S than nodes left cannot reach the full state, nor
-            # can its successors; every source of a state that can is kept,
-            # in order, so the full state's sum does not change.
-            if cap == 1 and len(state) - sum(state) > n - i:
-                continue
             for j, w in enumerate(w_s[i]):
                 if w > 0.0:
-                    s2 = state
-                    if state[j] < cap:
-                        s2 = list(state)
-                        s2[j] += 1
-                        s2 = tuple(s2)
+                    s2 = list(state)
+                    s2[j] += 1
+                    s2 = tuple(s2)
                     nxt[s2] = nxt.get(s2, 0.0) + mass * w
             if w_t[i] > 0.0:
                 nxt[state] = nxt.get(state, 0.0) + mass * w_t[i]
@@ -194,24 +247,8 @@ def _holant_inputs(instance: LocationalInstance, S_ids, tail, sequence):
 def holant_value(instance: LocationalInstance, S_ids, tail, sequence) -> float:
     """Z for one occupancy sequence (l_1..l_|S|, l_t)."""
     S, tail, sequence = _holant_inputs(instance, S_ids, tail, sequence)
-    dp = _occupancy_dp(instance, S, tail, instance.n)
+    dp = _occupancy_dp(instance, S, tail)
     return float(dp.get(sequence[:-1], 0.0))
-
-
-def _locational_mass(S: tuple[int, ...], instance: LocationalInstance,
-                     builder: CoresetBuilder) -> float:
-    """Pr over realizations of [coreset = S] for ascending ids S of a class
-    of at most n points: the occupancy DP's mass on every point of S
-    occupied, with T(S) free.  Counts saturate at 1, so the DP tracks which
-    points of S are occupied."""
-    # A class of at most k points is its own coreset under the sentinel
-    # grid, with an empty tail.  The batch of ``_class_masses`` holds every
-    # other tail too; it is built again here because perfbench's traced
-    # smoke run counts ``CoresetBuilder.build`` calls on its ``image``
-    # workload, until the bench reads a library trace (ROADMAP item 10).
-    tail = builder.build(S).tail if len(S) > builder.k else ()
-    dp = _occupancy_dp(instance, S, tail, 1)
-    return float(dp.get((1,) * len(S), 0.0))
 
 
 def _candidate_chunks(n: int, sizes, rows: int):

@@ -4,8 +4,9 @@ replaced.
 The loops below are the reference: they are the library's former
 ``CoresetBuilder.build`` (with its ``_collect_cells`` and the ``math.floor``
 cell of every point), the former single-set membership and probability
-helpers (the locational one with its occupancy DP, which kept every state
-and tried candidates of every size), frozen copies of the one-row mass
+helpers (the locational one with a plain loop over the 2^|S|
+occupied-subset states in the library's summation order, which tries
+candidates of every size), frozen copies of the one-row mass
 calls that ``class_mass`` replaced, and the former loops of both
 ``build_weighted_image`` modes and of the realization enumeration (bit
 masks, and ``itertools.product`` over node -> location assignments).  The
@@ -24,7 +25,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stocenter import grid_coreset, model
+from stocenter import grid_coreset, model, partition
 from stocenter.errors import CombinationGuardExceeded, SchemaError
 from stocenter.cli import _coreset_cells
 from stocenter.grid_coreset import (SENTINEL_GRID, CoresetBuilder, _exponent,
@@ -32,8 +33,7 @@ from stocenter.grid_coreset import (SENTINEL_GRID, CoresetBuilder, _exponent,
 from stocenter.model import (ExistentialInstance, LocationalInstance,
                              assignment_rows, id_mask, mask_rows,
                              realization_chunks, realization_probabilities)
-from stocenter.partition import (_occupancy_dp, build_weighted_image,
-                                 class_mass)
+from stocenter.partition import build_weighted_image, class_mass
 
 SETTINGS = settings(max_examples=120, deadline=None, derandomize=True,
                     database=None)
@@ -151,29 +151,23 @@ def ref_prob_existential(builder, inst, S, k):
 
 
 def ref_occupied(inst, S, tail):
-    """The former occupancy DP with counts saturating at 1, every state
-    kept: the distribution over which points of S the nodes occupy, each
-    node at a point of S or in the tail bucket (forbidden points carry no
-    mass)."""
-    S = list(S)
-    tail = sorted(tail)
-    w_s = inst.probs[:, S].tolist()
-    w_t = (inst.probs[:, tail].sum(axis=1) if tail
-           else np.zeros(inst.n)).tolist()
-    dp = {tuple([0] * len(S)): 1.0}
+    """The occupancy DP with counts saturating at 1, as a plain loop over
+    the 2^|S| states: the mass of each set of occupied points of S (bit j
+    for the j-th point of S), each node at a point of S or in the tail
+    bucket (forbidden points carry no mass).  The order is the library's:
+    node by node, the tail, then bits j = 0..|S|-1 over the states in
+    ascending order; the tail weight adds the tail columns left to right
+    from 0."""
+    p = inst.probs.tolist()
+    dp = [1.0] + [0.0] * (2 ** len(S) - 1)
     for i in range(inst.n):
-        nxt = {}
-        for state, mass in dp.items():
-            for j, w in enumerate(w_s[i]):
-                if w > 0.0:
-                    s2 = state
-                    if state[j] < 1:
-                        s2 = list(state)
-                        s2[j] += 1
-                        s2 = tuple(s2)
-                    nxt[s2] = nxt.get(s2, 0.0) + mass * w
-            if w_t[i] > 0.0:
-                nxt[state] = nxt.get(state, 0.0) + mass * w_t[i]
+        t = 0.0
+        for c in sorted(tail):
+            t += p[i][c]
+        nxt = [mass * t for mass in dp]
+        for j, loc in enumerate(S):
+            for state, mass in enumerate(dp):
+                nxt[state | 1 << j] += mass * p[i][loc]
         dp = nxt
     return dp
 
@@ -185,7 +179,7 @@ def ref_prob_locational(builder, inst, S, k):
     tail = () if kind == "Singleton" else \
         ref_tail(inst.locations, S, side, cells)[1]
     # test_partition checks these masses against exact rationals
-    return float(ref_occupied(inst, S, tail).get((1,) * len(S), 0.0))
+    return ref_occupied(inst, S, tail)[-1]
 
 
 def ref_mask_probs(probs):
@@ -295,6 +289,16 @@ STAGE2 = np.array([[0.05], [1.9], [2.02], [1.0]])
 SNAPPED = np.array([[0.0], [2.0 - 2e-13], [7.0]])
 
 
+# Four coincident locations: the classes {0, 4} and {0, 5} have the tail
+# {1, 2, 3}, and their masses move when the tail weights add its columns
+# right to left.
+TAIL3_ROWS = np.array([[17, 13, 10, 6, 6, 1], [2, 1, 4, 16, 13, 18],
+                       [10, 12, 19, 14, 13, 11]])
+TAIL3 = LocationalInstance(
+    locations=[[0.0, 0.0]] * 4 + [[5.0, 0.0], [0.0, 5.0]],
+    probs=TAIL3_ROWS / TAIL3_ROWS.sum(axis=1, keepdims=True))
+
+
 def chunked(value):
     return mock.patch.object(grid_coreset, "CHUNK_ELEMENTS", value)
 
@@ -386,6 +390,7 @@ def test_existential_image_equals_former_loops(inst, k, eps, chunk):
 
 @SETTINGS
 @given(locational_instances(), k_values, eps_values, chunks)
+@example(TAIL3, 1, 0.5, 2 ** 17)
 def test_locational_image_equals_former_loops(inst, k, eps, chunk):
     with chunked(chunk):
         exhaustive = build_weighted_image(inst, k, eps, mode="exhaustive")
@@ -436,7 +441,7 @@ def parent_prob_existential(S_ids, instance, k, eps):
 
 def parent_prob_locational(S_ids, instance, k, eps):
     """The former ``prob_locational``, frozen: its three-kind verdict and
-    the occupancy DP (the library's) with counts saturating at 1."""
+    the occupancy DP with counts saturating at 1 (``ref_occupied``)."""
     S = tuple(np.flatnonzero(id_mask(S_ids, instance.m)).tolist())
     if len(S) > instance.n:
         return 0.0
@@ -446,8 +451,7 @@ def parent_prob_locational(S_ids, instance, k, eps):
         if out.coreset != S:
             return 0.0
         tail = out.tail
-    dp = _occupancy_dp(instance, S, tail, 1)
-    return float(dp.get((1,) * len(S), 0.0))
+    return ref_occupied(instance, S, tail)[-1]
 
 
 # Coincident points: {0, 1, 2} has r_S = 0 at k=2, a class of more than k
@@ -474,6 +478,36 @@ def test_class_mass_equals_the_former_one_row_calls(inst, k, eps):
             parent(S, inst, k, eps).hex(), S
 
 
+@st.composite
+def float_locational_instances(draw):
+    """Up to 4 nodes over up to 6 locations, with free-float rows (some
+    zeros): many classes of each size share a DP batch."""
+    locs = draw(supports(max_n=6))
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        w = draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1.0)),
+                          min_size=len(locs), max_size=len(locs)).filter(any))
+        rows.append(np.array(w) / sum(w))
+    return LocationalInstance(locations=locs, probs=np.array(rows))
+
+
+@SETTINGS
+@given(float_locational_instances(), st.integers(1, 3), eps_values, chunks)
+@example(TAIL3, 1, 0.5, 1)
+def test_locational_mass_bits_do_not_depend_on_the_batch(inst, k, eps,
+                                                         chunk):
+    # chunk 1 puts every class in a batch of its own, for the construction
+    # and for the subset-state DP alike
+    want = build_weighted_image(inst, k, eps, mode="subsets").entries
+    with chunked(chunk), mock.patch.object(partition, "CHUNK_ELEMENTS",
+                                           chunk):
+        got = build_weighted_image(inst, k, eps, mode="subsets").entries
+    assert [(S, w.hex()) for S, w in got] == \
+        [(S, w.hex()) for S, w in want]
+    for S, w in want:
+        assert class_mass(S, inst, k, eps).hex() == w.hex(), S
+
+
 def seeded_locational(rng, kind):
     """m = 5..7 locations and n = 2..5 nodes: uniform rows, sparse rows
     (zero entries), or sparse rows over integer-grid locations (tied
@@ -492,7 +526,7 @@ def seeded_locational(rng, kind):
 @pytest.mark.parametrize("kind", ["random", "sparse", "ties"])
 def test_locational_masses_equal_the_unpruned_dp(kind):
     # m > n: every candidate of more than n points has mass 0, and the
-    # occupancy DP drops the states that cannot fill S
+    # library runs no DP for it
     rng = np.random.default_rng(["random", "sparse", "ties"].index(kind))
     for _ in range(4):
         inst = seeded_locational(rng, kind)

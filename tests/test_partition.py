@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, product
 from unittest import mock
@@ -13,8 +14,8 @@ from stocenter.errors import (EnumerationGuardExceeded, SchemaError,
 from stocenter.gkm import collection_from_image
 from stocenter.grid_coreset import SENTINEL_GRID, CoresetBuilder, grid_cells
 from stocenter.model import (CenterSet, ExistentialInstance,
-                             LocationalInstance, id_mask, realization_chunks,
-                             realization_probabilities)
+                             LocationalInstance, _index_masks, id_mask,
+                             realization_chunks, realization_probabilities)
 from stocenter.objective import expected_objective_exact, kcenter_value
 from stocenter.oracle import oracle_holant_direct
 from stocenter.partition import (build_weighted_image, class_mass,
@@ -237,6 +238,81 @@ def test_class_masses_match_exact_rationals():
                             image.get(S, 0.0)):
                     assert abs(Fraction(got) - want) <= want * 1e-12, \
                         (S, got, float(want))
+
+
+def test_small_class_masses_are_within_the_derived_bound():
+    """Masses down to 1e-14 against exact rationals, within a bound that
+    follows from the DP's order, not from a fit.
+
+    Every term of the DP is non-negative, and a class's mass is a sum of
+    node-by-node products of exact inputs (a row probability, or a tail
+    weight summed from them).  Along one such product, node i costs at most
+    m - 1 roundings in its tail weight (|T| - 1 additions after the exact
+    first one), one in the multiplication and at most 2|S| in the additions
+    into the next state (two per bit j).  So each term carries at most
+    K = n(m + 2|S|) roundings, each a factor 1 + delta with |delta| <= u =
+    2^-53, and with no cancellation |computed - exact| <= gamma_K * exact,
+    gamma_K = K u / (1 - K u) = K / (2^53 - K).
+    """
+    rng = np.random.default_rng(32)
+    smallest = 1.0
+    for _ in range(6):
+        n, m = int(rng.integers(3, 5)), int(rng.integers(4, 6))
+        rows = rng.uniform(0.1, 1.0, (n, m))
+        rows *= np.where(rng.random((n, m)) < 0.5, 1e-4, 1.0)
+        rows /= rows.sum(axis=1, keepdims=True)
+        inst = LocationalInstance(locations=rng.uniform(-10, 10, (m, 2)),
+                                  probs=rows)
+        k = int(rng.integers(1, 3))
+        exact = _exact_class_masses(inst, k, 0.5)
+        image = dict(build_weighted_image(inst, k, 0.5,
+                                          mode="subsets").entries)
+        assert set(image) == {S for S, w in exact.items() if w}
+        for S, want in exact.items():
+            K = n * (m + 2 * len(S))
+            bound = want * Fraction(K, 2 ** 53 - K)
+            for got in (class_mass(S, inst, k, 0.5), image.get(S, 0.0)):
+                assert abs(Fraction(got) - want) <= bound, (S, got)
+            if want:
+                smallest = min(smallest, float(want))
+    assert smallest < 1e-14
+
+
+def test_locational_mass_guard_counts_subset_states():
+    """n·2^|S| states pass at exactly the cap and raise one past it, before
+    the first tail is built (the DP's first step)."""
+    inst = _rand_loc(np.random.default_rng(9), 3, 4)
+    image = dict(build_weighted_image(inst, 1, 0.5, mode="subsets").entries)
+    S = max(image, key=len)
+    states = 3 * 2 ** len(S)
+    assert len(S) == 3
+    with mock.patch.object(partition, "MAX_HOLANT_STATES", states):
+        assert class_mass(S, inst, 1, 0.5) == image[S]
+    stop = mock.Mock(side_effect=AssertionError("DP work started"))
+    with mock.patch.object(partition, "MAX_HOLANT_STATES", states - 1), \
+            mock.patch.object(CoresetBuilder, "build", stop), \
+            pytest.raises(StateSpaceGuardExceeded, match=str(states)):
+        class_mass(S, inst, 1, 0.5)
+    assert not stop.called
+
+
+def test_locational_dp_batches_stay_within_the_chunk():
+    # 924 classes of 6 of 12 locations, 64 states each: one unsplit
+    # (classes, 2^6) array takes 473 KB, and the DP holds a few; batches of
+    # at most 2^10 entries take 8 KB each, with the same bits
+    inst = _rand_loc(np.random.default_rng(15), 6, 12)
+    builder = CoresetBuilder(inst.locations, 1, 0.5)
+    masks = _index_masks(np.array(list(combinations(range(12), 6))), 12)
+    want = partition._occupied_masses(builder, inst, masks)
+    with mock.patch.object(partition, "CHUNK_ELEMENTS", 2 ** 10):
+        tracemalloc.start()
+        try:
+            got = partition._occupied_masses(builder, inst, masks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert got.tobytes() == want.tobytes()
+    assert peak < 2 ** 19
 
 
 def test_locational_subsets_image_past_the_count_guard():
