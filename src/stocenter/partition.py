@@ -130,7 +130,7 @@ def _occupied_masses(builder: CoresetBuilder, instance: LocationalInstance,
     its batch.  Batches of classes keep each temporary within
     ``CHUNK_ELEMENTS`` entries.
     """
-    classes, m = masks.shape
+    classes = len(masks)
     s = int(masks[0].sum()) if classes else 0
     n = instance.n
     if n * 2 ** s > MAX_HOLANT_STATES:
@@ -149,7 +149,7 @@ def _occupied_masses(builder: CoresetBuilder, instance: LocationalInstance,
     cols = np.nonzero(masks)[1].reshape(classes, s)
     probs = instance.probs
     w = np.empty(classes)
-    step = max(CHUNK_ELEMENTS // max(2 ** s, n, m), 1)
+    step = max(CHUNK_ELEMENTS // max(2 ** s, n), 1)
     for lo in range(0, classes, step):
         S, T = cols[lo:lo + step], tails[lo:lo + step]
         t = np.zeros((len(S), n))

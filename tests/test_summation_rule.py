@@ -3,9 +3,10 @@ to right, so no value depends on the BLAS thread count.
 
 The lint flags a BLAS product (``@``, ``np.dot``, ``.dot(``, ``np.inner``,
 ``np.vdot``) anywhere in ``objective`` and ``gkm``, and in the functions of
-``SCOPE`` that add up a value, ``partition``'s class masses among them.  Geometry products are out of scope: the
-sweep and kernel projections of ``jflat`` and its canonical line base, ``shadowed``'s float32 count product in
-``grid_coreset``, the ``eigh`` input of the j=1 starts, ``Flat``'s Gram
+``SCOPE`` that add up a value, ``partition``'s class masses among them.
+Geometry products are out of scope: the sweep and kernel projections of
+``jflat`` and its canonical line base, ``shadowed``'s float32 count product
+in ``grid_coreset``, the ``eigh`` input of the j=1 starts, ``Flat``'s Gram
 check, Welzl's circumsphere and ``oracle_min_flat``'s direction scan.
 They place points or count them, and sum no objective.
 """
@@ -78,18 +79,10 @@ def _screen(S, K, M, L_exp, eps):
     return mask
 '''
 
-# a prototype of the subset-state DP that summed the tail weights with BLAS
-PROTOTYPE_TAILS = '''
-def _occupied_masses(builder, instance, masks):
-    t = tails @ instance.probs.T
-    return t
-'''
-
 
 @pytest.mark.parametrize("source, functions, expected", [
     (PARENT_EXACT_VALUE, None, ["<module>:3"]),
     (PARENT_SCREEN, {"_screen"}, ["_screen:3"]),
-    (PROTOTYPE_TAILS, {"_occupied_masses"}, ["_occupied_masses:3"]),
     ("def f(w, x):\n    w @= x\n    return np.dot(w, x) + x.dot(w)\n",
      {"f"}, ["f:2", "f:3", "f:3"]),
     ("def f(w, x):\n    return np.inner(w, x), np.vdot(w, x), dot(w, x)\n",
