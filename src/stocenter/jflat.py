@@ -1,18 +1,18 @@
 """Coresets and solvers for the stochastic minimum j-flat-center problem.
 
-Two regimes, split on the total probability mass B of the instance.  When
-B < eps the objective is within (1 +- eps) of the linear surrogate
-sum_i p_i d(s_i, F), so a weighted flat-median coreset suffices (Case 1).
-Otherwise (Case 2) the points are lifted so squared flat distance becomes
-affine, a convex region K cutting off at most eps probability mass is swept
+Both models run one construction over the support and its site masses p_i
+(``site_masses``: a point's probability, or a location's column sum).  Two
+regimes, split on their sum B (``total_prob``).  When B < eps the objective
+is within (1 +- eps) of the linear surrogate sum_i p_i d(s_i, F), so a
+weighted flat-median coreset suffices (Case 1).  Otherwise (Case 2) the
+points are lifted so squared flat distance becomes affine, a convex region
+K cutting off at most eps mass, summed over p_i (a union bound), is swept
 out along the ``NET_SIZE`` directions of a fixed net as a mask over the
 support, sampled realizations inside K are reduced to kernels along the
 ``KERNEL_NET_SIZE`` directions of another (S1), and the outside points get
-the weighted coreset (S2).  Case 1 is S2 of an empty K.  Only j in {0, 1} is
-supported; the lift dimension grows too fast beyond that.
-
-The locational model always takes Case 2 with per-location masses
-p_i = sum over nodes of probs[node, i].
+the weighted coreset (S2).  Case 1 is S2 of an empty K: a locational
+instance takes it only without nodes.  Only j in {0, 1} is supported; the
+lift dimension grows too fast beyond that.
 
 A 0-flat is one center, so j=0 (coreset solve, S2 sensitivity seed and
 exact polish) runs through the k=1 code of ``gkm``; only j=1 uses the
@@ -32,7 +32,7 @@ import numpy as np
 from .errors import CaseMismatch, EmptyK, SchemaError
 from .gkm import (WeightedCollection, _best_polished,
                   importance_sample_coreset, solve_gkm)
-from .model import CenterSet, ExistentialInstance, Flat, Instance, realize
+from .model import CenterSet, Flat, Instance, realize
 from .neldermead import minimize
 from .objective import _check_eps, _exact_value, _finite, shape_distances
 
@@ -82,19 +82,6 @@ def direction_net(D: int, size: int) -> np.ndarray:
     return np.vstack([u, -u])
 
 
-def _prefix_mass(instance: Instance, order: np.ndarray) -> np.ndarray:
-    """Mass surrogate of each sweep prefix order[:i+1].
-
-    Existential: sum of p_i.  Locational: 1 - prod over nodes of
-    (1 - row mass on the prefix), the exact probability that some node
-    lands in the prefix.
-    """
-    if isinstance(instance, ExistentialInstance):
-        return np.cumsum(instance.probs[order])
-    tail = np.cumsum(instance.probs[:, order], axis=1)
-    return 1.0 - np.prod(1.0 - tail, axis=0)
-
-
 def sweep_convexK(instance: Instance, j: int, eps: float) -> np.ndarray:
     """Which support points lie in K, the intersection of halfspaces cutting
     off at most eps' = eps / (2 * M) mass per direction, where M is the
@@ -102,14 +89,16 @@ def sweep_convexK(instance: Instance, j: int, eps: float) -> np.ndarray:
     at most eps/2 total mass outside K.
 
     Each direction's threshold is the lifted projection at which a sweep
-    from its far side (ties to the lower id) first reaches eps' mass.  The
+    from its far side (ties to the lower id) first reaches eps' mass, summed
+    over the site masses: it bounds Pr[some swept point is realized].  The
     thresholds come from the same projections that the membership test
     reads, so a point on a boundary is inside exactly.
     """
     _check_j(j, instance.d)
     _check_eps(eps)
-    if isinstance(instance, ExistentialInstance) and instance.total_prob < eps:
+    if instance.total_prob < eps:
         raise CaseMismatch("total probability below eps; use the Case 1 path")
+    masses = instance.site_masses
     lifted = lift(instance.support_points, j)
     dirs = direction_net(lifted.shape[1], NET_SIZE)
     eps_prime = eps / (2 * dirs.shape[0])
@@ -118,7 +107,7 @@ def sweep_convexK(instance: Instance, j: int, eps: float) -> np.ndarray:
     thresholds = np.empty(dirs.shape[0])
     for i, column in enumerate(proj.T):
         order = np.lexsort((ids, -column))
-        mass = _prefix_mass(instance, order)
+        mass = np.cumsum(masses[order])
         hit = np.flatnonzero(mass >= eps_prime)
         if hit.size == 0:
             raise EmptyK(f"sweep mass never reaches eps'={eps_prime}")
@@ -203,16 +192,11 @@ def _kernel(points: np.ndarray, j: int,
 
 def build_S1(instance: Instance, inside: np.ndarray, j: int, N: int,
              seed: int) -> tuple:
-    """N sampled realizations of the sub-instance on the support points
-    ``inside`` K, each reduced to a directional kernel over
+    """N sampled realizations of n uniforms each, restricted to the support
+    points ``inside`` K and reduced to a directional kernel over
     ``KERNEL_NET_SIZE`` directions; empty realizations stay empty."""
     kernel_dirs = direction_net(lift(np.zeros(instance.d), j).shape[1],
                                 KERNEL_NET_SIZE)
-    if isinstance(instance, ExistentialInstance):
-        # Only the points inside K are drawn, one uniform each.
-        instance = ExistentialInstance(points=instance.points[inside],
-                                       probs=instance.probs[inside])
-        inside = np.ones(instance.n, dtype=bool)
     # One generator per sample, so sample i does not depend on N.
     u = np.array([np.random.default_rng(np.random.SeedSequence([seed, i]))
                   .random(instance.n) for i in range(N)])
@@ -227,9 +211,7 @@ def build_S2(instance: Instance, inside: np.ndarray, j: int, eps: float,
     that are not ``inside`` K."""
     _check_j(j, instance.d)
     _check_eps(eps)
-    # a location's mass is its column summed over the nodes (it may exceed 1)
-    masses = instance.probs if isinstance(instance, ExistentialInstance) \
-        else instance.probs.sum(axis=0)
+    masses = instance.site_masses
     outside = (~inside) & (masses > 0.0)
     return weighted_flat_median_coreset(
         instance.support_points[outside], masses[outside], j, eps, rng)
@@ -247,10 +229,10 @@ def build_sjfc_coreset(instance: Instance, j: int, eps: float, seed: int,
     """The packed coreset of S1 and S2 (see ``_pack``) and its case, 1 or
     2; in Case 1, S1 is empty."""
     _check_sjfc_args(instance, j, eps, N)
-    if isinstance(instance, ExistentialInstance) and instance.total_prob < eps:
+    if instance.total_prob < eps:
         # Case 1 is S2 of an empty K
-        s2 = build_S2(instance, np.zeros(instance.n, dtype=bool), j, eps,
-                      np.random.default_rng([seed, 1]))
+        s2 = build_S2(instance, np.zeros(len(instance.site_masses), bool), j,
+                      eps, np.random.default_rng([seed, 1]))
         return _pack((), *s2), 1
     inside = sweep_convexK(instance, j, eps)
     s1 = build_S1(instance, inside, j, N, seed)

@@ -6,15 +6,18 @@ All types are immutable after construction and safe to share across threads;
 random state is always caller-owned and passed explicitly.
 
 A realization is one boolean mask over the support: the points present
-(existential) or the locations the nodes took (locational).  ``realize``
-maps caller-drawn uniforms to sampled masks, and ``farthest_realized``
-reads the same draws without building them: the first realized support
-point of each draw in a caller's order.  ``realization_chunks`` walks
-every realization in chunks (bit masks from ``mask_rows``, or node ->
-location assignments from ``assignment_rows`` as location masks), applies
-both enumeration guards, drops zero-probability rows, and takes each
-probability from ``realization_probabilities``, the one product rule per
-model.  Node assignments stay in this module; its callers read masks.
+(existential) or the locations the nodes took (locational).  Every rule
+that differs between the models lives here, so no caller asks which model
+an instance is: the draw (``realize``), the enumeration
+(``realization_chunks``: bit masks from ``mask_rows``, or node -> location
+assignments from ``assignment_rows`` as location masks, under both
+guards, zero-probability rows dropped), the realization probability
+(``realization_probabilities``), the sampled farthest position
+(``farthest_realized``: the first realized support point of each draw in
+a caller's order, read without building the masks) and its exact
+distribution (``_farthest_distribution``), and the site masses
+(``site_masses``, the expected number of realized points at each support
+point, summed in ``total_prob``).  Node assignments stay in this module.
 """
 
 from __future__ import annotations
@@ -81,8 +84,13 @@ class ExistentialInstance:
         return self.points.shape[1]
 
     @property
+    def site_masses(self) -> np.ndarray:
+        """Expected number of realized points at each support point: p_i."""
+        return self.probs
+
+    @property
     def total_prob(self) -> float:
-        """B = sum of p_i."""
+        """B = sum of p_i, the expected number of realized points."""
         return float(self.probs.sum())
 
     @property
@@ -132,6 +140,16 @@ class LocationalInstance:
     @property
     def model(self) -> str:
         return "locational"
+
+    @property
+    def site_masses(self) -> np.ndarray:
+        """Expected number of nodes at each location: its column sum."""
+        return self.probs.sum(axis=0)
+
+    @property
+    def total_prob(self) -> float:
+        """B = sum of the site masses: n, within 1e-9 per node."""
+        return float(self.site_masses.sum())
 
     @cached_property
     def inverse_cdf(self) -> tuple[np.ndarray, np.ndarray]:
@@ -392,6 +410,40 @@ def farthest_realized(instance: Instance, u: np.ndarray,
         pos[np.flatnonzero(pending)[found]] = \
             hit[found].take(order, axis=1).argmax(axis=1)
     return pos
+
+
+def _farthest_distribution(instance: Instance,
+                           order: np.ndarray) -> np.ndarray:
+    """p[r] = Pr[position r of ``order``, a permutation of the support (or
+    one per column), is the first realized point]: ``farthest_realized``'s
+    distribution, summing to Pr[some point is realized].  Nothing is
+    subtracted, so p[r] is within 2(n - 1) (existential) or (n - 1)(m + 1)
+    (locational) relative roundings of exact while no product underflows;
+    at hundreds of nodes and locations some p[r] are 0 or subnormal."""
+    if instance.n == 0:
+        return np.zeros(order.shape)
+    if isinstance(instance, ExistentialInstance):
+        # r is first iff its point is present and every one before absent
+        p = instance.probs[order]
+        p[1:] *= np.multiply.accumulate(1.0 - p, axis=0)[:-1]
+        return p
+    # Location rev[r] of the reversed order is the last one realized with
+    # probability prod_i C_i(r) - prod_i C_i(r - 1), C_i(r) = Pr[node i
+    # lands in rev[:r + 1]], telescoped over the nodes into non-negative
+    # terms prod_{i<j} C_i(r - 1) * q_j(r) * prod_{i>j} C_i(r), q_j(r) node
+    # j's entry at rev[r], so nothing cancels when products are near 1.
+    q = instance.probs[:, order[::-1]]
+    cdf = np.add.accumulate(q, axis=1)
+    # head[j, r] = prod_{i<j} C_i(r - 1), with C_i(-1) = 0, and
+    # tail[j, r] = prod_{i>j} C_i(r)
+    head = np.zeros_like(cdf)
+    head[0] = 1.0
+    np.multiply.accumulate(cdf[:-1, :-1], axis=0, out=head[1:, 1:])
+    tail = np.ones_like(cdf)
+    np.multiply.accumulate(cdf[:0:-1], axis=0, out=tail[-2::-1])
+    head *= q
+    head *= tail
+    return np.add.reduce(head, axis=0)[::-1]
 
 
 # ---------------------------------------------------------------------------

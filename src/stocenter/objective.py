@@ -3,9 +3,10 @@ and expected j-flat-center value J(P, F) in both uncertainty models.
 
 Both models' exact value is sum_l w_l d_l over one private kernel,
 ``_farthest_weights``: w_l = Pr[support point l is the farthest realized
-point, ties to the lowest id].  So, for a fixed assignment of points to
-centers, sum_l w_l (c - s_l) / ||c - s_l|| over the points served by c is
-a subgradient of the expected objective.
+point, ties to the lowest id], the exact distribution of Monte Carlo's
+farthest point from ``model._farthest_distribution``.  So, for a fixed
+assignment of points to centers, sum_l w_l (c - s_l) / ||c - s_l|| over
+the points served by c is a subgradient of the expected objective.
 
 Every weighted sum of a value is ``_weighted_sum``, added left to right:
 a BLAS dot's order depends on the thread count.  ``_exact_value`` and
@@ -37,8 +38,8 @@ from itertools import combinations, islice
 import numpy as np
 
 from .errors import DimensionMismatch, NonFiniteValue
-from .model import (CHUNK_ELEMENTS, CenterSet, ExistentialInstance, Flat,
-                    Instance, farthest_realized)
+from .model import (CHUNK_ELEMENTS, CenterSet, Flat, Instance,
+                    _farthest_distribution, farthest_realized)
 
 
 @dataclass(frozen=True)
@@ -250,39 +251,10 @@ def flat_distance(x: np.ndarray, F: Flat) -> float:
 def _farthest_weights(instance: Instance, dists: np.ndarray) -> np.ndarray:
     """w_l = Pr[support point l is the farthest realized point, ties to the
     lowest id] for every support point l, given its distance ``dists[l]``;
-    for an (m, shapes) ``dists``, the weights of each column.  An empty
-    realization has no farthest point, so w sums to
-    Pr[some point is realized]: 0 for a locational instance with no nodes,
-    whose only realization is empty."""
-    if instance.n == 0:
-        return np.zeros(dists.shape)
-    if isinstance(instance, ExistentialInstance):
-        # farthest first, ties to the lowest id: l is the farthest realized
-        # point iff it is present and every point before it is absent
-        order = (-dists).argsort(axis=0, kind="stable")
-        p = instance.probs[order]
-        p[1:] *= np.multiply.accumulate(1.0 - p, axis=0)[:-1]
-    else:
-        # nearest first, ties to the highest id: the farthest realized
-        # location is order[r] with probability prod_i C_i(r) -
-        # prod_i C_i(r - 1), where C_i(r) = Pr[node i lands in
-        # order[:r + 1]].  The difference is telescoped over the nodes into
-        # a sum of non-negative terms, prod_{i<j} C_i(r - 1) * q_j(r) *
-        # prod_{i>j} C_i(r) with q_j(r) node j's entry at order[r], so
-        # nothing cancels when the products are close to 1.
-        order = len(dists) - 1 - dists[::-1].argsort(axis=0, kind="stable")
-        q = instance.probs[:, order]
-        cdf = np.add.accumulate(q, axis=1)
-        # head[j, r] = prod_{i<j} C_i(r - 1), with C_i(-1) = 0, and
-        # tail[j, r] = prod_{i>j} C_i(r)
-        head = np.zeros_like(cdf)
-        head[0] = 1.0
-        np.multiply.accumulate(cdf[:-1, :-1], axis=0, out=head[1:, 1:])
-        tail = np.ones_like(cdf)
-        np.multiply.accumulate(cdf[:0:-1], axis=0, out=tail[-2::-1])
-        head *= q
-        head *= tail
-        p = np.add.reduce(head, axis=0)
+    for an (m, shapes) ``dists``, the weights of each column: the
+    distribution of Monte Carlo's farthest-first position, scattered."""
+    order = (-dists).argsort(axis=0, kind="stable")
+    p = _farthest_distribution(instance, order)
     w = np.empty(dists.shape)
     if dists.ndim == 1:
         # the Nelder-Mead objectives' path: put_along_axis builds index
@@ -308,10 +280,8 @@ def expected_objective_exact(instance: Instance, shape: Shape) -> ObjectiveValue
     ``shape_distances`` handles the shape kind and ``_exact_value`` the
     model.
     """
-    method = "ExactSorted" if isinstance(instance, ExistentialInstance) \
-        else "ExactCDF"
     return ObjectiveValue(_finite(float(_exact_value(
-        instance, shape_distances(instance.support_points, shape)))), method)
+        instance, shape_distances(instance.support_points, shape)))), "Exact")
 
 
 def expected_flatcenter_exact(instance: Instance, F: Flat) -> ObjectiveValue:

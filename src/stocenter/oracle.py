@@ -18,7 +18,7 @@ import numpy as np
 from .errors import EnumerationGuardExceeded, InstanceTooLarge
 from .gkm import WeightedCollection, gkm_cost
 from .model import (CHUNK_ELEMENTS, MAX_LOCATIONAL_STATES, CenterSet, Flat,
-                    Instance, LocationalInstance, realization_chunks)
+                    Instance, realization_chunks)
 from .objective import (_check_k, _distances, _exact_value, _finite,
                         _subset_minima, _weighted_sum,
                         expected_objective_exact, shape_distances)
@@ -62,9 +62,10 @@ def oracle_expected_objective(instance: Instance, shape) -> OracleReport:
                         enumeration_size=count)
 
 
-def oracle_holant_direct(instance: LocationalInstance, S_ids, tail,
+def oracle_holant_direct(instance: Instance, S_ids, tail,
                          sequence) -> float:
-    """Z for one occupancy sequence by direct summation over assignments.
+    """Z for one occupancy sequence of a locational instance, by direct
+    summation over assignments.
 
     Each node picks one alternative (a point of S or the tail bucket); the
     term survives iff the occupancy counts match the sequence exactly.
@@ -157,10 +158,9 @@ def oracle_solver_instance(instance: Instance, k: int,
                            resolution: int = 21) -> tuple[CenterSet, float]:
     """Grid search directly on the exact expected k-center objective."""
     points = instance.support_points
-    # the locational kernel's cumulative sums are (nodes, points, subsets)
-    nodes = instance.n if isinstance(instance, LocationalInstance) else 1
+    # the kernel's temporaries: nodes x points per subset, at least points
     return _grid_search(
-        points, k, resolution, points.shape[0] * max(nodes, 1),
+        points, k, resolution, max(instance.probs.size, points.shape[0]),
         lambda table: _exact_value(instance, table),
         lambda F: expected_objective_exact(instance, F).value)
 

@@ -268,9 +268,9 @@ def build_weighted_image(instance: Instance, k: int, eps: float,
     exhaustive: group every realization by its coreset (small instances).
     This is the brute-force reference: acceptance criteria 4 and 5 check
     subsets mode against it.  Masses add up per class in enumeration order.
-    subsets: iterate candidate subsets up to the size bound (and, for a
-    locational instance, up to n points), filter by the fixed-point
-    membership test, attach closed-form/DP probabilities.
+    subsets: iterate candidate subsets up to the size bound and up to n
+    points, filter by the fixed-point membership test, attach
+    closed-form/DP probabilities, and drop the classes of mass 0.
     """
     builder = CoresetBuilder(instance.support_points, k, eps)
     rows = builder.chunk_rows
@@ -288,19 +288,14 @@ def build_weighted_image(instance: Instance, k: int, eps: float,
     if mode != "subsets":
         raise ValueError(f"unknown mode {mode!r}")
     n = instance.support_points.shape[0]
-    bound = min(coreset_image_size_bound(k, instance.d, eps), n)
-    first = 0
-    if isinstance(instance, LocationalInstance):
-        # a node always realizes somewhere, so with nodes a locational S is
-        # nonempty; n nodes occupy at most n locations
-        first = 1 if instance.n else 0
-        bound = min(bound, instance.n)
-    total = sum(math.comb(n, s) for s in range(first, bound + 1))
+    # n points or nodes realize at most n support points
+    bound = min(coreset_image_size_bound(k, instance.d, eps), n, instance.n)
+    total = sum(math.comb(n, s) for s in range(bound + 1))
     if total > MAX_SUBSET_ENUMERATION:
         raise EnumerationGuardExceeded(
             f"{total} candidate subsets exceed {MAX_SUBSET_ENUMERATION}")
     entries = []
-    for masks in _candidate_chunks(n, range(first, bound + 1), rows):
+    for masks in _candidate_chunks(n, range(bound + 1), rows):
         w = _class_masses(builder, instance, masks)
         keep = w > 0.0
         entries.extend(zip(_ids(masks[keep]), w[keep].tolist()))

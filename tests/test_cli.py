@@ -42,13 +42,23 @@ def _run(args, capsys):
     return code, out
 
 
-def test_evaluate_exact(inst_file, shape_file, capsys):
-    code, out = _run(["evaluate", "--instance", inst_file,
-                      "--shape", shape_file], capsys)
-    assert code == 0
-    data = json.loads(out)
-    assert data["method"] == "ExactSorted"
-    assert data["value"] == pytest.approx(0.8 * 4 + 0.2 * 0.9 * 3)
+def test_evaluate_exact(inst_file, shape_file, tmp_path, capsys):
+    # two nodes over the same three sites: the farthest, at 4, is taken
+    # unless neither node lands on it, and then the one at 3 unless both
+    # land at the center
+    loc_file = tmp_path / "loc.json"
+    write_json(loc_file, instance_to_dict(LocationalInstance(
+        locations=[[0.0, 0.0], [4.0, 0.0], [0.0, 3.0]],
+        probs=[[0.5, 0.25, 0.25], [0.2, 0.5, 0.3]])))
+    for path, value in ((inst_file, 0.8 * 4 + 0.2 * 0.9 * 3),
+                        (str(loc_file), (1 - 0.75 * 0.5) * 4
+                         + (0.75 * 0.5 - 0.5 * 0.2) * 3)):
+        code, out = _run(["evaluate", "--instance", path,
+                          "--shape", shape_file], capsys)
+        assert code == 0
+        data = json.loads(out)
+        assert data["method"] == "Exact"
+        assert data["value"] == pytest.approx(value)
 
 
 def test_evaluate_mc(inst_file, shape_file, capsys):

@@ -2,14 +2,14 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stocenter import jflat, verification
 from stocenter.cli import main
 from stocenter.errors import CaseMismatch, EmptyK, SchemaError
 from stocenter.gkm import WeightedCollection, skc_pipeline, solve_gkm
-from stocenter.jflat import (KERNEL_NET_SIZE, _prefix_mass, build_S1,
+from stocenter.jflat import (KERNEL_NET_SIZE, build_S1,
                              build_S2, build_sjfc_coreset, case1_size_cap,
                              direction_net, lift, sjfc_pipeline, solve_jflat,
                              sweep_convexK, weighted_flat_median_coreset)
@@ -81,12 +81,50 @@ def test_sweep_outside_mass_bounded():
         assert inst.probs[outside].sum() <= eps
 
 
-def frozen_inside(instance, j, eps, net_size):
+def test_sweep_outside_mass_bounded_locational():
+    # a few nodes over many locations, some of little mass, so that K
+    # leaves locations out
+    rng = np.random.default_rng(33)
+    cut = 0
+    for _ in range(10):
+        n, m = int(rng.integers(1, 5)), int(rng.integers(8, 25))
+        rows = rng.uniform(0.001, 0.9, (n, m)) * rng.choice([1e-4, 1.0], m)
+        inst = LocationalInstance(locations=rng.uniform(-8, 8, (m, 2)),
+                                  probs=rows / rows.sum(axis=1, keepdims=True))
+        eps = 0.3
+        outside = ~sweep_convexK(inst, 0, eps)
+        assert inst.probs[:, outside].sum() <= eps
+        cut += outside.sum()
+    assert cut > 0
+
+
+def _site_masses(instance):
+    """Each support point's mass, frozen: p_i, or a location's column
+    summed over the nodes."""
+    if isinstance(instance, ExistentialInstance):
+        return instance.probs
+    return instance.probs.sum(axis=0)
+
+
+def union_prefix(instance, order):
+    """The sum of the site masses along a sweep, as the existential sweep
+    has always read it."""
+    return np.cumsum(_site_masses(instance)[order])
+
+
+def exact_prefix(instance, order):
+    """The locational prefix mass before the sweep read the sum in both
+    models: the exact probability that some node lands in the prefix."""
+    tail = np.cumsum(instance.probs[:, order], axis=1)
+    return 1.0 - np.prod(1.0 - tail, axis=0)
+
+
+def frozen_inside(instance, j, eps, net_size, prefix=union_prefix):
     """The sweep and membership test as they were before the sweep returned
     its mask: one matrix-vector product per direction for the thresholds,
     then one matrix product over all directions, read with a 1e-12 relative
-    slack."""
-    if isinstance(instance, ExistentialInstance) and instance.total_prob < eps:
+    slack.  ``prefix`` gives the mass of each sweep prefix."""
+    if float(_site_masses(instance).sum()) < eps:
         raise CaseMismatch("total probability below eps; use the Case 1 path")
     lifted = lift(instance.support_points, j)
     dirs = direction_net(lifted.shape[1], net_size)
@@ -95,7 +133,7 @@ def frozen_inside(instance, j, eps, net_size):
     for i, u in enumerate(dirs):
         proj = lifted @ u
         order = np.lexsort((np.arange(len(proj)), -proj))
-        mass = _prefix_mass(instance, order)
+        mass = prefix(instance, order)
         hit = np.flatnonzero(mass >= eps_prime)
         if hit.size == 0:
             raise EmptyK(f"sweep mass never reaches eps'={eps_prime}")
@@ -108,8 +146,8 @@ def frozen_inside(instance, j, eps, net_size):
 @st.composite
 def sweep_cases(draw):
     """Seeded instances of either model; integer coordinates give ties, tiny
-    masses leave points outside K, and low total mass or a locational
-    instance without nodes gives the sweep's two errors."""
+    masses leave points outside K, and low total mass, a locational
+    instance without nodes among them, gives CaseMismatch."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     d = draw(st.sampled_from([2, 3]))
     m = draw(st.integers(1, 12))
@@ -138,8 +176,15 @@ def _outcome(sweep, *args):
         return type(err)
 
 
+# two nodes of mass a = 0.01255 at location 1: the sum 2a reaches
+# eps' = 0.1 / 4 there, the exact 2a - a^2 does not, so K grows by it
+GROWN = (LocationalInstance(locations=[[0.0, 0.0], [3.0, 1.0]],
+                            probs=[[1 - 0.01255, 0.01255]] * 2), 0, 0.1, 1)
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(sweep_cases())
+@example(GROWN)
 def test_sweep_mask_matches_the_frozen_sweep(case):
     # the thresholds and the test read the same projections, so the mask
     # needs no slack to keep every point the old sweep kept
@@ -151,6 +196,49 @@ def test_sweep_mask_matches_the_frozen_sweep(case):
         assert mask is expected
     else:
         assert mask.dtype == bool and np.array_equal(mask, expected)
+
+
+def outside_probability(instance, inside):
+    """Pr[some realized point lies outside K], computed exactly per model:
+    1 - prod over the outside points of 1 - p_i, or 1 - prod over the
+    nodes of their mass inside K."""
+    if isinstance(instance, ExistentialInstance):
+        return 1.0 - np.prod(1.0 - instance.probs[~inside])
+    return 1.0 - np.prod(instance.probs[:, inside].sum(axis=1))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(sweep_cases())
+@example(GROWN)
+def test_union_bound_sweep_keeps_the_exact_sweep_inside(case):
+    # Summing the site masses never undercounts the probability that a
+    # prefix holds a realized point, so each halfspace cuts off no more
+    # than the exact-probability sweep did, and the true mass left outside
+    # K stays within the union bound.
+    instance, j, eps, net_size = case
+    with mock.patch.object(jflat, "NET_SIZE", net_size):
+        mask = _outcome(sweep_convexK, instance, j, eps)
+    if float(_site_masses(instance).sum()) < eps:  # or has no nodes
+        assert mask is CaseMismatch
+        return
+    exact = isinstance(instance, LocationalInstance)
+    old = frozen_inside(*case, prefix=exact_prefix if exact else union_prefix)
+    assert np.all(mask[old])
+    assert outside_probability(instance, mask) <= eps / 2
+
+
+@pytest.mark.parametrize("inst", [
+    ExistentialInstance(points=[[0.0, 0.0], [1.0, 1.0]], probs=[0.0, 0.0]),
+    LocationalInstance(locations=[[0.0, 0.0], [1.0, 1.0], [2.0, 0.0]],
+                       probs=np.zeros((0, 3)))], ids=["existential",
+                                                      "locational"])
+def test_zero_mass_takes_case_1_in_both_models(inst):
+    # one rule, total_prob < eps: an existential instance of zero mass and
+    # a locational instance without nodes both give the empty Case-1 coreset
+    with pytest.raises(CaseMismatch):
+        sweep_convexK(inst, 0, 0.5)
+    S, case = build_sjfc_coreset(inst, 0, 0.5, seed=0)
+    assert case == 1 and S.size == 0 and S.d == 2
 
 
 def test_case1_tiny_instance_verbatim():

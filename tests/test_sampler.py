@@ -3,11 +3,15 @@ against the per-sample loops they replaced.
 
 The loops below are the reference: they are the library's former
 ``expected_objective_mc`` and ``build_S1``, which drew n uniforms per
-sample and placed each locational node with its own inverse-CDF lookup.  The vectorized versions must agree with them exactly
-(``==``), not within a tolerance.  The locational lookup here is a running
-sum over the row, and a draw past the row's total takes the last location
-of positive probability (the former loops took the last location, which
-can have probability 0; see ``test_clamp_skips_zero_probability_tail``).
+sample and placed each locational node with its own inverse-CDF lookup.
+``build_S1`` now draws n uniforms per sample in the existential model
+too; the former loop that drew only the points inside K is kept where it
+must still agree, with K holding every point.  The vectorized versions
+must agree with them exactly (``==``), not within a tolerance.  The
+locational lookup here is a running sum over the row, and a draw past the
+row's total takes the last location of positive probability (the former
+loops took the last location, which can have probability 0; see
+``test_clamp_skips_zero_probability_tail``).
 ``realize`` returns masks over the support, so the loop's present points
 or taken locations are set in a mask before the comparison.
 """
@@ -77,25 +81,37 @@ def mc_summary(vals):
 
 
 def loop_build_S1(instance, inside, j, N, seed):
+    """n uniforms per sample in both models, one per point or node; the
+    realized support points outside K are dropped."""
     kernel_dirs = direction_net(lift(instance.support_points, j).shape[1],
                                 KERNEL_NET_SIZE)
     out = []
-    if isinstance(instance, ExistentialInstance):
-        pts = instance.points[inside]
-        probs = instance.probs[inside]
-        for i in range(N):
-            rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
-            mask = rng.random(len(probs)) < probs
-            out.append(_kernel(pts[mask], j, kernel_dirs))
-    else:
-        for i in range(N):
-            rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
-            u = rng.random(instance.n)
+    for i in range(N):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
+        u = rng.random(instance.n)
+        if isinstance(instance, ExistentialInstance):
+            mask = (u < instance.probs) & inside
+            out.append(_kernel(instance.points[mask], j, kernel_dirs))
+        else:
             idx = [loop_locate(instance.probs[r], u[r])
                    for r in range(instance.n)]
             idx = np.array(sorted(set(v for v in idx if inside[v])),
                            dtype=int)
             out.append(_kernel(instance.locations[idx], j, kernel_dirs))
+    return out
+
+
+def restricted_build_S1(instance, inside, j, N, seed):
+    """The existential S1 before both models drew n uniforms per sample:
+    only the points inside K are drawn, one uniform each, in id order."""
+    kernel_dirs = direction_net(lift(instance.support_points, j).shape[1],
+                                KERNEL_NET_SIZE)
+    pts, probs = instance.points[inside], instance.probs[inside]
+    out = []
+    for i in range(N):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
+        out.append(_kernel(pts[rng.random(len(probs)) < probs], j,
+                           kernel_dirs))
     return out
 
 
@@ -328,4 +344,21 @@ def test_build_S1_matches_loop(data, seed, N):
     assert len(s1) == len(ref) == N
     for kernel, expected in zip(s1, ref):
         assert kernel.shape == expected.shape
+        assert np.array_equal(kernel, expected)
+
+
+@SETTINGS
+@given(st.data(), st.integers(0, 2 ** 16), st.integers(0, 6))
+def test_build_S1_keeps_the_existential_bits_when_K_holds_every_point(
+        data, seed, N):
+    # with every point inside K, drawing n uniforms draws the same ones as
+    # drawing the inside points only
+    instance = data.draw(instances().filter(
+        lambda inst: isinstance(inst, ExistentialInstance)))
+    j = data.draw(st.sampled_from([0, 1] if instance.d > 1 else [0]))
+    inside = np.ones(instance.n, dtype=bool)
+    s1 = build_S1(instance, inside, j, N, seed)
+    ref = restricted_build_S1(instance, inside, j, N, seed)
+    assert len(s1) == len(ref) == N
+    for kernel, expected in zip(s1, ref):
         assert np.array_equal(kernel, expected)

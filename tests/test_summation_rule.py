@@ -3,7 +3,8 @@ to right, so no value depends on the BLAS thread count.
 
 The lint flags a BLAS product (``@``, ``np.dot``, ``.dot(``, ``np.inner``,
 ``np.vdot``) anywhere in ``objective`` and ``gkm``, and in the functions of
-``SCOPE`` that add up a value, ``partition``'s class masses among them.
+``SCOPE`` that add up a value, ``partition``'s class masses and the
+farthest-point kernel in ``model`` among them.
 Geometry products are out of scope: the sweep and kernel projections of
 ``jflat`` and its canonical line base, ``shadowed``'s float32 count product
 in ``grid_coreset``, the ``eigh`` input of the j=1 starts, ``Flat``'s Gram
@@ -29,6 +30,7 @@ SCOPE = {
                "oracle_solver_instance", "oracle_sensitivities"},
     "verification": {"_c8_found", "criterion_10"},
     "partition": {"_class_masses", "_occupied_masses"},
+    "model": {"_farthest_distribution"},
 }
 
 
