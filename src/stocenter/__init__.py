@@ -6,7 +6,7 @@ and j-flat-center coresets, plus brute-force oracles and a CLI.
 """
 
 from .errors import (CaseMismatch, CombinationGuardExceeded,
-                     DimensionMismatch, EmptyK, EmptyRealization,
+                     DimensionMismatch, EmptyRealization,
                      EnumerationGuardExceeded, GuardExceeded,
                      InstanceTooLarge, NonFiniteValue, SchemaError,
                      StateSpaceGuardExceeded, StocenterError,

@@ -52,7 +52,3 @@ class ZeroCostCandidate(StocenterError):
 
 class CaseMismatch(StocenterError):
     pass
-
-
-class EmptyK(StocenterError):
-    """The sweep threshold mass was never reached in some direction."""

@@ -39,6 +39,7 @@ bit for bit.
 
 from __future__ import annotations
 
+import functools
 import math
 from itertools import combinations, islice
 
@@ -224,8 +225,6 @@ def _solve_k1(S: WeightedCollection) -> tuple[np.ndarray, float]:
     Nelder-Mead run from the weighted centroid of the per-set farthest
     points from the mean of all points."""
     pts = S.points
-    if pts.shape[0] == 0:
-        return np.zeros(S.d), 0.0
     far = pts[S.argmax(np.linalg.norm(pts - pts.mean(axis=0), axis=1))]
     c0 = np.average(far, axis=0, weights=S.weights[S.nonempty])
     res = minimize(_cost_objective(S), c0)
@@ -303,15 +302,15 @@ def solve_gkm(S: WeightedCollection, k: int) -> tuple[CenterSet, float]:
 
 def _best_polished(instance: Instance, k: int,
                    starts: list) -> tuple[CenterSet, float, int, int]:
-    """Polish each start center set by one Nelder-Mead run on the exact
-    expected objective (cheap: each evaluation is one weight kernel and one
-    sum) and keep the best by (value, lexicographic centers).
+    """Polish each start center set (every caller passes one at least) by
+    one Nelder-Mead run on the exact expected objective (cheap: each
+    evaluation is one weight kernel and one sum) and keep the best by
+    (value, lexicographic centers).
 
     For k=1 the enclosing-ball center of the support is tried last: it is
     the exact optimum for deterministic instances and a strong start
     elsewhere.  Returns (CenterSet, value, starts evaluated, starts whose
-    run stopped unconverged at ``maxiter``); with no start at all, the zero
-    centers and value 0.
+    run stopped unconverged at ``maxiter``).
     """
     if k == 1:
         from .oracle import minimum_enclosing_ball
@@ -328,8 +327,6 @@ def _best_polished(instance: Instance, k: int,
         if best is None or v < best[1] - 1e-15 or \
                 (abs(v - best[1]) <= 1e-15 and _lex_key(F.centers) < _lex_key(best[0].centers)):
             best = (F, v)
-    if best is None:
-        best = (CenterSet(centers=np.zeros((k, d))), 0.0)
     return best[0], best[1], len(starts), unconverged
 
 
@@ -351,10 +348,12 @@ def skc_pipeline(instance: Instance, k: int, eps: float,
                  M: int | None = None, L_exp: int | None = None):
     """Full stochastic k-center pipeline.
 
-    Builds the coreset-class image, derives candidate collections per the
-    strategy, solves each, and returns the candidate minimizing the exact
-    expected objective.  Returns (CenterSet, value, info dict); info holds
-    the strategy, ``candidates_evaluated`` (polish starts run) and
+    Builds the coreset-class image S, derives candidate collections per the
+    strategy, and polishes one start per collection: its ``solve_gkm``
+    centers, or S's, solved once, for S and for a collection with no points
+    (it costs 0 at every center set).  Returns the best polished CenterSet,
+    its exact value and info: the strategy, ``candidates_evaluated``
+    (polish starts run, a pointless collection's included) and
     ``polish_unconverged`` (those that stopped at ``maxiter``).
 
     ``enumerate`` solves the candidate (M default min(N, 2), L_exp 6) that
@@ -372,14 +371,13 @@ def skc_pipeline(instance: Instance, k: int, eps: float,
     image = build_weighted_image(instance, k, eps, mode=image_mode)
     S = collection_from_image(image, instance)
     collections = []
-    F_S = None  # solve_gkm's centers for S, once the sampler has them
-    if strategy == "full" or S.size == 0:
+    solve_S = functools.cache(lambda: solve_gkm(S, k)[0])
+    if strategy == "full":
         collections.append(S)
     elif strategy == "sampling":
         M_eff = M if M is not None else max(2 * S.size // 3, 1)
-        F_S = solve_gkm(S, k)[0]
         idx, w = importance_sample_coreset(
-            S.weights, sensitivity_projection(S, F_S), M_eff,
+            S.weights, sensitivity_projection(S, solve_S()), M_eff,
             np.random.default_rng(seed))
         collections.append(S.subset(idx, w))
         collections.append(S)  # keep the safe fallback candidate
@@ -391,8 +389,8 @@ def skc_pipeline(instance: Instance, k: int, eps: float,
                             min(S.size, 2) if M is None else M,
                             6 if L_exp is None else L_exp, eps)
         collections.append(S.subset(idx, w))
-    starts = [F_S if coll is S and F_S is not None else solve_gkm(coll, k)[0]
-              for coll in collections if coll.points.shape[0]]
+    starts = [solve_S() if coll is S or not coll.points.shape[0]
+              else solve_gkm(coll, k)[0] for coll in collections]
     F, value, evaluated, unconverged = _best_polished(instance, k, starts)
     return F, _finite(value), {"strategy": strategy,
                                "candidates_evaluated": evaluated,

@@ -11,8 +11,10 @@ out along the ``NET_SIZE`` directions of a fixed net as a mask over the
 support, sampled realizations inside K are reduced to kernels along the
 ``KERNEL_NET_SIZE`` directions of another (S1), and the outside points get
 the weighted coreset (S2).  Case 1 is S2 of an empty K: a locational
-instance takes it only without nodes.  Only j in {0, 1} is supported; the
-lift dimension grows too fast beyond that.
+instance takes it only without nodes.  Only j in {0, 1} is supported: the
+j=1 lift, of width d + d(d+1)/2, already linearizes every flat with j >= 1,
+but ``_flat_from_params``, ``_starts_for`` and ``_weighted_median_flat``
+fit one axis only (ROADMAP item 15).
 
 A 0-flat is one center, so j=0 (coreset solve, S2 sensitivity seed and
 exact polish) runs through the k=1 code of ``gkm``; only j=1 uses the
@@ -29,7 +31,7 @@ import math
 
 import numpy as np
 
-from .errors import CaseMismatch, EmptyK, SchemaError
+from .errors import CaseMismatch, SchemaError
 from .gkm import (WeightedCollection, _best_polished,
                   importance_sample_coreset, solve_gkm)
 from .model import CenterSet, Flat, Instance, realize
@@ -109,8 +111,6 @@ def sweep_convexK(instance: Instance, j: int, eps: float) -> np.ndarray:
         order = np.lexsort((ids, -column))
         mass = np.cumsum(masses[order])
         hit = np.flatnonzero(mass >= eps_prime)
-        if hit.size == 0:
-            raise EmptyK(f"sweep mass never reaches eps'={eps_prime}")
         thresholds[i] = column[order[hit[0]]]
     return (proj <= thresholds).all(axis=1)
 

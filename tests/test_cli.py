@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 
 from stocenter import oracle
 from stocenter.cli import generate_instance, main
-from stocenter.model import instance_to_dict, shape_to_dict
 from stocenter.model import (CenterSet, ExistentialInstance,
-                             LocationalInstance)
+                             LocationalInstance, instance_to_dict,
+                             load_instance, load_shape, shape_to_dict)
 from stocenter.serialize import dumps_json, write_json
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -184,6 +184,24 @@ def test_solve_enumerate_one_point(tmp_path, capsys):
                       "--eps", "0.5", "--strategy", "enumerate"], capsys)
     assert code == 0
     assert json.loads(out)["value"] == 0.0
+
+
+@pytest.mark.parametrize("k", ["1", "2", "3"])
+def test_solve_enumerate_one_point_prints_the_evaluated_value(k, tmp_path,
+                                                              capsys):
+    # at k >= 2 the screened candidate holds no point, and the pipeline
+    # printed zero centers with value 0 where evaluate read 1.44
+    inst, shape = tmp_path / "one.json", tmp_path / "centers.json"
+    write_json(inst, instance_to_dict(
+        ExistentialInstance(points=[[3.0, -2.0]], probs=[0.4])))
+    code, out = _run(["solve", "--instance", str(inst), "--k", k,
+                      "--eps", "0.5", "--strategy", "enumerate"], capsys)
+    solved = json.loads(out)
+    assert code == 0 and solved["candidates_evaluated"] >= 1
+    write_json(shape, shape_to_dict(CenterSet(centers=solved["centers"])))
+    code, out = _run(["evaluate", "--instance", str(inst),
+                      "--shape", str(shape)], capsys)
+    assert code == 0 and json.loads(out)["value"] == solved["value"] == 0.0
 
 
 @pytest.mark.parametrize("k", ["1", "2"])
@@ -361,6 +379,33 @@ def test_guard_exit_code(tmp_path, capsys):
                  "--eps", "0.5", "--mode", "exhaustive"])
     capsys.readouterr()
     assert code == 3
+
+
+def test_oracle_evaluate_command(inst_file, shape_file, capsys):
+    code, out = _run(["oracle", "evaluate", "--instance", inst_file,
+                      "--shape", shape_file], capsys)
+    data = json.loads(out)
+    assert code == 0
+    assert set(data) == {"value", "method", "enumeration_size"}
+    rep = oracle.oracle_expected_objective(load_instance(inst_file),
+                                           load_shape(shape_file))
+    assert (data["value"], data["method"], data["enumeration_size"]) == \
+        (rep.value, rep.method, rep.enumeration_size)
+
+
+@pytest.mark.parametrize("k, resolution",
+                         [(1, []), (2, ["--resolution", "5"])],
+                         ids=["k=1", "k=2-resolution-5"])
+def test_oracle_solve_command(k, resolution, inst_file, capsys):
+    code, out = _run(["oracle", "solve", "--instance", inst_file,
+                      "--k", str(k), *resolution], capsys)
+    data = json.loads(out)
+    assert code == 0 and set(data) == {"centers", "value", "resolution"}
+    res = int(resolution[1]) if resolution else 21
+    F, value = oracle.oracle_solver_instance(load_instance(inst_file), k,
+                                             resolution=res)
+    assert data["centers"] == F.centers.tolist()
+    assert (data["value"], data["resolution"]) == (value, res)
 
 
 @pytest.mark.parametrize("k, code", [("0", 2), ("7", 3)])

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stocenter.errors import EnumerationGuardExceeded, ZeroCostCandidate
 from stocenter.gkm import (WeightedCollection, candidate_costs,
                            collection_from_image, gkm_cost,
                            importance_sample_coreset, sensitivity_bruteforce,
                            sensitivity_projection, skc_pipeline, solve_gkm)
-from stocenter.model import CenterSet, ExistentialInstance
+from stocenter.model import (CenterSet, ExistentialInstance,
+                             LocationalInstance)
 from stocenter.objective import expected_objective_exact
 from stocenter.oracle import (minimum_enclosing_ball, oracle_sensitivities,
                               oracle_solver_gkm, oracle_solver_instance)
@@ -262,15 +265,49 @@ def test_skc_enumerate_rejects_an_empty_stream(k, bad):
 
 @pytest.mark.parametrize("points", [[[1.0, 2.0]], [[1.0, 2.0]] * 3],
                          ids=["one-point", "coincident"])
-@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("strategy", ["full", "sampling", "enumerate"])
 def test_skc_pipeline_zero_cost_instances(points, k, strategy):
-    # no probe center has positive cost; enumerate used to raise here
+    # no probe center has positive cost; enumerate used to raise here, and
+    # at k >= 2 returned zero centers with value 0 it never evaluated
     inst = ExistentialInstance(points=points,
                                probs=[0.3, 0.6, 0.9][:len(points)])
     F, value, info = skc_pipeline(inst, k, 0.5, strategy=strategy, seed=1)
     assert value == 0.0 and F.k == k
+    assert value == expected_objective_exact(inst, F).value
     assert info["polish_unconverged"] == 0
+
+
+@st.composite
+def small_instances(draw):
+    """Seeded instances of either model on a few integer points of the
+    line or plane, drawn with repeats, so that some coincide and some
+    instances have one distinct point."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    d = draw(st.sampled_from([1, 2]))
+    grid = rng.integers(-3, 4, (draw(st.integers(1, 3)), d)).astype(float)
+    points = grid[rng.integers(0, len(grid), draw(st.integers(1, 4)))]
+    if draw(st.booleans()):
+        return ExistentialInstance(points=points,
+                                   probs=rng.uniform(0.05, 1.0, len(points)))
+    rows = rng.uniform(0.05, 1.0, (draw(st.integers(1, 3)), len(points)))
+    return LocationalInstance(locations=points,
+                              probs=rows / rows.sum(axis=1, keepdims=True))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("strategy", ["full", "sampling", "enumerate"])
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(small_instances())
+@example(ExistentialInstance(points=[[3.0, -2.0]], probs=[0.4]))
+def test_skc_pipeline_value_is_the_exact_value_at_its_centers(strategy, k,
+                                                               instance):
+    # every candidate collection gives the polish a start, so the value
+    # returned is the exact objective at the centers returned
+    F, value, info = skc_pipeline(instance, k, 0.5, strategy=strategy, seed=2)
+    assert F.k == k and info["candidates_evaluated"] >= 1
+    assert value == pytest.approx(
+        expected_objective_exact(instance, F).value, rel=1e-12, abs=0.0)
 
 
 def test_skc_pipeline_deterministic_repeat():
@@ -299,6 +336,34 @@ def test_skc_sampling_solves_each_collection_once(monkeypatch):
     # the full image of 2^8 classes, then the sampled coreset
     sizes = [S.size for S in solved]
     assert len(sizes) == 2 and sizes[0] == 256 > sizes[1]
+
+
+@pytest.mark.parametrize("points, probs, pointless", [
+    ([[3.0, -2.0]], [0.4], True),
+    (np.random.default_rng(30).uniform(-10, 10, (6, 2)),
+     np.random.default_rng(31).uniform(0.1, 0.9, 6), False)],
+    ids=["one-point", "six-points"])
+def test_skc_enumerate_solves_the_image_only_for_a_pointless_candidate(
+        points, probs, pointless, monkeypatch):
+    # a screened candidate with no point starts from the image's own solve
+    from stocenter import gkm
+    images, solved = [], []
+
+    def keep_image(image, instance):
+        images.append(collection_from_image(image, instance))
+        return images[-1]
+
+    def counting(S, k):
+        solved.append(S)
+        return solve_gkm(S, k)
+
+    monkeypatch.setattr(gkm, "collection_from_image", keep_image)
+    monkeypatch.setattr(gkm, "solve_gkm", counting)
+    inst = ExistentialInstance(points=points, probs=probs)
+    _F, _v, info = skc_pipeline(inst, 2, 0.5, strategy="enumerate")
+    assert len(images) == len(solved) == info["candidates_evaluated"] == 1
+    assert (solved[0] is images[0]) is pointless
+    assert solved[0].points.shape[0] > 0
 
 
 def test_collection_from_image_weights():

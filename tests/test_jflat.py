@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from stocenter import jflat, verification
 from stocenter.cli import main
-from stocenter.errors import CaseMismatch, EmptyK, SchemaError
+from stocenter.errors import CaseMismatch, SchemaError
 from stocenter.gkm import WeightedCollection, skc_pipeline, solve_gkm
 from stocenter.jflat import (KERNEL_NET_SIZE, build_S1,
                              build_S2, build_sjfc_coreset, case1_size_cap,
@@ -135,8 +135,8 @@ def frozen_inside(instance, j, eps, net_size, prefix=union_prefix):
         order = np.lexsort((np.arange(len(proj)), -proj))
         mass = prefix(instance, order)
         hit = np.flatnonzero(mass >= eps_prime)
-        if hit.size == 0:
-            raise EmptyK(f"sweep mass never reaches eps'={eps_prime}")
+        # the full sweep's mass is at least eps > eps', so a prefix reaches it
+        assert hit.size, f"sweep mass never reaches eps'={eps_prime}"
         thresholds[i] = proj[order[hit[0]]]
     proj = lifted @ dirs.T
     tol = 1e-12 * (1.0 + np.abs(thresholds))
@@ -172,7 +172,7 @@ def sweep_cases(draw):
 def _outcome(sweep, *args):
     try:
         return sweep(*args)
-    except (CaseMismatch, EmptyK) as err:
+    except CaseMismatch as err:
         return type(err)
 
 
@@ -389,6 +389,40 @@ def test_jflat_builders_reject_eps_outside_the_unit_interval(build, eps):
         with pytest.raises(ValueError, match=r"eps must lie in \(0, 1\)"):
             build(inst, eps)
     assert not (lifted.called or sample.called)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_line_median_coreset_above_the_size_cap(d):
+    # j=1 past the cap scores the points against the principal axis through
+    # the weighted mean, then samples cap draws
+    rng = np.random.default_rng(50 + d)
+    eps = 0.3
+    points = rng.uniform(-5, 5, (2000, d))
+    weights = rng.uniform(0.1, 1.0, 2000)
+    kept, kept_w = weighted_flat_median_coreset(points, weights, 1, eps,
+                                                np.random.default_rng(d))
+    assert np.unique(kept, axis=0).shape[0] <= case1_size_cap(1, d, eps) < 2000
+    assert np.all(kept_w > 0)
+    for _ in range(50):
+        F = _rand_flat(rng, 1, d)
+        full = float(weights @ shape_distances(points, F))
+        estimate = float(kept_w @ shape_distances(kept, F))
+        assert abs(estimate - full) <= eps * full
+
+
+@pytest.mark.parametrize("j, points", [
+    (1, np.column_stack([np.linspace(-5, 5, 400), np.zeros(400)])),
+    (0, np.zeros((400, 2)))], ids=["line-on-an-axis", "origin"])
+def test_zero_cost_median_takes_uniform_sensitivities(j, points):
+    # the rough optimum fits every point, so no distance share exists
+    weights = np.ones(400)
+    assert case1_size_cap(j, 2, 0.3) < 400
+    with mock.patch.object(jflat, "importance_sample_coreset",
+                           wraps=jflat.importance_sample_coreset) as sample:
+        weighted_flat_median_coreset(points, weights, j, 0.3,
+                                     np.random.default_rng(0))
+    sigma = sample.call_args.args[1]
+    assert np.array_equal(sigma, np.full(400, 1.0 / 400))
 
 
 def test_sjfc_rejects_a_line_in_one_dimension_before_any_work(tmp_path,
