@@ -27,8 +27,8 @@ line searches are; it replays
 scipy's Nelder-Mead bit for bit, and the library does not import scipy.
 k=1 is one Nelder-Mead run from the weighted centroid of the sets'
 farthest points; k >= 2 is one alternating run from
-the discrete pass's best k-subset, or from k evenly spaced points when it
-has none; the exact polish is one Nelder-Mead run per start, and the
+the discrete pass's best k-subset, or from k evenly spaced points past
+its guard; the exact polish is one Nelder-Mead run per start, and the
 pipelines report the runs stopped at ``MAXITER`` as ``polish_unconverged``.
 Both Nelder-Mead objectives score the raw (k*d,) center vector through
 the evaluators' own arithmetic (``objective._nearest_distances``, then the
@@ -49,9 +49,9 @@ from .errors import EnumerationGuardExceeded, ZeroCostCandidate
 from .model import (CHUNK_ELEMENTS, CenterSet, ExistentialInstance, Instance,
                     assignment_rows)
 from .neldermead import minimize
-from .objective import (WeightedCollection, _check_eps, _check_k, _distances,
-                        _exact_value, _finite, _nearest_distances,
-                        _subset_minima, _weighted_sum, shape_distances)
+from .objective import (WeightedCollection, _best_subset, _check_eps,
+                        _check_k, _distances, _exact_value, _finite,
+                        _nearest_distances, _weighted_sum, shape_distances)
 from .partition import WeightedImage, build_weighted_image
 
 MAX_CANDIDATE_STREAM = 10 ** 7
@@ -215,11 +215,6 @@ def _screen(S: WeightedCollection, K: np.ndarray, M: int, L_exp: int,
 # Solvers
 
 
-def _lex_key(centers: np.ndarray):
-    """Sort key of a ``CenterSet``'s centers, which it stores sorted."""
-    return tuple(map(tuple, centers.tolist()))
-
-
 def _solve_k1(S: WeightedCollection) -> tuple[np.ndarray, float]:
     """Minimize the convex map c -> sum_i w_i max_{s in S_i} ||s - c|| by one
     Nelder-Mead run from the weighted centroid of the per-set farthest
@@ -232,25 +227,14 @@ def _solve_k1(S: WeightedCollection) -> tuple[np.ndarray, float]:
 
 
 def _discrete_pass(S: WeightedCollection, k: int):
-    """Best k-subset of the unique packed points, scored
-    ``CHUNK_ELEMENTS // points`` subsets at a time.
-
-    Subsets are scanned in ``combinations`` order of the sorted unique
-    points, which is lexicographic order of the center sets, so keeping
-    the first subset within 1e-15 of the best keeps the lexicographically
-    smallest one."""
+    """``objective._best_subset`` of the sorted unique packed points, scored
+    ``CHUNK_ELEMENTS // points`` subsets at a time, as (CenterSet, cost);
+    None past ``MAX_DISCRETE_SUBSETS`` k-subsets."""
     uniq = np.unique(S.points, axis=0)
     if math.comb(uniq.shape[0], k) > MAX_DISCRETE_SUBSETS:
         return None
     rows = max(CHUNK_ELEMENTS // max(S.points.shape[0], 1), 1)
-    best = None
-    for subsets, table in _subset_minima(_distances(S.points, uniq), k, rows):
-        for idx, v in zip(subsets, S._cost(table).tolist()):
-            if best is None or v < best[1] - 1e-15:
-                best = (idx, v)
-    if best is None:  # fewer unique points than k
-        return None
-    return CenterSet(centers=uniq[best[0]]), best[1]
+    return _best_subset(S.points, uniq, k, rows, S._cost)
 
 
 def _alternating(S: WeightedCollection,
@@ -276,9 +260,9 @@ def solve_gkm(S: WeightedCollection, k: int) -> tuple[CenterSet, float]:
     """Best center set found; deterministic for fixed inputs.
 
     k=1 is ``_solve_k1``.  For k >= 2 it is one ``_alternating`` run from
-    the discrete pass's best k-subset of the support, or from k evenly
-    spaced packed points when there is none (fewer unique points than k, or
-    more than ``MAX_DISCRETE_SUBSETS`` k-subsets)."""
+    the discrete pass's best k-subset of the support (every unique point
+    when there are at most k), or from k evenly spaced packed points past
+    ``MAX_DISCRETE_SUBSETS`` k-subsets."""
     _check_k(k)
     if S.size == 0:
         raise ValueError("collection must be nonempty")
@@ -287,12 +271,9 @@ def solve_gkm(S: WeightedCollection, k: int) -> tuple[CenterSet, float]:
     if k == 1:
         c, v = _solve_k1(S)
         return CenterSet(centers=c.reshape(1, -1)), v
-    disc = _discrete_pass(S, k)
-    if disc is None:
-        pts = S.points
-        F0 = CenterSet(centers=pts[np.linspace(0, pts.shape[0] - 1, k).astype(int)])
-    else:
-        F0 = disc[0]
+    disc, pts = _discrete_pass(S, k), S.points
+    F0 = disc[0] if disc else CenterSet(
+        centers=pts[np.linspace(0, pts.shape[0] - 1, k).astype(int)])
     return _alternating(S, F0)
 
 
@@ -325,7 +306,7 @@ def _best_polished(instance: Instance, k: int,
         F = CenterSet(centers=res.x.reshape(k, d))
         v = res.fun
         if best is None or v < best[1] - 1e-15 or \
-                (abs(v - best[1]) <= 1e-15 and _lex_key(F.centers) < _lex_key(best[0].centers)):
+                (abs(v - best[1]) <= 1e-15 and F.centers.tolist() < best[0].centers.tolist()):
             best = (F, v)
     return best[0], best[1], len(starts), unconverged
 

@@ -24,9 +24,10 @@ models.
 
 ``WeightedCollection``, the one weighted point-set type, is the one place
 that takes K(S, F) = max_{s in S} d(s, F) for every set S.  The grid
-coreset's r_P table, gkm's discrete pass and screen and the sensitivity
-oracle read the point-to-candidate table ``_distances`` through
-``_subset_minima``, its minimum over every k-subset of candidates.
+coreset's r_P table and the sensitivity oracle read the point-to-candidate
+table ``_distances`` through ``_subset_minima``, its minimum over every
+k-subset of candidates, and gkm's discrete pass and the grid-search
+oracles through ``_best_subset``; gkm's screen reads it directly.
 """
 
 from __future__ import annotations
@@ -138,6 +139,23 @@ def _subset_minima(D: np.ndarray, k: int, rows: int):
         for j in range(1, k):
             np.minimum(table, D[:, subsets[:, j]], out=table)
         yield subsets, table
+
+
+def _best_subset(points: np.ndarray, cand: np.ndarray, k: int, rows: int,
+                 score) -> tuple[CenterSet, float]:
+    """The first k-subset of ``cand``, in ``combinations`` order, with the
+    least ``score`` of its ``_subset_minima`` column, scored ``rows`` subsets
+    at a time, and that score; a later chunk wins only when strictly lower.
+    Centers may repeat: fewer candidates than k give one subset, every
+    candidate, padded to k centers by ``np.resize``."""
+    best, low = None, np.inf
+    for subsets, table in _subset_minima(_distances(points, cand),
+                                         min(k, len(cand)), rows):
+        scores = score(table)
+        i = int(scores.argmin())
+        if best is None or scores[i] < low:
+            best, low = subsets[i], scores[i]
+    return CenterSet(centers=np.resize(cand[best], (k, cand.shape[1]))), low
 
 
 @dataclass(frozen=True, eq=False)

@@ -19,8 +19,8 @@ from .errors import EnumerationGuardExceeded, InstanceTooLarge
 from .gkm import WeightedCollection, gkm_cost
 from .model import (CHUNK_ELEMENTS, MAX_LOCATIONAL_STATES, CenterSet, Flat,
                     Instance, realization_chunks)
-from .objective import (_check_k, _distances, _exact_value, _finite,
-                        _subset_minima, _weighted_sum,
+from .objective import (_best_subset, _check_k, _distances, _exact_value,
+                        _finite, _subset_minima, _weighted_sum,
                         expected_objective_exact, shape_distances)
 from .partition import _holant_inputs
 
@@ -109,20 +109,20 @@ def center_grid(points: np.ndarray, resolution: int,
 
 
 def _check_entries(candidates: int, k: int, points: int) -> None:
-    """Raise EnumerationGuardExceeded when the k-subsets of ``candidates``
-    times ``points`` exceed ``MAX_GRID_ENTRIES``; called before any subset
-    is scored."""
-    entries = math.comb(candidates, k) * points
+    """Raise EnumerationGuardExceeded when the ``min(k, candidates)``-subsets
+    of ``candidates`` times ``points`` exceed ``MAX_GRID_ENTRIES``; called
+    before any subset is scored."""
+    entries = math.comb(candidates, min(k, candidates)) * points
     if entries > MAX_GRID_ENTRIES:
         raise EnumerationGuardExceeded(
             f"{entries} subset-point entries exceed {MAX_GRID_ENTRIES}")
 
 
 def _grid_search(points: np.ndarray, k: int, resolution: int, width: int,
-                 screen, value) -> tuple[CenterSet, float] | None:
-    """The first k-subset, in ``combinations`` order of the sorted grid and
-    support candidates, with the least ``value(CenterSet)``, and that value;
-    None when there are fewer candidates than k.
+                 screen, value) -> tuple[CenterSet, float]:
+    """``objective._best_subset`` of the sorted grid and support
+    candidates, every candidate when there are fewer than k, and its
+    ``value(CenterSet)``.
 
     ``screen(table)`` scores a chunk of subsets at once from their
     point-to-nearest-center table (points, subsets), equal to ``value`` bit
@@ -135,15 +135,7 @@ def _grid_search(points: np.ndarray, k: int, resolution: int, width: int,
                      axis=0)
     _check_entries(len(cand), k, points.shape[0])
     rows = max(CHUNK_ELEMENTS // max(width, 1), 1)
-    best, low = None, np.inf
-    for subsets, table in _subset_minima(_distances(points, cand), k, rows):
-        scores = screen(table)
-        i = int(scores.argmin())
-        if best is None or scores[i] < low:
-            best, low = subsets[i], scores[i]
-    if best is None:
-        return None
-    F = CenterSet(centers=cand[best])
+    F = _best_subset(points, cand, k, rows, screen)[0]
     return F, value(F)
 
 

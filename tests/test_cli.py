@@ -416,7 +416,7 @@ def test_oracle_solve_rejects_k_before_scoring(k, code, tmp_path, capsys):
     write_json(path, instance_to_dict(generate_instance(
         "uniform", "existential", 5, 2, 1)))
     stop = mock.Mock(side_effect=AssertionError("scoring started"))
-    with mock.patch.object(oracle, "_subset_minima", stop):
+    with mock.patch.object(oracle, "_best_subset", stop):
         got = _run(["oracle", "solve", "--instance", str(path), "--k", k],
                    capsys)
     assert got == (code, "") and not stop.called
@@ -431,12 +431,83 @@ def test_oracle_solve_rejects_resolution_before_scoring(resolution, tmp_path,
     write_json(path, instance_to_dict(generate_instance(
         "uniform", "existential", 5, 2, 1)))
     stop = mock.Mock(side_effect=AssertionError("scoring started"))
-    with mock.patch.object(oracle, "_subset_minima", stop):
+    with mock.patch.object(oracle, "_best_subset", stop):
         code = main(["oracle", "solve", "--instance", str(path), "--k", "1",
                      "--resolution", resolution])
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "") and not stop.called
     assert "resolution must be at least 1" in captured.err
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_oracle_solve_on_one_point(k, tmp_path, capsys):
+    # one point is one grid candidate, fewer than k; this ended in a
+    # TypeError traceback, exit 1
+    inst = tmp_path / "inst.json"
+    write_json(inst, instance_to_dict(ExistentialInstance(
+        points=[[3.0, -2.0]], probs=[0.4])))
+    code, out = _run(["oracle", "solve", "--instance", str(inst),
+                      "--k", str(k)], capsys)
+    data = json.loads(out)
+    assert code == 0 and data["centers"] == [[3.0, -2.0]] * k
+    shape = tmp_path / "shape.json"
+    write_json(shape, shape_to_dict(CenterSet(centers=data["centers"])))
+    code, out = _run(["oracle", "evaluate", "--instance", str(inst),
+                      "--shape", str(shape)], capsys)
+    assert code == 0 and data["value"] == json.loads(out)["value"] == 0.0
+
+
+DEGENERATE = {
+    "one-point": ExistentialInstance(points=[[3.0, -2.0]], probs=[0.4]),
+    "coincident": ExistentialInstance(points=[[1.0, 2.0]] * 3,
+                                      probs=[0.3, 0.6, 0.9]),
+    "zero-mass": ExistentialInstance(points=[[1.0, 2.0], [3.0, 4.0]],
+                                     probs=[0.0, 0.0]),
+    "one-location": LocationalInstance(locations=[[3.0, -2.0]],
+                                       probs=[[1.0], [1.0]]),
+    "two-points": ExistentialInstance(points=[[0.0, 0.0], [3.0, 0.0]],
+                                      probs=[0.8, 0.2]),
+}
+
+COMMANDS = {
+    "evaluate": ["evaluate", "--shape", "{shape}"],
+    "evaluate-mc": ["evaluate", "--shape", "{shape}", "--mc", "50"],
+    "grid-coreset": ["grid-coreset", "--realization", "{ids}", "--k", "{k}",
+                     "--eps", "0.5"],
+    "partition-exhaustive": ["partition", "--k", "{k}", "--eps", "0.5"],
+    "partition-subsets": ["partition", "--mode", "subsets", "--k", "{k}",
+                          "--eps", "0.5"],
+    "solve-full": ["solve", "--k", "{k}", "--eps", "0.5"],
+    "solve-sampling": ["solve", "--k", "{k}", "--eps", "0.5",
+                       "--strategy", "sampling"],
+    "solve-enumerate": ["solve", "--k", "{k}", "--eps", "0.5",
+                        "--strategy", "enumerate"],
+    "jflat": ["jflat", "--j", "0", "--eps", "0.5", "--samples", "20"],
+    "oracle-evaluate": ["oracle", "evaluate", "--shape", "{shape}"],
+    "oracle-solve": ["oracle", "solve", "--k", "{k}", "--resolution", "3"],
+}
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("name", DEGENERATE)
+@pytest.mark.parametrize("command", COMMANDS)
+def test_every_command_on_degenerate_input(command, name, k, tmp_path,
+                                           capsys):
+    """Every subcommand ends in an answer, a usage error or a guard on
+    one point, coincident points, no mass, one location and two points."""
+    inst = DEGENERATE[name]
+    paths = {"instance": tmp_path / "inst.json",
+             "shape": tmp_path / "shape.json", "ids": tmp_path / "ids.json"}
+    write_json(paths["instance"], instance_to_dict(inst))
+    write_json(paths["shape"], shape_to_dict(CenterSet(
+        centers=np.zeros((k, inst.d)))))
+    paths["ids"].write_text(json.dumps(list(range(len(
+        inst.support_points)))))
+    fill = {key: str(path) for key, path in paths.items()} | {"k": str(k)}
+    argv = [arg.format(**fill) for arg in COMMANDS[command]]
+    at = 2 if argv[0] == "oracle" else 1
+    argv[at:at] = ["--instance", fill["instance"]]
+    assert _run(argv, capsys)[0] in (0, 2, 3)
 
 
 def test_locational_classes_past_the_count_guard(tmp_path, capsys):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from stocenter.errors import EnumerationGuardExceeded, ZeroCostCandidate
@@ -167,16 +167,9 @@ def _many_points():
                  rng.uniform(0.5, 1.5, 460)), 2
 
 
-@pytest.mark.parametrize("make", [_two_coincident_points, _many_points])
-def test_solve_gkm_fallback_start(make, monkeypatch):
-    # with no discrete k-subset, the local search starts from k evenly
-    # spaced packed points
+def _spy_starts(monkeypatch):
+    """The start of every ``_alternating`` run, in call order."""
     from stocenter import gkm
-    S, k = make()
-    assert gkm._discrete_pass(S, k) is None
-    pts = S.points
-    F0 = CenterSet(centers=pts[np.linspace(0, pts.shape[0] - 1, k)
-                               .astype(int)])
     starts, alternating = [], gkm._alternating
 
     def spy(S_, F):
@@ -184,11 +177,64 @@ def test_solve_gkm_fallback_start(make, monkeypatch):
         return alternating(S_, F)
 
     monkeypatch.setattr(gkm, "_alternating", spy)
+    return starts
+
+
+@pytest.mark.parametrize("make", [_many_points])
+def test_solve_gkm_fallback_start(make, monkeypatch):
+    # past MAX_DISCRETE_SUBSETS k-subsets, the local search starts from k
+    # evenly spaced packed points
+    from stocenter import gkm
+    S, k = make()
+    assert gkm._discrete_pass(S, k) is None
+    pts = S.points
+    F0 = CenterSet(centers=pts[np.linspace(0, pts.shape[0] - 1, k)
+                               .astype(int)])
+    starts = _spy_starts(monkeypatch)
     F, value = solve_gkm(S, k)
     assert len(starts) == 1 and np.array_equal(starts[0].centers, F0.centers)
     assert F.k == k
     assert value == gkm_cost(S, F)
     assert value <= gkm_cost(S, F0)
+
+
+def test_solve_gkm_starts_from_every_unique_point(monkeypatch):
+    # with fewer unique points than k, the discrete pass takes them all and
+    # repeats one; the evenly spaced start held (1, 2) three times
+    S, k = _two_coincident_points()
+    starts = _spy_starts(monkeypatch)
+    F, value = solve_gkm(S, k)
+    assert len(starts) == 1 and starts[0].k == F.k == k
+    assert np.unique(starts[0].centers, axis=0).tolist() == \
+        [[1.0, 2.0], [4.0, -1.0]]
+    assert value == 0.0 == gkm_cost(S, F)
+
+
+@st.composite
+def few_point_collections(draw):
+    """(S, k) for k in {2, 3, 4}: a weighted collection on at most k
+    distinct integer points of the line or plane."""
+    k = draw(st.integers(2, 4))
+    d = draw(st.integers(1, 2))
+    coord = st.integers(-4, 4).map(float)
+    pts = draw(st.lists(st.tuples(*[coord] * d), min_size=1, max_size=k))
+    sets = draw(st.lists(st.lists(st.sampled_from(pts), min_size=1,
+                                  max_size=3), min_size=1, max_size=5))
+    weights = draw(st.lists(st.sampled_from([0.5, 1.0, 2.0]),
+                            min_size=len(sets), max_size=len(sets)))
+    return _coll(sets, weights), k
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(few_point_collections())
+@example((_coll([[[0.0, 0.0]], [[0.0, 0.0]], [[4.0, 0.0]], [[0.0, 0.0]]],
+               [1.0] * 4), 3))
+def test_solve_gkm_is_exact_on_at_most_k_points(case):
+    # a center on every distinct point costs 0; the evenly spaced start
+    # put all three centers at (0, 0) on the example and cost 4.0
+    S, k = case
+    F, value = solve_gkm(S, k)
+    assert F.k == k and value == 0.0 == gkm_cost(S, F)
 
 
 def test_solve_gkm_weight_scale_invariant_argmin():
@@ -308,6 +354,21 @@ def test_skc_pipeline_value_is_the_exact_value_at_its_centers(strategy, k,
     assert F.k == k and info["candidates_evaluated"] >= 1
     assert value == pytest.approx(
         expected_objective_exact(instance, F).value, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("strategy", ["full", "sampling"])
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(small_instances())
+def test_skc_pipeline_is_exact_on_at_most_k_points(strategy, k, instance):
+    # the discrete pass puts a center on every distinct support point, and
+    # the polish starts from that zero; `enumerate` screens one candidate,
+    # which may miss a point.  The polish keeps the lexicographically least
+    # center set within 1e-15 of the least value, so another start's
+    # 1.7e-16 can win over the 0
+    assume(len(np.unique(instance.support_points, axis=0)) <= k)
+    F, value, _ = skc_pipeline(instance, k, 0.5, strategy=strategy, seed=2)
+    assert F.k == k and 0.0 <= value <= 1e-15
 
 
 def test_skc_pipeline_deterministic_repeat():

@@ -193,10 +193,24 @@ def test_grid_search_guard_counts_subsets_times_points(k):
     assert F.k == k
     stop = mock.Mock(side_effect=AssertionError("scoring started"))
     with mock.patch.object(oracle, "MAX_GRID_ENTRIES", entries - 1), \
-            mock.patch.object(oracle, "_subset_minima", stop), \
+            mock.patch.object(oracle, "_best_subset", stop), \
             pytest.raises(EnumerationGuardExceeded):
         oracle_solver_instance(FIVE, k, resolution=4)
     assert not stop.called
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("solve", [
+    lambda inst, k: oracle_solver_instance(inst, k, resolution=3),
+    lambda inst, k: oracle_solver_gkm(
+        WeightedCollection(sets=(inst.support_points,)), k, resolution=3)],
+    ids=["instance", "collection"])
+def test_grid_search_with_fewer_candidates_than_k(solve, k):
+    """Coincident points make one candidate; every center sits on it.  Both
+    oracles returned None, and the CLI ended in a TypeError."""
+    inst = ExistentialInstance(points=[[3.0, -2.0]] * 2, probs=[0.4, 0.7])
+    F, value = solve(inst, k)
+    assert F.centers.tolist() == [[3.0, -2.0]] * k and value == 0.0
 
 
 @pytest.mark.parametrize("k", [1, 2])

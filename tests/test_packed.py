@@ -24,11 +24,10 @@ from hypothesis import strategies as st
 
 from stocenter import gkm, objective, oracle
 from stocenter.errors import DimensionMismatch
-from stocenter.gkm import (WeightedCollection, _discrete_pass, _lex_key,
-                           _screen, candidate_costs, collection_from_image,
-                           gkm_cost, importance_sample_coreset,
-                           sensitivity_bruteforce, sensitivity_projection,
-                           solve_gkm)
+from stocenter.gkm import (WeightedCollection, _discrete_pass, _screen,
+                           candidate_costs, collection_from_image, gkm_cost,
+                           importance_sample_coreset, sensitivity_bruteforce,
+                           sensitivity_projection, solve_gkm)
 from stocenter.jflat import _pack, solve_jflat
 from stocenter.model import (CenterSet, ExistentialInstance, Flat,
                              LocationalInstance)
@@ -101,32 +100,31 @@ def loop_oracle_sensitivities(S, k, resolution):
     return sensitivity_bruteforce(S, family)
 
 
-def loop_grid_search(points, k, resolution, value):
-    """The former grid search: one ``value`` call per k-subset of the
-    candidates, in ``combinations`` order, the first least one kept."""
-    cand = np.unique(np.vstack([center_grid(points, resolution), points]),
-                     axis=0)
+def loop_best_subset(cand, k, value):
+    """One ``value`` call per ``min(k, candidates)``-subset of ``cand``, in
+    ``combinations`` order, padded to k centers by ``np.resize``; the first
+    least one kept."""
     best = None
-    for idx in combinations(range(cand.shape[0]), k):
-        F = CenterSet(centers=cand[list(idx)])
+    for idx in combinations(range(cand.shape[0]), min(k, cand.shape[0])):
+        F = CenterSet(centers=np.resize(cand[list(idx)], (k, cand.shape[1])))
         v = value(F)
         if best is None or v < best[1]:
             best = (F, v)
     return best
 
 
+def loop_grid_search(points, k, resolution, value):
+    """The former grid search, over the sorted grid and support
+    candidates."""
+    cand = np.unique(np.vstack([center_grid(points, resolution), points]),
+                     axis=0)
+    return loop_best_subset(cand, k, value)
+
+
 def loop_discrete_pass(sets, weights, k):
     nonempty = [s for s in sets if s.shape[0]]
-    uniq = np.unique(np.vstack(nonempty), axis=0)
-    best = None
-    for idx in combinations(range(uniq.shape[0]), k):
-        F = CenterSet(centers=uniq[list(idx)])
-        v = loop_gkm_cost(sets, weights, F)
-        if best is None or v < best[1] - 1e-15 or \
-                (abs(v - best[1]) <= 1e-15
-                 and _lex_key(F.centers) < _lex_key(best[0].centers)):
-            best = (F, v)
-    return best
+    return loop_best_subset(np.unique(np.vstack(nonempty), axis=0), k,
+                            lambda F: loop_gkm_cost(sets, weights, F))
 
 
 def loop_candidate_stream(S, M, L_exp, eps):
@@ -372,9 +370,6 @@ def test_discrete_pass_equals_loop(case, k, chunk):
     with mock.patch.object(gkm, "CHUNK_ELEMENTS", chunk):
         got = _discrete_pass(S, k)
     ref = loop_discrete_pass(sets, weights, k)
-    if ref is None:  # fewer unique points than k
-        assert got is None
-        return
     assert got[1] == ref[1]
     assert np.array_equal(got[0].centers, ref[0].centers)
 
@@ -427,9 +422,6 @@ def small_instances(draw):
 
 
 def assert_same_pick(got, ref):
-    if ref is None:  # fewer candidates than k
-        assert got is None
-        return
     assert got[1] == ref[1]
     assert np.array_equal(got[0].centers, ref[0].centers)
 
@@ -506,7 +498,8 @@ def test_grid_screens_equal_the_value_of_every_subset(kind, k, data, chunk):
         cand = np.unique(np.vstack([center_grid(points, resolution),
                                     points]), axis=0)
         values = [value(CenterSet(centers=cand[list(idx)]))
-                  for idx in combinations(range(len(cand)), k)]
+                  for idx in combinations(range(len(cand)),
+                                          min(k, len(cand)))]
         assert len(chunks) == -(-len(values) // max(chunk // width, 1))
         assert [s for scores in chunks for s in scores.tolist()] == values
         return found
