@@ -23,12 +23,10 @@ from .model import (CenterSet, ExistentialInstance, Flat, Instance,
                     load_instance, load_shape, shape_from_dict, shape_to_dict)
 from .objective import (ObjectiveValue, expected_flatcenter_exact,
                         expected_objective_exact, expected_objective_mc,
-                        flat_distance, kcenter_value, shape_distances)
+                        kcenter_value, shape_distances)
 from .oracle import (minimum_enclosing_ball, oracle_expected_objective,
-                     oracle_holant_direct, oracle_min_flat,
-                     oracle_sensitivities, oracle_solver_gkm,
-                     oracle_solver_instance)
-from .partition import (WeightedImage, build_weighted_image, class_mass,
-                        holant_value)
+                     oracle_min_flat, oracle_sensitivities,
+                     oracle_solver_gkm, oracle_solver_instance)
+from .partition import WeightedImage, build_weighted_image, class_mass
 
 __version__ = "0.1.0"

@@ -262,10 +262,6 @@ def kcenter_value(P: np.ndarray, shape: Shape) -> float:
     return float(shape_distances(P, shape).max())
 
 
-def flat_distance(x: np.ndarray, F: Flat) -> float:
-    return float(shape_distances(np.atleast_2d(np.asarray(x, dtype=float)), F)[0])
-
-
 def _farthest_weights(instance: Instance, dists: np.ndarray) -> np.ndarray:
     """w_l = Pr[support point l is the farthest realized point, ties to the
     lowest id] for every support point l, given its distance ``dists[l]``;

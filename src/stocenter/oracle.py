@@ -1,28 +1,25 @@
 """Brute-force reference implementations backing every approximation claim.
 
 Everything here is definitionally exact on guard-sized instances and
-deliberately slow: full realization enumeration, direct holant summation,
-grid-search solvers, exhaustive sensitivity families, and a Welzl minimum
-enclosing ball.  The grouped coreset-class masses are the exhaustive mode
-of ``partition.build_weighted_image``.
+deliberately slow: full realization enumeration, grid-search solvers,
+exhaustive sensitivity families, and a Welzl minimum enclosing ball.  The
+grouped coreset-class masses are the exhaustive mode of
+``partition.build_weighted_image``.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EnumerationGuardExceeded, InstanceTooLarge
+from .errors import EnumerationGuardExceeded
 from .gkm import WeightedCollection, gkm_cost
-from .model import (CHUNK_ELEMENTS, MAX_LOCATIONAL_STATES, CenterSet, Flat,
-                    Instance, realization_chunks)
+from .model import CHUNK_ELEMENTS, CenterSet, Flat, Instance, realization_chunks
 from .objective import (_best_subset, _check_k, _distances, _exact_value,
                         _finite, _subset_minima, _weighted_sum,
                         expected_objective_exact, shape_distances)
-from .partition import _holant_inputs
 
 # Cap on the point-to-subset entries a grid search or the sensitivity oracle
 # scores: k-subsets of the candidates times the points.
@@ -60,39 +57,6 @@ def oracle_expected_objective(instance: Instance, shape) -> OracleReport:
     return OracleReport(value=_finite(float(values[0])),
                         method="FullEnumeration",
                         enumeration_size=count)
-
-
-def oracle_holant_direct(instance: Instance, S_ids, tail,
-                         sequence) -> float:
-    """Z for one occupancy sequence of a locational instance, by direct
-    summation over assignments.
-
-    Each node picks one alternative (a point of S or the tail bucket); the
-    term survives iff the occupancy counts match the sequence exactly.
-    The inputs are checked as ``holant_value`` checks them, and the
-    (|S| + 1)^n assignments are counted before the first term: past
-    ``MAX_LOCATIONAL_STATES`` they raise InstanceTooLarge.
-    """
-    S_ids, tail, target = _holant_inputs(instance, S_ids, tail, sequence)
-    slots = len(S_ids) + 1  # last slot is the tail bucket
-    n = instance.n
-    if slots ** n > MAX_LOCATIONAL_STATES:
-        raise InstanceTooLarge(f"{slots}^{n} = {slots ** n} assignments "
-                               f"exceed {MAX_LOCATIONAL_STATES}")
-    w = np.zeros((n, slots))
-    w[:, :len(S_ids)] = instance.probs[:, list(S_ids)]
-    if tail:
-        w[:, -1] = instance.probs[:, list(tail)].sum(axis=1)
-    total = 0.0
-    for assign in itertools.product(range(slots), repeat=n):
-        counts = [0] * slots
-        term = 1.0
-        for node, slot in enumerate(assign):
-            counts[slot] += 1
-            term *= w[node, slot]
-        if tuple(counts) == target:
-            total += term
-    return total
 
 
 def center_grid(points: np.ndarray, resolution: int,

@@ -11,8 +11,7 @@ under the sentinel grid of side 0, so its tail is empty and it needs no rule
 of its own.  Existential instances evaluate the rule as a closed-form
 per-point product; locational instances as an exact dynamic program over
 which points of S the nodes occupy, one array of 2^|S| occupied-subset
-states per class.  ``holant_value``, the per-sequence value of the paper,
-runs a dict program over occupancy counts up to n.
+states per class.
 
 Both modes of ``build_weighted_image`` run the batched construction
 (``CoresetBuilder.build_masks``) over chunks of ``chunk_rows`` mask rows:
@@ -33,7 +32,6 @@ through one batched subset-state DP (``_occupied_masses``).
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from itertools import combinations, compress, islice
 
@@ -177,78 +175,6 @@ def class_mass(S_ids, instance: Instance, k: int, eps: float) -> float:
     masks = id_mask(S_ids, instance.support_points.shape[0])[None]
     builder = CoresetBuilder(instance.support_points, k, eps)
     return float(_class_masses(builder, instance, masks)[0])
-
-
-def enumerate_sequences(n: int, slots: int):
-    """Integer sequences (l_1..l_slots, l_t) with all l_i >= 1, l_t >= 0,
-    summing to n; lexicographic order.  The prefix sums of l_1..l_slots
-    are ``slots`` increasing cut points in 1..n."""
-    if n < 0:
-        return []
-    ends = ((0,) + cuts for cuts in combinations(range(1, n + 1), slots))
-    return [tuple(b - a for a, b in zip(e, e[1:])) + (n - e[-1],)
-            for e in ends]
-
-
-def _occupancy_dp(instance: LocationalInstance, S_ids, tail):
-    """Distribution over occupancy counts of the points of S.
-
-    Each node picks one of the |S| points (its row probability there) or the
-    aggregated tail bucket; forbidden locations contribute no mass.  Returns
-    a dict mapping count tuples to probability; the tail count is implied
-    (node index minus the sum of counts).
-    """
-    S_ids = list(S_ids)
-    n = instance.n
-    states = n * (n + 1) ** len(S_ids)
-    if states > MAX_HOLANT_STATES:
-        raise StateSpaceGuardExceeded(
-            f"occupancy DP needs about {states} states, cap {MAX_HOLANT_STATES}")
-    tail = sorted(tail)
-    # Python floats: the same IEEE products and sums as numpy scalars, in
-    # the same order, without a numpy scalar per step
-    w_s = instance.probs[:, S_ids].tolist()              # (n, |S|)
-    w_t = (instance.probs[:, tail].sum(axis=1) if tail
-           else np.zeros(n)).tolist()
-    dp = {tuple([0] * len(S_ids)): 1.0}
-    for i in range(n):
-        nxt: dict[tuple, float] = {}
-        for state, mass in dp.items():
-            for j, w in enumerate(w_s[i]):
-                if w > 0.0:
-                    s2 = list(state)
-                    s2[j] += 1
-                    s2 = tuple(s2)
-                    nxt[s2] = nxt.get(s2, 0.0) + mass * w
-            if w_t[i] > 0.0:
-                nxt[state] = nxt.get(state, 0.0) + mass * w_t[i]
-        dp = nxt
-    return dp
-
-
-def _holant_inputs(instance: LocationalInstance, S_ids, tail, sequence):
-    """S and the tail as ascending ids of disjoint sets of the m locations,
-    and the sequence as a tuple of |S| + 1 non-negative integers summing
-    to n.  A bad id raises SchemaError (``id_mask``), anything else
-    ValueError."""
-    S, T = id_mask(S_ids, instance.m), id_mask(tail, instance.m)
-    if (S & T).any():
-        raise ValueError("the tail must be disjoint from S")
-    S, T = _ids(np.stack([S, T]))
-    sequence = tuple(sequence)
-    if len(sequence) != len(S) + 1 or not all(
-            isinstance(l, numbers.Integral) and l >= 0 for l in sequence) \
-            or sum(sequence) != instance.n:
-        raise ValueError(f"sequence must be |S| + 1 = {len(S) + 1} "
-                         f"non-negative integers summing to n = {instance.n}")
-    return S, T, sequence
-
-
-def holant_value(instance: LocationalInstance, S_ids, tail, sequence) -> float:
-    """Z for one occupancy sequence (l_1..l_|S|, l_t)."""
-    S, tail, sequence = _holant_inputs(instance, S_ids, tail, sequence)
-    dp = _occupancy_dp(instance, S, tail)
-    return float(dp.get(sequence[:-1], 0.0))
 
 
 def _candidate_chunks(n: int, sizes, rows: int):

@@ -8,6 +8,10 @@ interactive runs, the full scale uses the acceptance counts.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import cache
+from itertools import product
+from math import prod
 
 import numpy as np
 
@@ -20,9 +24,9 @@ from .objective import (_distances, _squared_distances, _weighted_sum,
                         expected_flatcenter_exact, expected_objective_exact,
                         shape_distances)
 from .oracle import (center_grid, minimum_enclosing_ball,
-                     oracle_expected_values, oracle_holant_direct,
-                     oracle_sensitivities, oracle_solver_instance)
-from .partition import build_weighted_image, enumerate_sequences, holant_value
+                     oracle_expected_values, oracle_sensitivities,
+                     oracle_solver_instance)
+from .partition import build_weighted_image
 from .serialize import dumps_json
 
 
@@ -57,8 +61,10 @@ def _rand_exist(rng, n, d, prob_lo=0.05):
         probs=rng.uniform(prob_lo, 0.95, size=n))
 
 
-def _rand_loc(rng, n, m, d):
+def _rand_loc(rng, n, m, d, tiny=False):
     rows = rng.uniform(0.05, 1.0, size=(n, m))
+    if tiny:  # half the entries scaled by 1e-4: some class masses are tiny
+        rows *= np.where(rng.random((n, m)) < 0.5, 1e-4, 1.0)
     rows /= rows.sum(axis=1, keepdims=True)
     return LocationalInstance(
         locations=rng.uniform(-10.0, 10.0, size=(m, d)), probs=rows)
@@ -174,20 +180,27 @@ def _c4_instances(scale: str, seed: int):
         yield rng, _rand_exist(rng, n, 2), k, eps
 
 
+def _images(instance, k: int, eps: float) -> list[dict]:
+    """The subsets and the exhaustive image, as class -> mass dicts."""
+    return [dict(build_weighted_image(instance, k, eps, mode).entries)
+            for mode in ("subsets", "exhaustive")]
+
+
+def _max_error(algo: dict, brute: dict) -> float:
+    """Largest |algo - brute| mass over the classes of either."""
+    return max(abs(algo.get(S, 0.0) - brute.get(S, 0.0))
+               for S in algo.keys() | brute.keys())
+
+
 def criterion_4(scale: str, seed: int = 104, perturb: float = 0.0,
                 **_) -> CheckResult:
-    worst = 0.0
-    worst_sum = 0.0
+    worst = worst_sum = 0.0
     for _rng, inst, k, eps in _c4_instances(scale, seed):
-        algo = dict(build_weighted_image(inst, k, eps, mode="subsets").entries)
+        algo, brute = _images(inst, k, eps)
         if perturb and algo:
             key = max(algo, key=algo.get)
             algo[key] *= 1.0 + perturb
-        brute = dict(build_weighted_image(inst, k, eps,
-                                          mode="exhaustive").entries)
-        keys = set(algo) | set(brute)
-        for key in keys:
-            worst = max(worst, abs(algo.get(key, 0.0) - brute.get(key, 0.0)))
+        worst = max(worst, _max_error(algo, brute))
         worst_sum = max(worst_sum, abs(sum(algo.values()) - 1.0))
     ok = worst <= 1e-12 and worst_sum <= 1e-9
     return CheckResult("criterion 4 coreset-class probabilities (existential)",
@@ -195,37 +208,50 @@ def criterion_4(scale: str, seed: int = 104, perturb: float = 0.0,
                            f"max sum error {worst_sum:.3e} (tol 1e-9)")
 
 
+def _exact_class_masses(instance: LocationalInstance, k: int, eps: float):
+    """Pr[coreset = S] of every class S, in exact rationals: the exact
+    probability of every node -> location assignment, added up by the class
+    the construction gives its set of locations."""
+    build = cache(CoresetBuilder(instance.locations, k, eps).build)
+    rows = [list(map(Fraction, row)) for row in instance.probs.tolist()]
+    out = {}
+    for locs in product(range(instance.m), repeat=instance.n):
+        S = build(tuple(sorted(set(locs)))).coreset
+        out[S] = out.get(S, 0) + prod(row[l] for row, l in zip(rows, locs))
+    return out
+
+
+def _c5_margin(instance: LocationalInstance) -> float:
+    """Largest |subsets - exact| / bound over the classes of either.  Each
+    term of ``partition._occupied_masses`` carries at most K = n(m + 2|S|)
+    roundings and nothing cancels, so the bound is K / (2^53 - K) times the
+    exact mass: 0 for a mass of 0."""
+    algo = dict(build_weighted_image(instance, 1, 0.5, "subsets").entries)
+    exact = _exact_class_masses(instance, 1, 0.5)
+    margin = 0.0
+    for S in algo.keys() | exact.keys():
+        want = exact.get(S, 0)
+        err = abs(Fraction(algo.get(S, 0.0)) - want)
+        K = instance.n * (instance.m + 2 * len(S))
+        margin = max(margin, float(err * (2 ** 53 - K) / (want * K)) if want
+                     else np.inf if err else 0.0)
+    return margin
+
+
 def criterion_5(scale: str, seed: int = 105, **_) -> CheckResult:
-    c = COUNTS[scale]
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    z_worst = 0.0
-    for i in range(c["c5_inst"]):
-        n = int(rng.integers(2, 6))
-        m = int(rng.integers(2, 5))
-        k = 1
-        eps = 0.5
+    # each shape twice: from seed, and with tiny masses from an rng of its own
+    rng, tiny_rng = (np.random.default_rng(s) for s in (seed, [seed, 1]))
+    worst = margin = 0.0
+    for _i in range(COUNTS[scale]["c5_inst"]):
+        n, m = int(rng.integers(2, 6)), int(rng.integers(2, 5))
         inst = _rand_loc(rng, n, m, 2)
-        algo = dict(build_weighted_image(inst, k, eps, mode="subsets").entries)
-        brute = dict(build_weighted_image(inst, k, eps,
-                                          mode="exhaustive").entries)
-        for key in set(algo) | set(brute):
-            worst = max(worst, abs(algo.get(key, 0.0) - brute.get(key, 0.0)))
-        # per-sequence holant values on the first class of more than k
-        # points, if any
-        for S in sorted(algo):
-            if len(S) <= k:
-                continue
-            tail = CoresetBuilder(inst.locations, k, eps).build(S).tail
-            for seq in enumerate_sequences(n, len(S)):
-                z_dp = holant_value(inst, S, tail, seq)
-                z_direct = oracle_holant_direct(inst, S, tail, seq)
-                z_worst = max(z_worst, abs(z_dp - z_direct))
-            break
-    ok = worst <= 1e-12 and z_worst <= 1e-12
+        worst = max(worst, _max_error(*_images(inst, 1, 0.5)))
+        tiny = _rand_loc(tiny_rng, n, m, 2, tiny=True)
+        margin = max(margin, _c5_margin(tiny))
+    ok = worst <= 1e-12 and margin <= 1.0
     return CheckResult("criterion 5 locational occupancy DP", ok,
-                       f"max mass error {worst:.3e}, "
-                       f"max per-sequence error {z_worst:.3e} (tol 1e-12)")
+                       f"max mass error {worst:.3e} (tol 1e-12); tiny masses: "
+                       f"max |subsets - exact| / bound {margin:.3g} (tol 1)")
 
 
 def criterion_6(scale: str, seed: int = 104, perturb: float = 0.0,

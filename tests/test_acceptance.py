@@ -6,11 +6,12 @@ for a fast reduced-count run during development.
 """
 
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from stocenter import verification
+from stocenter import partition, verification
 from stocenter.gkm import WeightedCollection
 
 SCALE = os.environ.get("STOCENTER_ACCEPTANCE_SCALE", "full")
@@ -37,3 +38,34 @@ def test_criterion_8_band_can_fail():
                            weights=np.ones(5))
     assert not verification._c8_found(S, np.eye(5), 0.2)
     assert verification._c8_found(S, np.eye(5), 0.5)
+
+
+def _c5_halves():
+    """Criterion 5's largest absolute mass error and largest share of the
+    rounding bound, both on tiny-mass instances of 5 nodes and 4
+    locations."""
+    rng = np.random.default_rng(105)
+    tiny = [verification._rand_loc(rng, 5, 4, 2, tiny=True) for _ in range(3)]
+    return (max(verification._max_error(*verification._images(t, 1, 0.5))
+                for t in tiny),
+            max(map(verification._c5_margin, tiny)))
+
+
+def test_criterion_5_rational_half_can_fail():
+    # The first positive class mass below 1e-10 of each DP batch, scaled by
+    # 1 + 1e-6: an absolute error under 1e-16, far inside the absolute
+    # half's 1e-12, but a relative one far past the rounding bound.
+    real = partition._occupied_masses
+
+    def scaled(*args):
+        w = real(*args)
+        w[np.flatnonzero((w > 0.0) & (w < 1e-10))[:1]] *= 1.0 + 1e-6
+        return w
+
+    worst, margin = _c5_halves()
+    assert worst <= 1e-12 and margin <= 1.0
+    assert verification.criterion_5("quick").passed
+    with mock.patch.object(partition, "_occupied_masses", scaled):
+        worst, margin = _c5_halves()
+        assert worst <= 1e-12 and margin > 1.0
+        assert not verification.criterion_5("quick").passed

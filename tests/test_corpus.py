@@ -41,8 +41,7 @@ from stocenter.model import (CenterSet, ExistentialInstance, Flat,
                              LocationalInstance, instance_to_dict, realize)
 from stocenter.objective import (_distances, expected_objective_exact,
                                  expected_objective_mc)
-from stocenter.partition import (WeightedImage, build_weighted_image,
-                                 enumerate_sequences)
+from stocenter.partition import WeightedImage, build_weighted_image
 from stocenter.serialize import write_json
 from stocenter.verification import _c12_pipeline_text, _c12_verify_text
 
@@ -234,9 +233,6 @@ def _cases():
     cases["cli/grid-coreset/E6-k2"] = lambda: _cli(
         "grid-coreset", INSTANCES["E6"](), "--k", "2", "--eps", "0.5",
         realization=list(range(6)))
-    cases["enumerate_sequences"] = lambda: [
-        enumerate_sequences(n, slots) for n in range(-1, 7)
-        for slots in range(0, 5)]
     return cases
 
 

@@ -13,8 +13,8 @@ from stocenter.model import (CenterSet, ExistentialInstance, Flat,
                              LocationalInstance, realization_chunks)
 from stocenter.objective import (expected_flatcenter_exact,
                                  expected_objective_exact,
-                                 expected_objective_mc, flat_distance,
-                                 kcenter_value)
+                                 expected_objective_mc, kcenter_value,
+                                 shape_distances)
 from stocenter.oracle import oracle_expected_objective
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -31,12 +31,12 @@ def test_kcenter_value_hand_cases():
     assert kcenter_value(np.zeros((0, 2)), F1) == 0.0
 
 
-def test_flat_distance_hand_cases():
-    assert flat_distance([3.0, 4.0], Flat(j=0, base=[0.0, 0.0])) == \
-        pytest.approx(5.0)
+def test_shape_distances_to_flats_hand_cases():
+    assert shape_distances(np.array([[3.0, 4.0]]),
+                           Flat(j=0, base=[0.0, 0.0])) == pytest.approx([5.0])
     xaxis = Flat(j=1, base=[0.0, 0.0], basis=[[1.0, 0.0]])
-    assert flat_distance([9.0, 2.0], xaxis) == pytest.approx(2.0)
-    assert flat_distance([7.0, 0.0], xaxis) == pytest.approx(0.0)
+    assert shape_distances(np.array([[9.0, 2.0], [7.0, 0.0]]), xaxis) == \
+        pytest.approx([2.0, 0.0])
 
 
 def test_exact_existential_hand_value():

@@ -5,17 +5,17 @@ import numpy as np
 import pytest
 
 from stocenter import gkm, oracle
-from stocenter.errors import EnumerationGuardExceeded, InstanceTooLarge
+from stocenter.errors import EnumerationGuardExceeded
 from stocenter.model import (CenterSet, ExistentialInstance,
                              LocationalInstance)
-from stocenter.objective import expected_objective_exact, flat_distance
+from stocenter.objective import expected_objective_exact, shape_distances
 from stocenter.oracle import (_ball_from, center_grid, minimum_enclosing_ball,
-                              oracle_expected_objective, oracle_holant_direct,
-                              oracle_min_flat, oracle_sensitivities,
-                              oracle_solver_gkm, oracle_solver_instance)
+                              oracle_expected_objective, oracle_min_flat,
+                              oracle_sensitivities, oracle_solver_gkm,
+                              oracle_solver_instance)
 from stocenter.gkm import (WeightedCollection, sensitivity_bruteforce,
                            solve_gkm)
-from stocenter.partition import build_weighted_image, holant_value
+from stocenter.partition import build_weighted_image
 
 
 def test_oracle_objective_matches_exact_evaluators():
@@ -155,7 +155,7 @@ def test_oracle_min_flat():
     diag = np.stack([t, t], axis=1) + [[0.0, 0.1]] * 9
     F, r = oracle_min_flat(diag, 1)
     assert r <= 0.1
-    assert max(flat_distance(x, F) for x in diag) == pytest.approx(r, abs=1e-6)
+    assert shape_distances(diag, F).max() == pytest.approx(r, abs=1e-6)
 
 
 FIVE = ExistentialInstance(points=[[0, 0], [3, 1], [1, 4], [-2, 2], [2, -1]],
@@ -232,22 +232,4 @@ def test_sensitivity_oracle_guard_counts_subsets_times_points(k):
             oracle_sensitivities(S, k, resolution=4)
         with pytest.raises(EnumerationGuardExceeded):
             oracle_sensitivities(S, 8)
-    assert not stop.called
-
-
-def test_direct_holant_guard_counts_assignments():
-    """(|S| + 1)^n = 3^4 assignments pass at exactly the cap and raise one
-    past it, before the first term."""
-    rows = np.full((4, 3), 1 / 3)
-    inst = LocationalInstance(locations=np.arange(6.0).reshape(3, 2),
-                              probs=rows)
-    args = (inst, (0, 1), (2,), (1, 2, 1))
-    with mock.patch.object(oracle, "MAX_LOCATIONAL_STATES", 3 ** 4):
-        assert oracle_holant_direct(*args) == \
-            pytest.approx(holant_value(*args), abs=1e-15)
-    stop = mock.Mock(side_effect=AssertionError("summation started"))
-    with mock.patch.object(oracle, "MAX_LOCATIONAL_STATES", 3 ** 4 - 1), \
-            mock.patch.object(oracle.itertools, "product", stop), \
-            pytest.raises(InstanceTooLarge, match="81"):
-        oracle_holant_direct(*args)
     assert not stop.called

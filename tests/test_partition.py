@@ -1,6 +1,6 @@
 import tracemalloc
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 from unittest import mock
 
 import numpy as np
@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stocenter import oracle, partition
-from stocenter.errors import (EnumerationGuardExceeded, SchemaError,
+from stocenter import partition
+from stocenter.errors import (EnumerationGuardExceeded,
                               StateSpaceGuardExceeded)
 from stocenter.gkm import collection_from_image
 from stocenter.grid_coreset import SENTINEL_GRID, CoresetBuilder, grid_cells
@@ -17,9 +17,8 @@ from stocenter.model import (CenterSet, ExistentialInstance,
                              LocationalInstance, _index_masks, id_mask,
                              realization_chunks, realization_probabilities)
 from stocenter.objective import expected_objective_exact, kcenter_value
-from stocenter.oracle import oracle_holant_direct
-from stocenter.partition import (build_weighted_image, class_mass,
-                                 enumerate_sequences, holant_value)
+from stocenter.partition import build_weighted_image, class_mass
+from stocenter.verification import _exact_class_masses
 
 
 def _rand_exist(rng, n, d=2):
@@ -114,58 +113,6 @@ def test_forbidden_tail_partition_property():
     assert forbidden == set(range(12)) - set(core) - set(out.tail)
 
 
-def test_enumerate_sequences():
-    seqs = enumerate_sequences(3, 2)
-    assert seqs == [(1, 1, 1), (1, 2, 0), (2, 1, 0)]
-    assert all(sum(s) == 3 for s in seqs)
-    assert enumerate_sequences(4, 0) == [(4,)]
-
-
-def test_holant_dp_matches_direct_summation():
-    rng = np.random.default_rng(6)
-    inst = _rand_loc(rng, 4, 3)
-    S_ids, tail = (0, 2), {1}
-    for seq in enumerate_sequences(inst.n, len(S_ids)):
-        dp = holant_value(inst, S_ids, tail, seq)
-        direct = oracle_holant_direct(inst, S_ids, tail, seq)
-        assert dp == pytest.approx(direct, abs=1e-12)
-
-
-HOLANT = LocationalInstance(locations=[[0, 0], [1, 0], [5, 5], [9, 1]],
-                            probs=[[0.5, 0.5, 0, 0], [0.25, 0.25, 0.25, 0.25]])
-
-
-@pytest.mark.parametrize("holant", [holant_value, oracle_holant_direct])
-@pytest.mark.parametrize("S,tail,seq,error", [
-    ((0, 1), (-1,), (1, 1, 0), SchemaError),  # a negative tail id
-    ((0, 1), (7,), (1, 1, 0), SchemaError),   # a tail id past m
-    ((-1,), (), (1, 1), SchemaError),         # a negative id in S
-    ((0, 1), (1, 3), (1, 1, 0), ValueError),  # the tail meets S
-    ((0, 1), (3,), (2,), ValueError),         # fewer than |S| + 1 entries
-    ((0, 1), (3,), (1, 0, 0, 1), ValueError),  # more than |S| + 1
-    ((0, 1), (3,), (1, 2, -1), ValueError),   # a negative count
-    ((0, 1), (3,), (1, 0.5, 0.5), ValueError),  # not integers
-    ((0, 1), (3,), (1, 1, 1), ValueError),    # not summing to n
-])
-def test_holant_inputs_are_checked_before_any_work(holant, S, tail, seq,
-                                                   error):
-    stop = mock.Mock(side_effect=AssertionError("work started"))
-    with mock.patch.object(partition, "_occupancy_dp", stop), \
-            mock.patch.object(oracle.itertools, "product", stop), \
-            pytest.raises(error):
-        holant(HOLANT, S, tail, seq)
-    assert not stop.called
-    assert holant(HOLANT, (0, 1), (3,), (1, 1, 0)) == 0.25
-
-
-def test_holant_guard():
-    rows = np.full((30, 6), 1 / 6)
-    inst = LocationalInstance(locations=np.arange(12.0).reshape(6, 2),
-                              probs=rows)
-    with pytest.raises(StateSpaceGuardExceeded):
-        holant_value(inst, (0, 1, 2, 3, 4), {5}, (1, 1, 1, 1, 1, 25))
-
-
 def test_prob_locational_matches_grouping_oracle():
     rng = np.random.default_rng(7)
     for _ in range(4):
@@ -180,23 +127,6 @@ def test_prob_locational_matches_grouping_oracle():
         for S in [(0,), tuple(range(inst.m))]:
             algo = class_mass(S, inst, k, eps)
             assert algo == pytest.approx(brute.get(S, 0.0), abs=1e-12)
-
-
-def _exact_class_masses(inst, k, eps):
-    """Pr[coreset = S] of every class S, in exact rationals: the exact
-    probability of every node -> location assignment, added up by the class
-    the construction gives its set of locations."""
-    builder = CoresetBuilder(inst.locations, k, eps)
-    classes, out = {}, {}
-    for assignment in product(range(inst.m), repeat=inst.n):
-        pr = Fraction(1)
-        for node, loc in enumerate(assignment):
-            pr *= Fraction(float(inst.probs[node, loc]))
-        locs = tuple(sorted(set(assignment)))
-        if locs not in classes:
-            classes[locs] = builder.build(locs).coreset
-        out[classes[locs]] = out.get(classes[locs], 0) + pr
-    return out
 
 
 def _sparse_loc(rng, n, m):
