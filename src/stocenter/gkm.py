@@ -7,15 +7,17 @@ candidate-coreset stream, numerical solvers, and the end-to-end
 stochastic k-center pipeline built on the partition module.
 
 Packed layout.  The collection type is ``objective.WeightedCollection``,
-re-exported here.  It packs the sets once, at construction: all points in
-one (total, d) array, the start offset of each set, one weight per set
-and an explicit d.  A cost evaluation is one point-to-center distance
-table on the packed points, its minimum over the centers, and one
-``np.maximum.reduceat`` for the per-set maxima; the first-occurrence
-argmax per set (the farthest point, for the k=1 start and reassignment)
-comes from the same reduction.  The discrete k-subset
-pass scores many center sets at once from ``objective``'s
-point-to-candidate table, and one chunked scorer, ``candidate_costs``,
+re-exported here.  It packs the sets once, at construction: the (u, d)
+support the sets index, one packed array of support ids, the start offset
+of each set, one weight per set and an explicit d.  The image gives its
+classes as id tuples into the instance's support.  A cost evaluation is
+one (u, k) support-to-center distance table, its minimum over the
+centers, a gather by the packed ids, one ``np.maximum.reduceat`` for the
+per-set maxima and ``_weighted_sum``; the first-occurrence argmax per set
+(the farthest point, for the k=1 start and reassignment) comes from the
+same reduction.  The discrete k-subset pass scores many center sets at
+once from ``objective``'s support-to-candidate table, and one chunked
+scorer, ``candidate_costs``,
 serves the candidate-coreset stream (the ``enumerate`` screen and criterion
 8) in one chunk of memory; it needs M >= 1 and L_exp >= 0.  No cost or
 farthest-point evaluation loops over the sets in Python.
@@ -28,8 +30,9 @@ scipy's Nelder-Mead bit for bit, and the library does not import scipy.
 k=1 is one Nelder-Mead run from the weighted centroid of the sets'
 farthest points; k >= 2 is one alternating run from
 the discrete pass's best k-subset, or from k evenly spaced points past
-its guard; the exact polish is one Nelder-Mead run per start, and the
-pipelines report the runs stopped at ``MAXITER`` as ``polish_unconverged``.
+its guard, and it solves each distinct cluster once; the exact polish is
+one Nelder-Mead run per start, and the pipelines report the runs stopped
+at ``MAXITER`` as ``polish_unconverged``.
 Both Nelder-Mead objectives score the raw (k*d,) center vector through
 the evaluators' own arithmetic (``objective._nearest_distances``, then the
 collection cost or ``_exact_value``), with no ``CenterSet`` per
@@ -60,11 +63,11 @@ MAX_DISCRETE_SUBSETS = 10 ** 5
 
 def collection_from_image(image: WeightedImage,
                           instance: Instance) -> WeightedCollection:
-    support = instance.support_points
     entries = [(ids, w) for ids, w in image.entries if w > 0.0]
     return WeightedCollection(
-        sets=tuple(support[list(ids)] for ids, _ in entries),
-        weights=np.array([w for _, w in entries]), d=instance.d)
+        sets=[ids for ids, _ in entries],
+        weights=np.array([w for _, w in entries]),
+        support=instance.support_points)
 
 
 def gkm_cost(S: WeightedCollection, F: CenterSet) -> float:
@@ -73,8 +76,8 @@ def gkm_cost(S: WeightedCollection, F: CenterSet) -> float:
 
 def _cost_objective(S: WeightedCollection):
     """``gkm_cost`` of S as a function of the raw (k*d,) center vector."""
-    points, d = S.points, S.d
-    return lambda x: S._cost(_nearest_distances(points, x.reshape(-1, d)))
+    support, d = S.support, S.d
+    return lambda x: S._cost(_nearest_distances(support, x.reshape(-1, d)))
 
 
 def _exact_objective(instance: Instance):
@@ -88,7 +91,7 @@ def _exact_objective(instance: Instance):
 def _farthest_nearest(S: WeightedCollection, F: CenterSet) -> np.ndarray:
     """Index of the center of F nearest to each nonempty set's farthest
     point from F (first argmax), one entry per ``S.nonempty``."""
-    far = S.points[S.argmax(shape_distances(S.points, F))]
+    far = S.support[S.ids[S.argmax(shape_distances(S.support, F))]]
     return ((F.centers[None, :, :] - far[:, None, :]) ** 2).sum(axis=2) \
         .argmin(axis=1)
 
@@ -218,36 +221,43 @@ def _screen(S: WeightedCollection, K: np.ndarray, M: int, L_exp: int,
 def _solve_k1(S: WeightedCollection) -> tuple[np.ndarray, float]:
     """Minimize the convex map c -> sum_i w_i max_{s in S_i} ||s - c|| by one
     Nelder-Mead run from the weighted centroid of the per-set farthest
-    points from the mean of all points."""
-    pts = S.points
-    far = pts[S.argmax(np.linalg.norm(pts - pts.mean(axis=0), axis=1))]
+    points from the mean of all packed points."""
+    far = S.support[S.ids[S.argmax(np.linalg.norm(
+        S.support - S.points.mean(axis=0), axis=1))]]
     c0 = np.average(far, axis=0, weights=S.weights[S.nonempty])
     res = minimize(_cost_objective(S), c0)
     return res.x, res.fun
 
 
 def _discrete_pass(S: WeightedCollection, k: int):
-    """``objective._best_subset`` of the sorted unique packed points, scored
-    ``CHUNK_ELEMENTS // points`` subsets at a time, as (CenterSet, cost);
-    None past ``MAX_DISCRETE_SUBSETS`` k-subsets."""
-    uniq = np.unique(S.points, axis=0)
+    """``objective._best_subset`` of the sorted unique support points,
+    scored ``CHUNK_ELEMENTS // packed ids`` subsets at a time, as
+    (CenterSet, cost); None past ``MAX_DISCRETE_SUBSETS`` k-subsets."""
+    uniq = np.unique(S.support, axis=0)
     if math.comb(uniq.shape[0], k) > MAX_DISCRETE_SUBSETS:
         return None
-    rows = max(CHUNK_ELEMENTS // max(S.points.shape[0], 1), 1)
-    return _best_subset(S.points, uniq, k, rows, S._cost)
+    rows = max(CHUNK_ELEMENTS // max(S.ids.size, 1), 1)
+    return _best_subset(S.support, uniq, k, rows, S._cost)
 
 
 def _alternating(S: WeightedCollection,
                  F0: CenterSet) -> tuple[CenterSet, float]:
+    """Reassign each nonempty set to the center nearest its farthest point
+    and re-solve every cluster by ``_solve_k1``, while the cost falls; a
+    cluster whose members an earlier round solved reuses that solve."""
     F = F0
     value = gkm_cost(S, F)
+    solved = {}
     for _ in range(30):
         nearest = _farthest_nearest(S, F)
         new_centers = F.centers.copy()
         for j in np.unique(nearest):
             members = S.nonempty[nearest == j]
-            c, _ = _solve_k1(S.subset(members, S.weights[members]))
-            new_centers[j] = c
+            key = members.tobytes()
+            if key not in solved:
+                solved[key] = _solve_k1(S.subset(members,
+                                                 S.weights[members]))[0]
+            new_centers[j] = solved[key]
         F2 = CenterSet(centers=new_centers)
         v2 = gkm_cost(S, F2)
         if v2 >= value - 1e-12 * max(value, 1.0):
@@ -266,14 +276,14 @@ def solve_gkm(S: WeightedCollection, k: int) -> tuple[CenterSet, float]:
     _check_k(k)
     if S.size == 0:
         raise ValueError("collection must be nonempty")
-    if S.points.shape[0] == 0:
+    if S.ids.size == 0:
         return CenterSet(centers=np.zeros((k, S.d))), 0.0
     if k == 1:
         c, v = _solve_k1(S)
         return CenterSet(centers=c.reshape(1, -1)), v
-    disc, pts = _discrete_pass(S, k), S.points
-    F0 = disc[0] if disc else CenterSet(
-        centers=pts[np.linspace(0, pts.shape[0] - 1, k).astype(int)])
+    disc = _discrete_pass(S, k)
+    F0 = disc[0] if disc else CenterSet(centers=S.support[
+        S.ids[np.linspace(0, S.ids.size - 1, k).astype(int)]])
     return _alternating(S, F0)
 
 
@@ -366,11 +376,11 @@ def skc_pipeline(instance: Instance, k: int, eps: float,
         from .oracle import center_grid
         support = instance.support_points
         probes = np.unique(np.vstack([center_grid(support, 5), support]), axis=0)
-        idx, w, _ = _screen(S, S.maxima(_distances(S.points, probes)),
+        idx, w, _ = _screen(S, S.maxima(_distances(S.support, probes)),
                             min(S.size, 2) if M is None else M,
                             6 if L_exp is None else L_exp, eps)
         collections.append(S.subset(idx, w))
-    starts = [solve_S() if coll is S or not coll.points.shape[0]
+    starts = [solve_S() if coll is S or not coll.ids.size
               else solve_gkm(coll, k)[0] for coll in collections]
     F, value, evaluated, unconverged = _best_polished(instance, k, starts)
     return F, _finite(value), {"strategy": strategy,

@@ -20,9 +20,10 @@ A 0-flat is one center, so j=0 (coreset solve, S2 sensitivity seed and
 exact polish) runs through the k=1 code of ``gkm``; only j=1 uses the
 Nelder-Mead line search of this module, ``neldermead.minimize``, as in
 ``gkm``.
-The coreset is one ``WeightedCollection``: the N kernels of S1 at weight
-1/N each, then every S2 point as a singleton set.  Its ``cost`` is the
-estimator, and the j=0 solve runs on it as it is.
+The coreset is one ``WeightedCollection`` over the instance's support:
+the N kernels of S1 at weight 1/N each, then every S2 point as a
+singleton set, all given as support ids.  Its ``cost`` is the estimator,
+and the j=0 solve runs on it as it is.
 """
 
 from __future__ import annotations
@@ -119,16 +120,16 @@ def sweep_convexK(instance: Instance, j: int, eps: float) -> np.ndarray:
 # Coresets
 
 
-def _pack(s1: tuple, s2_points: np.ndarray,
+def _pack(support: np.ndarray, s1: tuple, s2: np.ndarray,
           s2_weights: np.ndarray) -> WeightedCollection:
-    """The coreset: the N kernels of S1 first, each of weight 1/N, then
-    every S2 point as a singleton set of its S2 weight (d from
-    ``s2_points``)."""
+    """The coreset over ``support``: the N kernels of S1 first, each of
+    weight 1/N, then every S2 point as a singleton set of its S2 weight;
+    kernels and S2 points are support ids."""
     N = len(s1)
     return WeightedCollection(
-        sets=tuple(s1) + tuple(s2_points[:, None, :]),
+        sets=(*s1, *s2[:, None]),
         weights=np.concatenate([np.ones(N) / N, s2_weights]),
-        d=s2_points.shape[1])
+        support=support)
 
 
 def case1_size_cap(j: int, d: int, eps: float) -> int:
@@ -152,7 +153,8 @@ def _weighted_median_flat(S: WeightedCollection, j: int) -> Flat:
 def weighted_flat_median_coreset(points: np.ndarray, weights: np.ndarray,
                                  j: int, eps: float,
                                  rng: np.random.Generator):
-    """Importance-sampling coreset of a weighted flat-median instance.
+    """Importance-sampling coreset of a weighted flat-median instance, as
+    the rows of ``points`` it keeps, ascending, and their weights.
 
     Instances at or under the size cap are returned verbatim.  Sensitivities
     are the distance share w.r.t. an approximate optimum plus the projected
@@ -166,9 +168,9 @@ def weighted_flat_median_coreset(points: np.ndarray, weights: np.ndarray,
     _check_eps(eps)
     cap = case1_size_cap(j, d, eps)
     if n <= cap:
-        return points, weights
-    S = WeightedCollection(sets=tuple(points[:, None, :]), weights=weights,
-                           d=d)
+        return np.arange(n), weights
+    S = WeightedCollection(sets=np.arange(n)[:, None], weights=weights,
+                           support=points)
     dists = shape_distances(points, _weighted_median_flat(S, j))
     cost = float(S._cost(dists))
     W = float(weights.sum())
@@ -176,45 +178,47 @@ def weighted_flat_median_coreset(points: np.ndarray, weights: np.ndarray,
         sigma = weights * dists / cost + 2.0 * (d + 1) ** 1.5 * weights / W
     else:
         sigma = np.full(n, 1.0 / n)
-    idx, w = importance_sample_coreset(weights, sigma, cap, rng)
-    return points[idx], w
+    return importance_sample_coreset(weights, sigma, cap, rng)
 
 
 def _kernel(points: np.ndarray, j: int,
             kernel_dirs: np.ndarray) -> np.ndarray:
-    """Directional-extent kernel: the argmax point per net direction."""
+    """Directional-extent kernel: the rows of ``points`` that are the
+    argmax of some net direction, ascending."""
     if points.shape[0] == 0:
-        return points
-    proj = lift(points, j) @ kernel_dirs.T
-    keep = sorted(set(int(i) for i in proj.argmax(axis=0)))
-    return points[keep]
+        return np.zeros(0, dtype=np.intp)
+    return np.unique(
+        (lift(points, j) @ kernel_dirs.T).argmax(axis=0)).astype(np.intp)
 
 
 def build_S1(instance: Instance, inside: np.ndarray, j: int, N: int,
              seed: int) -> tuple:
     """N sampled realizations of n uniforms each, restricted to the support
     points ``inside`` K and reduced to a directional kernel over
-    ``KERNEL_NET_SIZE`` directions; empty realizations stay empty."""
+    ``KERNEL_NET_SIZE`` directions, each as its support ids, ascending;
+    empty realizations stay empty."""
     kernel_dirs = direction_net(lift(np.zeros(instance.d), j).shape[1],
                                 KERNEL_NET_SIZE)
     # One generator per sample, so sample i does not depend on N.
     u = np.array([np.random.default_rng(np.random.SeedSequence([seed, i]))
                   .random(instance.n) for i in range(N)])
     masks = realize(instance, u.reshape(N, instance.n)) & inside
-    return tuple(_kernel(instance.support_points[mask], j, kernel_dirs)
-                 for mask in masks)
+    support = instance.support_points
+    return tuple(ids[_kernel(support[ids], j, kernel_dirs)]
+                 for ids in map(np.flatnonzero, masks))
 
 
 def build_S2(instance: Instance, inside: np.ndarray, j: int, eps: float,
              rng: np.random.Generator):
     """Weighted flat-median coreset of the support points of positive mass
-    that are not ``inside`` K."""
+    that are not ``inside`` K, as (support ids, weights)."""
     _check_j(j, instance.d)
     _check_eps(eps)
     masses = instance.site_masses
-    outside = (~inside) & (masses > 0.0)
-    return weighted_flat_median_coreset(
+    outside = np.flatnonzero((~inside) & (masses > 0.0))
+    rows, w = weighted_flat_median_coreset(
         instance.support_points[outside], masses[outside], j, eps, rng)
+    return outside[rows], w
 
 
 def _check_sjfc_args(instance: Instance, j: int, eps: float, N: int):
@@ -233,11 +237,12 @@ def build_sjfc_coreset(instance: Instance, j: int, eps: float, seed: int,
         # Case 1 is S2 of an empty K
         s2 = build_S2(instance, np.zeros(len(instance.site_masses), bool), j,
                       eps, np.random.default_rng([seed, 1]))
-        return _pack((), *s2), 1
+        return _pack(instance.support_points, (), *s2), 1
     inside = sweep_convexK(instance, j, eps)
     s1 = build_S1(instance, inside, j, N, seed)
-    return _pack(s1, *build_S2(instance, inside, j, eps,
-                               np.random.default_rng([seed, 2]))), 2
+    return _pack(instance.support_points, s1,
+                 *build_S2(instance, inside, j, eps,
+                           np.random.default_rng([seed, 2]))), 2
 
 
 # ---------------------------------------------------------------------------
@@ -285,15 +290,15 @@ def solve_jflat(S: WeightedCollection, j: int) -> tuple[Flat, float]:
     """Minimize the coreset estimator ``S.cost`` over j-flats;
     deterministic multi-start for j=1.  Returns the flat and its cost."""
     _check_j(j, S.d)
-    support, d = S.points, S.d
-    if support.shape[0] == 0:
+    d = S.d
+    if S.ids.size == 0:
         return _flat_from_params(np.zeros(d if j == 0 else 2 * d), j, d), 0.0
     if j == 0:
         # gkm's k=1 solve on the packed kernels and S2 singletons
         C, _ = solve_gkm(S, 1)
         F = Flat(j=0, base=C.centers[0])
         return F, S.cost(F)
-    F, value, _ = _optimize_flat(S.cost, d, _starts_for(support, d))
+    F, value, _ = _optimize_flat(S.cost, d, _starts_for(S.points, d))
     return F, value
 
 

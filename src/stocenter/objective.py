@@ -23,18 +23,22 @@ support point, from ``model.farthest_realized``, the same rule in both
 models.
 
 ``WeightedCollection``, the one weighted point-set type, is the one place
-that takes K(S, F) = max_{s in S} d(s, F) for every set S.  The grid
-coreset's r_P table and the sensitivity oracle read the point-to-candidate
-table ``_distances`` through ``_subset_minima``, its minimum over every
-k-subset of candidates, and gkm's discrete pass and the grid-search
-oracles through ``_best_subset``; gkm's screen reads it directly.
+that takes K(S, F) = max_{s in S} d(s, F) for every set S.  Its sets index
+one support, so every per-point value it reads is taken once per support
+point and gathered by the packed ids, never once per packed member; a
+point's distance does not depend on the points scored with it, so the
+values keep their bits.  The grid coreset's r_P table and the sensitivity
+oracle read the point-to-candidate table ``_distances`` through
+``_subset_minima``, its minimum over every k-subset of candidates, and
+gkm's discrete pass and the grid-search oracles through ``_best_subset``;
+gkm's screen reads it directly.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations, islice
+from itertools import chain, combinations, islice
 
 import numpy as np
 
@@ -158,99 +162,146 @@ def _best_subset(points: np.ndarray, cand: np.ndarray, k: int, rows: int,
     return CenterSet(centers=np.resize(cand[best], (k, cand.shape[1]))), low
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class WeightedCollection:
-    """Weighted point sets packed into one array; empty sets cost 0.
+    """Weighted sets of points of one support; empty sets cost 0.
 
-    ``sets`` are (n_i, d) arrays (a 1-D array is one point), ``weights``
-    positive, 1 each by default, and ``d`` is taken from the sets (an empty
-    ``(0, d)`` array counts) unless given.  ``points`` holds the sets'
-    rows in order, and set i becomes a read-only view of its rows.  Every
-    per-set maximum is one ``np.maximum.reduceat`` over the starts of the
-    ``nonempty`` sets, and ``max_distances`` and ``cost`` take
-    ``shape_distances`` once.
+    ``support`` holds the (u, d) points that the sets use, each at least
+    once; ``ids`` the members of every set as rows of ``support``, packed
+    in set order, set i at ``ids[offsets[i]:offsets[i + 1]]``; ``weights``
+    one positive finite weight per set, 1 each by default.
+
+    ``sets`` are (n_i, d) arrays of points (a 1-D array is one point), whose
+    support is their distinct points by one ``np.unique``, or, when
+    ``support`` is given, sequences of its row ids; ``d`` comes from the
+    sets (an empty ``(0, d)`` array counts) or the support unless given.
+    Support points that no set uses are dropped, and non-finite ones raise
+    ``ValueError``.  Every per-point value is taken once per support point:
+    a per-set maximum is one gather by ``ids`` and one
+    ``np.maximum.reduceat`` over the starts of the ``nonempty`` sets.
+    ``points`` and ``sets`` are derived views that no cost reads.
     """
 
-    sets: tuple
-    weights: np.ndarray | None = None
-    d: int | None = None
-    points: np.ndarray = field(init=False, repr=False)   # (total, d)
-    nonempty: np.ndarray = field(init=False, repr=False)  # set indices
-    _starts: np.ndarray = field(init=False, repr=False)
+    support: np.ndarray   # (u, d)
+    ids: np.ndarray       # (total,) rows of support
+    offsets: np.ndarray   # (size + 1,)
+    weights: np.ndarray
+    d: int
+    nonempty: np.ndarray = field(repr=False)  # set indices
+    _starts: np.ndarray = field(repr=False)
 
-    def __post_init__(self):
-        arrays = [np.asarray(s, dtype=float) for s in self.sets]
-        dims = {np.atleast_2d(a).shape[1] for a in arrays
-                if a.size or a.ndim == 2}
-        d = self.d
-        if d is None:
-            if len(dims) != 1:
+    def __init__(self, sets, weights=None, d=None, support=None):
+        if support is None:
+            arrays = [np.asarray(s, dtype=float) for s in sets]
+            dims = {np.atleast_2d(a).shape[1] for a in arrays
+                    if a.size or a.ndim == 2}
+            if d is None:
+                if len(dims) != 1:
+                    raise DimensionMismatch(
+                        "cannot infer one dimension from the sets; pass d")
+                d = dims.pop()
+            elif dims - {d}:
                 raise DimensionMismatch(
-                    "cannot infer one dimension from the sets; pass d")
-            d = dims.pop()
-        elif dims - {d}:
-            raise DimensionMismatch(f"set dimensions {sorted(dims)} != {d}")
-        w = np.ones(len(arrays)) if self.weights is None \
-            else np.asarray(self.weights, dtype=float)
-        if w.shape != (len(arrays),):
+                    f"set dimensions {sorted(dims)} != {d}")
+            rows = [np.atleast_2d(a) for a in arrays if a.size]
+            support, ids = np.unique(
+                np.vstack(rows) if rows else np.zeros((0, d)), axis=0,
+                return_inverse=True)
+            sizes = np.array([a.size // d for a in arrays], dtype=np.intp)
+        else:
+            support = np.atleast_2d(np.asarray(support, dtype=float))
+            if d is not None and d != support.shape[1]:
+                raise DimensionMismatch(
+                    f"support dimension {support.shape[1]} != {d}")
+            sizes = np.fromiter(map(len, sets), np.intp, len(sets))
+            ids = np.fromiter(chain.from_iterable(sets), np.intp,
+                              int(sizes.sum()))
+        self._fill(support, ids.reshape(-1), sizes,
+                   np.ones(len(sizes)) if weights is None else weights)
+
+    def _fill(self, support: np.ndarray, ids: np.ndarray, sizes: np.ndarray,
+              weights):
+        """Fill the fields: keep the support points that some set uses, and
+        check the weights and those points."""
+        w = np.asarray(weights, dtype=float)
+        if w.shape != sizes.shape:
             raise ValueError("one weight per set required")
-        if not np.all(w > 0.0):
-            raise ValueError("weights must be positive")
-        rows = [np.atleast_2d(a) for a in arrays if a.size]
-        points = np.vstack(rows) if rows else np.zeros((0, d))
-        points.flags.writeable = False
-        sizes = [a.size // d for a in arrays]
-        offsets = np.concatenate([[0], np.cumsum(sizes, dtype=int)])
-        nonempty = np.flatnonzero(np.diff(offsets))
-        views = tuple(np.split(points, offsets[1:-1])) if arrays else ()
-        object.__setattr__(self, "sets", views)
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "d", int(d))
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "nonempty", nonempty)
-        object.__setattr__(self, "_starts", offsets[nonempty])
+        if not np.all(w > 0.0) or not np.isfinite(w).all():
+            raise ValueError("weights must be positive and finite")
+        used = np.zeros(len(support), dtype=bool)
+        used[ids] = True
+        if not used.all():
+            support, ids = support[used], (np.cumsum(used) - 1)[ids]
+        if not np.isfinite(support).all():
+            raise ValueError("points must be finite")
+        offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(np.intp)
+        nonempty = np.flatnonzero(sizes)
+        for name, value in (("support", support), ("ids", ids),
+                            ("offsets", offsets), ("weights", w),
+                            ("d", int(support.shape[1])),
+                            ("nonempty", nonempty),
+                            ("_starts", offsets[nonempty])):
+            object.__setattr__(self, name, value)
 
     @property
     def size(self) -> int:
         return len(self.weights)
 
-    def subset(self, indices: np.ndarray,
-               weights: np.ndarray) -> WeightedCollection:
+    @property
+    def points(self) -> np.ndarray:
+        """(total, d) copies of the members, in set order."""
+        return self.support[self.ids]
+
+    @property
+    def sets(self) -> tuple:
+        """The (n_i, d) members of every set."""
+        return tuple(np.split(self.points, self.offsets[1:-1])) \
+            if self.size else ()
+
+    def subset(self, indices, weights) -> WeightedCollection:
         """Sets ``indices`` of this collection, with new weights."""
-        return WeightedCollection(sets=tuple(self.sets[i] for i in indices),
-                                  weights=weights, d=self.d)
+        indices = np.asarray(indices, dtype=np.intp)
+        starts = self.offsets[indices]
+        sizes = self.offsets[indices + 1] - starts
+        rows = np.repeat(starts - np.cumsum(sizes) + sizes, sizes) \
+            + np.arange(sizes.sum())
+        sub = object.__new__(WeightedCollection)
+        sub._fill(self.support, self.ids[rows], sizes, weights)
+        return sub
 
     def maxima(self, values: np.ndarray) -> np.ndarray:
-        """Per-set maximum of per-point values, shape (total,) or
-        (total, m); an empty set gives 0."""
+        """Per-set maximum of per-support-point values, shape (u,) or
+        (u, m); an empty set gives 0."""
         out = np.zeros((self.size,) + values.shape[1:])
         if self._starts.size:
-            out[self.nonempty] = np.maximum.reduceat(values, self._starts,
-                                                     axis=0)
+            out[self.nonempty] = np.maximum.reduceat(values[self.ids],
+                                                     self._starts, axis=0)
         return out
 
     def argmax(self, values: np.ndarray) -> np.ndarray:
-        """Row in ``points`` of the first maximum of each nonempty set
-        (one entry per index in ``nonempty``), as ``np.argmax`` picks it."""
+        """Row in ``ids`` of the first maximum of the per-support-point
+        ``values`` over each nonempty set (one entry per index in
+        ``nonempty``), as ``np.argmax`` over its members picks it."""
         if not self._starts.size:
             return np.zeros(0, dtype=int)
-        top = np.maximum.reduceat(values, self._starts)
-        sizes = np.diff(np.append(self._starts, len(values)))
-        rows = np.arange(len(values))
-        hit = np.where(values == np.repeat(top, sizes), rows, len(values))
+        packed = values[self.ids]
+        top = np.maximum.reduceat(packed, self._starts)
+        sizes = np.diff(np.append(self._starts, len(packed)))
+        rows = np.arange(len(packed))
+        hit = np.where(packed == np.repeat(top, sizes), rows, len(packed))
         return np.minimum.reduceat(hit, self._starts)
 
     def max_distances(self, shape: Shape) -> np.ndarray:
         """max_{s in S_i} d(s, shape) for every set i (0 when empty)."""
-        return self.maxima(shape_distances(self.points, shape))
+        return self.maxima(shape_distances(self.support, shape))
 
     def cost(self, shape: Shape) -> float:
         """sum_i w_i max_{s in S_i} d(s, shape)."""
-        return float(self._cost(shape_distances(self.points, shape)))
+        return float(self._cost(shape_distances(self.support, shape)))
 
     def _cost(self, dists: np.ndarray):
-        """sum_i w_i max_{s in S_i} dists[s] for per-point distances of
-        shape (total,), or one such sum per column of a (total, m) table."""
+        """sum_i w_i max_{s in S_i} dists[s] for per-support-point distances
+        of shape (u,), or one such sum per column of a (u, m) table."""
         return _weighted_sum(self.weights, self.maxima(dists))
 
 

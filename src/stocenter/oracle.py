@@ -82,22 +82,23 @@ def _check_entries(candidates: int, k: int, points: int) -> None:
             f"{entries} subset-point entries exceed {MAX_GRID_ENTRIES}")
 
 
-def _grid_search(points: np.ndarray, k: int, resolution: int, width: int,
-                 screen, value) -> tuple[CenterSet, float]:
+def _grid_search(points: np.ndarray, k: int, resolution: int, reads: int,
+                 width: int, screen, value) -> tuple[CenterSet, float]:
     """``objective._best_subset`` of the sorted grid and support
     candidates, every candidate when there are fewer than k, and its
     ``value(CenterSet)``.
 
     ``screen(table)`` scores a chunk of subsets at once from their
     point-to-nearest-center table (points, subsets), equal to ``value`` bit
-    for bit, with temporaries of at most ``width`` elements per subset, so
-    a chunk holds ``CHUNK_ELEMENTS // width`` subsets (at least one).
-    Raises EnumerationGuardExceeded, before any scoring, past
-    ``MAX_GRID_ENTRIES`` subsets times points."""
+    for bit, reading ``reads`` entries and with temporaries of at most
+    ``width`` elements per subset, so a chunk holds
+    ``CHUNK_ELEMENTS // width`` subsets (at least one).  Raises
+    EnumerationGuardExceeded, before any scoring, past ``MAX_GRID_ENTRIES``
+    subsets times ``reads``."""
     _check_k(k)
     cand = np.unique(np.vstack([center_grid(points, resolution), points]),
                      axis=0)
-    _check_entries(len(cand), k, points.shape[0])
+    _check_entries(len(cand), k, reads)
     rows = max(CHUNK_ELEMENTS // max(width, 1), 1)
     F = _best_subset(points, cand, k, rows, screen)[0]
     return F, value(F)
@@ -105,9 +106,10 @@ def _grid_search(points: np.ndarray, k: int, resolution: int, width: int,
 
 def oracle_solver_gkm(S: WeightedCollection, k: int,
                       resolution: int = 21) -> tuple[CenterSet, float]:
-    """Grid search over center tuples plus all k-subsets of union points."""
-    return _grid_search(S.points, k, resolution, S.points.shape[0], S._cost,
-                        lambda F: gkm_cost(S, F))
+    """Grid search over center tuples plus all k-subsets of union points;
+    a subset's score reads one entry per packed point."""
+    return _grid_search(S.support, k, resolution, S.ids.size, S.ids.size,
+                        S._cost, lambda F: gkm_cost(S, F))
 
 
 def oracle_solver_instance(instance: Instance, k: int,
@@ -116,7 +118,8 @@ def oracle_solver_instance(instance: Instance, k: int,
     points = instance.support_points
     # the kernel's temporaries: nodes x points per subset, at least points
     return _grid_search(
-        points, k, resolution, max(instance.probs.size, points.shape[0]),
+        points, k, resolution, points.shape[0],
+        max(instance.probs.size, points.shape[0]),
         lambda table: _exact_value(instance, table),
         lambda F: expected_objective_exact(instance, F).value)
 
@@ -130,13 +133,12 @@ def oracle_sensitivities(S: WeightedCollection, k: int,
     EnumerationGuardExceeded, before any scoring, past ``MAX_GRID_ENTRIES``
     subsets times packed points."""
     _check_k(k)
-    pts = np.unique(S.points, axis=0)
-    cand = np.unique(np.vstack([center_grid(pts, resolution, margin=1.0), pts]),
-                     axis=0)
-    _check_entries(len(cand), k, S.points.shape[0])
-    rows = max(CHUNK_ELEMENTS // max(S.points.shape[0], 1), 1)
+    cand = np.unique(np.vstack([center_grid(S.support, resolution, margin=1.0),
+                                S.support]), axis=0)
+    _check_entries(len(cand), k, S.ids.size)
+    rows = max(CHUNK_ELEMENTS // max(S.ids.size, 1), 1)
     values, feasible = np.zeros(S.size), False
-    for _, table in _subset_minima(_distances(S.points, cand), k, rows):
+    for _, table in _subset_minima(_distances(S.support, cand), k, rows):
         maxima = S.maxima(table)                            # (sets, chunk)
         total = _weighted_sum(S.weights, maxima)
         good = total > 0.0

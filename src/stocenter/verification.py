@@ -307,7 +307,7 @@ def criterion_7(scale: str, seed: int = 107, **_) -> CheckResult:
 
 def _c8_found(S: WeightedCollection, cand: np.ndarray, eps: float) -> bool:
     """Whether an M=2, L_exp=6 candidate is in S's (1 +- 3 eps) band."""
-    K = S.maxima(_distances(S.points, cand))  # (sets, F)
+    K = S.maxima(_distances(S.support, cand))  # (sets, F)
     cost_full = _weighted_sum(S.weights, K)
     lo = (1.0 - 3 * eps) * cost_full - 1e-9
     hi = (1.0 + 3 * eps) * cost_full + 1e-9
@@ -320,7 +320,7 @@ def criterion_8(scale: str, seed: int = 108, **_) -> CheckResult:
     failures = 0
     for _i in range(COUNTS[scale]["c8_inst"]):
         S = _rand_gkm(rng, max_sets=4, max_size=3)
-        cand = np.vstack([center_grid(S.points, 5, margin=2.0), S.points])
+        cand = np.vstack([center_grid(S.support, 5, margin=2.0), S.support])
         # at eps >= 1/3 the band's lower edge (1 - 3 eps) cost is not
         # positive, and the check could not fail
         failures += not _c8_found(S, cand, eps=0.2)

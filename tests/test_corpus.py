@@ -167,7 +167,7 @@ def _candidates(name):
     image = build_weighted_image(inst, 1, 0.5, "subsets")
     S = collection_from_image(
         WeightedImage(image.entries[:12], image.source), inst)
-    K = S.maxima(_distances(S.points, np.array([[0.0, 0.0], [3.0, -2.0]])))
+    K = S.maxima(_distances(S.support, np.array([[0.0, 0.0], [3.0, -2.0]])))
     return list(candidate_costs(S, K, 2, 1, 0.5))
 
 

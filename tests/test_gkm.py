@@ -210,6 +210,50 @@ def test_solve_gkm_starts_from_every_unique_point(monkeypatch):
     assert value == 0.0 == gkm_cost(S, F)
 
 
+def frozen_alternating(S, F0):
+    """The alternating run that re-solved every cluster in every round."""
+    from stocenter import gkm
+    F, value = F0, gkm_cost(S, F0)
+    for _ in range(30):
+        nearest = gkm._farthest_nearest(S, F)
+        new_centers = F.centers.copy()
+        for j in np.unique(nearest):
+            members = S.nonempty[nearest == j]
+            new_centers[j] = gkm._solve_k1(
+                S.subset(members, S.weights[members]))[0]
+        F2 = CenterSet(centers=new_centers)
+        v2 = gkm_cost(S, F2)
+        if v2 >= value - 1e-12 * max(value, 1.0):
+            break
+        F, value = F2, v2
+    return F, value
+
+
+def test_alternating_solves_each_cluster_once_with_the_same_bits(
+        monkeypatch):
+    from stocenter import gkm, verification
+    solve_k1, seen = gkm._solve_k1, []
+
+    def spy(T):
+        seen.append((T.points.tobytes(), T.offsets.tobytes(),
+                     T.weights.tobytes()))
+        return solve_k1(T)
+
+    monkeypatch.setattr(gkm, "_solve_k1", spy)
+    repeats = 0
+    for seed in range(40):
+        S = verification._rand_gkm(np.random.default_rng(seed), max_sets=12)
+        F0 = gkm._discrete_pass(S, 2)[0]
+        seen.clear()
+        F_ref, v_ref = frozen_alternating(S, F0)
+        repeats += len(seen) - len(set(seen))
+        seen.clear()
+        F, value = gkm._alternating(S, F0)
+        assert len(seen) == len(set(seen))
+        assert value == v_ref and np.array_equal(F.centers, F_ref.centers)
+    assert repeats > 0
+
+
 @st.composite
 def few_point_collections(draw):
     """(S, k) for k in {2, 3, 4}: a weighted collection on at most k

@@ -280,7 +280,7 @@ def test_build_S1_deterministic_and_kernel_property():
     # exact on every kernel-net direction
     kernel = s1[0]
     lifted_all = lift(pts, 0)
-    lifted_ker = lift(kernel, 0)
+    lifted_ker = lift(pts[kernel], 0)
     for u in direction_net(lifted_all.shape[1], KERNEL_NET_SIZE):
         assert (lifted_ker @ u).max() == pytest.approx(
             (lifted_all @ u).max(), abs=1e-12)
@@ -399,8 +399,9 @@ def test_line_median_coreset_above_the_size_cap(d):
     eps = 0.3
     points = rng.uniform(-5, 5, (2000, d))
     weights = rng.uniform(0.1, 1.0, 2000)
-    kept, kept_w = weighted_flat_median_coreset(points, weights, 1, eps,
+    rows, kept_w = weighted_flat_median_coreset(points, weights, 1, eps,
                                                 np.random.default_rng(d))
+    kept = points[rows]
     assert np.unique(kept, axis=0).shape[0] <= case1_size_cap(1, d, eps) < 2000
     assert np.all(kept_w > 0)
     for _ in range(50):
@@ -561,15 +562,15 @@ def test_solve_jflat_j0_is_the_k1_center_solve():
         assert value == S.cost(F)
 
 
-def frozen_packing(s1, s2_points, s2_weights):
-    """The collection of the former ``SJFCCoreset``: the N kernels first,
-    each of weight 1/N, then every S2 point as a singleton set of its S2
-    weight, d from ``s2_points``."""
+def frozen_packing(support, s1, s2, s2_weights):
+    """The collection of the former ``SJFCCoreset``, from point sets: the
+    N kernels first, each of weight 1/N, then every S2 point as a singleton
+    set of its S2 weight; kernels and S2 are ids into ``support``."""
     N = len(s1)
     return WeightedCollection(
-        sets=tuple(s1) + tuple(s2_points[:, None, :]),
+        sets=tuple(support[E] for E in s1) + tuple(support[s2][:, None, :]),
         weights=np.concatenate([np.ones(N) / N, s2_weights]),
-        d=s2_points.shape[1])
+        d=support.shape[1])
 
 
 def _packing_instances():
@@ -610,7 +611,7 @@ def test_coreset_packs_as_the_former_coreset_type():
             s1 = build_S1(inst, inside, j, 20, seed=7)
             s2 = build_S2(inst, inside, j, eps,
                           np.random.default_rng([7, 2]))
-        expected = frozen_packing(s1, *s2)
+        expected = frozen_packing(inst.support_points, s1, *s2)
         assert S.d == expected.d and len(S.sets) == len(expected.sets)
         assert all(np.array_equal(a, b)
                    for a, b in zip(S.sets, expected.sets))
@@ -632,7 +633,8 @@ def frozen_criterion_11_coreset(inst, eps, N, seed):
     inside = sweep_convexK(inst, 0, eps)
     s1 = build_S1(inst, inside, 0, N, seed=seed)
     s2 = build_S2(inst, inside, 0, eps, np.random.default_rng(jflat.NET_SEED))
-    return frozen_packing(s1, *s2), int((~inside).sum())
+    return frozen_packing(inst.support_points, s1, *s2), \
+        int((~inside).sum())
 
 
 @pytest.mark.parametrize("scale", ["quick", "full"])

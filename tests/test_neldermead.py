@@ -96,7 +96,8 @@ def test_coreset_cost_runs_match_scipy(sets, k, data):
 @given(existential(), st.lists(coord, min_size=4, max_size=4),
        st.booleans())
 def test_line_objectives_run_match_scipy(inst, x0, exact):
-    S = jflat._pack((inst.points[:2],), inst.points,
+    ids = np.arange(inst.n)
+    S = jflat._pack(inst.points, (ids[:2],), ids,
                     np.maximum(inst.probs, 0.125))
     fval = (lambda F: expected_objective_exact(inst, F).value) if exact \
         else S.cost

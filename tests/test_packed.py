@@ -27,8 +27,8 @@ from stocenter.errors import DimensionMismatch
 from stocenter.gkm import (WeightedCollection, _discrete_pass, _screen,
                            candidate_costs, collection_from_image, gkm_cost,
                            importance_sample_coreset, sensitivity_bruteforce,
-                           sensitivity_projection, solve_gkm)
-from stocenter.jflat import _pack, solve_jflat
+                           sensitivity_projection, skc_pipeline, solve_gkm)
+from stocenter.jflat import _pack, sjfc_pipeline, solve_jflat
 from stocenter.model import (CenterSet, ExistentialInstance, Flat,
                              LocationalInstance)
 from stocenter.objective import (_distances, _farthest_weights,
@@ -193,6 +193,16 @@ def loop_importance_sample(weights, sensitivities, M, rng):
     return indices, [acc[i] for i in indices]
 
 
+def pack_points(s1, s2, s2_weights):
+    """``jflat._pack`` of kernels and S2 given as points: their rows, in
+    order, are the support."""
+    support = np.vstack([*s1, s2])
+    ends = np.cumsum([len(E) for E in s1], dtype=int)
+    kernels = tuple(np.split(np.arange(ends[-1]), ends[:-1])) if s1 else ()
+    return _pack(support, kernels, np.arange(len(support) - len(s2),
+                                             len(support)), s2_weights)
+
+
 # ---------------------------------------------------------------------------
 # Strategies: small ragged collections with empty sets, single points and
 # duplicate points (grid coordinates make argmax ties common).
@@ -284,7 +294,7 @@ def test_cost_objective_equals_gkm_cost(case, k, data):
 def test_argmax_equals_loop_first_occurrence(case):
     sets, weights, F = case
     P = WeightedCollection(sets, weights)
-    rows = P.argmax(shape_distances(P.points, F))
+    rows = P.argmax(shape_distances(P.support, F))
     assert rows.tolist() == loop_argmax(sets, F)
     assert P.max_distances(F).tolist() == \
         [loop_set_cost(s, F) for s in sets]
@@ -301,7 +311,7 @@ def test_argmax_equals_loop_first_occurrence(case):
                .reshape(1, 2))))
 def test_estimate_J_equals_loop(case):
     s1, s2, w2, F = case
-    assert _pack(s1, s2, w2).cost(F) == loop_estimate_J(s1, s2, w2, F)
+    assert pack_points(s1, s2, w2).cost(F) == loop_estimate_J(s1, s2, w2, F)
 
 
 @SETTINGS
@@ -489,12 +499,13 @@ def test_grid_screens_equal_the_value_of_every_subset(kind, k, data, chunk):
     case = data.draw(grid_cases(kind))
     grid_search, chunks = oracle._grid_search, []
 
-    def search(points, k, resolution, width, screen, value):
+    def search(points, k, resolution, reads, width, screen, value):
         def scored(table):
             chunks.append(screen(table))
             return chunks[-1]
 
-        found = grid_search(points, k, resolution, width, scored, value)
+        found = grid_search(points, k, resolution, reads, width, scored,
+                            value)
         cand = np.unique(np.vstack([center_grid(points, resolution),
                                     points]), axis=0)
         values = [value(CenterSet(centers=cand[list(idx)]))
@@ -555,7 +566,7 @@ def test_sjfc_coreset_with_an_empty_part(n_s1, n_s2):
                for _ in range(n_s1))
     s2 = rng.uniform(-3, 3, (n_s2, 2))
     w2 = rng.uniform(0.1, 1.0, n_s2)
-    S = _pack(s1, s2, w2)
+    S = pack_points(s1, s2, w2)
     assert S.size == n_s1 + n_s2
     assert all(np.array_equal(a, b) for a, b in zip(S.sets, s1))
     for F in (Flat(j=0, base=[0.5, -1.0]),
@@ -632,7 +643,7 @@ NEAR_TIE = (WeightedCollection(sets=(np.zeros((1, 2)), np.zeros((1, 2)),
 def test_candidate_stream_screen_and_band_equal_loop(case, M, L_exp, eps,
                                                      chunk, band_eps):
     S, probes = case
-    K = S.maxima(_distances(S.points, probes))
+    K = S.maxima(_distances(S.support, probes))
     with mock.patch.object(gkm, "CHUNK_ELEMENTS", chunk):
         blocks = list(candidate_costs(S, K, M, L_exp, eps))
         core_idx, core_w, dev = _screen(S, K, M, L_exp, eps)
@@ -664,7 +675,7 @@ def test_candidate_costs_split_one_combination_into_exponent_blocks():
     S = WeightedCollection(sets=tuple(np.array([[float(i), 1.0]])
                                       for i in range(3)),
                            weights=np.array([1.0, 0.5, 2.0]))
-    K = S.maxima(_distances(S.points, np.eye(4, 2)))
+    K = S.maxima(_distances(S.support, np.eye(4, 2)))
     with mock.patch.object(gkm, "CHUNK_ELEMENTS", 8):
         blocks = list(candidate_costs(S, K, 2, 3, 0.5))
     pairs = [idx for idx, _, _ in blocks if idx.shape[1] == 2]
@@ -710,3 +721,128 @@ def test_dimension_must_be_known_and_consistent():
                            weights=np.ones(2))
     S = WeightedCollection(sets=(np.zeros(0),), weights=np.ones(1), d=4)
     assert S.sets[0].shape == (0, 4)
+
+
+# ---------------------------------------------------------------------------
+# One support: every value is taken once per support point
+
+
+def loop_cost_table(sets, weights, cand):
+    """sum_i w_i max_{s in S_i} ||s - c|| for every candidate c, one
+    distance per packed copy, added left to right."""
+    costs = []
+    for c in cand:
+        total = 0.0
+        for s, w in zip(sets, weights):
+            if len(s):
+                total += w * float(np.sqrt(((s - c) ** 2).sum(axis=1)).max())
+        costs.append(total)
+    return costs
+
+
+@st.composite
+def indexed_sets(draw):
+    """A pool of points, with 0.0 and -0.0 among the coordinates, and up
+    to 12 sets of pool ids: empty sets, single points, and ids repeated
+    within a set and across sets."""
+    d = draw(st.integers(1, 3))
+    c = st.sampled_from([0.0, -0.0]) | coord
+    pool = np.array(draw(st.lists(st.tuples(*[c] * d), min_size=1,
+                                  max_size=6)), dtype=float).reshape(-1, d)
+    ids = draw(st.lists(st.lists(st.integers(0, len(pool) - 1), max_size=5),
+                        min_size=1, max_size=12))
+    weights = np.array(draw(st.lists(st.floats(0.01, 5.0), min_size=len(ids),
+                                     max_size=len(ids))))
+    return pool, ids, weights
+
+
+@SETTINGS
+@given(indexed_sets(), st.data())
+def test_support_indexed_collection_equals_per_copy_formula(case, data):
+    """A collection built from support ids and one built from the same
+    sets as points both equal the per-copy formulas bit for bit."""
+    pool, ids, weights = case
+    d = pool.shape[1]
+    sets = tuple(pool[s].reshape(len(s), d) for s in ids)
+    F = data.draw(center_sets(d))
+    cand = np.array(data.draw(st.lists(st.tuples(*[coord] * d), min_size=1,
+                                       max_size=4))).reshape(-1, d)
+    picked = data.draw(st.lists(st.integers(0, len(sets) - 1),
+                                max_size=len(sets)))
+    sub_w = np.linspace(0.5, 2.0, len(picked))
+    for S in (WeightedCollection(sets=ids, weights=weights, support=pool),
+              WeightedCollection(sets=sets, weights=weights)):
+        assert S.support.shape[0] <= pool.shape[0] and S.d == d
+        assert S.size == len(sets) and all(
+            np.array_equal(a, b) for a, b in zip(S.sets, sets))
+        assert S.cost(F) == loop_gkm_cost(sets, weights, F)
+        assert S.max_distances(F).tolist() == \
+            [loop_set_cost(s, F) for s in sets]
+        assert S.argmax(shape_distances(S.support, F)).tolist() == \
+            loop_argmax(sets, F)
+        assert S._cost(_distances(S.support, cand)).tolist() == \
+            loop_cost_table(sets, weights, cand)
+        T = S.subset(picked, sub_w)
+        assert T.cost(F) == loop_gkm_cost([sets[i] for i in picked], sub_w,
+                                          F)
+        assert all(np.array_equal(a, sets[i]) for a, i in zip(T.sets, picked))
+        if not S.ids.size:
+            continue
+        for k in (1, 2):
+            assert_same_pick(_discrete_pass(S, k),
+                             loop_discrete_pass(sets, weights, k))
+
+
+@pytest.mark.parametrize("sets, weights", [
+    ((np.array([[np.nan, 0.0], [1.0, 1.0]]),), None),
+    ((np.array([[np.inf, 0.0], [1.0, 1.0]]),), None),
+    ((np.array([[0.0, 0.0]]), np.array([[-np.inf, 1.0]])), None),
+    ((np.array([[0.0, 0.0]]), np.array([[1.0, 1.0]])), [np.inf, 1.0]),
+    ((np.array([[0.0, 0.0]]), np.array([[1.0, 1.0]])), [np.nan, 1.0])],
+    ids=["nan point", "inf point", "-inf point", "inf weight", "nan weight"])
+def test_non_finite_collections_are_rejected_at_construction(sets, weights):
+    # solve_gkm raised IndexError out of argmax on a non-finite point at
+    # k = 1 and 2; on an inf weight it returned NaN centers at k = 1
+    with pytest.raises(ValueError, match="finite"):
+        WeightedCollection(sets=sets, weights=weights)
+    support = np.vstack(sets)
+    with pytest.raises(ValueError, match="finite"):
+        WeightedCollection(sets=[range(len(support))], weights=weights[:1]
+                           if weights else None, support=support)
+
+
+def test_a_support_point_no_set_uses_is_dropped():
+    S = WeightedCollection(sets=[(2,), (), (2, 0)], support=[
+        [0.0, 1.0], [np.nan, 0.0], [3.0, 4.0]])
+    assert S.support.tolist() == [[0.0, 1.0], [3.0, 4.0]]
+    assert S.ids.tolist() == [1, 1, 0] and S.offsets.tolist() == [0, 1, 1, 3]
+    assert S.cost(CenterSet(centers=[[0.0, 0.0]])) == 10.0
+
+
+def _n10():
+    rng = np.random.default_rng(37)
+    return ExistentialInstance(points=rng.uniform(-5, 5, (10, 2)),
+                               probs=rng.uniform(0.2, 0.9, 10))
+
+
+# the 1024-class image streams past its guard at the default M = 2
+@pytest.mark.parametrize("run", [
+    *(lambda inst, k=k, s=s: skc_pipeline(
+        inst, k, 0.5, strategy=s, M=1 if s == "enumerate" else None)
+      for k in (1, 2) for s in ("full", "sampling", "enumerate")),
+    lambda inst: sjfc_pipeline(inst, 0, 0.3, seed=1, N=40)],
+    ids=[f"skc-k{k}-{s}" for k in (1, 2)
+         for s in ("full", "sampling", "enumerate")] + ["sjfc-j0"])
+def test_no_distance_per_packed_copy(run):
+    """Every distance table the pipelines take has at most one row per
+    support point of the instance, however many sets repeat a point."""
+    inst, rows = _n10(), []
+    squared = objective._squared_distances
+
+    def spy(points, candidates):
+        rows.append(points.shape[0])
+        return squared(points, candidates)
+
+    with mock.patch.object(objective, "_squared_distances", spy):
+        run(inst)
+    assert rows and max(rows) <= inst.n

@@ -90,14 +90,15 @@ def loop_build_S1(instance, inside, j, N, seed):
         rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
         u = rng.random(instance.n)
         if isinstance(instance, ExistentialInstance):
-            mask = (u < instance.probs) & inside
-            out.append(_kernel(instance.points[mask], j, kernel_dirs))
+            pts = instance.points[(u < instance.probs) & inside]
+            out.append(pts[_kernel(pts, j, kernel_dirs)])
         else:
             idx = [loop_locate(instance.probs[r], u[r])
                    for r in range(instance.n)]
             idx = np.array(sorted(set(v for v in idx if inside[v])),
                            dtype=int)
-            out.append(_kernel(instance.locations[idx], j, kernel_dirs))
+            pts = instance.locations[idx]
+            out.append(pts[_kernel(pts, j, kernel_dirs)])
     return out
 
 
@@ -110,8 +111,8 @@ def restricted_build_S1(instance, inside, j, N, seed):
     out = []
     for i in range(N):
         rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
-        out.append(_kernel(pts[rng.random(len(probs)) < probs], j,
-                           kernel_dirs))
+        drawn = pts[rng.random(len(probs)) < probs]
+        out.append(drawn[_kernel(drawn, j, kernel_dirs)])
     return out
 
 
@@ -343,8 +344,8 @@ def test_build_S1_matches_loop(data, seed, N):
     ref = loop_build_S1(instance, inside, j, N, seed)
     assert len(s1) == len(ref) == N
     for kernel, expected in zip(s1, ref):
-        assert kernel.shape == expected.shape
-        assert np.array_equal(kernel, expected)
+        assert kernel.shape == expected.shape[:1]
+        assert np.array_equal(instance.support_points[kernel], expected)
 
 
 @SETTINGS
@@ -361,4 +362,4 @@ def test_build_S1_keeps_the_existential_bits_when_K_holds_every_point(
     ref = restricted_build_S1(instance, inside, j, N, seed)
     assert len(s1) == len(ref) == N
     for kernel, expected in zip(s1, ref):
-        assert np.array_equal(kernel, expected)
+        assert np.array_equal(instance.points[kernel], expected)
